@@ -133,6 +133,26 @@ class Ideal:
                 raise ValueError("degree-0 generator would collapse the algebra")
 
 
+def add_shifted_rows(space: RowSpace, idx: dict, weights, e: int, piece) -> None:
+    """Add x_j times every rref row of degree e - w_j to the degree-e space.
+
+    ``piece(d)`` returns (monomials of degree d, RowSpace of degree d), or
+    None where degree d contributes nothing; ``idx`` indexes the degree-e
+    monomials of ``space``.
+    """
+    for j, w in enumerate(weights):
+        found = piece(e - w) if e >= w else None
+        if found is None:
+            continue
+        monos, rows = found
+        for row in rows.rref_rows():
+            shifted = {}
+            for col, c in row.items():
+                m = monos[col]
+                shifted[idx[m[:j] + (m[j] + 1,) + m[j + 1 :]]] = c
+            space.add(shifted)
+
+
 class _IdealPieces:
     """Degreewise row spaces of a homogeneous ideal, built incrementally."""
 
@@ -153,18 +173,13 @@ class _IdealPieces:
             for g in self.generators:
                 if ring.degree(g) == e:
                     space.add({idx[m]: c for m, c in g.terms})
-            for j, w in enumerate(ring.weights):
-                lower = e - w
-                if lower < 0 or lower >= len(self.spaces):
-                    continue
-                lower_monos = self.monos[lower]
-                for row in self.spaces[lower].rref_rows():
-                    shifted = {}
-                    for col, c in row.items():
-                        m = lower_monos[col]
-                        mm = tuple(x + (1 if i == j else 0) for i, x in enumerate(m))
-                        shifted[idx[mm]] = c
-                    space.add(shifted)
+            add_shifted_rows(
+                space,
+                idx,
+                ring.weights,
+                e,
+                lambda d: (self.monos[d], self.spaces[d]) if d < len(self.spaces) else None,
+            )
             self.monos.append(monos)
             self.index.append(idx)
             self.spaces.append(space)
@@ -372,18 +387,9 @@ class GradedAlgebra:
             monos = self.monomial_basis(d)
             idx = {m: i for i, m in enumerate(monos)}
             span = RowSpace(F, len(monos))
-            for j, w in enumerate(ring.weights):
-                lower = d - w
-                if lower < 0:
-                    continue
-                lower_monos = self.monomial_basis(lower)
-                for row in self.ideal_space(lower).rref_rows():
-                    shifted = {}
-                    for col, c in row.items():
-                        m = lower_monos[col]
-                        mm = tuple(x + (1 if k == j else 0) for k, x in enumerate(m))
-                        shifted[idx[mm]] = c
-                    span.add(shifted)
+            add_shifted_rows(
+                span, idx, ring.weights, d, lambda e: (self.monomial_basis(e), self.ideal_space(e))
+            )
             for row in self.ideal_space(d).rref_rows():
                 if span.add(dict(row)):
                     out.append(

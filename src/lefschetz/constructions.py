@@ -19,6 +19,7 @@ from .algebra import (
     NotGorensteinError,
     Orientation,
     Ring,
+    add_shifted_rows,
     default_orientation,
     from_ideal,
     hilbert_function,
@@ -836,18 +837,13 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
             kern.add({i: c for i, c in enumerate(v) if not F.is_zero(c)})
         kernels[m] = kern
         spanned = RowSpace(F, len(monos))
-        for j, w in enumerate(ring.weights):
-            lower = m - w
-            if lower < 1 or lower not in kernels:
-                continue
-            lmonos = ring.monomials(lower)
-            for row in kernels[lower].rref_rows():
-                shifted = {}
-                for col, c in row.items():
-                    mm = lmonos[col]
-                    mm2 = tuple(x + (1 if t == j else 0) for t, x in enumerate(mm))
-                    shifted[idx[mm2]] = c
-                spanned.add(shifted)
+        add_shifted_rows(
+            spanned,
+            idx,
+            ring.weights,
+            m,
+            lambda d: (ring.monomials(d), kernels[d]) if d in kernels else None,
+        )
         for row in kern.rref_rows():
             if spanned.add(dict(row)):
                 relations.append(Poly.make(ring.nvars, F, {monos[c]: v for c, v in row.items()}))

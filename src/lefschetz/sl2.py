@@ -1,9 +1,12 @@
 """sl2 triples attached to strong Lefschetz elements and weight decompositions.
 
 Characteristic zero throughout.  A narrow-sense Lefschetz element makes the
-whole algebra an sl2 representation with E the multiplication operator; the
-raising/lowering normalisations follow the standard irreducible model, and
-weights are recovered by integer eigenvalue search.
+whole algebra an sl2 representation with E the multiplication operator and
+H acting on A_i by 2i - c.  The triple is built one degree at a time in the
+graded basis: only the lowering operator F has to be solved for, against
+the chain basis of each degree, with the normalisations of the standard
+irreducible model.  ``weight_decomposition`` (integer eigenvalue search)
+and ``verify_triple`` remain as dense checks for arbitrary matrices.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import operator_matrix
-from .checks import degree_one_vector, jordan_type
+from .checks import degree_one_vector, jordan_type, power_map_matrix, step_matrices
 from .exactmath import FieldSpec, Matrix, QQ, invert, kernel_basis
 
 
@@ -43,18 +45,20 @@ class WeightDecomposition:
         return ()
 
 
-def _bracket(a: Matrix, b: Matrix) -> Matrix:
+def _sub(a: Matrix, b: Matrix) -> Matrix:
     F = a.field
-    ab = a.mul(b)
-    ba = b.mul(a)
     return Matrix(
         F,
-        ab.cols,
+        a.cols,
         tuple(
             tuple(F.sub(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(ab.entries, ba.entries)
+            for r1, r2 in zip(a.entries, b.entries)
         ),
     )
+
+
+def _bracket(a: Matrix, b: Matrix) -> Matrix:
+    return _sub(a.mul(b), b.mul(a))
 
 
 def verify_triple(t: Sl2Triple) -> bool:
@@ -105,63 +109,23 @@ def model_rep(d: int, field: FieldSpec = QQ) -> Sl2Triple:
     return Sl2Triple(mk(e), mk(h), mk(f))
 
 
-def _strand_basis(alg, Lvec) -> list[tuple[int, list[tuple]]]:
-    """Jordan strands of multiplication by L on a narrow-sense witness.
-
-    Returns (start degree, chain of global coordinate vectors) per strand;
-    chains are v, Lv, L^2 v, ... and the union of all chain vectors is a
-    basis.  Valid when strands are centered, which is checked by the caller.
-    """
-    F = alg.field
-    D = alg.socle_degree
-    dims = [alg.dim(d) for d in range(D + 1)]
-    offsets = [0]
-    for nd in dims:
-        offsets.append(offsets[-1] + nd)
-    total = offsets[-1]
-
-    def embed(d: int, vec) -> tuple:
-        out = [F.zero()] * total
-        for k, v in enumerate(vec):
-            out[offsets[d] + k] = v
-        return tuple(out)
-
-    steps = [operator_matrix(alg, 1, Lvec, d) for d in range(D)]
-    strands = []
-    for i in range(D + 1):
-        ni = alg.dim(i)
-        if ni == 0:
-            continue
-        length = D - 2 * i + 1  # centered strand length through degree i
-        if length < 1:
-            continue
-        # new strands start in the kernel of L^length : A_i -> A_{D-i+1}
-        if i + length > D:
-            power = Matrix(F, ni, ())  # the zero map: everything is kernel
-        else:
-            power = steps[i]
-            for k in range(i + 1, i + length):
-                power = steps[k].mul(power)
-        for vec in kernel_basis(power):
-            chain = [embed(i, vec)]
-            cur = vec
-            d = i
-            while d < D:
-                nxt = steps[d].mul_vec(cur)
-                if all(F.is_zero(x) for x in nxt):
-                    break
-                chain.append(embed(d + 1, nxt))
-                cur = nxt
-                d += 1
-            strands.append((i, chain))
-    return strands
+def _scalar(F: FieldSpec, n: int, value: int) -> Matrix:
+    x, z = F.from_int(value), F.zero()
+    return Matrix(F, n, tuple(tuple(x if i == j else z for j in range(n)) for i in range(n)))
 
 
 def triple_from_lefschetz(alg, L) -> Sl2Triple:
     """sl2 triple with E multiplication by a narrow-sense witness.
 
-    Refuses linear forms that are not narrow-sense Lefschetz elements: the
-    strand structure is certified centered before H and F are assembled.
+    Built degree by degree in the graded basis.  E_k : A_k -> A_{k+1} is
+    multiplication by L and H acts on A_k by 2k - c.  The chain vectors in
+    A_k (primitive vectors v of each centred strand and their images L^j v)
+    form an invertible matrix C_k, and F_k : A_k -> A_{k-1} sends L^j v to
+    j(d - j + 1) L^{j-1} v on a strand of length d + 1.  Refuses linear
+    forms that are not narrow-sense Lefschetz elements: the strands are
+    certified centred and every C_k invertible before F is assembled, and
+    [E, F] = H is checked on every A_k ([H, E] = 2E and [H, F] = -2F hold by
+    degree).
     """
     F = alg.field
     if F.characteristic != 0:
@@ -175,38 +139,56 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
                 "element is not a narrow-sense Lefschetz witness: "
                 f"strand at degree {start} of length {length} is not centered"
             )
-    strands = _strand_basis(alg, Lvec)
-    total = sum(alg.dim(d) for d in range(c + 1))
-    if sum(len(chain) for _, chain in strands) != total:
-        raise ValueError("element is not a narrow-sense Lefschetz witness")
-
+    dims = [alg.dim(k) for k in range(c + 1)]
     z = F.zero()
-    e_s = [[z] * total for _ in range(total)]
-    h_s = [[z] * total for _ in range(total)]
-    f_s = [[z] * total for _ in range(total)]
-    cols = []
-    pos = 0
-    for _, chain in strands:
-        d = len(chain) - 1
-        for j, vec in enumerate(chain):
-            cols.append(vec)
-            h_s[pos + j][pos + j] = F.from_int(-d + 2 * j)
-            if j < d:
-                e_s[pos + j + 1][pos + j] = F.one()
-            if j > 0:
-                f_s[pos + j - 1][pos + j] = F.from_int(j * (d - j + 1))
-        pos += len(chain)
-    S = Matrix.from_cols(F, cols, nrows=total)
-    try:
-        S_inv = invert(S)
-    except ValueError as exc:
-        raise ValueError("element is not a narrow-sense Lefschetz witness") from exc
-    mk = lambda rows: Matrix(F, total, tuple(tuple(r) for r in rows))
-    conj = lambda m: S.mul(m).mul(S_inv)
-    triple = Sl2Triple(conj(mk(e_s)), conj(mk(h_s)), conj(mk(f_s)))
-    if not verify_triple(triple):
-        raise AssertionError("constructed operators fail the bracket relations")
-    return triple
+    steps = step_matrices(alg, Lvec)
+    # per degree k: (chain vector in A_k, its image under F in A_{k-1})
+    chains: list[list[tuple]] = [[] for _ in range(c + 1)]
+    for s in range(c // 2 + 1):
+        if dims[s] == 0:
+            continue
+        d = c - 2 * s  # strands starting in A_s end in A_{c-s}
+        # primitive vectors: the kernel of L^{d+1} : A_s -> A_{c-s+1}
+        power = power_map_matrix(steps, d + 1, s) if s else Matrix(F, dims[0], ())
+        for v in kernel_basis(power):
+            below = (z,) * (dims[s - 1] if s else 0)
+            for j in range(d + 1):
+                chains[s + j].append((v, below))
+                if j < d:
+                    coeff = F.from_int((j + 1) * (d - j))
+                    below = tuple(F.mul(coeff, x) for x in v)
+                    v = steps[s + j].mul_vec(v)
+    f_blocks = []
+    for k in range(c + 1):
+        # C_k is square exactly when A_k holds dim A_k chain vectors
+        C = Matrix.from_cols(F, [v for v, _ in chains[k]], nrows=dims[k])
+        try:
+            C_inv = invert(C)
+        except ValueError as exc:
+            raise ValueError("element is not a narrow-sense Lefschetz witness") from exc
+        M = Matrix.from_cols(F, [b for _, b in chains[k]], nrows=dims[k - 1] if k else 0)
+        f_blocks.append(M.mul(C_inv))
+    for k in range(c + 1):
+        ef = steps[k - 1].mul(f_blocks[k]) if k else Matrix.zero(F, dims[k], dims[k])
+        fe = f_blocks[k + 1].mul(steps[k]) if k < c else Matrix.zero(F, dims[k], dims[k])
+        if _sub(ef, fe) != _scalar(F, dims[k], 2 * k - c):
+            raise AssertionError("constructed operators fail the bracket relations")
+
+    offsets = [sum(dims[:k]) for k in range(c + 2)]
+    n = offsets[-1]
+
+    def dense(blocks) -> Matrix:
+        rows = [[z] * n for _ in range(n)]
+        for row_deg, col_deg, m in blocks:
+            for a, row in enumerate(m.entries):
+                rows[offsets[row_deg] + a][offsets[col_deg] : offsets[col_deg + 1]] = row
+        return Matrix(F, n, tuple(tuple(r) for r in rows))
+
+    return Sl2Triple(
+        dense((k + 1, k, steps[k]) for k in range(c)),
+        dense((k, k, _scalar(F, dims[k], 2 * k - c)) for k in range(c + 1)),
+        dense((k - 1, k, f_blocks[k]) for k in range(1, c + 1)),
+    )
 
 
 def weight_decomposition(h: Matrix, candidates=None) -> WeightDecomposition:
@@ -267,35 +249,14 @@ def irreducible_decomposition(weights: Sequence[int]) -> tuple:
 
 
 def slpn_via_weights(alg, L) -> bool:
-    """Narrow-sense check through the weight grading of a constructed triple.
+    """Narrow-sense check through the construction of an sl2 triple.
 
-    Builds the sl2 triple when the strand structure allows it and verifies
-    that the weight spaces recover the grading via weight = 2 deg - c.
+    True exactly when ``triple_from_lefschetz`` succeeds, which certifies
+    centred strands, an invertible chain basis in every degree and
+    [E, F] = H; the weight of A_i is then 2i - c by construction.
     """
     try:
-        triple = triple_from_lefschetz(alg, L)
+        triple_from_lefschetz(alg, L)
     except ValueError:
         return False
-    c = alg.socle_degree
-    # strand weights all share the parity of c and live in [-c, c]
-    wd = weight_decomposition(triple.h, candidates=range(-c, c + 1))
-    F = alg.field
-    dims = [alg.dim(d) for d in range(c + 1)]
-    offsets = [0]
-    for nd in dims:
-        offsets.append(offsets[-1] + nd)
-    got = wd.weights()
-    expect = {2 * i - c: dims[i] for i in range(c + 1) if dims[i]}
-    if got != expect:
-        return False
-    # each weight space must be the corresponding graded coordinate block
-    for i in range(c + 1):
-        if dims[i] == 0:
-            continue
-        basis = wd.basis(2 * i - c)
-        for vec in basis:
-            for k, x in enumerate(vec):
-                inside = offsets[i] <= k < offsets[i + 1]
-                if not inside and not F.is_zero(x):
-                    return False
     return True

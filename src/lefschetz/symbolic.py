@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactmath import FieldSpec
 from .polynomials import Poly, mono_divides, mono_sub
 
 
@@ -169,15 +168,6 @@ def _coeffs_wrt(p: Poly, v: int) -> dict[int, Poly]:
         stripped = tuple(0 if i == v else x for i, x in enumerate(m))
         out.setdefault(e, {})[stripped] = c
     return {e: Poly.make(p.nvars, p.field, mapping) for e, mapping in out.items()}
-
-
-def _from_coeffs(nvars: int, field: FieldSpec, v: int, coeffs: dict[int, Poly]) -> Poly:
-    acc: dict = {}
-    for e, poly in coeffs.items():
-        for m, c in poly.terms:
-            mm = tuple(e if i == v else x for i, x in enumerate(m))
-            acc[mm] = c
-    return Poly.make(nvars, field, acc)
 
 
 def _mul_xpow(p: Poly, v: int, e: int) -> Poly:

@@ -105,20 +105,50 @@ def test_cli_hilbert_expect_pass_and_fail():
     assert bad.returncode == 1
 
 
-def test_cli_input_error_exit_2():
-    missing = run_cli("hilbert", "/nonexistent/path.alg")
-    assert missing.returncode == 2
-    import tempfile, os
+# Inputs the toolkit must reject with exit 2, one "error:" line on stderr and
+# nothing on stdout, whichever layer notices the problem.
+INPUT_ERRORS = [
+    ["hilbert", "/nonexistent/path.alg"],
+    ["hilbert", None],  # None: an unparsable file the test writes
+    ["sl2", "--element", "x", data_path("x2y2z2.alg")],
+    ["sl2", "--element", "x+y+z", data_path("x2y2z2_f2.alg")],
+    ["nll", data_path("ikeda.alg")],
+    ["nll", "--mode", "strong", data_path("stanley_333.alg")],
+    ["hessian", data_path("x2y2z2_f2.alg")],
+    ["check", "--mode", "wlp", "--element", "x^2", data_path("x2y2z2.alg")],
+    ["jordan", "--element", "x*y", data_path("x2y2z2.alg")],
+    ["hessian", "--degree", "9", data_path("ikeda.alg")],
+]
 
-    with tempfile.NamedTemporaryFile("w", suffix=".alg", delete=False) as fh:
-        fh.write("vars: x\nideal:\nx^2 + *\n")
-        path = fh.name
-    try:
-        broken = run_cli("hilbert", path)
-        assert broken.returncode == 2
-        assert "error" in broken.stderr
-    finally:
-        os.unlink(path)
+
+def test_cli_input_error_exit_2(tmp_path):
+    broken = tmp_path / "broken.alg"
+    broken.write_text("vars: x\nideal:\nx^2 + *\n")
+    for argv in INPUT_ERRORS:
+        out = run_cli(*(str(broken) if a is None else a for a in argv))
+        lines = out.stderr.splitlines()
+        assert out.returncode == 2, (argv, out.stderr)
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, out.stderr)
+        assert out.stdout == "", argv
+
+
+# `lefschetz sl2 --json` results, pinned by the sha256 of the canonical dump
+SL2_RESULTS = {
+    ("x2y2.alg", "x+y"): "c5cf4159185412166c1138cd90cbec5e1e4926e381d0f312a19ff5f86f35f5de",
+    ("x2y2z2.alg", "x+y+z"): "9fa1f541b987e3d5f0dce5c02c239997f846e5dffacaa165377468c973dfa310",
+    ("stanley_333.alg", "x+y+z"): "c79b660f3141f4e01f91edb90bc2c76ca2426ad58cb927ce369e2b275c90101c",
+}
+
+
+def test_cli_sl2_json_results_pinned():
+    import hashlib
+
+    for (name, element), want in SL2_RESULTS.items():
+        out = run_cli("sl2", "--json", "--element", element, data_path(name))
+        assert out.returncode == 0, out.stderr
+        results = json.loads(out.stdout)["results"]
+        got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+        assert got == want, name
 
 
 def test_cli_check_generic_witness():

@@ -222,3 +222,56 @@ def test_agreement_on_random_instances():
         assert slpn_via_weights(a, L) == slpn_for_element(a, L).holds
         agree += 1
     assert agree >= 8
+
+
+def _graded_triple_cases():
+    from importlib import resources
+
+    from lefschetz.algebra import from_dual_generator
+    from lefschetz.descfiles import parse_algebra_text
+    from lefschetz.polynomials import DualPoly
+
+    data = resources.files("lefschetz") / "data"
+    for name in ("x2y2z2.alg", "stanley_333.alg"):
+        a = parse_algebra_text((data / name).read_text()).build()
+        yield a, a.ring.parse("x + y + z")
+    r = Ring(("x", "y", "z"), QQ)
+    F = DualPoly.make(3, QQ, {(3, 1, 0): 1, (0, 2, 2): -2, (1, 1, 2): 3, (0, 0, 4): 1})
+    a = from_dual_generator(F, r)
+    yield a, a.ring.parse("x + 2*y + 3*z")
+
+
+def test_triple_blocks_in_graded_basis():
+    # E is multiplication by L block by block and H is 2 deg - c on the
+    # graded basis; given E and H, [E,F]=H pins F, so the dense check closes it
+    from lefschetz.algebra import operator_matrix
+    from lefschetz.checks import degree_one_vector
+
+    for a, L in _graded_triple_cases():
+        t = triple_from_lefschetz(a, L)
+        c = a.socle_degree
+        dims = [a.dim(k) for k in range(c + 1)]
+        off = [sum(dims[:k]) for k in range(c + 2)]
+        assert t.size == off[-1]
+        Lvec = degree_one_vector(a, L)
+        for i in range(c + 1):
+            for k in range(c + 1):
+                block = tuple(row[off[k] : off[k + 1]] for row in t.e.entries[off[i] : off[i + 1]])
+                if i == k + 1:
+                    assert block == operator_matrix(a, 1, Lvec, k).entries
+                else:
+                    assert block == Matrix.zero(QQ, dims[i], dims[k]).entries
+        degree = [k for k in range(c + 1) for _ in range(dims[k])]
+        assert t.h == Matrix.from_rows(
+            QQ, [[2 * degree[i] - c if i == j else 0 for j in range(t.size)] for i in range(t.size)]
+        )
+        assert verify_triple(t)
+
+
+def test_triple_requires_characteristic_zero():
+    from lefschetz.exactmath import GF
+
+    r = Ring(("x", "y"), GF(7))
+    a = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
+    with pytest.raises(ValueError):
+        triple_from_lefschetz(a, a.ring.parse("x + y"))

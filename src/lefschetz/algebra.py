@@ -60,10 +60,6 @@ class Ring:
     def nvars(self) -> int:
         return len(self.varnames)
 
-    @property
-    def standard_graded(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
     def monomials(self, d: int) -> list[Monomial]:
         return monomials(self.nvars, d, weights=self.weights)
 

@@ -399,6 +399,8 @@ def cmd_connect_sum(args) -> int:
     inputs = [da, db]
     omega_a = _orientation_option(a, args.orient_a)
     omega_b = _orientation_option(b, args.orient_b)
+    if args.t is not None and (args.map_a is None or args.map_b is None):
+        raise InputError("connect-sum over T needs both --map-a and --map-b")
     try:
         if args.t is None:
             cs = connected_sum_over_field(a, b, omega_a, omega_b)

@@ -19,7 +19,6 @@ from .algebra import (
     NotGorensteinError,
     Orientation,
     Ring,
-    add_shifted_rows,
     default_orientation,
     from_ideal,
     hilbert_function,
@@ -821,33 +820,16 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
         assert deg == total
         return vec
 
-    # minimal relations, degree by degree, plus one guard degree to cut the
-    # top monomials
-    maxw = max(ring.weights)
-    kernels: dict[int, RowSpace] = {}
-    relations: list[Poly] = []
-    for m in range(1, D + maxw + 1):
-        monos = ring.monomials(m)
-        idx = {mm: i for i, mm in enumerate(monos)}
-        nd = alg.dim(m) if m <= D else 0
-        cols = [mu(mm) if nd else () for mm in monos]
-        mat = Matrix.from_cols(F, cols, nrows=nd)
-        kern = RowSpace(F, len(monos))
+    # the kernel of monomials -> alg in each degree is the ideal of relations
+    monos = [ring.monomials(m) for m in range(D + 1)]
+    kernels = []
+    for m in range(D + 1):
+        mat = Matrix.from_cols(F, [mu(mm) for mm in monos[m]], nrows=alg.dim(m))
+        kern = RowSpace(F, len(monos[m]))
         for v in kernel_basis(mat):
-            kern.add({i: c for i, c in enumerate(v) if not F.is_zero(c)})
-        kernels[m] = kern
-        spanned = RowSpace(F, len(monos))
-        add_shifted_rows(
-            spanned,
-            idx,
-            ring.weights,
-            m,
-            lambda d: (ring.monomials(d), kernels[d]) if d in kernels else None,
-        )
-        for row in kern.rref_rows():
-            if spanned.add(dict(row)):
-                relations.append(Poly.make(ring.nvars, F, {monos[c]: v for c, v in row.items()}))
-    return ring, relations, gens
+            kern.add(dict(enumerate(v)))
+        kernels.append(kern)
+    return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), gens
 
 
 def presented_algebra(alg, name_prefix: str = "z", max_generators: int = 8) -> GradedAlgebra:

@@ -1,9 +1,14 @@
-"""Exact scalar arithmetic over QQ and GF(p), plus dense exact linear algebra.
+"""Exact scalar arithmetic over QQ and GF(p), plus exact linear algebra.
 
 Scalars are plain Python objects: ``fractions.Fraction`` in characteristic 0
 and canonical residues ``int`` in ``[0, p)`` over GF(p).  A ``FieldSpec``
 carries the characteristic and supplies all arithmetic, so matrices and
 polynomials stay lightweight.
+
+``RowSpace`` is the one elimination engine.  ``rref``, ``rank``,
+``kernel_basis``, ``solve``, ``invert`` and ``det`` on dense matrices are
+views of it: they feed the rows into a fresh ``RowSpace`` and read the
+answer off its reduced rows and pivots.
 """
 
 from __future__ import annotations
@@ -43,21 +48,28 @@ class FieldSpec:
     # -- element construction ------------------------------------------------
 
     def coerce(self, value) -> Scalar:
+        """Field element from an int, a Fraction or a decimal/fraction string.
+
+        Raises ValueError when the denominator vanishes in the field.
+        """
         p = self.characteristic
+        if isinstance(value, str):
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
         if p == 0:
             if isinstance(value, Fraction):
                 return value
             if isinstance(value, int):
                 return Fraction(value)
-            if isinstance(value, str):
-                return Fraction(value)
             raise TypeError(f"cannot coerce {value!r} into QQ")
         if isinstance(value, int):
             return value % p
         if isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise ValueError(f"denominator of {value} vanishes in GF({p})")
             return self.div(value.numerator % p, value.denominator % p)
-        if isinstance(value, str):
-            return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into GF({p})")
 
     def zero(self) -> Scalar:
@@ -199,11 +211,6 @@ class Matrix:
         F = self.field
         return tuple(_dot(F, r, v) for r in self.entries)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return Matrix(self.field, self.ncols, self.entries + other.entries)
-
     def is_zero(self) -> bool:
         F = self.field
         return all(F.is_zero(x) for r in self.entries for x in r)
@@ -221,28 +228,13 @@ def _dot(field: FieldSpec, a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    F = m.field
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if not F.is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(F, ncols, tuple(tuple(row) for row in rows)), pivots
+    """Reduced row echelon form, padded with zero rows, and the pivot columns."""
+    space = RowSpace(m.field, m.cols)
+    for row in m.entries:
+        space.add(dict(enumerate(row)))
+    red = space.dense_matrix()
+    pad = Matrix.zero(m.field, m.rows - red.rows, m.cols)
+    return Matrix(m.field, m.cols, red.entries + pad.entries), space.pivots()
 
 
 def rank(m: Matrix) -> int:
@@ -271,52 +263,28 @@ def kernel_basis(m: Matrix) -> list[tuple]:
 
 
 def det(m: Matrix) -> Scalar:
-    """Determinant: fraction-free Bareiss over QQ, Gauss-Jordan over GF(p)."""
+    """Determinant as the signed product of the rows' leading coefficients.
+
+    Each row is reduced against the span of the rows before it, which leaves
+    the determinant unchanged; the remainders are then triangular up to the
+    permutation sending row order to pivot column.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
     F = m.field
-    if n == 0:
-        return F.one()
-    if F.characteristic != 0:
-        return _det_gauss(m)
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _det_gauss(m: Matrix) -> Scalar:
-    F = m.field
-    n = m.rows
-    a = [list(r) for r in m.entries]
+    space = RowSpace(F, m.cols)
     acc = F.one()
-    for k in range(n):
-        pr = next((i for i in range(k, n) if not F.is_zero(a[i][k])), None)
-        if pr is None:
+    order: list[int] = []
+    for row in m.entries:
+        rem = space.reduce(dict(enumerate(row)))
+        if not rem:
             return F.zero()
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            acc = F.neg(acc)
-        acc = F.mul(acc, a[k][k])
-        inv = F.inv(a[k][k])
-        for i in range(k + 1, n):
-            if not F.is_zero(a[i][k]):
-                f = F.mul(a[i][k], inv)
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[k])]
-    return acc
+        pc = min(rem)
+        acc = F.mul(acc, rem[pc])
+        order.append(pc)
+        space.add(rem)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return F.neg(acc) if inversions % 2 else acc
 
 
 def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
@@ -353,18 +321,20 @@ def invert(m: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Sparse incremental row spaces
+# Sparse incremental row spaces: the elimination engine
 # ---------------------------------------------------------------------------
 
 
 class RowSpace:
     """Incrementally reduced row space of sparse vectors.
 
-    Rows are dicts {column index: scalar}.  The space is kept in reduced row
-    echelon form: each stored row has leading coefficient 1 at its pivot
-    column (the smallest occupied column) and every other stored row is zero
-    at that column.  Column 0 is the grevlex-largest monomial, so pivots are
-    leading monomials and the non-pivot columns are the standard monomials.
+    This is the only exact elimination over a field in the toolkit; the dense
+    functions above all reduce through it.  Rows are dicts {column index:
+    scalar}.  The space is kept in reduced row echelon form: each stored row
+    has leading coefficient 1 at its pivot column (the smallest occupied
+    column) and every other stored row is zero at that column.  Column 0 is
+    the grevlex-largest monomial, so pivots are leading monomials and the
+    non-pivot columns are the standard monomials.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
@@ -432,13 +402,8 @@ class RowSpace:
         return [dict(self._rows[c]) for c in sorted(self._rows)]
 
     def dense_matrix(self) -> Matrix:
-        F = self.field
-        rows = []
-        for r in self.rref_rows():
-            rows.append([r.get(c, F.zero()) for c in range(self.ncols)])
-        return Matrix.from_rows(F, rows, ncols=self.ncols)
-
-    def copy(self) -> "RowSpace":
-        rs = RowSpace(self.field, self.ncols)
-        rs._rows = {c: dict(r) for c, r in self._rows.items()}
-        return rs
+        z = self.field.zero()
+        rows = tuple(
+            tuple(self._rows[p].get(c, z) for c in range(self.ncols)) for p in sorted(self._rows)
+        )
+        return Matrix(self.field, self.ncols, rows)

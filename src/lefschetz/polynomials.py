@@ -157,13 +157,6 @@ class Poly:
         degs = {mono_degree(m, weights) for m, _ in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_component(self, d: int, weights: Optional[Sequence[int]] = None) -> "Poly":
-        return Poly(
-            self.nvars,
-            self.field,
-            tuple((m, c) for m, c in self.terms if mono_degree(m, weights) == d),
-        )
-
     def _check_compatible(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
@@ -243,11 +236,6 @@ class Poly:
             out = out + term
         return out
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
-
     def leading_coefficient(self) -> Scalar:
         if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -292,13 +280,6 @@ class DualPoly:
     def is_homogeneous(self, weights: Optional[Sequence[int]] = None) -> bool:
         degs = {mono_degree(m, weights) for m, _ in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_component(self, d: int, weights: Optional[Sequence[int]] = None) -> "DualPoly":
-        return DualPoly(
-            self.nvars,
-            self.field,
-            tuple((m, c) for m, c in self.terms if mono_degree(m, weights) == d),
-        )
 
     def _check_compatible(self, other: "DualPoly") -> None:
         if self.nvars != other.nvars:
@@ -594,8 +575,8 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected denominator", pos)
             den = int(val)
-            if den == 0:
-                raise ParseError("zero denominator", pos)
+            if F.is_zero(F.from_int(den)):
+                raise ParseError(f"denominator {den} is zero in {F}", pos)
             if F.characteristic == 0:
                 from fractions import Fraction
 

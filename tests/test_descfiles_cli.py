@@ -105,11 +105,17 @@ def test_cli_hilbert_expect_pass_and_fail():
     assert bad.returncode == 1
 
 
+# Description files the test writes, by the placeholder that stands for their path.
+WRITTEN = {
+    "<broken>": "vars: x\nideal:\nx^2 + *\n",
+    "<half-in-f2>": "vars: x, y\nfield: Fp(2)\nideal:\nx^2\n1/2*y^2\n",
+}
+
 # Inputs the toolkit must reject with exit 2, one "error:" line on stderr and
 # nothing on stdout, whichever layer notices the problem.
 INPUT_ERRORS = [
     ["hilbert", "/nonexistent/path.alg"],
-    ["hilbert", None],  # None: an unparsable file the test writes
+    ["hilbert", "<broken>"],
     ["sl2", "--element", "x", data_path("x2y2z2.alg")],
     ["sl2", "--element", "x+y+z", data_path("x2y2z2_f2.alg")],
     ["nll", data_path("ikeda.alg")],
@@ -118,14 +124,24 @@ INPUT_ERRORS = [
     ["check", "--mode", "wlp", "--element", "x^2", data_path("x2y2z2.alg")],
     ["jordan", "--element", "x*y", data_path("x2y2z2.alg")],
     ["hessian", "--degree", "9", data_path("ikeda.alg")],
+    # denominators that vanish in the field
+    ["hilbert", "<half-in-f2>"],
+    ["jordan", "--element", "1/2*x+y+z", data_path("x2y2z2_f2.alg")],
+    ["blowup", data_path("notgor_a.alg"), data_path("notgor_t.alg"),
+     "--map", data_path("notgor_map.map"), "--coeffs", "x;0", "--lam", "1/0"],
+    # a connected sum over T needs both maps
+    ["connect-sum", data_path("ex71_a.alg"), data_path("ex71_b.alg"), data_path("ex71_t.alg"),
+     "--map-a", data_path("ex71_map_a.map")],
 ]
 
 
 def test_cli_input_error_exit_2(tmp_path):
-    broken = tmp_path / "broken.alg"
-    broken.write_text("vars: x\nideal:\nx^2 + *\n")
+    paths = {}
+    for placeholder, text in WRITTEN.items():
+        paths[placeholder] = tmp_path / f"{placeholder.strip('<>')}.alg"
+        paths[placeholder].write_text(text)
     for argv in INPUT_ERRORS:
-        out = run_cli(*(str(broken) if a is None else a for a in argv))
+        out = run_cli(*(str(paths.get(a, a)) for a in argv))
         lines = out.stderr.splitlines()
         assert out.returncode == 2, (argv, out.stderr)
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, out.stderr)

@@ -1,11 +1,22 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, det, kernel_basis, rank, rref, solve
+from lefschetz.exactmath import (
+    GF,
+    QQ,
+    Matrix,
+    RowSpace,
+    det,
+    invert,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+)
 
 
 def mat(rows, field=QQ):
@@ -107,13 +118,24 @@ small_entries = st.integers(min_value=-6, max_value=6)
 
 
 @st.composite
-def matrices(draw, max_dim=4, field=QQ):
-    r = draw(st.integers(min_value=1, max_value=max_dim))
-    c = draw(st.integers(min_value=1, max_value=max_dim))
+def matrices(draw, max_dim=4, field=QQ, min_dim=1):
+    r = draw(st.integers(min_value=min_dim, max_value=max_dim))
+    c = draw(st.integers(min_value=min_dim, max_value=max_dim))
     rows = draw(
         st.lists(st.lists(small_entries, min_size=c, max_size=c), min_size=r, max_size=r)
     )
-    return Matrix.from_rows(field, rows)
+    return Matrix.from_rows(field, rows, ncols=c)
+
+
+# QQ and GF(5), the two kinds of field the oracles below cover
+fields = st.sampled_from([QQ, GF(5)])
+
+
+def oracle_det(m):
+    """Leibniz determinant of m, reduced into m's field."""
+    d = cofactor_det([list(r) for r in m.entries])
+    p = m.field.characteristic
+    return d % p if p else d
 
 
 @given(matrices())
@@ -134,11 +156,15 @@ def test_kernel_annihilated(m):
         assert all(x == 0 for x in m.mul_vec(v))
 
 
-@given(matrices(max_dim=4))
+@given(fields.flatmap(lambda F: matrices(field=F, min_dim=0)))
+@example(Matrix(QQ, 0, ()))
+@example(Matrix(GF(5), 0, ()))
+@example(mat([[0, 1], [1, 0]]))  # pivots out of row order: the sign counts
+@example(mat([[0, 2], [3, 1]], GF(5)))
 def test_det_matches_cofactor_oracle(m):
     n = min(m.rows, m.cols)
-    sq = Matrix.from_rows(QQ, [list(m.row(i))[:n] for i in range(n)])
-    assert det(sq) == cofactor_det([list(r) for r in sq.entries])
+    sq = Matrix(m.field, n, tuple(r[:n] for r in m.entries[:n]))
+    assert det(sq) == oracle_det(sq)
 
 
 @given(matrices(max_dim=4, field=GF(5)))
@@ -147,16 +173,70 @@ def test_fp_rank_nullity(m):
     assert rank(m) + len(kernel_basis(m)) == m.cols
 
 
-@given(matrices())
-def test_rowspace_agrees_with_dense_rref(m):
-    rs = RowSpace(m.field, m.cols)
-    for row in m.entries:
-        rs.add({i: x for i, x in enumerate(row) if x != 0})
+@given(fields.flatmap(lambda F: matrices(field=F)))
+def test_rref_matches_independent_characterisation(m):
+    F = m.field
     red, pivots = rref(m)
-    assert rs.pivots() == pivots
-    dense = rs.dense_matrix()
-    nz = [r for r in red.entries if any(x != 0 for x in r)]
-    assert list(dense.entries) == nz
+    assert red.rows == m.rows and red.cols == m.cols
+    # RREF shape: leading 1 at each pivot, zero elsewhere in pivot columns,
+    # zero rows below the pivot rows, pivots strictly increasing
+    assert pivots == sorted(set(pivots))
+    for r, row in enumerate(red.entries):
+        if r >= len(pivots):
+            assert all(x == 0 for x in row)
+            continue
+        p = pivots[r]
+        assert all(x == 0 for x in row[:p]) and row[p] == 1
+        assert all(red.entries[s][p] == 0 for s in range(len(pivots)) if s != r)
+    # every row of m is the combination of reduced rows read off its pivots
+    for row in m.entries:
+        combo = [F.zero()] * m.cols
+        for r, p in enumerate(pivots):
+            combo = [F.add(x, F.mul(row[p], y)) for x, y in zip(combo, red.entries[r])]
+        assert tuple(combo) == row
+    # the rank is the size of the largest nonvanishing minor
+    minor_rank = max(
+        k
+        for k in range(min(m.rows, m.cols) + 1)
+        if any(
+            oracle_det(Matrix(F, k, tuple(tuple(m.entries[i][j] for j in cs) for i in rs))) != 0
+            for rs in combinations(range(m.rows), k)
+            for cs in combinations(range(m.cols), k)
+        )
+    )
+    assert len(pivots) == minor_rank
+
+
+# rref, rank, kernel_basis, solve, invert and det on matrices with no rows or
+# no columns: (rows, cols) -> rank, kernel size, solve(b = 0), solve(b = 1)
+EMPTY_SHAPES = {
+    (0, 0): (0, 0, (), ()),
+    (0, 3): (0, 3, (0, 0, 0), (0, 0, 0)),
+    (3, 0): (0, 0, (), None),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("shape", sorted(EMPTY_SHAPES))
+def test_empty_matrices_pinned(field, shape):
+    r, c = shape
+    want_rank, want_kernel, want_solve0, want_solve1 = EMPTY_SHAPES[shape]
+    m = Matrix.zero(field, r, c)
+    red, pivots = rref(m)
+    assert red == m and pivots == []
+    assert rank(m) == want_rank
+    kern = kernel_basis(m)
+    assert kern == [tuple(int(i == j) for j in range(c)) for i in range(want_kernel)]
+    assert solve(m, [0] * r) == want_solve0
+    assert solve(m, [1] * r) == want_solve1
+    if r == c:
+        assert invert(m) == m
+        assert det(m) == 1 and type(det(m)) is type(field.one())
+    else:
+        with pytest.raises(ValueError, match="non-square"):
+            invert(m)
+        with pytest.raises(ValueError, match="non-square"):
+            det(m)
 
 
 def test_rowspace_normal_form_idempotent():

@@ -356,11 +356,7 @@ class GradedAlgebra:
             raise ValueError(
                 f"degree out of range: map {i} -> {i + w} with socle degree {self.socle_degree}"
             )
-        cols = []
-        for m in self._std[i]:
-            prod = f * Poly.make(self.nvars, self.field, {m: self.field.one()})
-            cols.append(self.vector(prod, i + w))
-        return Matrix.from_cols(self.field, cols, nrows=self.dim(i + w))
+        return operator_matrix(self, w, self.vector(f, w), i)
 
     def maximal_ideal_generators(self) -> list[tuple[int, tuple]]:
         out = []

@@ -26,7 +26,7 @@ from .polynomials import (
     to_ordinary,
 )
 from .symbolic import (
-    generic_rank,
+    fraction_free_echelon,
     poly_det,
     poly_gcd_list,
     poly_mat_mul,
@@ -176,9 +176,12 @@ class RankTable:
         self._mats: dict = {}
 
     def matrix(self, d: int, i: int) -> Matrix:
+        """L^d on A_i, built as L on A_{i+d-1} times the memoised L^{d-1}."""
+        if d == 1:
+            return self.steps[i]
         key = (d, i)
         if key not in self._mats:
-            self._mats[key] = power_map_matrix(self.steps, d, i)
+            self._mats[key] = self.steps[i + d - 1].mul(self.matrix(d - 1, i))
         return self._mats[key]
 
     def rank(self, d: int, i: int) -> int:
@@ -289,13 +292,6 @@ def _symbolic_power(sym_steps, d: int, i: int):
     return m
 
 
-def _symbolic_generic_rank(sym_steps, d: int, i: int, expected: int) -> int:
-    mat = _symbolic_power(sym_steps, d, i)
-    if not mat or not mat[0]:
-        return 0
-    return generic_rank(mat, stop_at=expected)
-
-
 def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -> LefschetzReport:
     """Search for a Lefschetz element; certify negatives when feasible.
 
@@ -386,7 +382,7 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
             if cached is not None and cached.achieved == exp:
                 maps.append(cached)
                 continue
-            got = _symbolic_generic_rank(sym_steps, d, i, exp)
+            got = fraction_free_echelon(_symbolic_power(sym_steps, d, i), stop_at=exp)
             maps.append(MapRecord(i, d, exp, got))
             if got != exp:
                 all_full = False

@@ -356,8 +356,11 @@ def _emit_constructed(args, command, inputs, alg_like, extra: dict) -> int:
     if description:
         human_lines.append(description.rstrip())
     if args.out and description:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(description)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(description)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}")
         human_lines.append(f"wrote {args.out}")
     return _finish(
         args, _base_report(args, command, inputs, results), "\n".join(human_lines)

@@ -24,6 +24,8 @@ from .algebra import (
     hilbert_function,
     integral,
     is_gorenstein,
+    operator_matrix,
+    pairing_matrix,
 )
 from .checks import GenericityConfig, slp_generic, wlp_generic
 from .exactmath import Matrix, RowSpace, Scalar, kernel_basis, rank, rref, solve
@@ -128,18 +130,12 @@ def thom_class(pi: AlgebraMap, omega_a: Orientation, omega_t: Orientation) -> Th
         raise ValueError("Thom classes require a surjective map")
     n = d - k
     F = A.field
-    na, nk = A.dim(n), A.dim(k)
-    rows = []
+    nk = A.dim(k)
     rhs = []
     for j in range(nk):
         ej = tuple(F.one() if t == j else F.zero() for t in range(nk))
-        row = []
-        for i in range(na):
-            ei = tuple(F.one() if t == i else F.zero() for t in range(na))
-            row.append(integral(A, omega_a, d, A.multiply(n, ei, k, ej)))
-        rows.append(tuple(row))
         rhs.append(integral(T, omega_t, k, pi.apply(k, ej)))
-    sol = solve(Matrix(F, na, tuple(rows)), rhs)
+    sol = solve(pairing_matrix(A, omega_a, k), rhs)
     if sol is None:
         raise ValueError("orientations and map admit no Thom class (inconsistent system)")
     tau = ThomClass(n, sol)
@@ -376,9 +372,7 @@ def connected_sum(
     for i in range(fp.socle_degree + 1):
         rel = RowSpace(F, fp.dim(i))
         if i >= n:
-            for j in range(fp.dim(i - n)):
-                ej = tuple(F.one() if t == j else F.zero() for t in range(fp.dim(i - n)))
-                prod = fp.multiply(n, t_pair, i - n, ej)
+            for prod in operator_matrix(fp, n, t_pair, i - n).transpose().entries:
                 rel.add({c: v for c, v in enumerate(prod) if not F.is_zero(v)})
         relations.append(rel)
     cs = QuotientAlgebra(fp, relations)
@@ -791,9 +785,7 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
             lower = d - gd
             if lower < 0:
                 continue
-            for j in range(alg.dim(lower)):
-                ej = tuple(F.one() if t == j else F.zero() for t in range(alg.dim(lower)))
-                v = alg.multiply(gd, gvec, lower, ej)
+            for v in operator_matrix(alg, gd, gvec, lower).transpose().entries:
                 span.add({i: c for i, c in enumerate(v) if not F.is_zero(c)})
         for j in range(nd):
             unit = tuple(F.one() if t == j else F.zero() for t in range(nd))

@@ -1,9 +1,12 @@
 """Fraction-free linear algebra over polynomial rings.
 
-Used for certified generic ranks over the rational function field (the
-coefficients of a would-be Lefschetz element treated as indeterminates) and
-for symbolic Hessian determinants.  Entries are Poly values; pivoting favours
-short entries and all divisions are exact by the Bareiss identity.
+One Bareiss loop (``_bareiss``) is the only elimination over a polynomial
+ring; ranks (``fraction_free_echelon``) and determinants (``poly_det``) are
+views of it.  Ranks certify generic ranks over the rational function field
+(the coefficients of a would-be Lefschetz element treated as
+indeterminates); determinants give symbolic Hessians and the minors of
+non-Lefschetz loci.  Entries are Poly values; pivoting favours short entries
+and all divisions are exact by the Bareiss identity.
 """
 
 from __future__ import annotations
@@ -38,21 +41,28 @@ def _pivot_weight(p: Poly) -> tuple:
     return (len(p.terms), p.degree())
 
 
-def fraction_free_echelon(rows: list[list[Poly]], stop_at: Optional[int] = None) -> int:
-    """Rank of a polynomial matrix over the fraction field (Bareiss).
+def _bareiss(
+    rows: list[list[Poly]], stop_at: Optional[int] = None
+) -> tuple[int, Optional[Poly], int]:
+    """Fraction-free elimination: ``(rank, last pivot, sign)``.
 
-    Column and row pivoting pick the entry with fewest terms.  ``stop_at``
-    returns early once that rank has been certified.
+    Each step takes the shortest nonzero entry in an unused column of the
+    remaining rows, and every division by the previous pivot is exact.  By
+    the Bareiss identity the last pivot is the leading minor of the matrix
+    with its rows in swapped order and its columns in pivot order, so for a
+    square matrix of full rank the determinant is ``sign * last pivot``:
+    ``sign`` is the parity of the row swaps times the sign of the
+    permutation from step number to pivot column.  ``stop_at`` ends the
+    elimination once that rank has been reached.
     """
     a = [list(r) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return 0
     prev: Optional[Poly] = None
+    sign = 1
     r = 0
     used_cols: set[int] = set()
-    while r < nrows:
+    while r < min(nrows, ncols) and (stop_at is None or r < stop_at):
         best = None
         for i in range(r, nrows):
             for j in range(ncols):
@@ -66,6 +76,10 @@ def fraction_free_echelon(rows: list[list[Poly]], stop_at: Optional[int] = None)
             break
         _, pi, pj = best
         a[r], a[pi] = a[pi], a[r]
+        # one transposition for the row swap, one per earlier pivot column
+        # to the right of this one
+        if ((pi != r) + sum(c > pj for c in used_cols)) % 2:
+            sign = -sign
         used_cols.add(pj)
         piv = a[r][pj]
         for i in range(r + 1, nrows):
@@ -77,13 +91,16 @@ def fraction_free_echelon(rows: list[list[Poly]], stop_at: Optional[int] = None)
             a[i][pj] = Poly.zero(piv.nvars, piv.field)
         prev = piv
         r += 1
-        if stop_at is not None and r >= stop_at:
-            return r
-    return r
+    return r, prev, sign
 
 
-def generic_rank(rows: list[list[Poly]], stop_at: Optional[int] = None) -> int:
-    return fraction_free_echelon(rows, stop_at=stop_at)
+def fraction_free_echelon(rows: list[list[Poly]], stop_at: Optional[int] = None) -> int:
+    """Rank of a polynomial matrix over the fraction field (Bareiss).
+
+    Pivoting picks the entry with fewest terms.  ``stop_at`` returns early
+    once that rank has been certified, so the result is min(rank, stop_at).
+    """
+    return _bareiss(rows, stop_at)[0]
 
 
 def poly_det(rows: list[list[Poly]]) -> Poly:
@@ -93,39 +110,10 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
         raise ValueError("empty matrix has no determinant")
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    sample = rows[0][0]
-    nvars, F = sample.nvars, sample.field
-    zero = Poly.zero(nvars, F)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev: Optional[Poly] = None
-    for k in range(n - 1):
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if not a[i][j].is_zero():
-                    w = _pivot_weight(a[i][j])
-                    if best is None or w < best[0]:
-                        best = (w, i, j)
-        if best is None:
-            return zero
-        _, pi, pj = best
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            sign = -sign
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * piv - a[i][k] * a[k][j]
-                a[i][j] = poly_divexact(num, prev) if prev is not None else num
-            a[i][k] = zero
-        prev = piv
-    out = a[n - 1][n - 1]
-    return out.scale(-1) if sign < 0 else out
+    rank, last, sign = _bareiss(rows)
+    if rank < n:
+        return Poly.zero(rows[0][0].nvars, rows[0][0].field)
+    return last if sign > 0 else last.scale(-1)
 
 
 def poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:

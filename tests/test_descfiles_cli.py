@@ -132,6 +132,10 @@ INPUT_ERRORS = [
     # a connected sum over T needs both maps
     ["connect-sum", data_path("ex71_a.alg"), data_path("ex71_b.alg"), data_path("ex71_t.alg"),
      "--map-a", data_path("ex71_map_a.map")],
+    # an --out path that cannot be written
+    ["tensor", data_path("x2y2.alg"), data_path("x2y2.alg"), "--out", "/nonexistent/dir/x.alg"],
+    ["connect-sum", data_path("x2y2.alg"), data_path("x2y2.alg"),
+     "--out", "/nonexistent/dir/x.alg"],
 ]
 
 

@@ -480,18 +480,16 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
         raise ValueError("variable-count mismatch")
     D = F.degree(ring.weights)
     fmap = {m: c for m, c in F.terms}
+    z = ring.field.zero()
     monos_all = []
     spaces = []
     for d in range(D + 1):
         monos = ring.monomials(d)
         target = ring.monomials(D - d)
-        rows = []
-        for t in target:
-            rows.append([fmap.get(mono_mul(t, s), ring.field.zero()) for s in monos])
-        mat = Matrix.from_rows(ring.field, rows, ncols=len(monos))
+        rows = tuple(tuple(fmap.get(mono_mul(t, s), z) for s in monos) for t in target)
         space = RowSpace(ring.field, len(monos))
-        for v in kernel_basis(mat):
-            space.add({i: c for i, c in enumerate(v) if not ring.field.is_zero(c)})
+        for v in kernel_basis(Matrix(ring.field, len(monos), rows)):
+            space.add(dict(enumerate(v)))
         monos_all.append(monos)
         spaces.append(space)
     return GradedAlgebra(ring, D, monos_all, spaces, dual_generator_poly=F)

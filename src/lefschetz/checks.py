@@ -6,6 +6,15 @@ full rank is a proof, because rank deficiency is a Zariski-closed condition.
 Negative verdicts escalate to fraction-free symbolic ranks over the function
 field of the coefficients (characteristic zero) or exhaustive search over a
 small finite field.
+
+Concrete ranks come from ``RankTable``, which does exact work only where no
+certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
+bijective, every power map L^d has full rank, since it is a right factor of
+an injective narrow map or a left factor of a surjective one.  Over QQ a map
+is first ranked modulo the word-size prime ``MODULAR_PRIME``: reducing the
+p-integral matrix entries is a ring map, so a nonzero minor mod p is nonzero
+over QQ and a full rank mod p is a full rank over QQ.  Only maps deficient
+mod p are ranked again over QQ.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import GradedAlgebra, operator_matrix
-from .exactmath import Matrix, Scalar, det, rank
+from .exactmath import GF, Matrix, Scalar, det, rank
 from .polynomials import (
     DualPoly,
     Poly,
@@ -166,34 +175,87 @@ def power_map_matrix(steps: list[Matrix], d: int, i: int) -> Matrix:
     return m
 
 
+# Word-size prime for the modular certificate over QQ (see ``RankTable``).
+MODULAR_PRIME = 2**31 - 1
+_MODULAR_FIELD = GF(MODULAR_PRIME)
+
+
 class RankTable:
-    """Ranks of L^d : A_i -> A_{i+d}, memoised."""
+    """Ranks of L^d : A_i -> A_{i+d}, memoised, with two certified shortcuts.
+
+    Narrow-map certificate: when every narrow map L^{c-2i} : A_i -> A_{c-i}
+    is bijective, every L^d has full rank, because each L^d is a factor of a
+    narrow map on the left or the right.  If i + d <= c - i, the narrow map
+    on A_i is L^{c-2i-d} o L^d, so L^d is injective; otherwise the narrow map
+    on A_{c-i-d} is L^d o L^{2i+d-c}, so L^d is surjective.  A rank with
+    d >= 2 therefore first ranks the O(c) narrow maps and returns
+    min(h_i, h_{i+d}) when they are all bijective; WLP (d = 1) never pays for
+    the check, but d = 1 uses it once it has been made.  If one narrow map
+    is deficient, every map is ranked.
+
+    Modular certificate over QQ: the step matrices are reduced modulo
+    ``MODULAR_PRIME`` (skipped if a denominator vanishes there).  Reduction
+    mod p is a ring map from the p-integral rationals, so a minor that is
+    nonzero mod p is nonzero over QQ, and the rank mod p is at most the rank
+    over QQ.  A map of full rank mod p therefore has full rank over QQ; only
+    maps deficient mod p are ranked again over QQ.
+    """
 
     def __init__(self, alg, Lvec):
         self.alg = alg
         self.steps = step_matrices(alg, Lvec)
+        self._dims = _h(alg)
         self._ranks: dict = {}
         self._mats: dict = {}
-
-    def matrix(self, d: int, i: int) -> Matrix:
-        """L^d on A_i, built as L on A_{i+d-1} times the memoised L^{d-1}."""
-        if d == 1:
-            return self.steps[i]
-        key = (d, i)
-        if key not in self._mats:
-            self._mats[key] = self.steps[i + d - 1].mul(self.matrix(d - 1, i))
-        return self._mats[key]
+        self._mod_mats: dict = {}
+        self._narrow: Optional[bool] = None
+        self._mod_steps = None
+        if alg.field.characteristic == 0:
+            try:
+                self._mod_steps = [
+                    Matrix.from_rows(_MODULAR_FIELD, m.entries, ncols=m.cols) for m in self.steps
+                ]
+            except ValueError:  # a denominator vanishes mod the prime
+                pass
 
     def rank(self, d: int, i: int) -> int:
         D = self.alg.socle_degree
         if i < 0 or i + d > D:
             return 0
         if d == 0:
-            return self.alg.dim(i)
+            return self._dims[i]
+        if (d >= 2 or self._narrow is not None) and self._narrow_bijective():
+            return min(self._dims[i], self._dims[i + d])
+        return self._exact_rank(d, i)
+
+    def _narrow_bijective(self) -> bool:
+        if self._narrow is None:
+            h, c = self._dims, self.alg.socle_degree
+            self._narrow = h == h[::-1] and all(
+                self._exact_rank(c - 2 * i, i) == h[i] for i in range((c + 1) // 2)
+            )
+        return self._narrow
+
+    def _exact_rank(self, d: int, i: int) -> int:
         key = (d, i)
         if key not in self._ranks:
-            self._ranks[key] = rank(self.matrix(d, i))
+            r = -1
+            if self._mod_steps is not None:
+                r = rank(_power(self._mod_steps, self._mod_mats, d, i))
+            if r < min(self._dims[i], self._dims[i + d]):
+                r = rank(_power(self.steps, self._mats, d, i))
+            self._ranks[key] = r
         return self._ranks[key]
+
+
+def _power(steps: list[Matrix], memo: dict, d: int, i: int) -> Matrix:
+    """L^d on A_i, built as L on A_{i+d-1} times L^{d-1} on A_i, memoised."""
+    if d == 1:
+        return steps[i]
+    key = (d, i)
+    if key not in memo:
+        memo[key] = steps[i + d - 1].mul(_power(steps, memo, d - 1, i))
+    return memo[key]
 
 
 def _h(alg) -> list[int]:
@@ -427,14 +489,14 @@ def slpn_generic(alg, cfg: GenericityConfig = GenericityConfig()) -> LefschetzRe
 
 def jordan_type(alg, L) -> JordanType:
     """Block partition of multiplication by L, with graded strand starts."""
-    Lvec = degree_one_vector(alg, L)
-    table = RankTable(alg, Lvec)
+    return _jordan_type(RankTable(alg, degree_one_vector(alg, L)))
+
+
+def _jordan_type(table: RankTable) -> JordanType:
+    alg = table.alg
     D = alg.socle_degree
     total = sum(_h(alg))
-
-    def r(d: int, i: int) -> int:
-        return table.rank(d, i)
-
+    r = table.rank
     starts = []
     for i in range(D + 1):
         for length in range(1, D - i + 2):

@@ -2,18 +2,25 @@
 
 Scalars are plain Python objects: ``fractions.Fraction`` in characteristic 0
 and canonical residues ``int`` in ``[0, p)`` over GF(p).  A ``FieldSpec``
-carries the characteristic and supplies all arithmetic, so matrices and
+carries the characteristic and supplies scalar arithmetic, so matrices and
 polynomials stay lightweight.
 
 ``RowSpace`` is the one elimination engine.  ``rref``, ``rank``,
 ``kernel_basis``, ``solve``, ``invert`` and ``det`` on dense matrices are
 views of it: they feed the rows into a fresh ``RowSpace`` and read the
 answer off its reduced rows and pivots.
+
+The hot kernels (``RowSpace.reduce``/``RowSpace.add`` and ``Matrix.mul``)
+rely on that representation instead of calling ``FieldSpec`` per scalar:
+over GF(p) they compute with plain ``int`` and take one ``% p`` per updated
+entry or per dot product, which brings every result back into ``[0, p)``;
+over QQ they add and multiply ``Fraction`` objects directly.  Entries handed
+to them must therefore be field elements as ``FieldSpec.coerce`` returns
+them.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -21,17 +28,37 @@ from typing import Iterable, Optional, Sequence, Union
 Scalar = Union[Fraction, int]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the first 13 prime bases is a proof of primality below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017)); the first 12
+# bases, 2..37, only below 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError above the proven range."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"characteristic {n} is too large (must be below {_MR_LIMIT})")
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    if n in _MR_BASES:
+        return True
+    return all(n % a and _strong_probable_prime(n, a) for a in _MR_BASES)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: does odd n > a pass the strong test to base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -67,9 +94,12 @@ class FieldSpec:
         if isinstance(value, int):
             return value % p
         if isinstance(value, Fraction):
-            if value.denominator % p == 0:
+            den = value.denominator
+            if den == 1:
+                return value.numerator % p
+            if den % p == 0:
                 raise ValueError(f"denominator of {value} vanishes in GF({p})")
-            return self.div(value.numerator % p, value.denominator % p)
+            return value.numerator * pow(den, -1, p) % p
         raise TypeError(f"cannot coerce {value!r} into GF({p})")
 
     def zero(self) -> Scalar:
@@ -198,18 +228,13 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        F = self.field
         ot = other.transpose().entries
-        out = []
-        for r in self.entries:
-            out.append(tuple(_dot(F, r, c) for c in ot))
-        return Matrix(F, other.cols, tuple(out))
+        return Matrix(self.field, other.cols, tuple(_dots(self.field, r, ot) for r in self.entries))
 
     def mul_vec(self, v: Sequence[Scalar]) -> tuple:
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matrix-vector product")
-        F = self.field
-        return tuple(_dot(F, r, v) for r in self.entries)
+        return tuple(_dots(self.field, r, (v,))[0] for r in self.entries)
 
     def is_zero(self) -> bool:
         F = self.field
@@ -219,12 +244,16 @@ class Matrix:
         return "\n".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.entries)
 
 
-def _dot(field: FieldSpec, a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    acc = field.zero()
-    for x, y in zip(a, b):
-        if not field.is_zero(x) and not field.is_zero(y):
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+def _dots(field: FieldSpec, row: Sequence[Scalar], cols: Sequence[Sequence[Scalar]]) -> tuple:
+    """The dot products of one row with each of cols, skipping the row's zeros."""
+    nz = [(j, x) for j, x in enumerate(row) if x]
+    if not nz:
+        z = field.zero()
+        return tuple(z for _ in cols)
+    p = field.characteristic
+    if p:
+        return tuple(sum([x * c[j] for j, x in nz]) % p for c in cols)
+    return tuple(sum([x * c[j] for j, x in nz], Fraction(0)) for c in cols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -351,47 +380,33 @@ class RowSpace:
 
     def reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
         """Normal form of a sparse row against the stored rows."""
-        F = self.field
-        out = {c: v for c, v in row.items() if not F.is_zero(v)}
-        # Eliminating at column c only introduces columns > c, so a heap
-        # processes every reducible column exactly once.
-        heap = sorted(c for c in out if c in self._rows)
-        seen = set(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            if c not in out:
-                continue
-            piv = self._rows[c]
-            f = out[c]
-            for pc, pv in piv.items():
-                nv = F.sub(out.get(pc, F.zero()), F.mul(f, pv))
-                if F.is_zero(nv):
-                    out.pop(pc, None)
-                else:
-                    out[pc] = nv
-                    if pc not in seen and pc in self._rows:
-                        seen.add(pc)
-                        heapq.heappush(heap, pc)
+        p = self.field.characteristic
+        out = {c: v % p for c, v in row.items() if v % p} if p else {c: v for c, v in row.items() if v}
+        # The stored rows vanish at each other's pivots, so eliminating at
+        # one pivot column never reaches another: one pass suffices.
+        for c in [c for c in out if c in self._rows]:
+            _sub_multiple(out, out[c], self._rows[c], p)
         return out
 
     def add(self, row: dict[int, Scalar]) -> bool:
         """Insert a row; returns True when it enlarged the space."""
-        F = self.field
         rem = self.reduce(row)
         if not rem:
             return False
+        p = self.field.characteristic
         pc = min(rem)
-        inv = F.inv(rem[pc])
-        norm = {c: F.mul(inv, v) for c, v in rem.items()}
+        lead = rem[pc]
+        if lead == 1:
+            norm = rem
+        elif p:
+            inv = pow(lead, -1, p)
+            norm = {c: inv * v % p for c, v in rem.items()}
+        else:
+            inv = Fraction(1) / lead
+            norm = {c: inv * v for c, v in rem.items()}
         for other in self._rows.values():
             if pc in other:
-                f = other[pc]
-                for c, v in norm.items():
-                    nv = F.sub(other.get(c, F.zero()), F.mul(f, v))
-                    if F.is_zero(nv):
-                        other.pop(c, None)
-                    else:
-                        other[c] = nv
+                _sub_multiple(other, other[pc], norm, p)
         self._rows[pc] = norm
         return True
 
@@ -407,3 +422,20 @@ class RowSpace:
             tuple(self._rows[p].get(c, z) for c in range(self.ncols)) for p in sorted(self._rows)
         )
         return Matrix(self.field, self.ncols, rows)
+
+
+def _sub_multiple(row: dict[int, Scalar], f: Scalar, src: dict[int, Scalar], p: int) -> None:
+    """row -= f * src in place (modulo p when p > 0), dropping zeros.
+
+    f and the entries of src are nonzero, so an entry can only become zero
+    where row already had one.
+    """
+    get = row.get
+    for c, v in src.items():
+        nv = get(c, 0) - f * v
+        if p:
+            nv %= p
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]

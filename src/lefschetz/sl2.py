@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import degree_one_vector, jordan_type, power_map_matrix, step_matrices
+from .checks import RankTable, _jordan_type, degree_one_vector, power_map_matrix
 from .exactmath import FieldSpec, Matrix, QQ, invert, kernel_basis
 
 
@@ -130,8 +130,8 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
     F = alg.field
     if F.characteristic != 0:
         raise ValueError("sl2 machinery requires characteristic zero")
-    Lvec = degree_one_vector(alg, L)
-    jt = jordan_type(alg, Lvec)
+    table = RankTable(alg, degree_one_vector(alg, L))
+    jt = _jordan_type(table)
     c = alg.socle_degree
     for start, length in jt.starts:
         if 2 * start + length - 1 != c:
@@ -141,7 +141,7 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
             )
     dims = [alg.dim(k) for k in range(c + 1)]
     z = F.zero()
-    steps = step_matrices(alg, Lvec)
+    steps = table.steps
     # per degree k: (chain vector in A_k, its image under F in A_{k-1})
     chains: list[list[tuple]] = [[] for _ in range(c + 1)]
     for s in range(c // 2 + 1):

@@ -109,6 +109,8 @@ def test_cli_hilbert_expect_pass_and_fail():
 WRITTEN = {
     "<broken>": "vars: x\nideal:\nx^2 + *\n",
     "<half-in-f2>": "vars: x, y\nfield: Fp(2)\nideal:\nx^2\n1/2*y^2\n",
+    # (10^9 + 7)(10^9 + 9): trial division would run for minutes
+    "<large-composite-char>": "vars: x\nfield: Fp(1000000016000000063)\nideal:\nx^2\n",
 }
 
 # Inputs the toolkit must reject with exit 2, one "error:" line on stderr and
@@ -126,6 +128,8 @@ INPUT_ERRORS = [
     ["hessian", "--degree", "9", data_path("ikeda.alg")],
     # denominators that vanish in the field
     ["hilbert", "<half-in-f2>"],
+    # a characteristic that is composite
+    ["hilbert", "<large-composite-char>"],
     ["jordan", "--element", "1/2*x+y+z", data_path("x2y2z2_f2.alg")],
     ["blowup", data_path("notgor_a.alg"), data_path("notgor_t.alg"),
      "--map", data_path("notgor_map.map"), "--coeffs", "x;0", "--lam", "1/0"],

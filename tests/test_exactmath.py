@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -10,6 +11,9 @@ from lefschetz.exactmath import (
     QQ,
     Matrix,
     RowSpace,
+    _MR_LIMIT,
+    _is_prime,
+    _strong_probable_prime,
     det,
     invert,
     kernel_basis,
@@ -127,8 +131,19 @@ def matrices(draw, max_dim=4, field=QQ, min_dim=1):
     return Matrix.from_rows(field, rows, ncols=c)
 
 
-# QQ and GF(5), the two kinds of field the oracles below cover
-fields = st.sampled_from([QQ, GF(5)])
+# QQ and GF(p) for a small and a word-size p: the kinds of field the oracles
+# below cover
+fields = st.sampled_from([QQ, GF(5), GF(32003)])
+
+
+def assert_canonical(F, values):
+    """Exact kernels return Fractions over QQ and residues in [0, p) over GF(p)."""
+    p = F.characteristic
+    for x in values:
+        if p:
+            assert type(x) is int and 0 <= x < p, (F, x)
+        else:
+            assert type(x) is Fraction, x
 
 
 def oracle_det(m):
@@ -165,6 +180,7 @@ def test_det_matches_cofactor_oracle(m):
     n = min(m.rows, m.cols)
     sq = Matrix(m.field, n, tuple(r[:n] for r in m.entries[:n]))
     assert det(sq) == oracle_det(sq)
+    assert_canonical(m.field, [det(sq)])
 
 
 @given(matrices(max_dim=4, field=GF(5)))
@@ -178,6 +194,13 @@ def test_rref_matches_independent_characterisation(m):
     F = m.field
     red, pivots = rref(m)
     assert red.rows == m.rows and red.cols == m.cols
+    space = RowSpace(F, m.cols)
+    for row in m.entries:
+        space.add(dict(enumerate(row)))
+    assert_canonical(F, [x for row in red.entries for x in row])
+    assert_canonical(F, [x for row in space.rref_rows() for x in row.values()])
+    assert_canonical(F, [x for row in m.mul(m.transpose()).entries for x in row])
+    assert_canonical(F, m.mul_vec(m.row(0)))
     # RREF shape: leading 1 at each pivot, zero elsewhere in pivot columns,
     # zero rows below the pivot rows, pivots strictly increasing
     assert pivots == sorted(set(pivots))
@@ -246,3 +269,31 @@ def test_rowspace_normal_form_idempotent():
     row = {0: Fraction(3), 2: Fraction(1), 3: Fraction(5)}
     r1 = rs.reduce(row)
     assert rs.reduce(r1) == r1
+
+
+# -- primality of the characteristic ---------------------------------------------
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_strong_pseudoprime_to_bases_through_31_is_composite():
+    n = 3825123056546413051
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert not _strong_probable_prime(n, 37)
+    assert not _is_prime(n)
+
+
+def test_large_characteristics():
+    assert GF(10**18 + 3).characteristic == 10**18 + 3
+    with pytest.raises(ValueError, match="prime"):
+        GF(1000000007 * 1000000009)
+    with pytest.raises(ValueError, match="too large"):
+        GF(_MR_LIMIT + 2)

@@ -8,10 +8,11 @@ monomials (non-pivot columns under descending grevlex).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .exactmath import FieldSpec, Matrix, RowSpace, Scalar, kernel_basis
+from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, kernel_basis, kernel_space
 from .polynomials import (
     DualPoly,
     Monomial,
@@ -347,6 +348,22 @@ class GradedAlgebra:
             self._mult_cache[key] = got
         return got
 
+    def _degree_one_entries(self, i: int) -> list[list[tuple]]:
+        """``degree_one_maps`` from A_i: column m of X_k is the normal form
+        of x_k * m, with x_k the k-th monomial of A_1."""
+        monos, idx, sidx = self._monos[i + 1], self._index[i + 1], self._std_index[i + 1]
+        nf: dict[Monomial, list[tuple]] = {}
+        out = []
+        for x in self._std[1]:
+            out.append([])
+            for col, m in enumerate(self._std[i]):
+                prod = mono_mul(x, m)
+                if prod not in nf:
+                    rem = self._spaces[i + 1].reduce({idx[prod]: self.field.one()})
+                    nf[prod] = [(sidx[monos[c]], v) for c, v in rem.items()]
+                out[-1].extend((row, col, v) for row, v in nf[prod])
+        return out
+
     def multiplication_map(self, f: Poly, i: int) -> Matrix:
         """Matrix of multiplication by homogeneous f from degree i."""
         if not self.ring.is_homogeneous(f):
@@ -471,7 +488,12 @@ def from_ideal(ideal: Ideal, max_degree: Optional[int] = None) -> GradedAlgebra:
 
 
 def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
-    """Apell construction: the Gorenstein quotient by the annihilator of F."""
+    """Apell construction: the Gorenstein quotient by the annihilator of F.
+
+    The ideal piece of degree d is the kernel of the catalecticant (degree-d
+    monomials contracted into F, against degree-(D - d) ones), read off one
+    elimination in reduced form by ``kernel_space``.
+    """
     if F.is_zero():
         raise ValueError("dual generator must be nonzero")
     if not F.is_homogeneous(ring.weights):
@@ -487,11 +509,8 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
         monos = ring.monomials(d)
         target = ring.monomials(D - d)
         rows = tuple(tuple(fmap.get(mono_mul(t, s), z) for s in monos) for t in target)
-        space = RowSpace(ring.field, len(monos))
-        for v in kernel_basis(Matrix(ring.field, len(monos), rows)):
-            space.add(dict(enumerate(v)))
         monos_all.append(monos)
-        spaces.append(space)
+        spaces.append(kernel_space(Matrix(ring.field, len(monos), rows)))
     return GradedAlgebra(ring, D, monos_all, spaces, dual_generator_poly=F)
 
 
@@ -533,6 +552,41 @@ def operator_matrix(alg, de: int, ve: Sequence[Scalar], i: int) -> Matrix:
         else:
             cols.append(alg.multiply(de, tuple(ve), i, basis_vec))
     return Matrix.from_cols(F, cols, nrows=target)
+
+
+_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> {modulus: maps}
+
+
+def degree_one_maps(alg, modulus: int = 0) -> Optional[list]:
+    """Multiplication by each basis vector of A_1, memoised per algebra.
+
+    ``maps[i][k]`` lists the nonzero entries (row, column, value) of X_k :
+    A_i -> A_{i+1}, multiplication by the k-th basis vector e_k of A_1, for
+    i < socle degree; multiplication by sum c_k e_k is sum c_k X_k.  Over QQ
+    a prime ``modulus`` gives the maps modulo it instead, or None when an
+    entry's denominator vanishes there.
+    """
+    memo = _MAPS.setdefault(alg, {})
+    if modulus in memo:
+        return memo[modulus]
+    if modulus:
+        try:
+            F = GF(modulus)
+            maps = [[[(r, c, F.coerce(v)) for r, c, v in X] for X in per_k] for per_k in degree_one_maps(alg)]
+        except ValueError:  # a denominator vanishes modulo the prime
+            maps = None
+    elif isinstance(alg, GradedAlgebra):
+        maps = [alg._degree_one_entries(i) for i in range(alg.socle_degree)]
+    else:
+        F, n = alg.field, alg.dim(1)
+        units = [tuple(F.one() if k == j else F.zero() for k in range(n)) for j in range(n)]
+        maps = [[_entries(operator_matrix(alg, 1, e, i)) for e in units] for i in range(alg.socle_degree)]
+    memo[modulus] = maps
+    return maps
+
+
+def _entries(m: Matrix) -> list[tuple]:
+    return [(r, c, v) for r, row in enumerate(m.entries) for c, v in enumerate(row) if v]
 
 
 def _mgens(alg) -> list[tuple[int, tuple]]:

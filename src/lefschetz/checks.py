@@ -7,14 +7,19 @@ Negative verdicts escalate to fraction-free symbolic ranks over the function
 field of the coefficients (characteristic zero) or exhaustive search over a
 small finite field.
 
+Multiplication by L = sum c_k e_k on A_i is sum c_k X_k, over the maps X_k
+that ``algebra.degree_one_maps`` builds once per algebra: concrete and
+symbolic step matrices are both combinations of them.
+
 Concrete ranks come from ``RankTable``, which does exact work only where no
 certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
 bijective, every power map L^d has full rank, since it is a right factor of
 an injective narrow map or a left factor of a surjective one.  Over QQ a map
 is first ranked modulo the word-size prime ``MODULAR_PRIME``: reducing the
 p-integral matrix entries is a ring map, so a nonzero minor mod p is nonzero
-over QQ and a full rank mod p is a full rank over QQ.  Only maps deficient
-mod p are ranked again over QQ.
+over QQ and a full rank mod p is a full rank over QQ.  The X_k are reduced
+mod p once per algebra; the certificate is skipped if an X_k or L has a
+denominator divisible by p.  Only maps deficient mod p are ranked over QQ.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import GradedAlgebra, operator_matrix
+from .algebra import GradedAlgebra, degree_one_maps
 from .exactmath import GF, Matrix, Scalar, det, rank
 from .polynomials import (
     DualPoly,
@@ -93,6 +98,10 @@ class GenericityConfig:
     symbolic_ambient_limit: int = 6
     symbolic_dim_limit: int = 60
     exhaustive_limit: int = 2048
+
+    def __post_init__(self):
+        if self.trials < 1 or self.bound < 1:
+            raise ValueError(f"trials and bound must be at least 1, got {self.trials} and {self.bound}")
 
     def effective_bound(self, alg) -> int:
         # keep the Schwartz-Zippel margin comfortable
@@ -165,7 +174,24 @@ def degree_one_vector(alg, L) -> tuple:
 
 def step_matrices(alg, Lvec) -> list[Matrix]:
     """Multiplication by L from each degree i, for i = 0..D-1."""
-    return [operator_matrix(alg, 1, Lvec, i) for i in range(alg.socle_degree)]
+    return _combine(alg.field, degree_one_maps(alg), Lvec, _h(alg))
+
+
+def _combine(field, maps: list, coeffs, dims: list[int]) -> list[Matrix]:
+    """The dense matrices sum_k c_k X_k : A_i -> A_{i+1} over ``field``."""
+    p = field.characteristic
+    zero = field.zero()
+    out = []
+    for i, per_k in enumerate(maps):
+        rows = [[zero] * dims[i] for _ in range(dims[i + 1])]
+        for c, entries in zip(coeffs, per_k):
+            if c:
+                for r, col, v in entries:
+                    rows[r][col] += c * v
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        out.append(Matrix(field, dims[i], tuple(map(tuple, rows))))
+    return out
 
 
 def power_map_matrix(steps: list[Matrix], d: int, i: int) -> Matrix:
@@ -193,8 +219,9 @@ class RankTable:
     the check, but d = 1 uses it once it has been made.  If one narrow map
     is deficient, every map is ranked.
 
-    Modular certificate over QQ: the step matrices are reduced modulo
-    ``MODULAR_PRIME`` (skipped if a denominator vanishes there).  Reduction
+    Modular certificate over QQ: the step matrices modulo ``MODULAR_PRIME``
+    are sum (c_k mod p)(X_k mod p), with the X_k reduced once per algebra
+    (skipped if an X_k or L has a denominator divisible by p).  Reduction
     mod p is a ring map from the p-integral rationals, so a minor that is
     nonzero mod p is nonzero over QQ, and the rank mod p is at most the rank
     over QQ.  A map of full rank mod p therefore has full rank over QQ; only
@@ -210,13 +237,10 @@ class RankTable:
         self._mod_mats: dict = {}
         self._narrow: Optional[bool] = None
         self._mod_steps = None
-        if alg.field.characteristic == 0:
-            try:
-                self._mod_steps = [
-                    Matrix.from_rows(_MODULAR_FIELD, m.entries, ncols=m.cols) for m in self.steps
-                ]
-            except ValueError:  # a denominator vanishes mod the prime
-                pass
+        maps = degree_one_maps(alg, MODULAR_PRIME) if alg.field.characteristic == 0 else None
+        if maps is not None and all(c.denominator % MODULAR_PRIME for c in Lvec):
+            coeffs = [_MODULAR_FIELD.coerce(c) for c in Lvec]
+            self._mod_steps = _combine(_MODULAR_FIELD, maps, coeffs, self._dims)
 
     def rank(self, d: int, i: int) -> int:
         D = self.alg.socle_degree
@@ -326,24 +350,18 @@ def _symbolic_step_matrices(alg, coords) -> list[list[list[Poly]]]:
     """
     F = alg.field
     k = len(coords)
+    units = [tuple(1 if t == j else 0 for t in range(k)) for j in range(k)]
+    per_coord = [step_matrices(alg, vec) for _, vec in coords]
     out = []
     for i in range(alg.socle_degree):
-        per_coord = [operator_matrix(alg, 1, vec, i) for _, vec in coords]
-        nrows = alg.dim(i + 1)
-        ncols = alg.dim(i)
-        mat = []
-        for r in range(nrows):
-            row = []
-            for cidx in range(ncols):
-                mapping = {}
-                for j in range(k):
-                    coeff = per_coord[j].entries[r][cidx]
-                    if not F.is_zero(coeff):
-                        mono = tuple(1 if t == j else 0 for t in range(k))
-                        mapping[mono] = coeff
-                row.append(Poly.make(k, F, mapping))
-            mat.append(row)
-        out.append(mat)
+        mats = [steps[i].entries for steps in per_coord]
+        out.append([
+            [
+                Poly.make(k, F, {units[j]: m[r][col] for j, m in enumerate(mats) if m[r][col]})
+                for col in range(alg.dim(i))
+            ]
+            for r in range(alg.dim(i + 1))
+        ])
     return out
 
 
@@ -416,10 +434,8 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
     rng = random.Random(cfg.seed)
     bound = cfg.effective_bound(alg)
     best_recs: dict = {}
-    sampled: list[tuple] = []
-    for _ in range(max(1, cfg.trials)):
+    for _ in range(cfg.trials):
         coeffs = tuple(rng.randint(1, bound) for _ in coords)
-        sampled.append(coeffs)
         recs = element_maps(coeffs)
         for r in recs:
             key = (r.d, r.i)

@@ -6,9 +6,9 @@ carries the characteristic and supplies scalar arithmetic, so matrices and
 polynomials stay lightweight.
 
 ``RowSpace`` is the one elimination engine.  ``rref``, ``rank``,
-``kernel_basis``, ``solve``, ``invert`` and ``det`` on dense matrices are
-views of it: they feed the rows into a fresh ``RowSpace`` and read the
-answer off its reduced rows and pivots.
+``kernel_basis``, ``kernel_space``, ``solve``, ``invert`` and ``det`` on
+dense matrices are views of it: they feed the rows into a fresh ``RowSpace``
+and read the answer off its reduced rows and pivots.
 
 The hot kernels (``RowSpace.reduce``/``RowSpace.add`` and ``Matrix.mul``)
 rely on that representation instead of calling ``FieldSpec`` per scalar:
@@ -289,6 +289,27 @@ def kernel_basis(m: Matrix) -> list[tuple]:
             v[pc] = F.neg(red.entries[r][fcol])
         basis.append(tuple(v))
     return basis
+
+
+def kernel_space(m: Matrix) -> RowSpace:
+    """The right kernel of m as a RowSpace, from one elimination.
+
+    With the columns eliminated in reverse order, the kernel vector of a free
+    column is 1 there and otherwise nonzero only at pivot columns after it,
+    and every other kernel vector is 0 there: the ``kernel_basis`` vectors
+    are already the kernel's reduced rows, so none is eliminated again.
+    """
+    F, n = m.field, m.cols
+    rev = RowSpace(F, n)
+    for row in m.entries:
+        rev.add({n - 1 - c: v for c, v in enumerate(row)})
+    out = RowSpace(F, n)
+    out._rows = {n - 1 - c: {n - 1 - c: F.one()} for c in range(n) if c not in rev._rows}
+    for pc, row in rev._rows.items():
+        for c, v in row.items():
+            if c != pc:
+                out._rows[n - 1 - c][n - 1 - pc] = F.neg(v)
+    return out
 
 
 def det(m: Matrix) -> Scalar:

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, rank
+from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, kernel_basis, rank
 from lefschetz.polynomials import DualPoly, Poly, contract, monomials
 from lefschetz.algebra import (
     GradedAlgebra,
@@ -323,3 +325,38 @@ def test_dim_equality_invariant():
     a = build("x,y,z", ["x^2", "x*y^2", "y^3", "z^2"])
     for d in range(a.socle_degree + 1):
         assert a.dim(d) == len(monomials(3, d)) - a.ideal_space(d).rank
+
+
+@st.composite
+def dual_generators(draw):
+    F = draw(st.sampled_from([QQ, GF(5), GF(32003)]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    deg = draw(st.integers(min_value=1, max_value=4))
+    support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=5, unique=True))
+    coeffs = st.integers(min_value=-4, max_value=4).filter(bool)
+    return DualPoly.make(n, F, {m: F.coerce(draw(coeffs)) for m in support}), ring("x,y,z"[: 2 * n - 1], F)
+
+
+@given(dual_generators())
+@settings(max_examples=60, deadline=None)
+def test_dual_generator_ideal_pieces_in_one_elimination(case):
+    F, r = case
+    a = from_dual_generator(F, r)
+    p = r.field.characteristic
+    for d in range(a.socle_degree + 1):
+        monos = a.monomial_basis(d)
+        # the former route: the catalecticant's kernel, re-added row by row
+        cat = Matrix.from_rows(
+            r.field,
+            [[F.coefficient(tuple(x + y for x, y in zip(t, s))) for s in monos] for t in r.monomials(a.socle_degree - d)],
+            ncols=len(monos),
+        )
+        old = RowSpace(r.field, len(monos))
+        for v in kernel_basis(cat):
+            old.add(dict(enumerate(v)))
+        rows = a.ideal_space(d).rref_rows()
+        assert rows == old.rref_rows()
+        for row in rows:
+            assert contract(Poly.make(r.nvars, r.field, {monos[c]: v for c, v in row.items()}), F).is_zero()
+            for v in row.values():
+                assert (type(v) is int and 0 <= v < p) if p else type(v) is Fraction

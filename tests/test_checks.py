@@ -357,3 +357,9 @@ def test_h_vector_polynomial_identity_oracle():
                 for j in range(d + 1)
             )
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -1}, {"bound": 0}, {"bound": -5}])
+def test_genericity_config_rejects_empty_sampling(bad):
+    with pytest.raises(ValueError):
+        GenericityConfig(**bad)

@@ -1,0 +1,194 @@
+"""Step matrices from the degree-one maps against multiplication, model by model.
+
+``step_matrices`` and ``RankTable`` combine the maps X_k of
+``degree_one_maps`` with the coordinates of L; the oracle builds each step
+matrix column by column through the algebra's own ``multiply``
+(``operator_matrix``).  Both must give the same field elements, of the same
+Python types (``Fraction(2) == 2``, so equality alone would miss a drift).
+"""
+
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal, operator_matrix
+from lefschetz.checks import (
+    MODULAR_PRIME,
+    RankTable,
+    _symbolic_step_matrices,
+    degree_one_coordinates,
+    step_matrices,
+)
+from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_product
+from lefschetz.descfiles import parse_algebra_text, parse_map_text
+from lefschetz.exactmath import GF, QQ, Matrix
+from lefschetz.polynomials import DualPoly, Poly, monomials
+
+FIELDS = [QQ, GF(5), GF(32003)]
+fields = st.sampled_from(FIELDS)
+coefficients = st.integers(min_value=-4, max_value=4)
+
+
+def assert_canonical(F, mats):
+    p = F.characteristic
+    for m in mats:
+        for x in (x for row in m.entries for x in row):
+            if p:
+                assert type(x) is int and 0 <= x < p, (F, x)
+            else:
+                assert type(x) is Fraction, x
+
+
+def old_symbolic_steps(alg, coords):
+    """Per degree, the generic form's matrix assembled from per-coordinate
+    ``operator_matrix`` calls."""
+    F = alg.field
+    k = len(coords)
+    out = []
+    for i in range(alg.socle_degree):
+        per_coord = [operator_matrix(alg, 1, vec, i) for _, vec in coords]
+        mat = []
+        for r in range(alg.dim(i + 1)):
+            row = []
+            for c in range(alg.dim(i)):
+                mapping = {}
+                for j in range(k):
+                    coeff = per_coord[j].entries[r][c]
+                    if not F.is_zero(coeff):
+                        mapping[tuple(1 if t == j else 0 for t in range(k))] = coeff
+                row.append(Poly.make(k, F, mapping))
+            mat.append(row)
+        out.append(mat)
+    return out
+
+
+def assert_maps_match(alg, Lvec):
+    F = alg.field
+    got = step_matrices(alg, Lvec)
+    want = [operator_matrix(alg, 1, Lvec, i) for i in range(alg.socle_degree)]
+    assert got == want
+    assert_canonical(F, got)
+    if F.characteristic == 0:
+        mod = GF(MODULAR_PRIME)
+        table = RankTable(alg, Lvec)
+        if degree_one_maps(alg, MODULAR_PRIME) is None or any(
+            c.denominator % MODULAR_PRIME == 0 for c in Lvec
+        ):
+            assert table._mod_steps is None
+        else:
+            assert table._mod_steps == [Matrix.from_rows(mod, m.entries, ncols=m.cols) for m in want]
+            assert_canonical(mod, table._mod_steps)
+    coords = degree_one_coordinates(alg)
+    assert _symbolic_step_matrices(alg, coords) == old_symbolic_steps(alg, coords)
+
+
+def linear_vector(draw, alg):
+    F = alg.field
+    nums = draw(st.lists(coefficients, min_size=alg.dim(1), max_size=alg.dim(1)))
+    dens = draw(st.lists(st.integers(1, 4), min_size=alg.dim(1), max_size=alg.dim(1)))
+    return tuple(F.coerce(Fraction(a, b)) for a, b in zip(nums, dens))
+
+
+@st.composite
+def ideal_cases(draw):
+    """Powers of the variables plus random forms, some of degree one."""
+    F = draw(fields)
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = Ring(tuple("xyz"[:n]), F)
+    gens = [r.parse(f"{v}^{draw(st.integers(min_value=2, max_value=4))}") for v in r.varnames]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        deg = draw(st.integers(min_value=1, max_value=3))
+        support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=3, unique=True))
+        gens.append(Poly.make(n, F, {m: F.coerce(draw(coefficients.filter(bool))) for m in support}))
+    alg = from_ideal(Ideal(r, tuple(gens)))
+    return alg, linear_vector(draw, alg)
+
+
+@st.composite
+def dual_generator_cases(draw):
+    F = draw(fields)
+    n = draw(st.integers(min_value=1, max_value=3))
+    deg = draw(st.integers(min_value=1, max_value=4))
+    support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=4, unique=True))
+    terms = {m: F.coerce(draw(coefficients.filter(bool))) for m in support}
+    alg = from_dual_generator(DualPoly.make(n, F, terms), Ring(tuple("xyz"[:n]), F))
+    return alg, linear_vector(draw, alg)
+
+
+@given(ideal_cases())
+@settings(max_examples=60, deadline=None)
+def test_maps_from_ideal(case):
+    assert_maps_match(*case)
+
+
+@given(dual_generator_cases())
+@settings(max_examples=60, deadline=None)
+def test_maps_from_dual_generator(case):
+    assert_maps_match(*case)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_maps_with_a_vanishing_middle_degree(F):
+    # weights (1, 3): A_2 = 0 between nonzero A_1 and A_3
+    r = Ring(("x", "y"), F, (1, 3))
+    alg = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
+    assert alg.hilbert_function() == (1, 1, 0, 1, 1)
+    assert_maps_match(alg, (F.coerce(3),))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_maps_without_degree_one(F):
+    r = Ring(("x", "y"), F, (2, 3))
+    alg = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
+    assert alg.dim(1) == 0
+    assert_maps_match(alg, ())
+    assert all(m.is_zero() for m in step_matrices(alg, ()))
+
+
+def test_map_denominator_divisible_by_the_prime_skips_the_modular_path():
+    # x^2 = -y^2 / P in the quotient, so X_x has a denominator P
+    r = Ring(("x", "y"), QQ)
+    alg = from_ideal(Ideal(r, (r.parse(f"{MODULAR_PRIME}*x^2 + y^2"), r.parse("x*y"), r.parse("y^3"))))
+    assert degree_one_maps(alg, MODULAR_PRIME) is None
+    Lvec = alg.vector(r.parse("x + y"), 1)
+    assert_maps_match(alg, Lvec)
+    table = RankTable(alg, Lvec)
+    assert [table.rank(1, 0), table.rank(1, 1), table.rank(2, 0)] == [1, 1, 1]
+
+
+def _example_71(F):
+    def build(names, gens):
+        r = Ring(tuple(names.split(",")), F)
+        return from_ideal(Ideal(r, tuple(r.parse(g) for g in gens)))
+
+    a, b, t = build("x,y", ["x^2", "y^4"]), build("u,v", ["u^3", "v^3"]), build("z", ["z^2"])
+    return a, b, t, algebra_map(a, t, ["z", "0"]), algebra_map(b, t, ["z", "0"])
+
+
+def _notgor_blowup(F):
+    def read(name):
+        return (resources.files("lefschetz") / "data" / name).read_text().replace("QQ", str(F))
+
+    a = parse_algebra_text(read("notgor_a.alg")).build()
+    t = parse_algebra_text(read("notgor_t.alg")).build()
+    pi = algebra_map(a, t, parse_map_text(read("notgor_map.map"), a.ring, t.ring))
+    return blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+
+
+MODELS = {
+    "fiber_product": lambda F: fiber_product(*_example_71(F)),
+    "connected_sum": lambda F: connected_sum(*_example_71(F)),
+    "blowup": _notgor_blowup,
+}
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("model", sorted(MODELS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_maps_of_pair_and_blowup_models(model, F, data):
+    alg = MODELS[model](F)
+    assert_maps_match(alg, linear_vector(data.draw, alg))

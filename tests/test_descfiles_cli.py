@@ -111,6 +111,8 @@ WRITTEN = {
     "<half-in-f2>": "vars: x, y\nfield: Fp(2)\nideal:\nx^2\n1/2*y^2\n",
     # (10^9 + 7)(10^9 + 9): trial division would run for minutes
     "<large-composite-char>": "vars: x\nfield: Fp(1000000016000000063)\nideal:\nx^2\n",
+    "<not-artinian>": "vars: x, y\nideal:\nx^2\n",
+    "<not-gorenstein>": "vars: x, y\nideal:\nx^2\nx*y\ny^2\n",
 }
 
 # Inputs the toolkit must reject with exit 2, one "error:" line on stderr and
@@ -140,6 +142,12 @@ INPUT_ERRORS = [
     ["tensor", data_path("x2y2.alg"), data_path("x2y2.alg"), "--out", "/nonexistent/dir/x.alg"],
     ["connect-sum", data_path("x2y2.alg"), data_path("x2y2.alg"),
      "--out", "/nonexistent/dir/x.alg"],
+    # sampling needs at least one trial and a positive coefficient bound
+    ["check", "--mode", "wlp", "--generic", "--trials", "0", data_path("x2y2z2.alg")],
+    ["check", "--mode", "wlp", "--generic", "--bound", "-5", data_path("x2y2z2.alg")],
+    ["socle", "<not-artinian>"],
+    ["ann", "<not-artinian>"],
+    ["dualgen", "<not-gorenstein>"],
 ]
 
 

@@ -17,6 +17,7 @@ from lefschetz.exactmath import (
     det,
     invert,
     kernel_basis,
+    kernel_space,
     rank,
     rref,
     solve,
@@ -161,6 +162,19 @@ def test_rref_idempotent_and_rank(m):
     assert pivots == pivots2
     assert rank(m) == len(pivots)
     assert pivots == sorted(pivots)
+
+
+@given(fields.flatmap(lambda F: matrices(field=F, min_dim=0)))
+@example(Matrix(QQ, 3, ()))
+def test_kernel_space_is_the_reduced_kernel(m):
+    # the rref of the kernel, reached without re-eliminating its vectors
+    space = RowSpace(m.field, m.cols)
+    for v in kernel_basis(m):
+        space.add(dict(enumerate(v)))
+    got = kernel_space(m)
+    assert got.rref_rows() == space.rref_rows()
+    assert got.pivots() == space.pivots()
+    assert_canonical(m.field, [x for row in got.rref_rows() for x in row.values()])
 
 
 @given(matrices())

@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Profile one pass of a benchmark workload under cProfile.
+
+Builds the seeded corpus of ``perfbench`` for one workload, runs every job
+once unprofiled (so memoised tables are as warm as in a benchmark run), then
+once more under cProfile, and prints the functions with the most self time.
+
+    python3 scripts/profile_workload.py --workload ci-ladder --seed 5 --top 25
+
+The benchmark's ``corpus.py`` and ``jobs.py`` are loaded by path and nothing
+under ``perfbench/`` is changed; ``constructions-cli`` writes its input files
+to ``.bench_build/perfbench/corpus``, as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import importlib.util
+import os
+import pstats
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = ("ci-ladder", "gorenstein-survey", "constructions-cli")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_pass(jobs, job_list) -> list:
+    """Failed jobs of one pass, as (job id, detail) pairs."""
+    failed = []
+    for job in job_list:
+        out = jobs.execute(job)
+        if out.status != "ok":
+            failed.append((job.id, out.detail))
+    return failed
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--top", type=int, default=25, help="how many functions to print")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)  # constructions-cli jobs name their files relative to the root
+    corpus, jobs = _load("corpus"), _load("jobs")
+    built = corpus.build(args.workload, args.seed)
+    built.write_files(ROOT)
+
+    run_pass(jobs, built.jobs)
+    prof = cProfile.Profile()
+    t0 = time.perf_counter()
+    prof.enable()
+    failed = run_pass(jobs, built.jobs)
+    prof.disable()
+    wall = time.perf_counter() - t0
+
+    print(f"{args.workload} seed {args.seed}: {len(built.jobs)} jobs, "
+          f"profiled pass {wall:.3f} s, {len(failed)} failed")
+    for job_id, detail in failed:
+        print(f"  failed {job_id}: {detail}")
+    pstats.Stats(prof, stream=sys.stdout).sort_stats("tottime").print_stats(args.top)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

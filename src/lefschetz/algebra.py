@@ -8,6 +8,8 @@ monomials (non-pivot columns under descending grevlex).
 
 from __future__ import annotations
 
+import array
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -130,34 +132,47 @@ class Ideal:
                 raise ValueError("degree-0 generator would collapse the algebra")
 
 
-def add_shifted_rows(space: RowSpace, idx: dict, weights, e: int, piece) -> None:
-    """Add x_j times every rref row of degree e - w_j to the degree-e space.
+@functools.lru_cache(maxsize=1024)
+def _shift_table(nvars: int, weights: tuple, e: int, j: int) -> array.array:
+    """Column of x_j * m among the degree-e monomials, for each monomial m of
+    degree e - w_j in order (a compact array: the cache outlives algebras)."""
+    idx = {m: i for i, m in enumerate(monomials(nvars, e, weights))}
+    lower = monomials(nvars, e - weights[j], weights)
+    return array.array("i", [idx[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in lower])
 
-    ``piece(d)`` returns (monomials of degree d, RowSpace of degree d), or
-    None where degree d contributes nothing; ``idx`` indexes the degree-e
-    monomials of ``space``.
+
+def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece) -> None:
+    """Add x_j times every stored row of degree e - w_j to the degree-e space.
+
+    ``piece(d)`` returns the RowSpace of degree d.  Grevlex is multiplicative,
+    so x_j * r leads at the shift of r's pivot; a shifted row equal to the row
+    stored there already lies in the space and is skipped without reduction.
+    On a monomial ideal that skips every shift that adds nothing, since
+    x_j * (x_k * m) = x_k * (x_j * m) is reached once per variable of m.
     """
-    for j, w in enumerate(weights):
-        found = piece(e - w) if e >= w else None
-        if found is None:
+    for j, w in enumerate(ring.weights):
+        if e < w:
             continue
-        monos, rows = found
-        for row in rows.rref_rows():
-            shifted = {}
-            for col, c in row.items():
-                m = monos[col]
-                shifted[idx[m[:j] + (m[j] + 1,) + m[j + 1 :]]] = c
-            space.add(shifted)
+        shift = _shift_table(ring.nvars, ring.weights, e, j)
+        stores, add = space.stores, space.add
+        for pc, row in piece(e - w).pivot_rows():
+            shifted = {shift[c]: v for c, v in row.items()}
+            if not stores(shifted, shift[pc]):
+                add(shifted)
 
 
 class _IdealPieces:
-    """Degreewise row spaces of a homogeneous ideal, built incrementally."""
+    """Degreewise row spaces of a homogeneous ideal, built incrementally.
+
+    The degree-e space is spanned by the generators of degree e and by the
+    shifts x_j * r of the stored rows of lower degrees (``add_shifted_rows``,
+    which skips a shift equal to the row already stored at its lead).
+    """
 
     def __init__(self, ring: Ring, generators: Sequence[Poly]):
         self.ring = ring
         self.generators = list(generators)
         self.monos: list[list[Monomial]] = []
-        self.index: list[dict[Monomial, int]] = []
         self.spaces: list[RowSpace] = []
 
     def extend_to(self, d: int) -> None:
@@ -170,15 +185,8 @@ class _IdealPieces:
             for g in self.generators:
                 if ring.degree(g) == e:
                     space.add({idx[m]: c for m, c in g.terms})
-            add_shifted_rows(
-                space,
-                idx,
-                ring.weights,
-                e,
-                lambda d: (self.monos[d], self.spaces[d]) if d < len(self.spaces) else None,
-            )
+            add_shifted_rows(space, ring, e, lambda d: self.spaces[d])
             self.monos.append(monos)
-            self.index.append(idx)
             self.spaces.append(space)
 
     def h(self, d: int) -> int:
@@ -351,16 +359,19 @@ class GradedAlgebra:
     def _degree_one_entries(self, i: int) -> list[list[tuple]]:
         """``degree_one_maps`` from A_i: column m of X_k is the normal form
         of x_k * m, with x_k the k-th monomial of A_1."""
-        monos, idx, sidx = self._monos[i + 1], self._index[i + 1], self._std_index[i + 1]
-        nf: dict[Monomial, list[tuple]] = {}
+        ring = self.ring
+        monos, sidx = self._monos[i + 1], self._std_index[i + 1]
+        cols = [self._index[i][m] for m in self._std[i]]
+        nf: dict[int, list[tuple]] = {}
         out = []
         for x in self._std[1]:
+            shift = _shift_table(ring.nvars, ring.weights, i + 1, x.index(1))
             out.append([])
-            for col, m in enumerate(self._std[i]):
-                prod = mono_mul(x, m)
+            for col, c in enumerate(cols):
+                prod = shift[c]
                 if prod not in nf:
-                    rem = self._spaces[i + 1].reduce({idx[prod]: self.field.one()})
-                    nf[prod] = [(sidx[monos[c]], v) for c, v in rem.items()]
+                    rem = self._spaces[i + 1].reduce({prod: self.field.one()})
+                    nf[prod] = [(sidx[monos[k]], v) for k, v in rem.items()]
                 out[-1].extend((row, col, v) for row, v in nf[prod])
         return out
 
@@ -394,13 +405,10 @@ class GradedAlgebra:
         out: list[Poly] = []
         for d in range(1, self.socle_degree + maxw + 1):
             monos = self.monomial_basis(d)
-            idx = {m: i for i, m in enumerate(monos)}
             span = RowSpace(F, len(monos))
-            add_shifted_rows(
-                span, idx, ring.weights, d, lambda e: (self.monomial_basis(e), self.ideal_space(e))
-            )
+            add_shifted_rows(span, ring, d, self.ideal_space)
             for row in self.ideal_space(d).rref_rows():
-                if span.add(dict(row)):
+                if span.add(row):
                     out.append(
                         Poly.make(self.nvars, F, {monos[c]: v for c, v in row.items()})
                     )

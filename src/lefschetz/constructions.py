@@ -28,7 +28,7 @@ from .algebra import (
     pairing_matrix,
 )
 from .checks import GenericityConfig, slp_generic, wlp_generic
-from .exactmath import Matrix, RowSpace, Scalar, kernel_basis, rank, rref, solve
+from .exactmath import Matrix, RowSpace, Scalar, kernel_basis, kernel_space, rank, rref, solve
 from .polynomials import DualPoly, Poly, contract, dual_pairing
 
 
@@ -817,10 +817,7 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
     kernels = []
     for m in range(D + 1):
         mat = Matrix.from_cols(F, [mu(mm) for mm in monos[m]], nrows=alg.dim(m))
-        kern = RowSpace(F, len(monos[m]))
-        for v in kernel_basis(mat):
-            kern.add(dict(enumerate(v)))
-        kernels.append(kern)
+        kernels.append(kernel_space(mat))
     return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), gens
 
 

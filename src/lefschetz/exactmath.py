@@ -309,6 +309,7 @@ def kernel_space(m: Matrix) -> RowSpace:
         for c, v in row.items():
             if c != pc:
                 out._rows[n - 1 - c][n - 1 - pc] = F.neg(v)
+    out._cols = {c for row in out._rows.values() for c in row}
     return out
 
 
@@ -385,12 +386,18 @@ class RowSpace:
     column) and every other stored row is zero at that column.  Column 0 is
     the grevlex-largest monomial, so pivots are leading monomials and the
     non-pivot columns are the standard monomials.
+
+    ``_cols`` holds every column at which some stored row may be nonzero (a
+    superset is fine).  A new pivot outside it occurs in no stored row, so
+    ``add`` back-substitutes only when the pivot is in it; code that writes
+    ``_rows`` directly must fill ``_cols`` too.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
         self.field = field
         self.ncols = ncols
         self._rows: dict[int, dict[int, Scalar]] = {}  # pivot col -> row
+        self._cols: set[int] = set()
 
     @property
     def rank(self) -> int:
@@ -398,6 +405,18 @@ class RowSpace:
 
     def pivots(self) -> list[int]:
         return sorted(self._rows)
+
+    def pivot_rows(self):
+        """(pivot column, row) pairs of the stored rows, in insertion order.
+
+        The rows are the space's own, not copies: read them, do not modify
+        them.
+        """
+        return self._rows.items()
+
+    def stores(self, row: dict[int, Scalar], pivot: int) -> bool:
+        """True when row is the stored row with this pivot (so it lies in the space)."""
+        return self._rows.get(pivot) == row
 
     def reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
         """Normal form of a sparse row against the stored rows."""
@@ -410,7 +429,11 @@ class RowSpace:
         return out
 
     def add(self, row: dict[int, Scalar]) -> bool:
-        """Insert a row; returns True when it enlarged the space."""
+        """Insert a row; returns True when it enlarged the space.
+
+        The stored rows are scanned for the new pivot column, to clear it
+        from them, only when the column is in ``_cols``.
+        """
         rem = self.reduce(row)
         if not rem:
             return False
@@ -425,9 +448,11 @@ class RowSpace:
         else:
             inv = Fraction(1) / lead
             norm = {c: inv * v for c, v in rem.items()}
-        for other in self._rows.values():
-            if pc in other:
-                _sub_multiple(other, other[pc], norm, p)
+        if pc in self._cols:
+            for other in self._rows.values():
+                if pc in other:
+                    _sub_multiple(other, other[pc], norm, p)
+        self._cols.update(norm)
         self._rows[pc] = norm
         return True
 

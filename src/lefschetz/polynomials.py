@@ -9,6 +9,7 @@ the relevant factorials are invertible.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -53,12 +54,19 @@ def sort_monomials(monos: Iterable[Monomial]) -> list[Monomial]:
 
 
 def monomials(nvars: int, degree: int, weights: Optional[Sequence[int]] = None) -> list[Monomial]:
-    """All monomials of the given (weighted) degree, in descending grevlex."""
+    """All monomials of the given (weighted) degree, in descending grevlex.
+
+    Memoised in a bounded cache; every call returns a fresh list.
+    """
     if nvars < 1:
         raise ValueError("need at least one variable")
+    return list(_monomials(nvars, degree, tuple(weights) if weights is not None else (1,) * nvars))
+
+
+@functools.lru_cache(maxsize=256)
+def _monomials(nvars: int, degree: int, w: tuple) -> tuple:
     if degree < 0:
-        return []
-    w = list(weights) if weights is not None else [1] * nvars
+        return ()
     if len(w) != nvars or any(x < 1 for x in w):
         raise ValueError("weights must be positive, one per variable")
     out: list[Monomial] = []
@@ -72,7 +80,7 @@ def monomials(nvars: int, degree: int, weights: Optional[Sequence[int]] = None) 
             rec(i + 1, remaining - e * w[i], prefix + [e])
 
     rec(0, degree, [])
-    return sort_monomials(out)
+    return tuple(sort_monomials(out))
 
 
 def multi_factorial(m: Monomial) -> int:

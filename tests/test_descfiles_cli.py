@@ -148,6 +148,12 @@ INPUT_ERRORS = [
     ["socle", "<not-artinian>"],
     ["ann", "<not-artinian>"],
     ["dualgen", "<not-gorenstein>"],
+    # f-vectors that are not integer lists of the stated length
+    ["hvector", "--fvector", "3,x", "--dim", "2"],
+    ["hvector", "--fvector", "3", "--dim", "2"],
+    ["hvector", "--fvector", "3,3", "--dim", "-1"],
+    # a connected sum needs equal socle degrees
+    ["connect-sum", data_path("x2y2.alg"), data_path("notgor_a.alg")],
 ]
 
 

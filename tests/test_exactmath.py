@@ -177,6 +177,42 @@ def test_kernel_space_is_the_reduced_kernel(m):
     assert_canonical(m.field, [x for row in got.rref_rows() for x in row.values()])
 
 
+@st.composite
+def add_sequences(draw):
+    """A space, fresh or from ``kernel_space``, the rows it was made from, and
+    sparse rows to add to it."""
+    F = draw(fields)
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = st.integers(min_value=-3, max_value=3).map(F.coerce)
+    sparse = st.dictionaries(st.integers(min_value=0, max_value=n - 1), entries, max_size=3)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
+        space = kernel_space(Matrix(F, n, tuple(map(tuple, rows))))
+        made_from = space.rref_rows()
+    else:
+        space, made_from = RowSpace(F, n), []
+    return space, made_from, draw(st.lists(sparse, max_size=6))
+
+
+@given(add_sequences())
+@settings(max_examples=150)
+def test_rowspace_stays_reduced_under_adds(case):
+    space, made_from, added = case
+    F, n = space.field, space.ncols
+    for row in added:
+        space.add(row)
+    pivots = space.pivots()
+    for pc, row in space.pivot_rows():
+        assert min(row) == pc and row[pc] == 1
+        assert all(row.get(q, 0) == 0 for q in pivots if q != pc), (pc, row)
+        assert all(row.values()) and set(row) <= space._cols
+    assert_canonical(F, [x for row in space.rref_rows() for x in row.values()])
+    stacked = [[row.get(c, F.zero()) for c in range(n)] for row in made_from + added]
+    red, red_pivots = rref(Matrix.from_rows(F, stacked, ncols=n)) if stacked else (Matrix(F, n, ()), [])
+    assert pivots == red_pivots
+    assert space.dense_matrix().entries == red.entries[: len(red_pivots)]
+
+
 @given(matrices())
 def test_kernel_annihilated(m):
     ks = kernel_basis(m)

@@ -67,6 +67,16 @@ def test_weighted_monomials():
     assert set(monomials(2, 3, weights=[1, 3])) == {(3, 0), (0, 1)}
 
 
+def test_memoised_monomials_are_fresh_lists():
+    first = monomials(3, 2)
+    first.append((9, 9, 9))
+    first[0] = (0, 0, 0)
+    assert monomials(3, 2) == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    assert monomials(2, 3, weights=[1, 3]) == monomials(2, 3, weights=(1, 3))
+    with pytest.raises(ValueError):
+        monomials(2, 3, weights=[1, 0])
+
+
 def test_grevlex_total_order_refines_degree():
     monos = [m for d in range(4) for m in monomials(3, d)]
     keys = [grevlex_key(m) for m in monos]

@@ -356,24 +356,32 @@ class GradedAlgebra:
             self._mult_cache[key] = got
         return got
 
-    def _degree_one_entries(self, i: int) -> list[list[tuple]]:
-        """``degree_one_maps`` from A_i: column m of X_k is the normal form
-        of x_k * m, with x_k the k-th monomial of A_1."""
-        ring = self.ring
-        monos, sidx = self._monos[i + 1], self._std_index[i + 1]
-        cols = [self._index[i][m] for m in self._std[i]]
-        nf: dict[int, list[tuple]] = {}
-        out = []
-        for x in self._std[1]:
-            shift = _shift_table(ring.nvars, ring.weights, i + 1, x.index(1))
-            out.append([])
-            for col, c in enumerate(cols):
-                prod = shift[c]
-                if prod not in nf:
-                    rem = self._spaces[i + 1].reduce({prod: self.field.one()})
-                    nf[prod] = [(sidx[monos[k]], v) for k, v in rem.items()]
-                out[-1].extend((row, col, v) for row, v in nf[prod])
-        return out
+    def _variable_generators(self) -> list[Generator]:
+        """``algebra_generators`` of a quotient: the variables x_j of weight
+        w_j <= D, where column m of X_j from A_i is the normal form of x_j * m
+        (each product monomial of a degree is reduced once)."""
+        ring, D, one = self.ring, self.socle_degree, self.field.one()
+        live = [(j, w) for j, w in enumerate(ring.weights) if w <= D]
+        cols = [[self._index[i][m] for m in self._std[i]] for i in range(D + 1)]
+        maps: dict[int, list] = {j: [] for j, _ in live}
+        for e in range(D + 1):
+            monos, sidx, nf = self._monos[e], self._std_index[e], {}
+            for j, w in live:
+                if e < w:
+                    continue
+                shift = _shift_table(ring.nvars, ring.weights, e, j)
+                entries = []
+                for col, c in enumerate(cols[e - w]):
+                    prod = shift[c]
+                    if prod not in nf:
+                        rem = self._spaces[e].reduce({prod: one})
+                        nf[prod] = [(sidx[monos[k]], v) for k, v in rem.items()]
+                    entries.extend((row, col, v) for row, v in nf[prod])
+                maps[j].append(entries)
+        return [
+            Generator(ring.varnames[j], w, self.vector(ring.variable(j), w), maps[j])
+            for j, w in live
+        ]
 
     def multiplication_map(self, f: Poly, i: int) -> Matrix:
         """Matrix of multiplication by homogeneous f from degree i."""
@@ -385,15 +393,6 @@ class GradedAlgebra:
                 f"degree out of range: map {i} -> {i + w} with socle degree {self.socle_degree}"
             )
         return operator_matrix(self, w, self.vector(f, w), i)
-
-    def maximal_ideal_generators(self) -> list[tuple[int, tuple]]:
-        out = []
-        for j, w in enumerate(self.ring.weights):
-            if w <= self.socle_degree:
-                vec = self.vector(self.ring.variable(j), w)
-                if any(not self.field.is_zero(c) for c in vec):
-                    out.append((w, vec))
-        return out
 
     # -- presentation-facing helpers -------------------------------------------
 
@@ -523,8 +522,10 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Socle, orientations, Poincare pairing (protocol functions: they only use
-# dim/multiply/socle_degree/field, so pair and blowup algebras share them)
+# Generators, socle, orientations, Poincare pairing.  These functions serve
+# every algebra model: they read dim/socle_degree/field, the generator maps of
+# ``algebra_generators`` and, to build those maps on models other than a
+# quotient, ``multiply``.
 # ---------------------------------------------------------------------------
 
 
@@ -562,6 +563,72 @@ def operator_matrix(alg, de: int, ve: Sequence[Scalar], i: int) -> Matrix:
     return Matrix.from_cols(F, cols, nrows=target)
 
 
+@dataclass(frozen=True)
+class Generator:
+    """An algebra generator g of degree w: its label, its coordinates in A_w
+    and ``maps[i]``, the nonzero entries (row, column, value) of multiplication
+    by g, X_g : A_i -> A_{i+w}, for 0 <= i <= D - w."""
+
+    label: str
+    degree: int
+    vector: tuple
+    maps: list
+
+
+_GENERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> generators
+
+
+def algebra_generators(alg) -> list[Generator]:
+    """Generators of the maximal ideal with their maps, memoised per algebra.
+
+    A quotient ``GradedAlgebra`` is generated by its variables of weight at
+    most D, labelled by name; a variable in the ideal keeps its zero vector.
+    Every other model takes, degree by degree, the basis vectors not spanned
+    by products of earlier generators (labelled e{j} in degree one and
+    e{j}_{d} in degree d), with maps from ``operator_matrix`` as they are
+    found.
+    """
+    gens = _GENERATORS.get(alg)
+    if gens is None:
+        if isinstance(alg, GradedAlgebra):
+            gens = alg._variable_generators()
+        else:
+            gens = _spanning_generators(alg)
+        _GENERATORS[alg] = gens
+    return gens
+
+
+def _spanning_generators(alg) -> list[Generator]:
+    F = alg.field
+    gens: list[Generator] = []
+    for d in range(1, alg.socle_degree + 1):
+        nd = alg.dim(d)
+        # the generators so far generate every lower degree, so their
+        # products with the lower bases span all they reach in degree d
+        span = RowSpace(F, nd)
+        for g in gens:
+            X = operator_matrix(alg, g.degree, g.vector, d - g.degree)
+            g.maps.append([(r, c, v) for r, row in enumerate(X.entries) for c, v in enumerate(row) if v])
+            for v in X.transpose().entries:
+                span.add({i: c for i, c in enumerate(v) if c})
+        for j in range(nd):
+            if span.add({j: F.one()}):
+                unit = tuple(F.one() if k == j else F.zero() for k in range(nd))
+                label = f"e{j}" if d == 1 else f"e{j}_{d}"
+                gens.append(Generator(label, d, unit, [[(j, 0, F.one())]]))
+    return gens
+
+
+def apply_map(field: FieldSpec, entries: list, vec: Sequence[Scalar], n: int) -> tuple:
+    """The image of vec under the map with these sparse entries and n rows."""
+    out = [field.zero()] * n
+    for r, c, v in entries:
+        if vec[c]:
+            out[r] += vec[c] * v
+    p = field.characteristic
+    return tuple(x % p for x in out) if p else tuple(out)
+
+
 _MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> {modulus: maps}
 
 
@@ -569,7 +636,8 @@ def degree_one_maps(alg, modulus: int = 0) -> Optional[list]:
     """Multiplication by each basis vector of A_1, memoised per algebra.
 
     ``maps[i][k]`` lists the nonzero entries (row, column, value) of X_k :
-    A_i -> A_{i+1}, multiplication by the k-th basis vector e_k of A_1, for
+    A_i -> A_{i+1}, the map of the degree-one generator equal to the k-th
+    basis vector e_k of A_1 (on a quotient, the k-th standard variable), for
     i < socle degree; multiplication by sum c_k e_k is sum c_k X_k.  Over QQ
     a prime ``modulus`` gives the maps modulo it instead, or None when an
     entry's denominator vanishes there.
@@ -583,55 +651,32 @@ def degree_one_maps(alg, modulus: int = 0) -> Optional[list]:
             maps = [[[(r, c, F.coerce(v)) for r, c, v in X] for X in per_k] for per_k in degree_one_maps(alg)]
         except ValueError:  # a denominator vanishes modulo the prime
             maps = None
-    elif isinstance(alg, GradedAlgebra):
-        maps = [alg._degree_one_entries(i) for i in range(alg.socle_degree)]
     else:
         F, n = alg.field, alg.dim(1)
-        units = [tuple(F.one() if k == j else F.zero() for k in range(n)) for j in range(n)]
-        maps = [[_entries(operator_matrix(alg, 1, e, i)) for e in units] for i in range(alg.socle_degree)]
+        # the first degree-one generator equal to each basis vector
+        first = {g.vector: g for g in reversed(algebra_generators(alg)) if g.degree == 1}
+        basis = [tuple(F.one() if t == k else F.zero() for t in range(n)) for k in range(n)]
+        maps = [[first[e].maps[i] for e in basis] for i in range(alg.socle_degree)]
     memo[modulus] = maps
     return maps
 
 
-def _entries(m: Matrix) -> list[tuple]:
-    return [(r, c, v) for r, row in enumerate(m.entries) for c, v in enumerate(row) if v]
-
-
-def _mgens(alg) -> list[tuple[int, tuple]]:
-    get = getattr(alg, "maximal_ideal_generators", None)
-    if get is not None:
-        return get()
-    out = []
-    F = alg.field
-    for w in range(1, alg.socle_degree + 1):
-        for j in range(alg.dim(w)):
-            out.append(
-                (w, tuple(F.one() if k == j else F.zero() for k in range(alg.dim(w))))
-            )
-    return out
-
-
 def socle_vectors(alg) -> list[tuple[int, tuple]]:
-    """Basis of the annihilator of the maximal ideal, degree by degree."""
-    F = alg.field
-    gens = _mgens(alg)
+    """Basis of the annihilator of the maximal ideal, degree by degree: the
+    common kernel on A_d of the generator maps X_g."""
+    F, D = alg.field, alg.socle_degree
+    gens = algebra_generators(alg)
     out = []
-    for d in range(alg.socle_degree + 1):
+    for d in range(D + 1):
         nd = alg.dim(d)
         if nd == 0:
             continue
-        stacked: list[tuple] = []
-        for w, g in gens:
-            if d + w > alg.socle_degree:
-                continue
-            mat = operator_matrix(alg, w, g, d)
-            stacked.extend(mat.entries)
-        if not stacked:
-            for j in range(nd):
-                out.append((d, tuple(F.one() if k == j else F.zero() for k in range(nd))))
-            continue
-        mat = Matrix(F, nd, tuple(stacked))
-        for v in kernel_basis(mat):
+        rows: dict[tuple, list] = {}
+        for n, g in enumerate(gens):
+            if d + g.degree <= D:
+                for r, c, v in g.maps[d]:
+                    rows.setdefault((n, r), [F.zero()] * nd)[c] = v
+        for v in kernel_basis(Matrix(F, nd, tuple(map(tuple, rows.values())))):
             out.append((d, v))
     return out
 

@@ -7,9 +7,12 @@ Negative verdicts escalate to fraction-free symbolic ranks over the function
 field of the coefficients (characteristic zero) or exhaustive search over a
 small finite field.
 
-Multiplication by L = sum c_k e_k on A_i is sum c_k X_k, over the maps X_k
-that ``algebra.degree_one_maps`` builds once per algebra: concrete and
-symbolic step matrices are both combinations of them.
+Every algebra model is read through the generator maps X_g : A_i -> A_{i+w}
+that ``algebra.algebra_generators`` builds once per algebra.  Multiplication
+by L = sum c_k e_k on A_i is sum c_k X_k over the degree-one maps of
+``algebra.degree_one_maps``: concrete and symbolic step matrices are both
+combinations of them, and the degree-one generators parametrise the
+candidate elements and the non-Lefschetz loci.
 
 Concrete ranks come from ``RankTable``, which does exact work only where no
 certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
@@ -30,7 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import GradedAlgebra, degree_one_maps
+from .algebra import GradedAlgebra, algebra_generators, degree_one_maps
 from .exactmath import GF, Matrix, Scalar, det, rank
 from .polynomials import (
     DualPoly,
@@ -125,24 +128,10 @@ class JordanType:
 
 
 def degree_one_coordinates(alg) -> list[tuple[str, tuple]]:
-    """Coordinates that parametrise candidate Lefschetz elements.
-
-    For quotient algebras these are the weight-one variables (the locus
-    lives in their coefficient space); other algebra models fall back to the
-    standard basis of the degree-one piece.
-    """
-    if isinstance(alg, GradedAlgebra):
-        out = []
-        for j, w in enumerate(alg.ring.weights):
-            if w == 1 and alg.socle_degree >= 1:
-                out.append((alg.ring.varnames[j], alg.vector(alg.ring.variable(j), 1)))
-        return out
-    F = alg.field
-    n = alg.dim(1)
-    return [
-        (f"e{j}", tuple(F.one() if k == j else F.zero() for k in range(n)))
-        for j in range(n)
-    ]
+    """Coordinates that parametrise candidate Lefschetz elements: the labels
+    and vectors of the degree-one generators (``algebra_generators``), so the
+    weight-one variables of a quotient and the basis of A_1 otherwise."""
+    return [(g.label, g.vector) for g in algebra_generators(alg) if g.degree == 1]
 
 
 def combine_coordinates(alg, coords, coeffs) -> tuple:
@@ -551,7 +540,7 @@ def symmetric(h: Sequence[int]) -> bool:
 
 
 def nll_conditions(
-    alg: GradedAlgebra,
+    alg,
     mode: str = "weak",
     dim_guard: int = 24,
     minor_guard: int = 20_000,
@@ -563,9 +552,9 @@ def nll_conditions(
     union of their vanishing loci is the codimension-one part of the locus.
     Components where a map's minors share no common factor (codimension two
     or more) carry no divisorial condition and contribute nothing here.
+    The locus lives in the coefficient space of ``degree_one_coordinates``,
+    on every algebra model.
     """
-    if not isinstance(alg, GradedAlgebra):
-        raise TypeError("non-Lefschetz loci are computed for quotient algebras")
     if sum(_h(alg)) > dim_guard:
         raise ValueError(f"algebra dimension exceeds the symbolic guard {dim_guard}")
     modekey = {"weak": "wlp", "strong": "slp"}.get(mode)

@@ -19,6 +19,8 @@ from .algebra import (
     NotGorensteinError,
     Orientation,
     Ring,
+    algebra_generators,
+    apply_map,
     default_orientation,
     from_ideal,
     hilbert_function,
@@ -613,24 +615,6 @@ class BlowupAlgebra:
         _, slots = self.zero_parts(d)
         return self.join(d, tuple(vec), slots)
 
-    def xi(self) -> tuple:
-        """The exceptional class as a degree-1 element (needs n >= 2)."""
-        if self.n < 2:
-            raise ValueError("xi is eliminated when n = 1")
-        a, slots = self.zero_parts(1)
-        slots[0] = list(self.T.one())
-        return self.join(1, a, slots)
-
-    def maximal_ideal_generators(self) -> list[tuple[int, tuple]]:
-        out = []
-        for j, w in enumerate(self.A.ring.weights):
-            if w <= self.socle_degree:
-                vec = self.A.vector(self.A.ring.variable(j), w)
-                out.append((w, self.embed_a(w, vec)))
-        if self.n >= 2:
-            out.append((1, self.xi()))
-        return out
-
     def hilbert_function(self) -> tuple:
         return tuple(self.dim(d) for d in range(self.socle_degree + 1))
 
@@ -764,61 +748,41 @@ def blowup_square_commutes(bug: BlowupAlgebra, t_tilde: GradedAlgebra) -> bool:
 def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
     """Generators-and-relations description of an algebra model.
 
-    Picks new generators degree by degree (coordinates not spanned by
-    products of earlier ones), then extracts minimal relations among them.
+    The generators are ``algebra_generators(alg)``; the relations are the
+    minimal generators of the kernel of the map from monomials in them to
+    alg, whose images are built degree by degree with the generator maps.
     Returns (ring, relation polynomials, generator data) where generator
-    data lists (degree, coordinate vector) per chosen generator.
+    data lists (degree, coordinate vector) per generator.
     """
     F = alg.field
     D = alg.socle_degree
-    gens: list[tuple[int, tuple]] = []
-
-    # generators are chosen so the subalgebra they generate fills every
-    # degree, hence products of earlier generators against the full lower
-    # bases span exactly the reachable part of each piece
-    for d in range(1, D + 1):
-        nd = alg.dim(d)
-        if nd == 0:
-            continue
-        span = RowSpace(F, nd)
-        for (gd, gvec) in gens:
-            lower = d - gd
-            if lower < 0:
-                continue
-            for v in operator_matrix(alg, gd, gvec, lower).transpose().entries:
-                span.add({i: c for i, c in enumerate(v) if not F.is_zero(c)})
-        for j in range(nd):
-            unit = tuple(F.one() if t == j else F.zero() for t in range(nd))
-            if span.add({j: F.one()}):
-                gens.append((d, unit))
-                if len(gens) > max_generators:
-                    raise ValueError("too many generators for a presentation")
-
+    gens = algebra_generators(alg)
+    if len(gens) > max_generators:
+        raise ValueError("too many generators for a presentation")
     ring = Ring(
         tuple(f"{name_prefix}{i + 1}" for i in range(len(gens))),
         F,
-        tuple(gd for gd, _ in gens),
+        tuple(g.degree for g in gens),
     )
-
-    def mu(mono) -> tuple:
-        """Image in alg of a monomial in the generators."""
-        total = sum(e * g for e, (g, _) in zip(mono, gens))
-        vec = alg.one()
-        deg = 0
-        for e, (gd, gvec) in zip(mono, gens):
-            for _ in range(e):
-                vec = alg.multiply(deg, vec, gd, gvec)
-                deg += gd
-        assert deg == total
-        return vec
-
-    # the kernel of monomials -> alg in each degree is the ideal of relations
-    monos = [ring.monomials(m) for m in range(D + 1)]
-    kernels = []
+    # the image of a monomial is X_j applied to the image of the monomial
+    # divided by its last generator z_j; the kernel in each degree is the
+    # ideal of relations
+    images = {}
+    monos, kernels = [], []
     for m in range(D + 1):
-        mat = Matrix.from_cols(F, [mu(mm) for mm in monos[m]], nrows=alg.dim(m))
+        monos.append(ring.monomials(m))
+        for mono in monos[m]:
+            if m == 0:
+                images[mono] = alg.one()
+                continue
+            j = max(k for k, e in enumerate(mono) if e)
+            g = gens[j]
+            rest = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
+            images[mono] = apply_map(F, g.maps[m - g.degree], images[rest], alg.dim(m))
+        mat = Matrix.from_cols(F, [images[mm] for mm in monos[m]], nrows=alg.dim(m))
         kernels.append(kernel_space(mat))
-    return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), gens
+    generator_data = [(g.degree, g.vector) for g in gens]
+    return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), generator_data
 
 
 def presented_algebra(alg, name_prefix: str = "z", max_generators: int = 8) -> GradedAlgebra:

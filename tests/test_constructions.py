@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from lefschetz.exactmath import QQ, rank
@@ -18,6 +20,7 @@ from lefschetz.algebra import (
 from lefschetz.checks import (
     GenericityConfig,
     jordan_type,
+    nll_conditions,
     slp_generic,
     slpn_for_element,
     wlp_generic,
@@ -190,12 +193,15 @@ def test_fiber_product_presentation_matches_paper():
     assert hilbert_function(pres) == hilbert_function(paper) == (1, 3, 5, 4, 2)
 
 
-def test_nonstandard_example_73():
+def _example_73():
     a = build("x", ["x^4"])
     b = build("u,v", ["u^3", "v^2"])
     t = build("z", ["z^2"])
-    pa = algebra_map(a, t, ["z"])
-    pb = algebra_map(b, t, ["z", "0"])
+    return a, b, t, algebra_map(a, t, ["z"]), algebra_map(b, t, ["z", "0"])
+
+
+def test_nonstandard_example_73():
+    a, b, t, pa, pb = _example_73()
     fp = fiber_product(a, b, t, pa, pb)
     assert hilbert_function(fp) == (1, 2, 3, 2)
     _, _, gens = presentation_of(fp)
@@ -203,6 +209,58 @@ def test_nonstandard_example_73():
     cs = connected_sum(a, b, t, pa, pb)
     assert hilbert_function(cs) == (1, 2, 2, 1)
     assert is_gorenstein(cs)
+
+
+def _blowup_notgor_model():
+    a, t, pi = _blowup_notgor()
+    return blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+
+
+def _presentation_text(alg):
+    ring, relations, gens = presentation_of(alg)
+    for _, vec in gens:
+        assert all(type(x) is Fraction for x in vec)
+    return ring.weights, [ring.format(p) for p in relations], [(d, tuple(map(int, v))) for d, v in gens]
+
+
+E3 = [(1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))]
+PRESENTATIONS = {
+    "fiber_product_71": (
+        lambda: fiber_product(*_example_71()),
+        ((1, 1, 1), ["z1*z3", "z1*z2^2", "z2^3", "z3^3", "z1^4"], E3),
+    ),
+    "connected_sum_71": (
+        lambda: connected_sum(*_example_71()),
+        ((1, 1, 1), ["z1*z3", "z1^3 + z2*z3^2", "z1*z2^2", "z2^3", "z3^3"], E3),
+    ),
+    "blowup_notgor": (
+        _blowup_notgor_model,
+        ((1, 1, 1), ["z2*z3", "z1^3", "z1*z2^2 + z1*z3^2 + z3^3", "z2^3", "z1^2*z3"], E3),
+    ),
+    "fiber_product_73": (
+        lambda: fiber_product(*_example_73()),
+        (
+            (1, 1, 2),
+            ["z2^2", "z1^3 - z1*z3", "z2*z3", "z1^4", "z3^2"],
+            [(1, (1, 0)), (1, (0, 1)), (2, (1, 0, 0))],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_presentation_is_pinned(name):
+    # ring weights, relations and generator data as extracted before the
+    # generators were read from ``algebra_generators``
+    make, want = PRESENTATIONS[name]
+    assert _presentation_text(make()) == want
+
+
+def test_presentation_generator_guard():
+    fp = fiber_product(*_example_71())
+    with pytest.raises(ValueError, match="too many generators for a presentation"):
+        presentation_of(fp, max_generators=2)
+    assert len(presentation_of(fp, max_generators=3)[2]) == 3
 
 
 def test_connected_sum_socle_degree_mismatch():
@@ -450,6 +508,15 @@ def test_perazzo_blowup_symbolic_determinant():
     expect = (e_var**4) * (f_var**2)
     assert d.monic() == expect.monic()
     assert not d.is_zero()
+
+
+def test_nll_conditions_on_pair_and_blowup_models():
+    # the weak locus of the blowup is the squarefree part of the f^2 e^4
+    # determinant above; on the fiber product it is a1 = 0
+    a, t, pi, bug = _perazzo_blowup()
+    assert nll_conditions(bug, "weak") == [Poly.make(6, QQ, {(0, 0, 0, 0, 1, 1): 1})]
+    fp = fiber_product(*_example_71())
+    assert nll_conditions(fp, "weak") == [Poly.make(3, QQ, {(1, 0, 0): 1})]
 
 
 def test_perazzo_blowup_has_slp_base_fails_wlp():

@@ -1,10 +1,13 @@
-"""Step matrices from the degree-one maps against multiplication, model by model.
+"""Generator maps and the step matrices built from them, model by model.
 
-``step_matrices`` and ``RankTable`` combine the maps X_k of
-``degree_one_maps`` with the coordinates of L; the oracle builds each step
-matrix column by column through the algebra's own ``multiply``
-(``operator_matrix``).  Both must give the same field elements, of the same
-Python types (``Fraction(2) == 2``, so equality alone would miss a drift).
+``algebra_generators`` stores each generator's map X_g : A_i -> A_{i+w};
+``step_matrices`` and ``RankTable`` combine the degree-one maps X_k of
+``degree_one_maps`` with the coordinates of L, and ``socle_vectors`` takes the
+common kernel of the X_g.  The oracles build each map column by column
+through the algebra's own ``multiply`` (``operator_matrix``), and the socle
+from every basis vector of every positive degree.  Both sides must give the
+same field elements, of the same Python types (``Fraction(2) == 2``, so
+equality alone would miss a drift).
 """
 
 from fractions import Fraction
@@ -14,7 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal, operator_matrix
+from lefschetz.algebra import (
+    GradedAlgebra,
+    Ideal,
+    Ring,
+    algebra_generators,
+    default_orientation,
+    degree_one_maps,
+    from_dual_generator,
+    from_ideal,
+    operator_matrix,
+    orientation_from_socle_element,
+    socle_vectors,
+)
 from lefschetz.checks import (
     MODULAR_PRIME,
     RankTable,
@@ -22,9 +37,9 @@ from lefschetz.checks import (
     degree_one_coordinates,
     step_matrices,
 )
-from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_product
+from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_product, thom_class
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
-from lefschetz.exactmath import GF, QQ, Matrix
+from lefschetz.exactmath import GF, QQ, Matrix, kernel_basis
 from lefschetz.polynomials import DualPoly, Poly, monomials
 
 FIELDS = [QQ, GF(5), GF(32003)]
@@ -32,14 +47,72 @@ fields = st.sampled_from(FIELDS)
 coefficients = st.integers(min_value=-4, max_value=4)
 
 
-def assert_canonical(F, mats):
+def assert_canonical_values(F, values):
     p = F.characteristic
+    for x in values:
+        if p:
+            assert type(x) is int and 0 <= x < p, (F, x)
+        else:
+            assert type(x) is Fraction, x
+
+
+def assert_canonical(F, mats):
     for m in mats:
-        for x in (x for row in m.entries for x in row):
-            if p:
-                assert type(x) is int and 0 <= x < p, (F, x)
-            else:
-                assert type(x) is Fraction, x
+        assert_canonical_values(F, (x for row in m.entries for x in row))
+
+
+def assert_generator_maps(alg):
+    """Every generator's X_g against ``operator_matrix`` on each A_i."""
+    F, D = alg.field, alg.socle_degree
+    gens = algebra_generators(alg)
+    for g in gens:
+        assert len(g.vector) == alg.dim(g.degree)
+        assert_canonical_values(F, g.vector)
+        assert len(g.maps) == D - g.degree + 1
+        for i, entries in enumerate(g.maps):
+            rows = [[F.zero()] * alg.dim(i) for _ in range(alg.dim(i + g.degree))]
+            for r, c, v in entries:
+                rows[r][c] = v
+            got = Matrix(F, alg.dim(i), tuple(map(tuple, rows)))
+            assert got == operator_matrix(alg, g.degree, g.vector, i), (g.label, i)
+            assert all(v for _, _, v in entries)
+            assert_canonical_values(F, [v for _, _, v in entries])
+    if isinstance(alg, GradedAlgebra):
+        # the variables of weight at most D, zero images included
+        ring = alg.ring
+        want = [(ring.varnames[j], w, alg.vector(ring.variable(j), w))
+                for j, w in enumerate(ring.weights) if w <= D]
+        assert [(g.label, g.degree, g.vector) for g in gens] == want
+    else:
+        # basis vectors, and in degree one every basis vector
+        assert all([bool(x) for x in g.vector].count(True) == 1 and 1 in g.vector for g in gens)
+        n = alg.dim(1)
+        units = [(f"e{j}", tuple(F.one() if k == j else F.zero() for k in range(n))) for j in range(n)]
+        assert [(g.label, g.vector) for g in gens if g.degree == 1] == units
+
+
+def reference_socle(alg):
+    """The socle as the common kernel of multiplication by every basis vector
+    of every positive degree."""
+    F = alg.field
+    out = []
+    for d in range(alg.socle_degree + 1):
+        nd = alg.dim(d)
+        if nd == 0:
+            continue
+        stacked = []
+        for w in range(1, alg.socle_degree - d + 1):
+            for j in range(alg.dim(w)):
+                unit = tuple(F.one() if k == j else F.zero() for k in range(alg.dim(w)))
+                stacked.extend(operator_matrix(alg, w, unit, d).entries)
+        out.extend((d, v) for v in kernel_basis(Matrix(F, nd, tuple(stacked))))
+    return out
+
+
+def assert_socle_matches(alg):
+    got = socle_vectors(alg)
+    assert got == reference_socle(alg)
+    assert_canonical_values(alg.field, (x for _, v in got for x in v))
 
 
 def old_symbolic_steps(alg, coords):
@@ -93,16 +166,21 @@ def linear_vector(draw, alg):
 
 
 @st.composite
-def ideal_cases(draw):
-    """Powers of the variables plus random forms, some of degree one."""
+def ideal_cases(draw, weighted=False):
+    """Powers of the variables plus random forms, some of degree one, and
+    perhaps a variable itself (a generator whose image is zero).  Weighted
+    cases draw each variable's weight from 1, 2 and 3."""
     F = draw(fields)
     n = draw(st.integers(min_value=1, max_value=3))
-    r = Ring(tuple("xyz"[:n]), F)
+    weights = tuple(draw(st.sampled_from([1, 2, 3])) if weighted else 1 for _ in range(n))
+    r = Ring(tuple("xyz"[:n]), F, weights)
     gens = [r.parse(f"{v}^{draw(st.integers(min_value=2, max_value=4))}") for v in r.varnames]
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        deg = draw(st.integers(min_value=1, max_value=3))
-        support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=3, unique=True))
+        deg = draw(st.sampled_from([d for d in (1, 2, 3) if monomials(n, d, weights)]))
+        support = draw(st.lists(st.sampled_from(monomials(n, deg, weights)), min_size=1, max_size=3, unique=True))
         gens.append(Poly.make(n, F, {m: F.coerce(draw(coefficients.filter(bool))) for m in support}))
+    if draw(st.booleans()):
+        gens.append(r.variable(draw(st.integers(min_value=0, max_value=n - 1))))
     alg = from_ideal(Ideal(r, tuple(gens)))
     return alg, linear_vector(draw, alg)
 
@@ -128,6 +206,32 @@ def test_maps_from_ideal(case):
 @settings(max_examples=60, deadline=None)
 def test_maps_from_dual_generator(case):
     assert_maps_match(*case)
+
+
+@given(ideal_cases(weighted=True))
+@settings(max_examples=60, deadline=None)
+def test_generator_maps_from_weighted_ideal(case):
+    alg, Lvec = case
+    assert_generator_maps(alg)
+    assert_maps_match(alg, Lvec)
+
+
+@given(dual_generator_cases())
+@settings(max_examples=30, deadline=None)
+def test_generator_maps_from_dual_generator(case):
+    assert_generator_maps(case[0])
+
+
+@given(ideal_cases(weighted=True))
+@settings(max_examples=60, deadline=None)
+def test_socle_from_weighted_ideal(case):
+    assert_socle_matches(case[0])
+
+
+@given(dual_generator_cases())
+@settings(max_examples=40, deadline=None)
+def test_socle_from_dual_generator(case):
+    assert_socle_matches(case[0])
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -178,10 +282,23 @@ def _notgor_blowup(F):
     return blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
 
 
+def _perazzo_blowup(F):
+    r = Ring(tuple("xyzuv"), F)
+    a = from_dual_generator(r.parse_dual("X*U^2 + Y*U*V + Z*V^2"), r)
+    t = from_ideal(Ideal(r, tuple(r.parse(g) for g in ["x^2", "y", "z", "u", "v"])))
+    pi = algebra_map(a, t, ["x", "0", "0", "0", "0"])
+    omega_a = orientation_from_socle_element(a, 3, a.vector(r.parse("x*u^2"), 3))
+    omega_t = default_orientation(t)
+    tau = thom_class(pi, omega_a, omega_t)
+    lam = F.inv(tau.poly(a).leading_coefficient())
+    return blowup(a, t, pi, [r.parse("x").scale(-1)], lam, omega_a=omega_a, omega_t=omega_t)
+
+
 MODELS = {
     "fiber_product": lambda F: fiber_product(*_example_71(F)),
     "connected_sum": lambda F: connected_sum(*_example_71(F)),
     "blowup": _notgor_blowup,
+    "perazzo_blowup": _perazzo_blowup,
 }
 
 
@@ -192,3 +309,15 @@ MODELS = {
 def test_maps_of_pair_and_blowup_models(model, F, data):
     alg = MODELS[model](F)
     assert_maps_match(alg, linear_vector(data.draw, alg))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_generator_maps_of_pair_and_blowup_models(model, F):
+    assert_generator_maps(MODELS[model](F))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_socle_of_pair_and_blowup_models(model, F):
+    assert_socle_matches(MODELS[model](F))

@@ -346,6 +346,11 @@ class GradedAlgebra:
                         out[k] = F.add(out[k], F.mul(c, v))
         return tuple(out)
 
+    def operator(self, w: int, v: tuple, i: int) -> Matrix:
+        """Multiplication by v in A_w from A_i, column by column."""
+        cols = [self.multiply(w, v, i, e) for e in Matrix.identity(self.field, self.dim(i)).entries]
+        return Matrix.from_cols(self.field, cols, nrows=self.dim(i + w))
+
     def _basis_product(self, d1: int, i: int, d2: int, j: int) -> tuple:
         key = (d1, i, d2, j) if (d1, i) <= (d2, j) else (d2, j, d1, i)
         got = self._mult_cache.get(key)
@@ -524,8 +529,9 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
 # ---------------------------------------------------------------------------
 # Generators, socle, orientations, Poincare pairing.  These functions serve
 # every algebra model: they read dim/socle_degree/field, the generator maps of
-# ``algebra_generators`` and, to build those maps on models other than a
-# quotient, ``multiply``.
+# ``algebra_generators`` and the model's one multiplication path,
+# ``operator(w, v, i)``, the matrix of multiplication by v in A_w from A_i
+# (through ``operator_matrix``).  A model's ``multiply`` applies that matrix.
 # ---------------------------------------------------------------------------
 
 
@@ -548,19 +554,11 @@ def hilbert_series_text(alg) -> str:
 
 
 def operator_matrix(alg, de: int, ve: Sequence[Scalar], i: int) -> Matrix:
-    """Matrix of multiplication by a degree-de element from degree i."""
-    F = alg.field
-    target = alg.dim(i + de) if i + de <= alg.socle_degree else 0
-    cols = []
-    for j in range(alg.dim(i)):
-        basis_vec = tuple(
-            F.one() if k == j else F.zero() for k in range(alg.dim(i))
-        )
-        if target == 0:
-            cols.append(())
-        else:
-            cols.append(alg.multiply(de, tuple(ve), i, basis_vec))
-    return Matrix.from_cols(F, cols, nrows=target)
+    """Matrix of multiplication by a degree-de element from degree i: the
+    model's ``operator``, or the zero map when one of the degrees is empty."""
+    if alg.dim(de) and alg.dim(i) and alg.dim(i + de):
+        return alg.operator(de, tuple(ve), i)
+    return Matrix.zero(alg.field, alg.dim(i + de), alg.dim(i))
 
 
 @dataclass(frozen=True)
@@ -611,9 +609,8 @@ def _spanning_generators(alg) -> list[Generator]:
             g.maps.append([(r, c, v) for r, row in enumerate(X.entries) for c, v in enumerate(row) if v])
             for v in X.transpose().entries:
                 span.add({i: c for i, c in enumerate(v) if c})
-        for j in range(nd):
+        for j, unit in enumerate(Matrix.identity(F, nd).entries):
             if span.add({j: F.one()}):
-                unit = tuple(F.one() if k == j else F.zero() for k in range(nd))
                 label = f"e{j}" if d == 1 else f"e{j}_{d}"
                 gens.append(Generator(label, d, unit, [[(j, 0, F.one())]]))
     return gens
@@ -652,10 +649,9 @@ def degree_one_maps(alg, modulus: int = 0) -> Optional[list]:
         except ValueError:  # a denominator vanishes modulo the prime
             maps = None
     else:
-        F, n = alg.field, alg.dim(1)
         # the first degree-one generator equal to each basis vector
         first = {g.vector: g for g in reversed(algebra_generators(alg)) if g.degree == 1}
-        basis = [tuple(F.one() if t == k else F.zero() for t in range(n)) for k in range(n)]
+        basis = Matrix.identity(alg.field, alg.dim(1)).entries
         maps = [[first[e].maps[i] for e in basis] for i in range(alg.socle_degree)]
     memo[modulus] = maps
     return maps
@@ -732,20 +728,14 @@ def integral(alg, omega: Orientation, f_degree: int, vec: Sequence[Scalar]) -> S
 
 
 def pairing_matrix(alg, omega: Orientation, i: int) -> Matrix:
-    """Poincare pairing A_i x A_{D-i} -> F against standard bases."""
-    F = alg.field
-    D = alg.socle_degree
-    ni, nj = alg.dim(i), alg.dim(D - i)
+    """Poincare pairing A_i x A_{D-i} -> F against standard bases: row a is
+    omega applied to the columns of multiplication by e_a."""
+    F, D = alg.field, alg.socle_degree
     rows = []
-    for a in range(ni):
-        ea = tuple(F.one() if k == a else F.zero() for k in range(ni))
-        row = []
-        for b in range(nj):
-            eb = tuple(F.one() if k == b else F.zero() for k in range(nj))
-            prod = alg.multiply(i, ea, D - i, eb)
-            row.append(omega.apply(F, prod))
-        rows.append(tuple(row))
-    return Matrix(F, nj, tuple(rows))
+    for ea in Matrix.identity(F, alg.dim(i)).entries:
+        X = operator_matrix(alg, i, ea, D - i)
+        rows.append(tuple(omega.apply(F, col) for col in X.transpose().entries))
+    return Matrix(F, alg.dim(D - i), tuple(rows))
 
 
 def same_degreewise_ideal(a: GradedAlgebra, b: GradedAlgebra) -> bool:

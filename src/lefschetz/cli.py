@@ -11,6 +11,7 @@ counts as one: a message line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -86,12 +87,16 @@ def _load_algebra(path: str, cap=None):
     return alg, {"path": path, "sha256": _digest(text)}
 
 
+def _seed(args) -> int:
+    """--seed if given, else LEFSCHETZ_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("LEFSCHETZ_SEED", "0"))
+
+
 def _cfg_from_args(args) -> GenericityConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("LEFSCHETZ_SEED", "0"))
     return GenericityConfig(
-        seed=seed, trials=args.trials, bound=args.bound, certify=args.certify
+        seed=_seed(args), trials=args.trials, bound=args.bound, certify=args.certify
     )
 
 
@@ -241,7 +246,7 @@ def cmd_hessian(args) -> int:
             "vanishes": det.is_zero(),
         }
         return _finish(args, _base_report(args, "hessian", [digest], results), text)
-    rep = slp_by_hessian(alg, seed=args.seed or 0)
+    rep = slp_by_hessian(alg, seed=_seed(args))
     verdict = "holds" if rep["slp"] else "fails"
     results = {"primary": f"slp {verdict}", **rep}
     human = [f"slp {verdict} (hessian criterion)"]
@@ -606,9 +611,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
         code = args.fn(args)

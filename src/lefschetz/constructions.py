@@ -6,6 +6,11 @@ Fiber products and general connected sums live in an intrinsic pair model
 the over-the-base-field presentations exist separately and are cross-checked
 degreewise.  Blowup elements are stored as an A component plus one T
 component per positive power of the exceptional class.
+
+Every model multiplies through one method, ``operator(w, v, i)``: the matrix
+of multiplication by v in degree w from degree i, composed from the parts'
+operators (``operator_matrix``).  ``multiply`` applies that matrix to a
+vector, and the pairing and the Thom-class check read operators directly.
 """
 
 from __future__ import annotations
@@ -131,12 +136,7 @@ def thom_class(pi: AlgebraMap, omega_a: Orientation, omega_t: Orientation) -> Th
     if not pi.surjective:
         raise ValueError("Thom classes require a surjective map")
     n = d - k
-    F = A.field
-    nk = A.dim(k)
-    rhs = []
-    for j in range(nk):
-        ej = tuple(F.one() if t == j else F.zero() for t in range(nk))
-        rhs.append(integral(T, omega_t, k, pi.apply(k, ej)))
+    rhs = [integral(T, omega_t, k, pi.apply(k, e)) for e in Matrix.identity(A.field, A.dim(k)).entries]
     sol = solve(pairing_matrix(A, omega_a, k), rhs)
     if sol is None:
         raise ValueError("orientations and map admit no Thom class (inconsistent system)")
@@ -147,15 +147,13 @@ def thom_class(pi: AlgebraMap, omega_a: Orientation, omega_t: Orientation) -> Th
 
 
 def _check_thom_identity(pi, omega_a, omega_t, tau: ThomClass) -> None:
+    """integral(tau * e) = integral(pi(e)) on each basis vector e of A, with
+    the products tau * e read off one operator of tau per degree."""
     A, T = pi.source, pi.target
-    F = A.field
-    d = A.socle_degree
     for m in range(A.socle_degree + 1):
-        for j in range(A.dim(m)):
-            ej = tuple(F.one() if t == j else F.zero() for t in range(A.dim(m)))
-            lhs = integral(A, omega_a, tau.degree + m, A.multiply(tau.degree, tau.coords, m, ej))
-            rhs = integral(T, omega_t, m, pi.apply(m, ej))
-            if lhs != rhs:
+        tau_e = operator_matrix(A, tau.degree, tau.coords, m).transpose().entries
+        for col, e in zip(tau_e, Matrix.identity(A.field, A.dim(m)).entries):
+            if integral(A, omega_a, tau.degree + m, col) != integral(T, omega_t, m, pi.apply(m, e)):
                 raise AssertionError("Thom class fails its defining identity")
 
 
@@ -198,13 +196,15 @@ class PairAlgebra:
     Basis vectors are ambient coordinate rows (A coords followed by B
     coords), normalised so each has a private indicator column; membership
     is verified whenever ambient vectors are re-expressed in the basis.
+    Multiplication by v = (a, b) is coords o (op_A(a) + op_B(b)) o basis,
+    the parts' operators side by side between the bases.
     """
 
     def __init__(self, A, B, bases: list[list[tuple]], free_cols: list[list[int]]):
         self.A = A
         self.B = B
         self.field = A.field
-        self._bases = bases
+        self._basis = [Matrix.from_cols(A.field, b, nrows=sum(self._sizes(d))) for d, b in enumerate(bases)]
         self._free = free_cols
         D = len(bases) - 1
         while D > 0 and not bases[D]:
@@ -214,25 +214,17 @@ class PairAlgebra:
     def dim(self, d: int) -> int:
         if d < 0 or d > self.socle_degree:
             return 0
-        return len(self._bases[d])
+        return self._basis[d].cols
+
+    def _sizes(self, d: int) -> list[int]:
+        return [self.A.dim(d), self.B.dim(d)]
 
     def ambient(self, d: int, vec: Sequence[Scalar]) -> tuple:
-        F = self.field
-        width = self.A.dim(d) + self.B.dim(d)
-        out = [F.zero()] * width
-        for c, basis_vec in zip(vec, self._bases[d]):
-            if F.is_zero(c):
-                continue
-            for idx, v in enumerate(basis_vec):
-                if not F.is_zero(v):
-                    out[idx] = F.add(out[idx], F.mul(c, v))
-        return tuple(out)
+        return self._basis[d].mul_vec(vec)
 
     def coords(self, d: int, ambient_vec: Sequence[Scalar]) -> tuple:
-        F = self.field
         got = tuple(ambient_vec[c] for c in self._free[d])
-        check = self.ambient(d, got)
-        if tuple(ambient_vec) != check:
+        if tuple(ambient_vec) != self.ambient(d, got):
             raise ValueError("ambient vector is not in the pair subalgebra")
         return got
 
@@ -240,15 +232,15 @@ class PairAlgebra:
         na = self.A.dim(d)
         return tuple(ambient_vec[:na]), tuple(ambient_vec[na:])
 
+    def operator(self, w: int, v: tuple, i: int) -> Matrix:
+        a, b = self.split(w, self.ambient(w, v))
+        ops = {(0, 0): operator_matrix(self.A, w, a, i), (1, 1): operator_matrix(self.B, w, b, i)}
+        both = Matrix.blocks(self.field, self._sizes(i + w), self._sizes(i), ops)
+        prods = both.mul(self._basis[i]).transpose().entries
+        return Matrix.from_cols(self.field, [self.coords(i + w, p) for p in prods], nrows=self.dim(i + w))
+
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        d = d1 + d2
-        if d > self.socle_degree:
-            return ()
-        a1, b1 = self.split(d1, self.ambient(d1, v1))
-        a2, b2 = self.split(d2, self.ambient(d2, v2))
-        pa = self.A.multiply(d1, a1, d2, a2) if self.A.dim(d) else ()
-        pb = self.B.multiply(d1, b1, d2, b2) if self.B.dim(d) else ()
-        return self.coords(d, tuple(pa) + tuple(pb))
+        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
 
     def one(self) -> tuple:
         amb = tuple(self.A.one()) + tuple(self.B.one())
@@ -268,26 +260,12 @@ def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
     bases: list[list[tuple]] = []
     free_cols: list[list[int]] = []
     for d in range(D + 1):
-        na, nb, nt = A.dim(d), B.dim(d), T.dim(d)
-        width = na + nb
-        if nt == 0:
-            kern = [
-                tuple(F.one() if i == j else F.zero() for i in range(width))
-                for j in range(width)
-            ]
-            frees = list(range(width))
-        else:
-            ma = pi_a.matrix(d)
-            mb = pi_b.matrix(d)
-            rows = []
-            for r in range(nt):
-                rows.append(tuple(ma.entries[r]) + tuple(F.neg(x) for x in mb.entries[r]))
-            mat = Matrix(F, width, tuple(rows))
-            kern = kernel_basis(mat)
-            _, pivots = rref(mat)
-            frees = [c for c in range(width) if c not in pivots]
-        bases.append([tuple(v) for v in kern])
-        free_cols.append(frees)
+        # the kernel of (pi_a, -pi_b), its basis vectors indexed by the free columns
+        rows = zip(pi_a.matrix(d).entries, pi_b.matrix(d).entries) if T.dim(d) else ()
+        mat = Matrix(F, A.dim(d) + B.dim(d), tuple(ra + tuple(F.neg(x) for x in rb) for ra, rb in rows))
+        pivots = rref(mat)[1]
+        bases.append(kernel_basis(mat))
+        free_cols.append([c for c in range(mat.cols) if c not in pivots])
     fp = PairAlgebra(A, B, bases, free_cols)
     expect = [
         A.dim(d) + B.dim(d) - T.dim(d) for d in range(D + 1)
@@ -298,7 +276,11 @@ def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
 
 
 class QuotientAlgebra:
-    """Quotient of an algebra model by degreewise relation row spaces."""
+    """Quotient of an algebra model by degreewise relation row spaces.
+
+    The free (non-pivot) columns of each degree are the basis; multiplication
+    by v is project o op_base(lift v) on the free columns.
+    """
 
     def __init__(self, base, relations: list[RowSpace]):
         self.base = base
@@ -326,17 +308,16 @@ class QuotientAlgebra:
         return tuple(out)
 
     def project(self, d: int, base_vec: Sequence[Scalar]) -> tuple:
-        F = self.field
-        row = {i: v for i, v in enumerate(base_vec) if not F.is_zero(v)}
-        red = self._rel[d].reduce(row)
-        return tuple(red.get(c, F.zero()) for c in self._free[d])
+        red = self._rel[d].reduce(dict(enumerate(base_vec)))
+        return tuple(red.get(c, self.field.zero()) for c in self._free[d])
+
+    def operator(self, w: int, v: tuple, i: int) -> Matrix:
+        X = operator_matrix(self.base, w, self.lift(w, v), i)
+        cols = [self.project(i + w, X.col(c)) for c in self._free[i]]
+        return Matrix.from_cols(self.field, cols, nrows=self.dim(i + w))
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        d = d1 + d2
-        if d > self.socle_degree:
-            return ()
-        prod = self.base.multiply(d1, self.lift(d1, v1), d2, self.lift(d2, v2))
-        return self.project(d, prod)
+        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
 
     def one(self) -> tuple:
         return self.project(0, self.base.one())
@@ -455,12 +436,20 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
 
 
 class BlowupAlgebra:
-    """Blowup model: an A component plus T components for xi^1..xi^{n-1}.
+    """The cohomological blowup A~ = A[xi]/(xi * ker pi, f_A(xi)) of A along
+    pi : A -> T, with f_A(xi) = xi^n + a_1 xi^(n-1) + ... + a_(n-1) xi + lambda tau
+    and tau the Thom class.
 
-    Multiplication uses xi * ker(pi) = 0 (so xi times anything only sees the
-    T image) and reduces xi^n by the monic relation with constant term
-    lambda * tau, whose A contribution goes through a fixed degreewise
-    section of pi.
+    Since xi * ker pi = 0, an element of degree d is a + sum_(0<j<n) xi^j t_j
+    with a in A_d and t_j in T_(d-j), stored in the layout
+    [A_d | T_(d-1) | ... | T_(d-n+1)].  Multiplication by such a v of degree w
+    is the matrix sum_(j<n) Xi^j D(l_j), where l_0 = a, l_j = lift(t_j) through
+    a fixed section of pi, D(x) = diag(op_A(x), op_T(pi x), ..., op_T(pi x))
+    is multiplication by x in A, and Xi : A~_k -> A~_(k+1) is multiplication by
+    xi: pi from A_k into slot 1, the identity from slot j to slot j + 1, and
+    from the last slot s the relation xi^n = -sum a_i xi^(n-i) - lambda tau,
+    that is -pi(a_i) s into slot n - i and -lambda tau lift(s) into A.  For
+    n = 1 the operator is op_A(a).
     """
 
     def __init__(
@@ -483,48 +472,34 @@ class BlowupAlgebra:
         self.t_coeffs = coefficients  # index i-1 -> coords of pi(a_i) in T_i
         self.tau_t = pi.apply(self.n, tau.coords) if T.dim(self.n) else ()
         self._lifts: dict[int, Matrix] = {}
+        self._xis: dict[int, Matrix] = {}
 
-    # -- coordinate layout: [A_d | T_{d-1} | ... | T_{d-n+1}] ------------------
+    def _sizes(self, d: int) -> list[int]:
+        """Block sizes of the layout [A_d | T_(d-1) | ... | T_(d-n+1)]."""
+        return [self.A.dim(d)] + [self.T.dim(d - j) for j in range(1, self.n)]
 
     def dim(self, d: int) -> int:
         if d < 0 or d > self.socle_degree:
             return 0
-        return self.A.dim(d) + sum(self.T.dim(d - j) for j in range(1, self.n))
+        return sum(self._sizes(d))
 
     def split(self, d: int, vec: Sequence[Scalar]) -> tuple[tuple, list[tuple]]:
-        na = self.A.dim(d)
-        parts = [tuple(vec[:na])]
-        pos = na
-        for j in range(1, self.n):
-            nt = self.T.dim(d - j)
-            parts.append(tuple(vec[pos : pos + nt]))
-            pos += nt
+        parts, pos = [], 0
+        for size in self._sizes(d):
+            parts.append(tuple(vec[pos : pos + size]))
+            pos += size
         return parts[0], parts[1:]
-
-    def join(self, d: int, a_part: Sequence[Scalar], slots: list) -> tuple:
-        out = list(a_part)
-        for j in range(1, self.n):
-            out.extend(slots[j - 1])
-        return tuple(out)
-
-    def zero_parts(self, d: int) -> tuple[list, list]:
-        F = self.field
-        a = [F.zero()] * self.A.dim(d)
-        slots = [[F.zero()] * self.T.dim(d - j) for j in range(1, self.n)]
-        return a, slots
 
     def lift_matrix(self, m: int) -> Matrix:
         """A fixed section of pi on degree-m pieces (free coordinates zero)."""
         if m not in self._lifts:
-            F = self.field
             cols = []
-            for t in range(self.T.dim(m)):
-                et = tuple(F.one() if s == t else F.zero() for s in range(self.T.dim(m)))
+            for et in Matrix.identity(self.field, self.T.dim(m)).entries:
                 sol = solve(self.pi.matrix(m), et)
                 if sol is None:
                     raise ValueError("projection is not surjective in degree %d" % m)
                 cols.append(sol)
-            self._lifts[m] = Matrix.from_cols(F, cols, nrows=self.A.dim(m))
+            self._lifts[m] = Matrix.from_cols(self.field, cols, nrows=self.A.dim(m))
         return self._lifts[m]
 
     def lift(self, m: int, t_vec: Sequence[Scalar]) -> tuple:
@@ -532,88 +507,49 @@ class BlowupAlgebra:
             return ()
         return self.lift_matrix(m).mul_vec(t_vec)
 
-    def _acc(self, target, contrib, scale=None) -> None:
-        F = self.field
-        for idx, v in enumerate(contrib):
-            if F.is_zero(v):
-                continue
-            target[idx] = F.add(target[idx], F.mul(scale, v) if scale is not None else v)
+    def _diag(self, m: int, x: tuple, i: int) -> Matrix:
+        """D(x): multiplication by x in A_m from A~_i, slot by slot."""
+        tx = self.pi.apply(m, x) if self.T.dim(m) else ()
+        ops = [operator_matrix(self.A, m, x, i)]
+        ops += [operator_matrix(self.T, m, tx, i - j) for j in range(1, self.n)]
+        return Matrix.blocks(self.field, self._sizes(i + m), self._sizes(i), {(j, j): op for j, op in enumerate(ops)})
 
-    def _reduce(self, m: int, sdeg: int, s: tuple, sign: Scalar, a_out, slot_out) -> None:
-        """Fold xi^(n+m) * s (s in T_sdeg) into the accumulators, scaled by sign."""
-        F = self.field
-        for i, (ideg, t_i) in enumerate(self.t_coeffs, start=1):
-            if t_i is None or all(F.is_zero(x) for x in t_i):
-                continue
-            prod = self.T.multiply(ideg, t_i, sdeg, s)
-            if not prod or all(F.is_zero(x) for x in prod):
-                continue
-            neg = F.neg(sign)
-            e = self.n + m - i
-            if e >= self.n:
-                self._reduce(m - i, sdeg + ideg, tuple(prod), neg, a_out, slot_out)
-            elif 1 <= e <= self.n - 1:
-                self._acc(slot_out[e - 1], prod, neg)
-        coef = F.neg(F.mul(sign, self.lam))
-        if m >= 1:
-            if self.T.dim(self.n) and self.tau_t:
-                prod = self.T.multiply(self.n, self.tau_t, sdeg, s)
-                if prod:
-                    self._acc(slot_out[m - 1], prod, coef)
-        else:
-            lifted = self.lift(sdeg, s)
-            prod = self.A.multiply(self.n, self.tau.coords, sdeg, lifted)
-            if prod:
-                self._acc(a_out, prod, coef)
+    def _xi(self, k: int) -> Matrix:
+        """Xi : A~_k -> A~_(k+1), multiplication by xi (n >= 2)."""
+        if k not in self._xis:
+            F, T, n, s = self.field, self.T, self.n, k - self.n + 1
+            blocks = {(1, 0): self.pi.matrix(k)}
+            blocks.update({(j + 1, j): Matrix.identity(F, T.dim(k - j)) for j in range(1, n - 1)})
+            for i, t_i in self.t_coeffs:
+                if t_i is not None:
+                    blocks[(n - i, n - 1)] = operator_matrix(T, i, tuple(F.neg(x) for x in t_i), s)
+            minus_lam_tau = tuple(F.mul(F.neg(self.lam), x) for x in self.tau.coords)
+            blocks[(0, n - 1)] = operator_matrix(self.A, n, minus_lam_tau, s).mul(self.lift_matrix(s))
+            self._xis[k] = Matrix.blocks(F, self._sizes(k + 1), self._sizes(k), blocks)
+        return self._xis[k]
+
+    def operator(self, w: int, v: tuple, i: int) -> Matrix:
+        a, slots = self.split(w, v)
+        lifts = [a] + [self.lift(w - j, t) for j, t in enumerate(slots, start=1)]
+        # Horner, sum_j Xi^j D(l_j) = D(l_0) + Xi (D(l_1) + Xi (D(l_2) + ...)),
+        # skipping the terms of zero l_j
+        out = None
+        for j in reversed(range(self.n)):
+            if out is not None:
+                out = self._xi(i + w - j - 1).mul(out)
+            if any(lifts[j]):
+                D = self._diag(w - j, lifts[j], i)
+                out = D if out is None else out.add(D)
+        return out if out is not None else Matrix.zero(self.field, self.dim(i + w), self.dim(i))
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        F = self.field
-        d = d1 + d2
-        if d > self.socle_degree:
-            return ()
-        a1, slots1 = self.split(d1, v1)
-        a2, slots2 = self.split(d2, v2)
-        a_out, slot_out = self.zero_parts(d)
-        prod = self.A.multiply(d1, a1, d2, a2)
-        if prod:
-            self._acc(a_out, prod)
-        ta1 = self.pi.apply(d1, a1) if self.T.dim(d1) else ()
-        ta2 = self.pi.apply(d2, a2) if self.T.dim(d2) else ()
-        for j in range(1, self.n):
-            if ta1 and self.T.dim(d2 - j) and slots2[j - 1]:
-                prod = self.T.multiply(d1, ta1, d2 - j, slots2[j - 1])
-                if prod and j <= self.n - 1 and self.T.dim(d - j):
-                    self._acc(slot_out[j - 1], prod)
-            if ta2 and self.T.dim(d1 - j) and slots1[j - 1]:
-                prod = self.T.multiply(d2, ta2, d1 - j, slots1[j - 1])
-                if prod and self.T.dim(d - j):
-                    self._acc(slot_out[j - 1], prod)
-        for j1 in range(1, self.n):
-            t1 = slots1[j1 - 1]
-            if not t1 or all(F.is_zero(x) for x in t1):
-                continue
-            for j2 in range(1, self.n):
-                t2 = slots2[j2 - 1]
-                if not t2 or all(F.is_zero(x) for x in t2):
-                    continue
-                prod = self.T.multiply(d1 - j1, t1, d2 - j2, t2)
-                if not prod or all(F.is_zero(x) for x in prod):
-                    continue
-                e = j1 + j2
-                if e <= self.n - 1:
-                    if self.T.dim(d - e):
-                        self._acc(slot_out[e - 1], prod)
-                else:
-                    self._reduce(e - self.n, d - e, tuple(prod), F.one(), a_out, slot_out)
-        return self.join(d, a_out, slot_out)
+        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
 
     def one(self) -> tuple:
-        _, slots = self.zero_parts(0)
-        return self.join(0, self.A.one(), slots)
+        return self.embed_a(0, self.A.one())
 
     def embed_a(self, d: int, vec: Sequence[Scalar]) -> tuple:
-        _, slots = self.zero_parts(d)
-        return self.join(d, tuple(vec), slots)
+        return tuple(vec) + (self.field.zero(),) * (self.dim(d) - self.A.dim(d))
 
     def hilbert_function(self) -> tuple:
         return tuple(self.dim(d) for d in range(self.socle_degree + 1))

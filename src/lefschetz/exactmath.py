@@ -208,6 +208,18 @@ class Matrix:
             field, [[cols[j][i] for j in range(len(cols))] for i in range(nrows)], ncols=len(cols)
         )
 
+    @staticmethod
+    def blocks(field: FieldSpec, row_sizes: Sequence[int], col_sizes: Sequence[int], blocks: dict) -> "Matrix":
+        """The block matrix with ``blocks[(r, c)]`` (row_sizes[r] by
+        col_sizes[c]) in block row r and block column c, zero elsewhere."""
+        r0 = [sum(row_sizes[:k]) for k in range(len(row_sizes))]
+        c0 = [sum(col_sizes[:k]) for k in range(len(col_sizes))]
+        out = [[field.zero()] * sum(col_sizes) for _ in range(sum(row_sizes))]
+        for (r, c), m in blocks.items():
+            for x, row in enumerate(m.entries):
+                out[r0[r] + x][c0[c] : c0[c] + m.cols] = row
+        return Matrix(field, sum(col_sizes), tuple(map(tuple, out)))
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -231,6 +243,13 @@ class Matrix:
         ot = other.transpose().entries
         return Matrix(self.field, other.cols, tuple(_dots(self.field, r, ot) for r in self.entries))
 
+    def add(self, other: "Matrix") -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in matrix sum")
+        F = self.field
+        rows = zip(self.entries, other.entries)
+        return Matrix(F, self.ncols, tuple(tuple(F.add(x, y) if y else x for x, y in zip(r, s)) for r, s in rows))
+
     def mul_vec(self, v: Sequence[Scalar]) -> tuple:
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matrix-vector product")
@@ -245,7 +264,9 @@ class Matrix:
 
 
 def _dots(field: FieldSpec, row: Sequence[Scalar], cols: Sequence[Sequence[Scalar]]) -> tuple:
-    """The dot products of one row with each of cols, skipping the row's zeros."""
+    """The dot products of one row with each of cols, skipping the row's zeros
+    (and over QQ the zeros of each column, whose products still cost a
+    ``Fraction``)."""
     nz = [(j, x) for j, x in enumerate(row) if x]
     if not nz:
         z = field.zero()
@@ -253,7 +274,7 @@ def _dots(field: FieldSpec, row: Sequence[Scalar], cols: Sequence[Sequence[Scala
     p = field.characteristic
     if p:
         return tuple(sum([x * c[j] for j, x in nz]) % p for c in cols)
-    return tuple(sum([x * c[j] for j, x in nz], Fraction(0)) for c in cols)
+    return tuple(sum([x * c[j] for j, x in nz if c[j]], Fraction(0)) for c in cols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:

@@ -3,13 +3,17 @@
 ``algebra_generators`` stores each generator's map X_g : A_i -> A_{i+w};
 ``step_matrices`` and ``RankTable`` combine the degree-one maps X_k of
 ``degree_one_maps`` with the coordinates of L, and ``socle_vectors`` takes the
-common kernel of the X_g.  The oracles build each map column by column
-through the algebra's own ``multiply`` (``operator_matrix``), and the socle
-from every basis vector of every positive degree.  Both sides must give the
-same field elements, of the same Python types (``Fraction(2) == 2``, so
-equality alone would miss a drift).
+common kernel of the X_g.  The oracles build each map as the model's operator
+(``operator_matrix``, the one multiplication path, which every model composes
+from its parts' operators), and the socle from every basis vector of every
+positive degree.  Both sides must give the same field elements, of the same
+Python types (``Fraction(2) == 2``, so equality alone would miss a drift).
+Because those oracles read the operators under test, the product tables of
+the derived models are pinned by digest, and sampled products are checked
+against the algebra axioms and the blowup relations.
 """
 
+import hashlib
 from fractions import Fraction
 from importlib import resources
 
@@ -37,10 +41,17 @@ from lefschetz.checks import (
     degree_one_coordinates,
     step_matrices,
 )
-from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_product, thom_class
+from lefschetz.constructions import (
+    algebra_map,
+    blowup,
+    connected_sum,
+    connected_sum_over_field,
+    fiber_product,
+    thom_class,
+)
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
 from lefschetz.exactmath import GF, QQ, Matrix, kernel_basis
-from lefschetz.polynomials import DualPoly, Poly, monomials
+from lefschetz.polynomials import DualPoly, Poly, contract, monomials
 
 FIELDS = [QQ, GF(5), GF(32003)]
 fields = st.sampled_from(FIELDS)
@@ -321,3 +332,143 @@ def test_generator_maps_of_pair_and_blowup_models(model, F):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_socle_of_pair_and_blowup_models(model, F):
     assert_socle_matches(MODELS[model](F))
+
+
+
+# -- algebra axioms -------------------------------------------------------------
+
+
+def assert_algebra_axioms(alg, draw):
+    """Products of sampled homogeneous elements are commutative, associative
+    and unital."""
+    F, mul = alg.field, alg.multiply
+    d1, d2, d3 = (draw(st.integers(0, alg.socle_degree)) for _ in range(3))
+    x, y, z = (tuple(F.coerce(c) for c in draw(st.lists(coefficients, min_size=alg.dim(d), max_size=alg.dim(d))))
+               for d in (d1, d2, d3))
+    assert mul(d1, x, d2, y) == mul(d2, y, d1, x)
+    assert mul(d1 + d2, mul(d1, x, d2, y), d3, z) == mul(d1, x, d2 + d3, mul(d2, y, d3, z))
+    assert mul(0, alg.one(), d1, x) == x
+
+
+def assert_blowup_relations(bug, middle):
+    """f_A(xi) = xi^n + a_1 xi^(n-1) + ... + lambda tau = 0, and xi * k = 0
+    for every k in the kernel of pi."""
+    F, A, n = bug.field, bug.A, bug.n
+    lam_tau = tuple(F.mul(bug.lam, c) for c in bug.tau.coords)
+    # xi is the coordinate of T_0 in degree one, or -lambda tau when n = 1
+    xi = (F.zero(),) * A.dim(1) + (F.one(),) if n > 1 else bug.embed_a(1, [F.neg(c) for c in lam_tau])
+    powers = [bug.one(), xi]
+    while len(powers) <= n:
+        powers.append(bug.multiply(1, xi, len(powers) - 1, powers[-1]))
+    terms = [powers[n], bug.embed_a(n, lam_tau)]
+    terms += [bug.multiply(i, bug.embed_a(i, A.vector(a, i)), n - i, powers[n - i]) for i, a in enumerate(middle, 1)]
+    assert all(F.is_zero(sum(col, F.zero())) for col in zip(*terms))
+    for k in range(A.socle_degree + 1):
+        for v in kernel_basis(bug.pi.matrix(k)):
+            assert not any(bug.multiply(1, xi, k, bug.embed_a(k, v)))
+
+
+PAIR_SHAPES = ((2, 3, 3, 3), (3, 2, 3, 4), (3, 3, 3, 4), (2, 2, 4, 3), (3, 2, 4, 4), (2, 3, 4, 4))
+
+
+@st.composite
+def connected_sums_over_the_field(draw):
+    """A # B over QQ of two sampled dual generators, in the shapes (variables
+    of A and of B, degree, terms) of the benchmark's connected sums."""
+    na, nb, deg, t = draw(st.sampled_from(PAIR_SHAPES))
+    parts = []
+    for names in ("xyz"[:na], "uvw"[:nb]):
+        support = draw(st.lists(st.sampled_from(monomials(len(names), deg)), min_size=t, max_size=t, unique=True))
+        terms = {m: QQ.coerce(draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))) for m in support}
+        parts.append(from_dual_generator(DualPoly.make(len(names), QQ, terms), Ring(tuple(names), QQ)))
+    return connected_sum_over_field(*parts)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("model", sorted(MODELS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_models_satisfy_the_algebra_axioms(model, F, data):
+    assert_algebra_axioms(MODELS[model](F), data.draw)
+
+
+@given(alg=connected_sums_over_the_field(), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_sampled_connected_sums_satisfy_the_algebra_axioms(alg, data):
+    assert_algebra_axioms(alg, data.draw)
+
+
+@pytest.mark.parametrize("case", ["notgor/QQ", "notgor/Fp(5)", "perazzo/QQ", "perazzo/Fp(5)", "n1",
+                                  "exercise_87/0;0", "exercise_87/x+u;y*v-u^2"])
+def test_blowup_relations_hold(case):
+    name, _, arg = case.partition("/")
+    F = GF(5) if arg == "Fp(5)" else QQ
+    r = Ring(tuple("xyzuv"), F)
+    if name == "notgor":
+        bug, middle = _notgor_blowup(F), ["x", "0"]
+    elif name == "perazzo":
+        bug, middle = _perazzo_blowup(F), ["-x"]
+    elif name == "n1":
+        bug, middle = _n1_blowup(), []
+    else:
+        bug, middle = _exercise_87_blowup(arg), arg.split(";")
+    assert_blowup_relations(bug, [bug.A.ring.parse(a) for a in middle])
+
+# -- pinned product tables ----------------------------------------------------
+
+
+def _n1_blowup():
+    F = QQ
+    r = Ring(("x", "y"), F)
+    a = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
+    t = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y"))))
+    return blowup(a, t, algebra_map(a, t, ["x", "0"]), [], 1)
+
+
+def _exercise_87_blowup(middle):
+    r = Ring(tuple("xyzuv"), QQ)
+    G = r.parse_dual("X*U^6 + Y*U^4*V^2 + Z*U^5*V")
+    a = from_dual_generator(G, r)
+    t = from_dual_generator(contract(r.parse("u^3"), G), r)
+    pi = algebra_map(a, t, ["x", "y", "z", "u", "v"])
+    tau = thom_class(pi, default_orientation(a), default_orientation(t))
+    lam = QQ.div(QQ.coerce(-1), tau.poly(a).leading_coefficient())
+    return blowup(a, t, pi, [r.parse(c) for c in middle.split(";")], lam)
+
+
+def product_table_digest(alg):
+    """sha256 of repr(multiply(d1, e_a, d2, e_b)) over every pair of basis
+    vectors of every pair of degrees (the repr keeps the scalar types)."""
+    F, D = alg.field, alg.socle_degree
+    units = [[tuple(F.one() if k == j else F.zero() for k in range(alg.dim(d))) for j in range(alg.dim(d))]
+             for d in range(D + 1)]
+    h = hashlib.sha256()
+    for d1 in range(D + 1):
+        for d2 in range(D + 1):
+            for ea in units[d1]:
+                for eb in units[d2]:
+                    h.update(repr(alg.multiply(d1, ea, d2, eb)).encode())
+    return h.hexdigest()
+
+
+# case -> (builder, digest), the digests recorded from the per-vector products
+# the models had before they multiplied through operator matrices
+PRODUCT_TABLES = {
+    "blowup/QQ": (lambda: _notgor_blowup(QQ), "acf534f669edffe928a65112c9193d02c397b461085055f0027b627f1515824c"),
+    "blowup/Fp(5)": (lambda: _notgor_blowup(GF(5)), "88a013ffd17fe9b48e6566513c67f6f207daadda1c4b1ccefb96759d41065fad"),
+    "connected_sum/QQ": (lambda: MODELS["connected_sum"](QQ), "d689e6d9e3112c888d6db9a4f72ed1e07efb1658536552697d17e8c89ca6ddc6"),
+    "connected_sum/Fp(5)": (lambda: MODELS["connected_sum"](GF(5)), "e421ead4ceb610682a22d97bcb0d1325c8d2b1b0d11851ef0ded45712a551869"),
+    "fiber_product/QQ": (lambda: MODELS["fiber_product"](QQ), "a8b18898856e6b8d930a959d4317451d344c24a2d54fc59e5497b54574cb8c09"),
+    "fiber_product/Fp(5)": (lambda: MODELS["fiber_product"](GF(5)), "3fd89fffe653836f77bd05d411b5469ef2da6bee9d32e03ad855b30618874ebc"),
+    "perazzo_blowup/QQ": (lambda: _perazzo_blowup(QQ), "726226865c4937437757432e9bc060765f4eee94ce7cbd10810a11effefb6790"),
+    "perazzo_blowup/Fp(5)": (lambda: _perazzo_blowup(GF(5)), "c029f4b6c620fb2750ac6397a1590d288958945695609e473d92909cf9c98142"),
+    "blowup_n1": (_n1_blowup, "d7ef57a4aa25b5ccd24cc3b88c63d6a1e5a7463dbdfb0e793fd6b728a1372d78"),
+    "exercise_87/0;0": (lambda: _exercise_87_blowup("0;0"), "21af9241a764e18f4347707aec2f04942c50bcfffac937c32f019a288c5a9970"),
+    "exercise_87/x+u;y*v-u^2": (lambda: _exercise_87_blowup("x+u;y*v-u^2"), "3770c44964365e2c3ff92c1f4119e4bdc4f8b1d9ade0a5ae77334525d24530ac"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_TABLES))
+def test_product_tables_are_pinned(case):
+    build, digest = PRODUCT_TABLES[case]
+    assert product_table_digest(build()) == digest

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from lefschetz import cli
 from lefschetz.algebra import Ring
 from lefschetz.descfiles import (
     DescriptionError,
@@ -337,3 +338,51 @@ def test_cli_paper_suite_passes():
     rep = json.loads(out.stdout)
     assert rep["results"]["failed"] == 0
     assert rep["results"]["passed"] >= 25
+
+
+# -- in-process runs ------------------------------------------------------------
+
+
+PARSER_RUNS = [
+    ["hilbert", data_path("x2y2z2.alg"), "--json"],
+    ["hilbert", "/nonexistent/path.alg"],
+    ["hilbert", data_path("x2y2z2.alg"), "--expect", "1,3,3"],
+    ["socle", data_path("x2y2z2.alg")],
+]
+
+
+def _main_runs(capsys, runs):
+    out = []
+    for argv in runs:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_shared_parser_matches_fresh_parsers(capsys, monkeypatch):
+    shared = _main_runs(capsys, PARSER_RUNS)
+    assert [code for code, _, _ in shared] == [0, 2, 1, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert _main_runs(capsys, PARSER_RUNS) == shared
+
+
+@pytest.mark.parametrize(
+    "env, argv, want",
+    [(None, [], 0), ("7", [], 7), ("7", ["--seed", "3"], 3), ("7", ["--seed", "0"], 0)],
+)
+def test_hessian_seed_follows_the_flag_then_the_environment(monkeypatch, capsys, env, argv, want):
+    seen = []
+    original = cli.slp_by_hessian
+
+    def recording(alg, **kwargs):
+        seen.append(kwargs["seed"])
+        return original(alg, **kwargs)
+
+    monkeypatch.setattr(cli, "slp_by_hessian", recording)
+    if env is None:
+        monkeypatch.delenv("LEFSCHETZ_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LEFSCHETZ_SEED", env)
+    assert cli.main(["hessian", data_path("sum_of_squares.alg"), *argv]) == 0
+    assert seen == [want]

@@ -2,8 +2,10 @@
 
 ``perfbench/tracer.py`` looks every traced function up in its owner's
 ``__dict__``; a renamed function would only show when the benchmark runs with
-``--trace 1``.  Installing the tracer here fails on such a rename, and one
-traced decision checks that rank counting and elimination spans still fire.
+``--trace 1``.  Installing the tracer here fails on such a rename; one traced
+decision checks that rank counting and elimination spans still fire, and a
+traced connected sum and blowup that the model spans, whose wrappers look up
+each model's ``multiply``, still fire.
 """
 
 import importlib.util
@@ -11,7 +13,9 @@ from importlib import resources
 from pathlib import Path
 
 from lefschetz import checks
-from lefschetz.descfiles import parse_algebra_text
+from lefschetz.constructions import algebra_map, blowup, connected_sum
+from lefschetz.descfiles import parse_algebra_text, parse_map_text
+from lefschetz.exactmath import Matrix
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,3 +41,28 @@ def test_tracer_installs_and_records():
     assert tracer.counts["checks.rank_maps"] > 0
     names = {span[0] for span in tracer.spans}
     assert {"checks.decide", "exactmath.rref"} <= names
+
+
+def _read(name):
+    return (resources.files("lefschetz") / "data" / name).read_text()
+
+
+def test_tracer_spans_the_construction_models():
+    a, b, t = (parse_algebra_text(_read(f"ex71_{k}.alg")).build() for k in "abt")
+    na, nt = (parse_algebra_text(_read(f"notgor_{k}.alg")).build() for k in "at")
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        pa = algebra_map(a, t, parse_map_text(_read("ex71_map_a.map"), a.ring, t.ring))
+        pb = algebra_map(b, t, parse_map_text(_read("ex71_map_b.map"), b.ring, t.ring))
+        cs = connected_sum(a, b, t, pa, pb)
+        pi = algebra_map(na, nt, parse_map_text(_read("notgor_map.map"), na.ring, nt.ring))
+        bug = blowup(na, nt, pi, [na.ring.parse("x"), na.ring.parse("0")], 1)
+        e = Matrix.identity(cs.field, cs.dim(1)).entries
+        cs.multiply(1, e[0], 1, e[-1])
+        x = bug.embed_a(1, na.vector(na.ring.parse("x"), 1))
+        bug.multiply(1, x, 1, x)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"algebra.operator_matrix", "constructions.pair", "constructions.blowup"} <= names

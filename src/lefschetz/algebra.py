@@ -3,7 +3,9 @@
 Everything is computed degreewise by exact row reduction: no Groebner bases.
 A GradedAlgebra stores, for each degree up to the socle degree, the full
 monomial basis, the reduced row space of the ideal piece, and the standard
-monomials (non-pivot columns under descending grevlex).
+monomials (non-pivot columns under descending grevlex).  Its products are read
+from one product table: the normal forms of the monomials of degree at most
+D, each reduced once, when first needed.
 """
 
 from __future__ import annotations
@@ -206,11 +208,8 @@ def inverse_system(ideal: Ideal, d: int) -> list[DualPoly]:
     pieces = _IdealPieces(ideal.ring, ideal.generators)
     pieces.extend_to(d)
     monos = pieces.monos[d]
-    mat = pieces.spaces[d].dense_matrix()
-    if mat.rows == 0:
-        mat = Matrix.zero(ideal.ring.field, 1, len(monos))
     out = []
-    for v in kernel_basis(mat):
+    for v in kernel_basis(pieces.spaces[d].dense_matrix()):
         out.append(DualPoly.make(ideal.ring.nvars, ideal.ring.field, dict(zip(monos, v))))
     return out
 
@@ -235,13 +234,14 @@ class GradedAlgebra:
         self.generators = generators
         self._dual_generator = dual_generator_poly
         self._std: list[list[Monomial]] = []
-        self._std_index: list[dict[Monomial, int]] = []
+        self._std_col: list[dict[int, int]] = []  # column of a standard monomial -> its index
         for d in range(socle_degree + 1):
             pivots = set(spaces[d].pivots())
-            std = [m for i, m in enumerate(monos[d]) if i not in pivots]
-            self._std.append(std)
-            self._std_index.append({m: i for i, m in enumerate(std)})
-        self._mult_cache: dict = {}
+            free = [c for c in range(len(monos[d])) if c not in pivots]
+            self._std.append([monos[d][c] for c in free])
+            self._std_col.append({c: k for k, c in enumerate(free)})
+        self._mult_cache: dict = {}  # the product table, see ``_basis_product``
+        self._one = ring.field.one()
 
     # -- basic data ----------------------------------------------------------
 
@@ -288,35 +288,22 @@ class GradedAlgebra:
     # -- normal forms ----------------------------------------------------------
 
     def nf_poly(self, f: Poly) -> Poly:
-        """Idempotent normal form supported on standard monomials."""
+        """Idempotent normal form supported on standard monomials: the
+        coordinates of ``vector`` in each degree of f (none beyond D)."""
         acc: dict[Monomial, Scalar] = {}
-        weights = self.ring.weights
-        degs = {mono_degree(m, weights) for m, _ in f.terms}
-        for d in sorted(degs):
-            if d > self.socle_degree:
-                continue
-            comp = {m: c for m, c in f.terms if mono_degree(m, weights) == d}
-            idx = self._index[d]
-            row = {idx[m]: c for m, c in comp.items()}
-            rem = self._spaces[d].reduce(row)
-            for col, c in rem.items():
-                acc[self._monos[d][col]] = c
+        for d in {mono_degree(m, self.ring.weights) for m, _ in f.terms}:
+            acc.update(zip(self.basis(d), self.vector(f, d)))
         return Poly.make(self.nvars, self.field, acc)
 
     def vector(self, f: Poly, d: int) -> tuple:
         """Coordinates of the degree-d component of f in the standard basis."""
-        F = self.field
         if d < 0 or d > self.socle_degree:
             return ()
-        comp = {
-            m: c for m, c in f.terms if mono_degree(m, self.ring.weights) == d
-        }
-        idx = self._index[d]
-        rem = self._spaces[d].reduce({idx[m]: c for m, c in comp.items()})
-        out = [F.zero()] * self.dim(d)
-        sidx = self._std_index[d]
+        weights, idx, pos = self.ring.weights, self._index[d], self._std_col[d]
+        rem = self._spaces[d].reduce({idx[m]: c for m, c in f.terms if mono_degree(m, weights) == d})
+        out = [self.field.zero()] * self.dim(d)
         for col, c in rem.items():
-            out[sidx[self._monos[d][col]]] = c
+            out[pos[col]] = c
         return tuple(out)
 
     def poly(self, d: int, vec: Sequence[Scalar]) -> Poly:
@@ -326,63 +313,58 @@ class GradedAlgebra:
         return self.vector(self.ring.one(), 0)
 
     # -- multiplication --------------------------------------------------------
+    #
+    # One product table serves every product in the quotient: the normal
+    # forms of the monomials of each degree up to D, memoised as they are
+    # first read (``_basis_product``).  The variable maps X_j and every
+    # operator are sums of its entries.
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        F = self.field
-        d = d1 + d2
-        if d > self.socle_degree:
-            return ()
-        out = [F.zero()] * self.dim(d)
-        for i, c1 in enumerate(v1):
-            if F.is_zero(c1):
-                continue
-            for j, c2 in enumerate(v2):
-                if F.is_zero(c2):
-                    continue
-                prod = self._basis_product(d1, i, d2, j)
-                c = F.mul(c1, c2)
-                for k, v in enumerate(prod):
-                    if not F.is_zero(v):
-                        out[k] = F.add(out[k], F.mul(c, v))
-        return tuple(out)
+        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
 
     def operator(self, w: int, v: tuple, i: int) -> Matrix:
-        """Multiplication by v in A_w from A_i, column by column."""
-        cols = [self.multiply(w, v, i, e) for e in Matrix.identity(self.field, self.dim(i)).entries]
-        return Matrix.from_cols(self.field, cols, nrows=self.dim(i + w))
+        """Multiplication by v in A_w from A_i: column k is the sum of
+        v_s nf(s * m_k) over the standard monomials s of A_w, each normal form
+        read from the product table, in plain arithmetic with one reduction
+        mod p per entry."""
+        p, e, table = self.field.characteristic, i + w, self._basis_product
+        idx = self._index[e]
+        terms = [(s, c) for s, c in zip(self._std[w], v) if c]
+        rows = [[self.field.zero()] * self.dim(i) for _ in range(self.dim(e))]
+        for k, m in enumerate(self._std[i]):
+            for s, c in terms:
+                for r, x in table(e, idx[mono_mul(s, m)]):
+                    rows[r][k] += c * x
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        return Matrix(self.field, self.dim(i), tuple(map(tuple, rows)))
 
-    def _basis_product(self, d1: int, i: int, d2: int, j: int) -> tuple:
-        key = (d1, i, d2, j) if (d1, i) <= (d2, j) else (d2, j, d1, i)
-        got = self._mult_cache.get(key)
+    def _basis_product(self, e: int, col: int) -> tuple:
+        """The product table's entry for the degree-e monomial in column col:
+        its normal form as (standard index, value) pairs, from one reduction
+        and memoised, so the table is bounded by the monomials of degree at
+        most D rather than by pairs of basis vectors."""
+        got = self._mult_cache.get((e, col))
         if got is None:
-            a, b, c, dd = key
-            m = mono_mul(self._std[a][b], self._std[c][dd])
-            got = self.vector(Poly.make(self.nvars, self.field, {m: self.field.one()}), a + c)
-            self._mult_cache[key] = got
+            pos = self._std_col[e]
+            rem = self._spaces[e].reduce({col: self._one})
+            got = self._mult_cache[(e, col)] = tuple((pos[k], v) for k, v in rem.items())
         return got
 
     def _variable_generators(self) -> list[Generator]:
         """``algebra_generators`` of a quotient: the variables x_j of weight
-        w_j <= D, where column m of X_j from A_i is the normal form of x_j * m
-        (each product monomial of a degree is reduced once)."""
-        ring, D, one = self.ring, self.socle_degree, self.field.one()
+        w_j <= D, where column k of X_j from A_i is the product-table entry of
+        x_j * m_k."""
+        ring, D, table = self.ring, self.socle_degree, self._basis_product
         live = [(j, w) for j, w in enumerate(ring.weights) if w <= D]
-        cols = [[self._index[i][m] for m in self._std[i]] for i in range(D + 1)]
         maps: dict[int, list] = {j: [] for j, _ in live}
         for e in range(D + 1):
-            monos, sidx, nf = self._monos[e], self._std_index[e], {}
             for j, w in live:
                 if e < w:
                     continue
                 shift = _shift_table(ring.nvars, ring.weights, e, j)
-                entries = []
-                for col, c in enumerate(cols[e - w]):
-                    prod = shift[c]
-                    if prod not in nf:
-                        rem = self._spaces[e].reduce({prod: one})
-                        nf[prod] = [(sidx[monos[k]], v) for k, v in rem.items()]
-                    entries.extend((row, col, v) for row, v in nf[prod])
-                maps[j].append(entries)
+                # the columns of the standard monomials m_k of degree e - w, in order
+                maps[j].append([(r, k, v) for k, c in enumerate(self._std_col[e - w]) for r, v in table(e, shift[c])])
         return [
             Generator(ring.varnames[j], w, self.vector(ring.variable(j), w), maps[j])
             for j, w in live
@@ -430,10 +412,7 @@ class GradedAlgebra:
         if self._dual_generator is not None:
             return self._dual_generator
         D = self.socle_degree
-        mat = self._spaces[D].dense_matrix()
-        if mat.rows == 0:
-            mat = Matrix.zero(self.field, 1, len(self._monos[D]))
-        kern = kernel_basis(mat)
+        kern = kernel_basis(self._spaces[D].dense_matrix())
         if len(kern) != 1:
             raise NotGorensteinError(
                 f"top ideal piece has perp of dimension {len(kern)}, not 1"
@@ -531,7 +510,9 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
 # every algebra model: they read dim/socle_degree/field, the generator maps of
 # ``algebra_generators`` and the model's one multiplication path,
 # ``operator(w, v, i)``, the matrix of multiplication by v in A_w from A_i
-# (through ``operator_matrix``).  A model's ``multiply`` applies that matrix.
+# (through ``operator_matrix``): on a quotient a sum of product-table entries,
+# on the other models composed from their parts' operators.  Every model's
+# ``multiply`` is the same line, which applies that matrix.
 # ---------------------------------------------------------------------------
 
 

@@ -10,9 +10,9 @@ small finite field.
 Every algebra model is read through the generator maps X_g : A_i -> A_{i+w}
 that ``algebra.algebra_generators`` builds once per algebra.  Multiplication
 by L = sum c_k e_k on A_i is sum c_k X_k over the degree-one maps of
-``algebra.degree_one_maps``: concrete and symbolic step matrices are both
-combinations of them, and the degree-one generators parametrise the
-candidate elements and the non-Lefschetz loci.
+``algebra.degree_one_maps``, and the generic form sum a_j g_j over the
+degree-one generators g_j is sum a_j X_{g_j}; those generators parametrise
+the candidate elements and the non-Lefschetz loci.
 
 Concrete ranks come from ``RankTable``, which does exact work only where no
 certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
@@ -331,26 +331,24 @@ def slpn_for_element(alg, L) -> LefschetzReport:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_step_matrices(alg, coords) -> list[list[list[Poly]]]:
+def _symbolic_step_matrices(alg) -> list[list[list[Poly]]]:
     """Multiplication by a generic form with indeterminate coefficients.
 
-    Returns, for each degree i, a matrix with entries in QQ?[a_1..a_k] (the
-    base field adjoined one variable per degree-one coordinate).
+    Returns, for each degree i, the matrix sum_j a_j X_{g_j} over the
+    degree-one generators g_j (``degree_one_coordinates``), with entries in
+    the base field adjoined one variable a_j per generator.
     """
     F = alg.field
-    k = len(coords)
-    units = [tuple(1 if t == j else 0 for t in range(k)) for j in range(k)]
-    per_coord = [step_matrices(alg, vec) for _, vec in coords]
+    gens = [g for g in algebra_generators(alg) if g.degree == 1]
+    k = len(gens)
+    units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
     out = []
     for i in range(alg.socle_degree):
-        mats = [steps[i].entries for steps in per_coord]
-        out.append([
-            [
-                Poly.make(k, F, {units[j]: m[r][col] for j, m in enumerate(mats) if m[r][col]})
-                for col in range(alg.dim(i))
-            ]
-            for r in range(alg.dim(i + 1))
-        ])
+        terms = [[{} for _ in range(alg.dim(i))] for _ in range(alg.dim(i + 1))]
+        for unit, g in zip(units, gens):
+            for r, col, v in g.maps[i]:
+                terms[r][col][unit] = v
+        out.append([[Poly.make(k, F, t) for t in row] for row in terms])
     return out
 
 
@@ -440,7 +438,7 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
         and sum(h) <= cfg.symbolic_dim_limit
     )
     if F.characteristic == 0 and (cfg.certify or can_symbolic):
-        sym_steps = _symbolic_step_matrices(alg, coords)
+        sym_steps = _symbolic_step_matrices(alg)
         maps = []
         all_full = True
         for d, i in pairs_id:
@@ -564,7 +562,7 @@ def nll_conditions(
     if not coords:
         return []
     k = len(coords)
-    sym_steps = _symbolic_step_matrices(alg, coords)
+    sym_steps = _symbolic_step_matrices(alg)
     out: list[Poly] = []
     seen = set()
     for d, i in _map_list(alg, modekey):

@@ -35,7 +35,7 @@ from .algebra import (
     pairing_matrix,
 )
 from .checks import GenericityConfig, slp_generic, wlp_generic
-from .exactmath import Matrix, RowSpace, Scalar, kernel_basis, kernel_space, rank, rref, solve
+from .exactmath import Matrix, RowSpace, Scalar, kernel_basis, kernel_space, rank, solve
 from .polynomials import DualPoly, Poly, contract, dual_pairing
 
 
@@ -260,12 +260,14 @@ def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
     bases: list[list[tuple]] = []
     free_cols: list[list[int]] = []
     for d in range(D + 1):
-        # the kernel of (pi_a, -pi_b), its basis vectors indexed by the free columns
+        # the kernel of (pi_a, -pi_b), its basis vectors indexed by the free
+        # columns: in reduced form the vector of free column f is 1 at f and
+        # otherwise nonzero only at pivot columns before f, so f is its last
+        # nonzero entry
         rows = zip(pi_a.matrix(d).entries, pi_b.matrix(d).entries) if T.dim(d) else ()
         mat = Matrix(F, A.dim(d) + B.dim(d), tuple(ra + tuple(F.neg(x) for x in rb) for ra, rb in rows))
-        pivots = rref(mat)[1]
         bases.append(kernel_basis(mat))
-        free_cols.append([c for c in range(mat.cols) if c not in pivots])
+        free_cols.append([max(c for c, x in enumerate(v) if x) for v in bases[-1]])
     fp = PairAlgebra(A, B, bases, free_cols)
     expect = [
         A.dim(d) + B.dim(d) - T.dim(d) for d in range(D + 1)

@@ -282,7 +282,7 @@ def case_blowup_notgor():
 
 
 def case_perazzo_blowup():
-    from .checks import _symbolic_step_matrices, degree_one_coordinates
+    from .checks import _symbolic_step_matrices
     from .symbolic import poly_det
 
     r = _ring("x,y,z,u,v")
@@ -296,8 +296,7 @@ def case_perazzo_blowup():
     lam = QQ.div(QQ.coerce(1), tau.poly(a).leading_coefficient())
     bug = blowup(a, t, pi, [a.ring.parse("x").scale(-1)], lam, omega_a=omega_a, omega_t=omega_t)
     _ok(bug.hilbert_function() == (1, 6, 6, 1))
-    coords = degree_one_coordinates(bug)
-    mat = _symbolic_step_matrices(bug, coords)[1]
+    mat = _symbolic_step_matrices(bug)[1]
     det = poly_det(mat)
     e_var = Poly.variable(6, QQ, 4)
     f_var = Poly.variable(6, QQ, 5)

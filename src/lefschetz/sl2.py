@@ -174,20 +174,10 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
         if _sub(ef, fe) != _scalar(F, dims[k], 2 * k - c):
             raise AssertionError("constructed operators fail the bracket relations")
 
-    offsets = [sum(dims[:k]) for k in range(c + 2)]
-    n = offsets[-1]
-
-    def dense(blocks) -> Matrix:
-        rows = [[z] * n for _ in range(n)]
-        for row_deg, col_deg, m in blocks:
-            for a, row in enumerate(m.entries):
-                rows[offsets[row_deg] + a][offsets[col_deg] : offsets[col_deg + 1]] = row
-        return Matrix(F, n, tuple(tuple(r) for r in rows))
-
     return Sl2Triple(
-        dense((k + 1, k, steps[k]) for k in range(c)),
-        dense((k, k, _scalar(F, dims[k], 2 * k - c)) for k in range(c + 1)),
-        dense((k - 1, k, f_blocks[k]) for k in range(1, c + 1)),
+        Matrix.blocks(F, dims, dims, {(k + 1, k): steps[k] for k in range(c)}),
+        Matrix.blocks(F, dims, dims, {(k, k): _scalar(F, dims[k], 2 * k - c) for k in range(c + 1)}),
+        Matrix.blocks(F, dims, dims, {(k - 1, k): f_blocks[k] for k in range(1, c + 1)}),
     )
 
 

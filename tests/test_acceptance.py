@@ -321,7 +321,7 @@ def test_criterion_08_blowups():
     assert a.poly(4, a_part).monic() == a.ring.parse("x^2*y^2")
     assert all(all(x == 0 for x in s) for s in slots)
 
-    from lefschetz.checks import _symbolic_step_matrices, degree_one_coordinates
+    from lefschetz.checks import _symbolic_step_matrices
     from lefschetz.symbolic import poly_det
 
     r = ring("x,y,z,u,v")
@@ -334,8 +334,7 @@ def test_criterion_08_blowups():
     lam = QQ.div(QQ.coerce(1), tau.poly(pz).leading_coefficient())
     bug2 = blowup(pz, tz, piz, [r.parse("x").scale(-1)], lam, omega_a=omega_a, omega_t=omega_t)
     assert bug2.hilbert_function() == (1, 6, 6, 1)
-    coords = degree_one_coordinates(bug2)
-    det = poly_det(_symbolic_step_matrices(bug2, coords)[1])
+    det = poly_det(_symbolic_step_matrices(bug2)[1])
     e_var, f_var = Poly.variable(6, QQ, 4), Poly.variable(6, QQ, 5)
     assert det.monic() == ((e_var**4) * (f_var**2)).monic()
     assert slp_generic(bug2, GenericityConfig(seed=2, trials=3)).holds

@@ -498,7 +498,7 @@ def test_perazzo_blowup_symbolic_determinant():
     a, t, pi, bug = _perazzo_blowup()
     coords = degree_one_coordinates(bug)
     assert len(coords) == 6
-    steps = _symbolic_step_matrices(bug, coords)
+    steps = _symbolic_step_matrices(bug)
     mat = steps[1]  # degree 1 -> degree 2, a 6 x 6 polynomial matrix
     assert len(mat) == 6 and len(mat[0]) == 6
     d = poly_det(mat)

@@ -9,8 +9,9 @@ from its parts' operators), and the socle from every basis vector of every
 positive degree.  Both sides must give the same field elements, of the same
 Python types (``Fraction(2) == 2``, so equality alone would miss a drift).
 Because those oracles read the operators under test, the product tables of
-the derived models are pinned by digest, and sampled products are checked
-against the algebra axioms and the blowup relations.
+the derived models and of bundled quotients are pinned by digest, sampled
+products are checked against the algebra axioms and the blowup relations,
+and a quotient's operator is checked against reduced polynomial products.
 """
 
 import hashlib
@@ -166,14 +167,18 @@ def assert_maps_match(alg, Lvec):
             assert table._mod_steps == [Matrix.from_rows(mod, m.entries, ncols=m.cols) for m in want]
             assert_canonical(mod, table._mod_steps)
     coords = degree_one_coordinates(alg)
-    assert _symbolic_step_matrices(alg, coords) == old_symbolic_steps(alg, coords)
+    assert _symbolic_step_matrices(alg) == old_symbolic_steps(alg, coords)
+
+
+def element_vector(draw, alg, d):
+    F, n = alg.field, alg.dim(d)
+    nums = draw(st.lists(coefficients, min_size=n, max_size=n))
+    dens = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return tuple(F.coerce(Fraction(a, b)) for a, b in zip(nums, dens))
 
 
 def linear_vector(draw, alg):
-    F = alg.field
-    nums = draw(st.lists(coefficients, min_size=alg.dim(1), max_size=alg.dim(1)))
-    dens = draw(st.lists(st.integers(1, 4), min_size=alg.dim(1), max_size=alg.dim(1)))
-    return tuple(F.coerce(Fraction(a, b)) for a, b in zip(nums, dens))
+    return element_vector(draw, alg, 1)
 
 
 @st.composite
@@ -243,6 +248,32 @@ def test_socle_from_weighted_ideal(case):
 @settings(max_examples=40, deadline=None)
 def test_socle_from_dual_generator(case):
     assert_socle_matches(case[0])
+
+
+QUOTIENT_CASES = {
+    "ideal": ideal_cases(),
+    "weighted_ideal": ideal_cases(weighted=True),
+    "dual_generator": dual_generator_cases(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTIENT_CASES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_quotient_operator_against_polynomial_products(kind, data):
+    """Column k of a quotient's operator for v in A_w is the normal form of
+    the polynomial product v * m_k, which reads no product table."""
+    alg = data.draw(QUOTIENT_CASES[kind])[0]
+    F, D = alg.field, alg.socle_degree
+    w = data.draw(st.integers(0, D))
+    v = element_vector(data.draw, alg, w)
+    f = alg.poly(w, v)
+    for i in range(D - w + 1):
+        X = operator_matrix(alg, w, v, i)
+        assert (X.rows, X.cols) == (alg.dim(i + w), alg.dim(i))
+        for k, e in enumerate(Matrix.identity(F, alg.dim(i)).entries):
+            assert X.col(k) == alg.vector(f * alg.poly(i, e), i + w), (w, v, i, k)
+        assert_canonical(F, [X])
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -451,8 +482,14 @@ def product_table_digest(alg):
     return h.hexdigest()
 
 
-# case -> (builder, digest), the digests recorded from the per-vector products
-# the models had before they multiplied through operator matrices
+def _data_algebra(name):
+    return parse_algebra_text((resources.files("lefschetz") / "data" / name).read_text()).build()
+
+
+# case -> (builder, digest), the digests of the derived models recorded from
+# the per-vector products they had before they multiplied through operator
+# matrices, and those of the bundled quotients (the ``.alg`` cases) from the
+# per-pair products they had before they read one product table
 PRODUCT_TABLES = {
     "blowup/QQ": (lambda: _notgor_blowup(QQ), "acf534f669edffe928a65112c9193d02c397b461085055f0027b627f1515824c"),
     "blowup/Fp(5)": (lambda: _notgor_blowup(GF(5)), "88a013ffd17fe9b48e6566513c67f6f207daadda1c4b1ccefb96759d41065fad"),
@@ -465,6 +502,10 @@ PRODUCT_TABLES = {
     "blowup_n1": (_n1_blowup, "d7ef57a4aa25b5ccd24cc3b88c63d6a1e5a7463dbdfb0e793fd6b728a1372d78"),
     "exercise_87/0;0": (lambda: _exercise_87_blowup("0;0"), "21af9241a764e18f4347707aec2f04942c50bcfffac937c32f019a288c5a9970"),
     "exercise_87/x+u;y*v-u^2": (lambda: _exercise_87_blowup("x+u;y*v-u^2"), "3770c44964365e2c3ff92c1f4119e4bdc4f8b1d9ade0a5ae77334525d24530ac"),
+    "weighted_y3.alg": (lambda: _data_algebra("weighted_y3.alg"), "06c573cbc916a5019855b8e8546bfe92c2d443f0b7bde215c8aaf27ec0901bef"),
+    "x2y2z2_f2.alg": (lambda: _data_algebra("x2y2z2_f2.alg"), "24c20e188e117f4b4a5842959b52e7d8990efe4f96e23644fac0a5dbb2daf219"),
+    "ikeda.alg": (lambda: _data_algebra("ikeda.alg"), "75d749f378650af4f0dbd2d797d6b8d82b965737d8943d445c1818a7665e8715"),
+    "stanley_333.alg": (lambda: _data_algebra("stanley_333.alg"), "74d59ffaad0145b2ab02f97b9a9b4970f099efad8fe4f7a8cf3912828725a76a"),
 }
 
 

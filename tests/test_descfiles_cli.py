@@ -115,6 +115,11 @@ WRITTEN = {
     "<not-artinian>": "vars: x, y\nideal:\nx^2\n",
     "<not-gorenstein>": "vars: x, y\nideal:\nx^2\nx*y\ny^2\n",
 }
+# Map files the test writes, likewise.
+WRITTEN_MAPS = {
+    "<zero-map>": "map: x -> 0; y -> 0\n",
+    "<identity-map>": "map: x -> x; y -> y\n",
+}
 
 # Inputs the toolkit must reject with exit 2, one "error:" line on stderr and
 # nothing on stdout, whichever layer notices the problem.
@@ -155,14 +160,25 @@ INPUT_ERRORS = [
     ["hvector", "--fvector", "3,3", "--dim", "-1"],
     # a connected sum needs equal socle degrees
     ["connect-sum", data_path("x2y2.alg"), data_path("notgor_a.alg")],
+    # a fiber product needs surjective maps
+    ["fiber-product", data_path("ex71_a.alg"), data_path("ex71_b.alg"), data_path("ex71_t.alg"),
+     "--map-a", "<zero-map>", "--map-b", data_path("ex71_map_b.map")],
+    # a blowup needs a socle degree of A above that of T, and n - 1 middle coefficients
+    ["blowup", data_path("x2y2.alg"), data_path("x2y2.alg"), "--map", "<identity-map>"],
+    ["blowup", data_path("notgor_a.alg"), data_path("notgor_t.alg"),
+     "--map", data_path("notgor_map.map"), "--coeffs", "x"],
+    # an orientation element with no top-degree component
+    ["connect-sum", data_path("ex71_a.alg"), data_path("ex71_b.alg"), data_path("ex71_t.alg"),
+     "--map-a", data_path("ex71_map_a.map"), "--map-b", data_path("ex71_map_b.map"), "--orient-a", "x"],
 ]
 
 
 def test_cli_input_error_exit_2(tmp_path):
     paths = {}
-    for placeholder, text in WRITTEN.items():
-        paths[placeholder] = tmp_path / f"{placeholder.strip('<>')}.alg"
-        paths[placeholder].write_text(text)
+    for suffix, written in ((".alg", WRITTEN), (".map", WRITTEN_MAPS)):
+        for placeholder, text in written.items():
+            paths[placeholder] = tmp_path / f"{placeholder.strip('<>')}{suffix}"
+            paths[placeholder].write_text(text)
     for argv in INPUT_ERRORS:
         out = run_cli(*(str(paths.get(a, a)) for a in argv))
         lines = out.stderr.splitlines()

@@ -371,6 +371,18 @@ def connected_sum(
     return cs
 
 
+def _joined_generators(A: GradedAlgebra, B: GradedAlgebra) -> tuple[Ring, list[Poly], list[Poly]]:
+    """The ring on the disjoint union of the variables of A and B, and the
+    generators of both presentation ideals moved into it."""
+    ring, _ = A.ring.joined(B.ring)
+    n = ring.nvars
+    return (
+        ring,
+        [g.embedded(n) for g in A.presentation_generators()],
+        [g.embedded(n, A.nvars) for g in B.presentation_generators()],
+    )
+
+
 def connected_sum_over_field(
     A: GradedAlgebra,
     B: GradedAlgebra,
@@ -385,41 +397,24 @@ def connected_sum_over_field(
         raise ValueError("connected sums need equal socle degrees")
     if A.dim(d) != 1 or B.dim(d) != 1:
         raise NotGorensteinError("summands must be Gorenstein")
-    ring, right = A.ring.joined(B.ring)
-    na = A.nvars
-
-    def left_poly(p: Poly) -> Poly:
-        return p.substitute([ring.variable(j) for j in range(na)])
-
-    def right_poly(p: Poly) -> Poly:
-        return p.substitute([ring.variable(na + j) for j in range(B.nvars)])
-
-    gens = [left_poly(g) for g in A.presentation_generators()]
-    gens += [right_poly(g) for g in B.presentation_generators()]
+    ring, gens_a, gens_b = _joined_generators(A, B)
+    n, na = ring.nvars, A.nvars
+    gens = gens_a + gens_b
     for i in range(na):
         for j in range(B.nvars):
             gens.append(ring.variable(i) * ring.variable(na + j))
     Fld = ring.field
     tau_a = A.poly(d, (Fld.inv(omega_a.coeffs[0]),))
     tau_b = B.poly(d, (Fld.inv(omega_b.coeffs[0]),))
-    gens.append(left_poly(tau_a) + right_poly(tau_b))
+    gens.append(tau_a.embedded(n) + tau_b.embedded(n, na))
     return from_ideal(Ideal(ring, tuple(gens)), max_degree=d + max(ring.weights))
 
 
 def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     """Quotient by both ideals on the disjoint union of the variables."""
-    ring, _ = A.ring.joined(B.ring)
-    na = A.nvars
-    gens = [
-        g.substitute([ring.variable(j) for j in range(na)])
-        for g in A.presentation_generators()
-    ]
-    gens += [
-        g.substitute([ring.variable(na + j) for j in range(B.nvars)])
-        for g in B.presentation_generators()
-    ]
+    ring, gens_a, gens_b = _joined_generators(A, B)
     out = from_ideal(
-        Ideal(ring, tuple(gens)),
+        Ideal(ring, tuple(gens_a + gens_b)),
         max_degree=A.socle_degree + B.socle_degree + max(ring.weights),
     )
     ha, hb = A.hilbert_function(), B.hilbert_function()
@@ -615,8 +610,7 @@ def exceptional_divisor(
     F = ring.field
 
     def lift_t(m: int, vec) -> Poly:
-        p = T.poly(m, vec)
-        return Poly.make(nv, F, {mm + (0,): c for mm, c in p.terms})
+        return T.poly(m, vec).embedded(nv)
 
     xi = ring.variable(nv - 1)
     f_t = xi**n
@@ -626,10 +620,7 @@ def exceptional_divisor(
         f_t = f_t + lift_t(i, tvec) * xi ** (n - i)
     if T.dim(n) and any(not F.is_zero(x) for x in tau_t):
         f_t = f_t + lift_t(n, tau_t).scale(lam)
-    gens = [
-        Poly.make(nv, F, {mm + (0,): c for mm, c in g.terms})
-        for g in T.presentation_generators()
-    ]
+    gens = [g.embedded(nv) for g in T.presentation_generators()]
     gens.append(f_t)
     cap = T.socle_degree + n + max(ring.weights)
     return from_ideal(Ideal(ring, tuple(gens)), max_degree=cap)
@@ -641,8 +632,7 @@ def blowup_square_commutes(bug: BlowupAlgebra, t_tilde: GradedAlgebra) -> bool:
     nv = t_tilde.nvars
 
     def t_poly_in_tilde(m: int, vec) -> Poly:
-        p = T.poly(m, vec)
-        return Poly.make(nv, T.field, {mm + (0,): c for mm, c in p.terms})
+        return T.poly(m, vec).embedded(nv)
 
     xi = t_tilde.ring.variable(nv - 1)
 
@@ -660,7 +650,7 @@ def blowup_square_commutes(bug: BlowupAlgebra, t_tilde: GradedAlgebra) -> bool:
         beta_x = bug.embed_a(w, A.vector(A.ring.variable(j), w))
         lhs = t_tilde.nf_poly(pihat(w, beta_x))
         img = bug.pi.apply_poly(A.ring.variable(j))
-        rhs = t_tilde.nf_poly(Poly.make(nv, T.field, {mm + (0,): c for mm, c in img.terms}))
+        rhs = t_tilde.nf_poly(img.embedded(nv))
         if lhs != rhs:
             return False
     # multiplicativity spot check: products of variable images agree

@@ -16,7 +16,8 @@ over GF(p) they compute with plain ``int`` and take one ``% p`` per updated
 entry or per dot product, which brings every result back into ``[0, p)``;
 over QQ they add and multiply ``Fraction`` objects directly.  Entries handed
 to them must therefore be field elements as ``FieldSpec.coerce`` returns
-them.
+them.  Polynomial coefficients follow the same rule; it is written down in
+the ``polynomials`` module docstring.
 """
 
 from __future__ import annotations

@@ -5,6 +5,17 @@ the polynomial ring is contraction: x^a acting on X^[b] gives X^[b-a] when
 b >= a componentwise and 0 otherwise.  That action is characteristic-free.
 Partial differentiation is a view of the same data that is only valid when
 the relevant factorials are invertible.
+
+``Poly`` and ``DualPoly`` share one term kernel, ``_Terms``: a sorted tuple
+of (exponent vector, coefficient) terms with addition, negation and scaling.
+``Poly`` adds the ring operations; the module actions (``contract``,
+``differentiate``, ``divided_multiply``) run one loop over term pairs.
+
+Canonical form: every stored coefficient is what ``FieldSpec.coerce``
+returns (a ``Fraction`` over QQ, an ``int`` in ``[0, p)`` over GF(p)).
+Coefficient arithmetic is plain ``+``, ``-`` and ``*`` on those values, and
+``make`` canonicalises the result: it coerces, drops zeros and sorts the
+terms in descending grevlex.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exactmath import FieldSpec, Scalar
@@ -98,53 +110,43 @@ def multi_binomial(a: Monomial, b: Monomial) -> int:
     return out
 
 
+def _power_product(m: Monomial, values: Sequence[Scalar]):
+    """The product of values[i]^m[i], in plain arithmetic."""
+    return math.prod(v**e for e, v in zip(m, values) if e)
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
 
 
 def _canonical_terms(field: FieldSpec, mapping: Mapping[Monomial, Scalar]) -> tuple:
+    coerce = field.coerce
     items = []
     for m, c in mapping.items():
-        c = field.coerce(c)
-        if not field.is_zero(c):
+        c = coerce(c)
+        if c:
             items.append((tuple(m), c))
     items.sort(key=lambda t: grevlex_key(t[0]), reverse=True)
     return tuple(items)
 
 
 @dataclass(frozen=True)
-class Poly:
-    """Element of F[x_1..x_n], a sorted term list keyed by exponent vectors."""
+class _Terms:
+    """Terms shared by ``Poly`` and ``DualPoly``; every operation returns the
+    caller's class, so a ``Poly`` never equals a ``DualPoly``."""
 
     nvars: int
     field: FieldSpec
     terms: tuple  # ((monomial, coeff), ...) descending grevlex, no zeros
 
-    @staticmethod
-    def make(nvars: int, field: FieldSpec, mapping: Mapping[Monomial, Scalar]) -> "Poly":
-        return Poly(nvars, field, _canonical_terms(field, mapping))
+    @classmethod
+    def make(cls, nvars: int, field: FieldSpec, mapping: Mapping[Monomial, Scalar]):
+        return cls(nvars, field, _canonical_terms(field, mapping))
 
-    @staticmethod
-    def zero(nvars: int, field: FieldSpec) -> "Poly":
-        return Poly(nvars, field, ())
-
-    @staticmethod
-    def constant(nvars: int, field: FieldSpec, c) -> "Poly":
-        return Poly.make(nvars, field, {(0,) * nvars: field.coerce(c)})
-
-    @staticmethod
-    def variable(nvars: int, field: FieldSpec, i: int) -> "Poly":
-        m = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly.make(nvars, field, {m: field.one()})
-
-    @staticmethod
-    def linear_form(nvars: int, field: FieldSpec, coeffs: Sequence) -> "Poly":
-        mapping = {}
-        for i, c in enumerate(coeffs):
-            m = tuple(1 if j == i else 0 for j in range(nvars))
-            mapping[m] = field.coerce(c)
-        return Poly.make(nvars, field, mapping)
+    @classmethod
+    def zero(cls, nvars: int, field: FieldSpec):
+        return cls(nvars, field, ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -156,52 +158,77 @@ class Poly:
         return self.field.zero()
 
     def degree(self, weights: Optional[Sequence[int]] = None) -> int:
-        """Max weighted degree of the support; -1 for the zero polynomial."""
+        """Max weighted degree of the support; -1 for the zero element."""
         if not self.terms:
             return -1
         return max(mono_degree(m, weights) for m, _ in self.terms)
 
     def is_homogeneous(self, weights: Optional[Sequence[int]] = None) -> bool:
-        degs = {mono_degree(m, weights) for m, _ in self.terms}
-        return len(degs) <= 1
+        return len({mono_degree(m, weights) for m, _ in self.terms}) <= 1
 
-    def _check_compatible(self, other: "Poly") -> None:
+    def _check_compatible(self, other: "_Terms") -> None:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
         if self.field != other.field:
             raise ValueError("field mismatch")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other):
         self._check_compatible(other)
-        F = self.field
-        acc = {m: c for m, c in self.terms}
+        acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = F.add(acc.get(m, F.zero()), c)
-        return Poly.make(self.nvars, F, acc)
+            acc[m] = acc[m] + c if m in acc else c
+        return self.make(self.nvars, self.field, acc)
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(self.nvars, F, tuple((m, F.neg(c)) for m, c in self.terms))
+    # Negating or scaling by a unit keeps every term nonzero and in order, so
+    # both build their terms directly: canonical residues stay in [0, p).
 
-    def scale(self, c) -> "Poly":
+    def __neg__(self):
+        p = self.field.characteristic
+        terms = tuple((m, p - c if p else -c) for m, c in self.terms)
+        return type(self)(self.nvars, self.field, terms)
+
+    def scale(self, c):
         F = self.field
         c = F.coerce(c)
-        if F.is_zero(c):
-            return Poly.zero(self.nvars, F)
-        return Poly(self.nvars, F, tuple((m, F.mul(c, v)) for m, v in self.terms))
+        if not c:
+            return self.zero(self.nvars, F)
+        p = F.characteristic
+        if p:
+            terms = tuple((m, c * v % p) for m, v in self.terms)
+        else:
+            terms = tuple((m, c * v) for m, v in self.terms)
+        return type(self)(self.nvars, F, terms)
+
+
+class Poly(_Terms):
+    """Element of F[x_1..x_n], a sorted term list keyed by exponent vectors."""
+
+    @staticmethod
+    def constant(nvars: int, field: FieldSpec, c) -> "Poly":
+        return Poly.make(nvars, field, {(0,) * nvars: c})
+
+    @staticmethod
+    def variable(nvars: int, field: FieldSpec, i: int) -> "Poly":
+        m = tuple(1 if j == i else 0 for j in range(nvars))
+        return Poly.make(nvars, field, {m: 1})
+
+    @staticmethod
+    def linear_form(nvars: int, field: FieldSpec, coeffs: Sequence) -> "Poly":
+        units = [tuple(1 if j == i else 0 for j in range(nvars)) for i in range(len(coeffs))]
+        return Poly.make(nvars, field, dict(zip(units, coeffs)))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        F = self.field
         acc: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
-                acc[m] = F.add(acc.get(m, F.zero()), F.mul(c1, c2))
-        return Poly.make(self.nvars, F, acc)
+                c = c1 * c2
+                acc[m] = acc[m] + c if m in acc else c
+        return Poly.make(self.nvars, self.field, acc)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -218,14 +245,7 @@ class Poly:
     def evaluate(self, values: Sequence) -> Scalar:
         F = self.field
         vals = [F.coerce(v) for v in values]
-        acc = F.zero()
-        for m, c in self.terms:
-            term = c
-            for e, v in zip(m, vals):
-                for _ in range(e):
-                    term = F.mul(term, v)
-            acc = F.add(acc, term)
-        return acc
+        return F.coerce(sum(c * _power_product(m, vals) for m, c in self.terms))
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Ring map sending variable i to images[i]."""
@@ -244,6 +264,16 @@ class Poly:
             out = out + term
         return out
 
+    def embedded(self, nvars: int, offset: int = 0) -> "Poly":
+        """The same polynomial in nvars variables, variable i renamed i + offset.
+
+        Zero exponents padded on either side keep the grevlex order.
+        """
+        if offset < 0 or offset + self.nvars > nvars:
+            raise ValueError("embedding does not fit the larger ring")
+        before, after = (0,) * offset, (0,) * (nvars - offset - self.nvars)
+        return Poly(nvars, self.field, tuple((before + m + after, c) for m, c in self.terms))
+
     def leading_coefficient(self) -> Scalar:
         if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -255,79 +285,28 @@ class Poly:
         return self.scale(self.field.inv(self.leading_coefficient()))
 
 
-@dataclass(frozen=True)
-class DualPoly:
+class DualPoly(_Terms):
     """Element of the graded dual in the divided basis X^[a]."""
 
-    nvars: int
-    field: FieldSpec
-    terms: tuple  # ((monomial, coeff), ...) descending grevlex, no zeros
 
-    @staticmethod
-    def make(nvars: int, field: FieldSpec, mapping: Mapping[Monomial, Scalar]) -> "DualPoly":
-        return DualPoly(nvars, field, _canonical_terms(field, mapping))
-
-    @staticmethod
-    def zero(nvars: int, field: FieldSpec) -> "DualPoly":
-        return DualPoly(nvars, field, ())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, m: Monomial) -> Scalar:
-        for mono, c in self.terms:
-            if mono == m:
-                return c
-        return self.field.zero()
-
-    def degree(self, weights: Optional[Sequence[int]] = None) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_degree(m, weights) for m, _ in self.terms)
-
-    def is_homogeneous(self, weights: Optional[Sequence[int]] = None) -> bool:
-        degs = {mono_degree(m, weights) for m, _ in self.terms}
-        return len(degs) <= 1
-
-    def _check_compatible(self, other: "DualPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch")
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-
-    def __add__(self, other: "DualPoly") -> "DualPoly":
-        self._check_compatible(other)
-        F = self.field
-        acc = {m: c for m, c in self.terms}
-        for m, c in other.terms:
-            acc[m] = F.add(acc.get(m, F.zero()), c)
-        return DualPoly.make(self.nvars, F, acc)
-
-    def __sub__(self, other: "DualPoly") -> "DualPoly":
-        return self + other.scale(self.field.neg(self.field.one()))
-
-    def scale(self, c) -> "DualPoly":
-        F = self.field
-        c = F.coerce(c)
-        if F.is_zero(c):
-            return DualPoly.zero(self.nvars, F)
-        return DualPoly(self.nvars, F, tuple((m, F.mul(c, v)) for m, v in self.terms))
+def _pair_terms(f: _Terms, g: _Terms, pair) -> DualPoly:
+    """Sum over term pairs of c_a * c_b * k * X^m, where pair(a, b) returns
+    (m, k) for one product of monomials, or None when it vanishes."""
+    f._check_compatible(g)
+    acc: dict[Monomial, Scalar] = {}
+    for a, ca in f.terms:
+        for b, cb in g.terms:
+            hit = pair(a, b)
+            if hit is not None:
+                m, k = hit
+                c = ca * cb * k
+                acc[m] = acc[m] + c if m in acc else c
+    return DualPoly.make(g.nvars, g.field, acc)
 
 
 def contract(f: Poly, g: DualPoly) -> DualPoly:
     """Contraction action: x^a . X^[b] = X^[b-a] if b >= a, else 0."""
-    if f.nvars != g.nvars:
-        raise ValueError("variable-count mismatch")
-    if f.field != g.field:
-        raise ValueError("field mismatch")
-    F = f.field
-    acc: dict[Monomial, Scalar] = {}
-    for a, ca in f.terms:
-        for b, cb in g.terms:
-            if mono_divides(a, b):
-                m = mono_sub(b, a)
-                acc[m] = F.add(acc.get(m, F.zero()), F.mul(ca, cb))
-    return DualPoly.make(g.nvars, F, acc)
+    return _pair_terms(f, g, lambda a, b: (mono_sub(b, a), 1) if mono_divides(a, b) else None)
 
 
 def differentiate(f: Poly, g: DualPoly) -> DualPoly:
@@ -336,39 +315,25 @@ def differentiate(f: Poly, g: DualPoly) -> DualPoly:
     Both g and the result carry ordinary-basis coefficients: x^a acts on X^b
     as (b!/(b-a)!) X^(b-a).  Requires all factorials up to deg(g) invertible.
     """
-    if f.nvars != g.nvars:
-        raise ValueError("variable-count mismatch")
-    if f.field != g.field:
-        raise ValueError("field mismatch")
-    F = f.field
+    f._check_compatible(g)
     d = g.degree()
-    if d >= 0 and not F.factorial_invertible(d):
+    if d >= 0 and not f.field.factorial_invertible(d):
         raise ValueError(
-            f"differentiation needs characteristic 0 or p > deg = {d}, have {F}"
+            f"differentiation needs characteristic 0 or p > deg = {d}, have {f.field}"
         )
-    acc: dict[Monomial, Scalar] = {}
-    for a, ca in f.terms:
-        for b, cb in g.terms:
-            if mono_divides(a, b):
-                m = mono_sub(b, a)
-                fall = multi_factorial(b) // multi_factorial(m)
-                c = F.mul(F.mul(ca, cb), F.from_int(fall))
-                acc[m] = F.add(acc.get(m, F.zero()), c)
-    return DualPoly.make(g.nvars, F, acc)
+
+    def pair(a, b):
+        if not mono_divides(a, b):
+            return None
+        m = mono_sub(b, a)
+        return m, multi_factorial(b) // multi_factorial(m)
+
+    return _pair_terms(f, g, pair)
 
 
 def divided_multiply(a: DualPoly, b: DualPoly) -> DualPoly:
     """Divided-power product: X^[a] X^[b] = C(a+b, a) X^[a+b]."""
-    a._check_compatible(b)
-    F = a.field
-    acc: dict[Monomial, Scalar] = {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            m = mono_mul(m1, m2)
-            c = F.mul(F.mul(c1, c2), F.from_int(multi_binomial(m1, m2)))
-            if not F.is_zero(c):
-                acc[m] = F.add(acc.get(m, F.zero()), c)
-    return DualPoly.make(a.nvars, F, acc)
+    return _pair_terms(a, b, lambda m1, m2: (mono_mul(m1, m2), multi_binomial(m1, m2)))
 
 
 def to_ordinary(g: DualPoly) -> Poly:
@@ -379,9 +344,7 @@ def to_ordinary(g: DualPoly) -> Poly:
     F = g.field
     if F.characteristic != 0:
         raise ValueError("ordinary power basis requires characteristic 0")
-    return Poly.make(
-        g.nvars, F, {m: F.div(c, F.from_int(multi_factorial(m))) for m, c in g.terms}
-    )
+    return Poly.make(g.nvars, F, {m: c / multi_factorial(m) for m, c in g.terms})
 
 
 def from_ordinary(p: Poly) -> DualPoly:
@@ -396,22 +359,15 @@ def from_ordinary(p: Poly) -> DualPoly:
         raise ValueError(
             f"ordinary basis needs characteristic 0 or p > deg = {d}, have {F}"
         )
-    return DualPoly.make(
-        p.nvars, F, {m: F.mul(c, F.from_int(multi_factorial(m))) for m, c in p.terms}
-    )
+    return DualPoly.make(p.nvars, F, {m: c * multi_factorial(m) for m, c in p.terms})
 
 
 def dual_pairing(f: Poly, g: DualPoly) -> Scalar:
     """The perfect pairing <x^a, X^[b]> = delta_ab, extended bilinearly."""
     if f.nvars != g.nvars or f.field != g.field:
         raise ValueError("incompatible pairing operands")
-    F = f.field
-    gmap = {m: c for m, c in g.terms}
-    acc = F.zero()
-    for m, c in f.terms:
-        if m in gmap:
-            acc = F.add(acc, F.mul(c, gmap[m]))
-    return acc
+    gmap = dict(g.terms)
+    return f.field.coerce(sum(c * gmap[m] for m, c in f.terms if m in gmap))
 
 
 def eval_linear_power(L: Poly, c: int, F_dual: DualPoly) -> Scalar:
@@ -427,19 +383,13 @@ def eval_linear_power(L: Poly, c: int, F_dual: DualPoly) -> Scalar:
         raise ValueError("dual form must be homogeneous of degree c")
     if not F.factorial_invertible(c):
         raise ValueError(f"need characteristic 0 or p > {c}, have {F}")
-    coeffs = [F.zero()] * L.nvars
+    coeffs = [0] * L.nvars
     for m, cf in L.terms:
         coeffs[m.index(1)] = cf
-    acc = F.zero()
     cfact = math.factorial(c)
-    for b, cb in F_dual.terms:
-        mult = cfact // multi_factorial(b)
-        term = F.mul(cb, F.from_int(mult))
-        for e, a in zip(b, coeffs):
-            for _ in range(e):
-                term = F.mul(term, a)
-        acc = F.add(acc, term)
-    return acc
+    return F.coerce(
+        sum(cb * (cfact // multi_factorial(b)) * _power_product(b, coeffs) for b, cb in F_dual.terms)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +465,6 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse(self) -> dict[Monomial, Scalar]:
-        F = self.field
         acc: dict[Monomial, Scalar] = {}
         sign = 1
         kind, val, pos = self.peek()
@@ -525,8 +474,8 @@ class _Parser:
         while True:
             mono, coeff = self.term()
             if sign < 0:
-                coeff = F.neg(coeff)
-            acc[mono] = F.add(acc.get(mono, F.zero()), coeff)
+                coeff = -coeff
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
             kind, val, pos = self.next()
             if kind == "end":
                 break
@@ -536,13 +485,12 @@ class _Parser:
         return acc
 
     def term(self) -> tuple[Monomial, Scalar]:
-        F = self.field
         nvars = len(self.lower)
         kind, val, pos = self.peek()
         if kind == "int":
             coeff = self.coeff()
         elif kind == "name":
-            coeff = F.one()
+            coeff = 1
         else:
             raise ParseError("expected a coefficient or a variable", pos)
         mono = [0] * nvars
@@ -566,9 +514,9 @@ class _Parser:
             # power X^k stands for k! X^[k], and joining X^[a] with the
             # accumulated monomial picks up the binomial C(a+b, a).
             fm = tuple(exp if j == idx else 0 for j in range(nvars))
-            coeff = F.mul(coeff, F.from_int(multi_binomial(tuple(mono), fm)))
+            coeff *= multi_binomial(tuple(mono), fm)
             if not divided:
-                coeff = F.mul(coeff, F.from_int(math.factorial(exp)))
+                coeff *= math.factorial(exp)
             mono[idx] += exp
         return tuple(mono), coeff
 
@@ -583,14 +531,10 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected denominator", pos)
             den = int(val)
-            if F.is_zero(F.from_int(den)):
+            if not F.coerce(den):
                 raise ParseError(f"denominator {den} is zero in {F}", pos)
-            if F.characteristic == 0:
-                from fractions import Fraction
-
-                return Fraction(num, den)
-            return F.div(F.from_int(num), F.from_int(den))
-        return F.from_int(num)
+            return Fraction(num, den)
+        return num
 
     def factor(self) -> tuple[int, int, bool, bool]:
         kind, val, pos = self.next()
@@ -661,10 +605,6 @@ def parse_dual(text: str, varnames: Sequence[str], field: FieldSpec) -> DualPoly
     return out
 
 
-def _format_coeff(c: Scalar) -> str:
-    return str(c)
-
-
 def format_poly(p: Poly, varnames: Sequence[str]) -> str:
     """Canonical text form; parse(format(p)) == p."""
     return _format_terms(p.terms, [str(v) for v in varnames], p.field, divided=False)
@@ -695,7 +635,7 @@ def _format_terms(terms, names, field: FieldSpec, divided: bool) -> str:
                 factors.append(f"{names[idx]}^{e}")
         neg = field.characteristic == 0 and c < 0
         mag = -c if neg else c
-        coeff_str = _format_coeff(mag)
+        coeff_str = str(mag)
         if factors and coeff_str == "1":
             body = "*".join(factors)
         elif factors:

@@ -247,14 +247,13 @@ def poly_gcd_list(polys: Sequence[Poly]) -> Poly:
 
 
 def partial_derivative(p: Poly, v: int) -> Poly:
-    F = p.field
     acc: dict = {}
     for m, c in p.terms:
         if m[v] == 0:
             continue
         mm = tuple(x - 1 if i == v else x for i, x in enumerate(m))
-        acc[mm] = F.mul(c, F.from_int(m[v]))
-    return Poly.make(p.nvars, F, acc)
+        acc[mm] = c * m[v]
+    return Poly.make(p.nvars, p.field, acc)
 
 
 def squarefree_part(p: Poly) -> Poly:

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from lefschetz.descfiles import parse_algebra_text
 from lefschetz.exactmath import QQ, rank
 from lefschetz.polynomials import Poly
 from lefschetz.algebra import (
@@ -72,6 +74,38 @@ def test_tensor_renames_colliding_variables():
     t = tensor_product(a, a)
     assert t.ring.varnames == ("x", "y", "x_2", "y_2")
     assert t.hilbert_function() == (1, 4, 6, 4, 1)
+
+
+def _data_algebra(name):
+    return parse_algebra_text((resources.files("lefschetz") / "data" / name).read_text()).build()
+
+
+def _pinned_form(alg):
+    ring = alg.ring
+    return alg.hilbert_function(), ring.varnames, ring.weights, [ring.format(g) for g in alg.presentation_generators()]
+
+
+def test_tensor_of_weighted_algebras_is_pinned():
+    # the golden corpus joins unweighted rings only; relations as formatted
+    # before the generators were moved by Poly.embedded
+    t = tensor_product(_data_algebra("weighted_y3.alg"), _data_algebra("x2y2.alg"))
+    assert _pinned_form(t) == (
+        (1, 3, 3, 2, 3, 3, 1),
+        ("x", "y", "x_2", "y_2"),
+        (1, 3, 1, 1),
+        ["x^2", "y^2", "x_2^2", "y_2^2"],
+    )
+
+
+def test_connected_sum_over_field_of_weighted_algebras_is_pinned():
+    a = _data_algebra("weighted_y3.alg")
+    cs = connected_sum_over_field(a, a)
+    assert _pinned_form(cs) == (
+        (1, 2, 0, 2, 1),
+        ("x", "y", "x_2", "y_2"),
+        (1, 3, 1, 3),
+        ["x^2", "y^2", "x_2^2", "y_2^2", "x*x_2", "x*y_2", "y*x_2", "y*y_2", "x*y + x_2*y_2"],
+    )
 
 
 def test_tensor_nonunimodal_remark():

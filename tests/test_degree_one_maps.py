@@ -184,19 +184,29 @@ def linear_vector(draw, alg):
 @st.composite
 def ideal_cases(draw, weighted=False):
     """Powers of the variables plus random forms, some of degree one, and
-    perhaps a variable itself (a generator whose image is zero).  Weighted
-    cases draw each variable's weight from 1, 2 and 3."""
+    perhaps a variable itself (a generator whose image is zero).  Sometimes
+    one dense form takes the place of both: it is supported on every
+    monomial of degree 2 or 3 (when that degree has more than two), and
+    every power of a variable lies above that degree, so that monomials
+    have normal forms of several terms.  Weighted cases draw each
+    variable's weight from 1, 2 and 3."""
     F = draw(fields)
     n = draw(st.integers(min_value=1, max_value=3))
     weights = tuple(draw(st.sampled_from([1, 2, 3])) if weighted else 1 for _ in range(n))
     r = Ring(tuple("xyz"[:n]), F, weights)
-    gens = [r.parse(f"{v}^{draw(st.integers(min_value=2, max_value=4))}") for v in r.varnames]
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        deg = draw(st.sampled_from([d for d in (1, 2, 3) if monomials(n, d, weights)]))
-        support = draw(st.lists(st.sampled_from(monomials(n, deg, weights)), min_size=1, max_size=3, unique=True))
+    dense = draw(st.sampled_from([0] + [d for d in (2, 3) if len(monomials(n, d, weights)) > 2]))
+    gens = [r.parse(f"{v}^{draw(st.integers(min_value=max(2, dense + 1), max_value=4))}") for v in r.varnames]
+    if dense:
+        supports = [monomials(n, dense, weights)]
+    else:
+        supports = []
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            deg = draw(st.sampled_from([d for d in (1, 2, 3) if monomials(n, d, weights)]))
+            supports.append(draw(st.lists(st.sampled_from(monomials(n, deg, weights)), min_size=1, max_size=3, unique=True)))
+        if draw(st.booleans()):
+            gens.append(r.variable(draw(st.integers(min_value=0, max_value=n - 1))))
+    for support in supports:
         gens.append(Poly.make(n, F, {m: F.coerce(draw(coefficients.filter(bool))) for m in support}))
-    if draw(st.booleans()):
-        gens.append(r.variable(draw(st.integers(min_value=0, max_value=n - 1))))
     alg = from_ideal(Ideal(r, tuple(gens)))
     return alg, linear_vector(draw, alg)
 

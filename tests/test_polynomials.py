@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import polynomials
 from lefschetz.exactmath import GF, QQ
 from lefschetz.polynomials import (
     DualPoly,
@@ -320,3 +321,338 @@ def test_substitute_composition():
     images = [P("x + y"), P("z"), P("x")]
     q = p.substitute(images)
     assert q == P("x^2 + 2*x*y + y^2 + x*z")
+
+
+# -- the term kernel against the FieldSpec-dispatch reference ---------------
+#
+# The functions below are the term operations as they were written with one
+# FieldSpec call per scalar, before Poly and DualPoly shared a kernel with
+# plain coefficient arithmetic.  They build their terms without ``make``, so
+# the kernel is checked for equal results, descending grevlex order and
+# canonical coefficients.
+
+FIELDS = [QQ, GF(2), GF(5), GF(32003)]
+
+
+def _ref_terms(F, mapping):
+    items = []
+    for m, c in mapping.items():
+        c = F.coerce(c)
+        if not F.is_zero(c):
+            items.append((tuple(m), c))
+    items.sort(key=lambda t: grevlex_key(t[0]), reverse=True)
+    return tuple(items)
+
+
+def ref_add(p, q):
+    F = p.field
+    acc = {m: c for m, c in p.terms}
+    for m, c in q.terms:
+        acc[m] = F.add(acc.get(m, F.zero()), c)
+    return type(p)(p.nvars, F, _ref_terms(F, acc))
+
+
+def ref_neg(p):
+    F = p.field
+    return type(p)(p.nvars, F, tuple((m, F.neg(c)) for m, c in p.terms))
+
+
+def ref_sub(p, q):
+    return ref_add(p, ref_neg(q))
+
+
+def ref_scale(p, c):
+    F = p.field
+    c = F.coerce(c)
+    if F.is_zero(c):
+        return type(p)(p.nvars, F, ())
+    return type(p)(p.nvars, F, tuple((m, F.mul(c, v)) for m, v in p.terms))
+
+
+def ref_mul(p, q):
+    F = p.field
+    acc = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            m = tuple(x + y for x, y in zip(m1, m2))
+            acc[m] = F.add(acc.get(m, F.zero()), F.mul(c1, c2))
+    return Poly(p.nvars, F, _ref_terms(F, acc))
+
+
+def ref_pow(p, n):
+    out = Poly(p.nvars, p.field, _ref_terms(p.field, {(0,) * p.nvars: 1}))
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_evaluate(p, values):
+    F = p.field
+    vals = [F.coerce(v) for v in values]
+    acc = F.zero()
+    for m, c in p.terms:
+        term = c
+        for e, v in zip(m, vals):
+            for _ in range(e):
+                term = F.mul(term, v)
+        acc = F.add(acc, term)
+    return acc
+
+
+def ref_substitute(p, images):
+    F = p.field
+    n = images[0].nvars
+    out = Poly(n, F, ())
+    for m, c in p.terms:
+        term = Poly(n, F, _ref_terms(F, {(0,) * n: c}))
+        for e, img in zip(m, images):
+            if e:
+                term = ref_mul(term, ref_pow(img, e))
+        out = ref_add(out, term)
+    return out
+
+
+def _ref_pairs(f, g, pair):
+    F = f.field
+    acc = {}
+    for a, ca in f.terms:
+        for b, cb in g.terms:
+            hit = pair(a, b)
+            if hit is not None:
+                m, k = hit
+                acc[m] = F.add(acc.get(m, F.zero()), F.mul(F.mul(ca, cb), F.from_int(k)))
+    return DualPoly(g.nvars, F, _ref_terms(F, acc))
+
+
+def ref_contract(f, g):
+    return _ref_pairs(
+        f, g, lambda a, b: (tuple(y - x for x, y in zip(a, b)), 1) if all(x <= y for x, y in zip(a, b)) else None
+    )
+
+
+def ref_differentiate(f, g):
+    def pair(a, b):
+        if not all(x <= y for x, y in zip(a, b)):
+            return None
+        m = tuple(y - x for x, y in zip(a, b))
+        return m, math.prod(math.factorial(e) for e in b) // math.prod(math.factorial(e) for e in m)
+
+    return _ref_pairs(f, g, pair)
+
+
+def ref_divided_multiply(a, b):
+    return _ref_pairs(
+        a, b, lambda m1, m2: (tuple(x + y for x, y in zip(m1, m2)), math.prod(math.comb(x + y, x) for x, y in zip(m1, m2)))
+    )
+
+
+def _factorial(m):
+    return math.prod(math.factorial(e) for e in m)
+
+
+def ref_to_ordinary(g):
+    F = g.field
+    return Poly(g.nvars, F, _ref_terms(F, {m: F.div(c, F.from_int(_factorial(m))) for m, c in g.terms}))
+
+
+def ref_from_ordinary(p):
+    F = p.field
+    return DualPoly(p.nvars, F, _ref_terms(F, {m: F.mul(c, F.from_int(_factorial(m))) for m, c in p.terms}))
+
+
+def ref_dual_pairing(f, g):
+    F = f.field
+    gmap = {m: c for m, c in g.terms}
+    acc = F.zero()
+    for m, c in f.terms:
+        if m in gmap:
+            acc = F.add(acc, F.mul(c, gmap[m]))
+    return acc
+
+
+def ref_eval_linear_power(L, c, G):
+    F = L.field
+    coeffs = [F.zero()] * L.nvars
+    for m, cf in L.terms:
+        coeffs[m.index(1)] = cf
+    acc = F.zero()
+    for b, cb in G.terms:
+        term = F.mul(cb, F.from_int(math.factorial(c) // _factorial(b)))
+        for e, a in zip(b, coeffs):
+            for _ in range(e):
+                term = F.mul(term, a)
+        acc = F.add(acc, term)
+    return acc
+
+
+def assert_canonical_scalar(F, c):
+    if F.characteristic == 0:
+        assert type(c) is Fraction, c
+    else:
+        assert type(c) is int and 0 <= c < F.characteristic, c
+
+
+def assert_canonical(x):
+    """Terms strictly descending in grevlex, no zeros, canonical scalars."""
+    keys = [grevlex_key(m) for m, _ in x.terms]
+    assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys), x
+    for m, c in x.terms:
+        assert type(m) is tuple and len(m) == x.nvars
+        assert c != 0, x
+        assert_canonical_scalar(x.field, c)
+
+
+def same(got, want):
+    """Equal, of the same class, and canonical."""
+    assert type(got) is type(want)
+    assert got == want, (got, want)
+    assert_canonical(got)
+
+
+# raw coefficients: ints of any size and fractions whose denominators are
+# units in every field drawn (make coerces them)
+raw_coeffs = st.one_of(
+    st.integers(min_value=-40000, max_value=40000),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from([1, 3, 7, 9])),
+)
+fields = st.sampled_from(FIELDS)
+
+
+@st.composite
+def elements(draw, F, cls=Poly, nvars=3, max_deg=3, homogeneous=None):
+    monos = (
+        monomials(nvars, homogeneous)
+        if homogeneous is not None
+        else [m for d in range(max_deg + 1) for m in monomials(nvars, d)]
+    )
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=5))
+    return cls.make(nvars, F, {m: draw(raw_coeffs) for m in chosen})
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_dispatch_reference(data):
+    F = data.draw(fields)
+    cls = data.draw(st.sampled_from([Poly, DualPoly]))
+    p, q = data.draw(elements(F, cls)), data.draw(elements(F, cls))
+    c = data.draw(raw_coeffs)
+    assert_canonical(p)
+    same(p + q, ref_add(p, q))
+    same(p - q, ref_sub(p, q))
+    same(-p, ref_neg(p))
+    same(p.scale(c), ref_scale(p, c))
+    assert_canonical_scalar(F, p.coefficient((1, 1, 1)))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_ring_operations_match_dispatch_reference(data):
+    F = data.draw(fields)
+    p, q = data.draw(elements(F, max_deg=2)), data.draw(elements(F, max_deg=2))
+    n = data.draw(st.integers(min_value=0, max_value=3))
+    point = data.draw(st.lists(raw_coeffs, min_size=3, max_size=3))
+    images = [data.draw(elements(F, nvars=2, max_deg=2)) for _ in range(3)]
+    same(p * q, ref_mul(p, q))
+    same(p**n, ref_pow(p, n))
+    got = p.evaluate(point)
+    assert got == ref_evaluate(p, point)
+    assert_canonical_scalar(F, got)
+    same(p.substitute(images), ref_substitute(p, images))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_module_actions_match_dispatch_reference(data):
+    F = data.draw(fields)
+    f = data.draw(elements(F, max_deg=2))
+    g, h = data.draw(elements(F, DualPoly)), data.draw(elements(F, DualPoly, max_deg=2))
+    same(contract(f, g), ref_contract(f, g))
+    same(divided_multiply(g, h), ref_divided_multiply(g, h))
+    pairing = dual_pairing(f, g)
+    assert pairing == ref_dual_pairing(f, g)
+    assert_canonical_scalar(F, pairing)
+    if F.factorial_invertible(3):
+        same(differentiate(f, g), ref_differentiate(f, g))
+        p = data.draw(elements(F))
+        same(from_ordinary(p), ref_from_ordinary(p))
+        c = data.draw(st.integers(min_value=1, max_value=3))
+        G = data.draw(elements(F, DualPoly, homogeneous=c))
+        L = Poly.linear_form(3, F, data.draw(st.lists(raw_coeffs, min_size=3, max_size=3)))
+        if not G.is_zero() and not L.is_zero():
+            value = eval_linear_power(L, c, G)
+            assert value == ref_eval_linear_power(L, c, G)
+            assert_canonical_scalar(F, value)
+    if F.characteristic == 0:
+        same(to_ordinary(g), ref_to_ordinary(g))
+
+
+def _reduce(x, F):
+    """The ring map QQ -> GF(p) on p-integral elements and scalars."""
+    if isinstance(x, (Poly, DualPoly)):
+        return type(x).make(x.nvars, F, dict(x.terms))
+    return F.coerce(x)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduction_mod_p_commutes_with_the_kernel(data):
+    # raw_coeffs keep every denominator prime to 2, 5 and 32003
+    F = data.draw(st.sampled_from(FIELDS[1:]))
+    p, q = data.draw(elements(QQ, max_deg=2)), data.draw(elements(QQ, max_deg=2))
+    g, h = data.draw(elements(QQ, DualPoly)), data.draw(elements(QQ, DualPoly, max_deg=2))
+    c = data.draw(raw_coeffs)
+    point = data.draw(st.lists(raw_coeffs, min_size=3, max_size=3))
+    images = [data.draw(elements(QQ, max_deg=1)) for _ in range(3)]
+    pF, qF, gF, hF = (_reduce(x, F) for x in (p, q, g, h))
+    assert _reduce(p + q, F) == pF + qF
+    assert _reduce(p - q, F) == pF - qF
+    assert _reduce(-g, F) == -gF
+    assert _reduce(g.scale(c), F) == gF.scale(c)
+    assert _reduce(p * q, F) == pF * qF
+    assert _reduce(p**2, F) == pF**2
+    assert _reduce(p.evaluate(point), F) == pF.evaluate(point)
+    assert _reduce(p.substitute(images), F) == pF.substitute([_reduce(i, F) for i in images])
+    assert _reduce(contract(p, g), F) == contract(pF, gF)
+    assert _reduce(divided_multiply(g, h), F) == divided_multiply(gF, hF)
+    assert _reduce(dual_pairing(p, g), F) == dual_pairing(pF, gF)
+    if F.factorial_invertible(3):
+        assert _reduce(differentiate(p, g), F) == differentiate(pF, gF)
+        assert _reduce(from_ordinary(p), F) == from_ordinary(pF)
+
+
+def test_negation_and_scaling_do_not_sort(monkeypatch):
+    # both keep the terms in order and build them directly: no sort key
+    calls = []
+    monkeypatch.setattr(polynomials, "grevlex_key", lambda m: calls.append(m) or grevlex_key(m))
+    for F in FIELDS:
+        for cls in (Poly, DualPoly):
+            x = cls.make(3, F, {m: k + 1 for k, m in enumerate(monomials(3, 1) + monomials(3, 2))})
+            assert calls, "make sorts through the module's grevlex_key"
+            calls.clear()
+            got = [-x, x.scale(3), x.scale(Fraction(-2, 7))]
+            assert calls == []
+            for y, want in zip(got, [ref_neg(x), ref_scale(x, 3), ref_scale(x, Fraction(-2, 7))]):
+                same(y, want)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_embedding_is_a_renaming_substitution(data):
+    F = data.draw(fields)
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    p = data.draw(elements(F, nvars=k))
+    n = data.draw(st.integers(min_value=k, max_value=5))
+    off = data.draw(st.integers(min_value=0, max_value=n - k))
+    got = p.embedded(n, off)
+    same(got, p.substitute([Poly.variable(n, F, off + j) for j in range(k)]))
+    with pytest.raises(ValueError):
+        p.embedded(n, n - k + 1)
+
+
+def test_poly_and_dual_with_equal_terms_stay_distinct():
+    p = P("x^2 + 3*y")
+    g = DualPoly(p.nvars, p.field, p.terms)
+    assert p != g and g != p
+    assert repr(p).startswith("Poly(") and repr(g).startswith("DualPoly(")
+    assert type(-g) is DualPoly and type(g + g) is DualPoly and type(g.scale(2)) is DualPoly
+    assert type(DualPoly.zero(3, QQ)) is DualPoly and type(Poly.make(3, QQ, {})) is Poly

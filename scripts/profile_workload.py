@@ -2,8 +2,11 @@
 """Profile one pass of a benchmark workload under cProfile.
 
 Builds the seeded corpus of ``perfbench`` for one workload, runs every job
-once unprofiled (so memoised tables are as warm as in a benchmark run), then
-once more under cProfile, and prints the functions with the most self time.
+once unprofiled (so memoised tables are as warm as in a benchmark run), once
+more unprofiled with each job timed, then once more under cProfile.  It
+prints the slowest jobs of the timed pass with their wall times, which shows
+the jobs that set the benchmark's ``job_tail_ms``, and then the functions
+with the most self time.
 
     python3 scripts/profile_workload.py --workload ci-ladder --seed 5 --top 25
 
@@ -26,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("ci-ladder", "gorenstein-survey", "constructions-cli")
+# job_tail_ms is the latency of the slowest job but this many (perfbench/harness.py)
+TAIL_BEYOND = 10
 
 
 def _load(name):
@@ -36,14 +41,17 @@ def _load(name):
     return module
 
 
-def run_pass(jobs, job_list) -> list:
-    """Failed jobs of one pass, as (job id, detail) pairs."""
-    failed = []
+def run_pass(jobs, job_list) -> tuple[list, list]:
+    """Failed jobs of one pass, as (job id, detail) pairs, and every job's
+    wall time, as (seconds, job id) pairs."""
+    failed, walls = [], []
     for job in job_list:
+        t0 = time.perf_counter()
         out = jobs.execute(job)
+        walls.append((time.perf_counter() - t0, job.id))
         if out.status != "ok":
             failed.append((job.id, out.detail))
-    return failed
+    return failed, walls
 
 
 def main(argv=None) -> int:
@@ -60,17 +68,23 @@ def main(argv=None) -> int:
     built.write_files(ROOT)
 
     run_pass(jobs, built.jobs)
+    _, walls = run_pass(jobs, built.jobs)
     prof = cProfile.Profile()
     t0 = time.perf_counter()
     prof.enable()
-    failed = run_pass(jobs, built.jobs)
+    failed, _ = run_pass(jobs, built.jobs)
     prof.disable()
     wall = time.perf_counter() - t0
 
-    print(f"{args.workload} seed {args.seed}: {len(built.jobs)} jobs, "
-          f"profiled pass {wall:.3f} s, {len(failed)} failed")
+    print(f"{args.workload} seed {args.seed}: {len(built.jobs)} jobs, unprofiled pass "
+          f"{sum(t for t, _ in walls):.3f} s, profiled pass {wall:.3f} s, {len(failed)} failed")
     for job_id, detail in failed:
         print(f"  failed {job_id}: {detail}")
+    slowest = sorted(walls, reverse=True)[:TAIL_BEYOND + 1]
+    print(f"slowest jobs of the unprofiled pass (raw wall time; with more than {TAIL_BEYOND} "
+          f"jobs, the last one listed sets job_tail_ms):")
+    for t, job_id in slowest:
+        print(f"  {1000 * t:9.1f} ms  {job_id}")
     pstats.Stats(prof, stream=sys.stdout).sort_stats("tottime").print_stats(args.top)
     return 1 if failed else 0
 

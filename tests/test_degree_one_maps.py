@@ -186,16 +186,20 @@ def ideal_cases(draw, weighted=False):
     """Powers of the variables plus random forms, some of degree one, and
     perhaps a variable itself (a generator whose image is zero).  Sometimes
     one dense form takes the place of both: it is supported on every
-    monomial of degree 2 or 3 (when that degree has more than two), and
-    every power of a variable lies above that degree, so that monomials
-    have normal forms of several terms.  Weighted cases draw each
+    monomial of one of the two lowest (weighted) degrees from 2 to 6 that
+    have at least three monomials, and every power of a variable lies above that degree, so that
+    monomials have normal forms of several terms.  Weighted cases draw each
     variable's weight from 1, 2 and 3."""
     F = draw(fields)
     n = draw(st.integers(min_value=1, max_value=3))
     weights = tuple(draw(st.sampled_from([1, 2, 3])) if weighted else 1 for _ in range(n))
     r = Ring(tuple("xyz"[:n]), F, weights)
-    dense = draw(st.sampled_from([0] + [d for d in (2, 3) if len(monomials(n, d, weights)) > 2]))
-    gens = [r.parse(f"{v}^{draw(st.integers(min_value=max(2, dense + 1), max_value=4))}") for v in r.varnames]
+    dense_degrees = [d for d in range(2, 7) if len(monomials(n, d, weights)) > 2][:2]
+    dense = draw(st.sampled_from([0] + dense_degrees))
+    gens = []
+    for v, w in zip(r.varnames, weights):
+        low = max(2, dense // w + 1)
+        gens.append(r.parse(f"{v}^{draw(st.integers(min_value=low, max_value=max(4, low)))}"))
     if dense:
         supports = [monomials(n, dense, weights)]
     else:

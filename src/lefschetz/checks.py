@@ -12,7 +12,8 @@ that ``algebra.algebra_generators`` builds once per algebra.  Multiplication
 by L = sum c_k e_k on A_i is sum c_k X_k over the degree-one maps of
 ``algebra.degree_one_maps``, and the generic form sum a_j g_j over the
 degree-one generators g_j is sum a_j X_{g_j}; those generators parametrise
-the candidate elements and the non-Lefschetz loci.
+the candidate elements and the non-Lefschetz loci, and ``_symbolic_power``
+builds the generic L^d by pushing A_i through sum a_j X_{g_j} d times.
 
 Concrete ranks come from ``RankTable``, which does exact work only where no
 certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
@@ -46,7 +47,6 @@ from .symbolic import (
     fraction_free_echelon,
     poly_det,
     poly_gcd_list,
-    poly_mat_mul,
     squarefree_part,
 )
 
@@ -331,32 +331,35 @@ def slpn_for_element(alg, L) -> LefschetzReport:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_step_matrices(alg) -> list[list[list[Poly]]]:
-    """Multiplication by a generic form with indeterminate coefficients.
+def _symbolic_power(alg, d: int, i: int) -> list[list[Poly]]:
+    """L^d : A_i -> A_{i+d} for the generic form L = sum a_j g_j, with entries
+    in the base field adjoined one variable a_j per degree-one generator g_j.
 
-    Returns, for each degree i, the matrix sum_j a_j X_{g_j} over the
-    degree-one generators g_j (``degree_one_coordinates``), with entries in
-    the base field adjoined one variable a_j per generator.
+    Each unit column of A_i is pushed d times through sum a_j X_{g_j}.  An
+    entry is a dict {exponent of a, one base-(d+1) digit per a_j: coefficient}
+    in plain arithmetic, made a ``Poly`` once, at the end.  The matrix is
+    dim A_{i+d} x dim A_i, and zero if it passes through an empty degree.
     """
-    F = alg.field
     gens = [g for g in algebra_generators(alg) if g.degree == 1]
-    k = len(gens)
-    units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
-    out = []
-    for i in range(alg.socle_degree):
-        terms = [[{} for _ in range(alg.dim(i))] for _ in range(alg.dim(i + 1))]
-        for unit, g in zip(units, gens):
-            for r, col, v in g.maps[i]:
-                terms[r][col][unit] = v
-        out.append([[Poly.make(k, F, t) for t in row] for row in terms])
-    return out
+    k, n, base = len(gens), alg.dim(i), d + 1
+    cur = [[{0: 1} if r == c else {} for c in range(n)] for r in range(n)]
+    for e in range(i, i + d):
+        nxt = [[{} for _ in range(n)] for _ in range(alg.dim(e + 1))]
+        for j, g in enumerate(gens):
+            shift = base**j
+            for r, col, v in g.maps[e]:
+                for src, dst in zip(cur[col], nxt[r]):
+                    for m, c in src.items():
+                        m += shift
+                        dst[m] = dst.get(m, 0) + c * v
+        cur = nxt
+    return [[Poly.make(k, alg.field, {tuple(m // base**j % base for j in range(k)): c for m, c in t.items()})
+             for t in row] for row in cur]
 
 
-def _symbolic_power(sym_steps, d: int, i: int):
-    m = sym_steps[i]
-    for kk in range(i + 1, i + d):
-        m = poly_mat_mul(sym_steps[kk], m)
-    return m
+def _symbolic_step_matrices(alg) -> list[list[list[Poly]]]:
+    """The generic form's step matrices A_i -> A_{i+1}, for i = 0..D-1."""
+    return [_symbolic_power(alg, 1, i) for i in range(alg.socle_degree)]
 
 
 def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -> LefschetzReport:
@@ -438,7 +441,6 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
         and sum(h) <= cfg.symbolic_dim_limit
     )
     if F.characteristic == 0 and (cfg.certify or can_symbolic):
-        sym_steps = _symbolic_step_matrices(alg)
         maps = []
         all_full = True
         for d, i in pairs_id:
@@ -447,7 +449,7 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
             if cached is not None and cached.achieved == exp:
                 maps.append(cached)
                 continue
-            got = fraction_free_echelon(_symbolic_power(sym_steps, d, i), stop_at=exp)
+            got = fraction_free_echelon(_symbolic_power(alg, d, i), stop_at=exp)
             maps.append(MapRecord(i, d, exp, got))
             if got != exp:
                 all_full = False
@@ -561,16 +563,14 @@ def nll_conditions(
     coords = degree_one_coordinates(alg)
     if not coords:
         return []
-    k = len(coords)
-    sym_steps = _symbolic_step_matrices(alg)
     out: list[Poly] = []
     seen = set()
     for d, i in _map_list(alg, modekey):
         r = _expected(alg, d, i)
         if r == 0:
             continue
-        mat = _symbolic_power(sym_steps, d, i)
-        nrows, ncols = len(mat), len(mat[0])
+        mat = _symbolic_power(alg, d, i)
+        nrows, ncols = alg.dim(i + d), alg.dim(i)
         if math.comb(nrows, r) * math.comb(ncols, r) > minor_guard:
             raise ValueError("too many minors; raise minor_guard to proceed")
         minors = []
@@ -580,7 +580,7 @@ def nll_conditions(
         nz = [m for m in minors if not m.is_zero()]
         if not nz:
             # the map can never reach full rank: the locus is everything
-            g = Poly.zero(k, alg.field)
+            g = Poly.zero(len(coords), alg.field)
             key = "0"
         else:
             g = poly_gcd_list(nz)

@@ -546,11 +546,18 @@ def test_perazzo_blowup_symbolic_determinant():
 
 def test_nll_conditions_on_pair_and_blowup_models():
     # the weak locus of the blowup is the squarefree part of the f^2 e^4
-    # determinant above; on the fiber product it is a1 = 0
+    # determinant above; on the fiber product it is a1 = 0.  The strong
+    # conditions were recorded from products of the symbolic step matrices.
     a, t, pi, bug = _perazzo_blowup()
-    assert nll_conditions(bug, "weak") == [Poly.make(6, QQ, {(0, 0, 0, 0, 1, 1): 1})]
+    ef = Poly.make(6, QQ, {(0, 0, 0, 0, 1, 1): 1})
+    assert nll_conditions(bug, "weak") == [ef]
+    cubic = {(1, 0, 0, 2, 0, 0): 1, (0, 1, 0, 1, 1, 0): 1, (0, 0, 1, 0, 2, 0): 1,
+             (1, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 3): Fraction(-1, 3)}
+    assert nll_conditions(bug, "strong") == [ef, Poly.make(6, QQ, cubic)]
     fp = fiber_product(*_example_71())
     assert nll_conditions(fp, "weak") == [Poly.make(3, QQ, {(1, 0, 0): 1})]
+    strong = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0)]
+    assert nll_conditions(fp, "strong") == [Poly.make(3, QQ, {m: 1}) for m in strong]
 
 
 def test_perazzo_blowup_has_slp_base_fails_wlp():

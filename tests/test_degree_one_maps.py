@@ -12,6 +12,8 @@ Because those oracles read the operators under test, the product tables of
 the derived models and of bundled quotients are pinned by digest, sampled
 products are checked against the algebra axioms and the blowup relations,
 and a quotient's operator is checked against reduced polynomial products.
+Every generic power L^d of ``_symbolic_power`` is checked against the chain
+of polynomial matrix products of the per-coordinate step matrices.
 """
 
 import hashlib
@@ -38,6 +40,7 @@ from lefschetz.algebra import (
 from lefschetz.checks import (
     MODULAR_PRIME,
     RankTable,
+    _symbolic_power,
     _symbolic_step_matrices,
     degree_one_coordinates,
     step_matrices,
@@ -53,6 +56,7 @@ from lefschetz.constructions import (
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
 from lefschetz.exactmath import GF, QQ, Matrix, kernel_basis
 from lefschetz.polynomials import DualPoly, Poly, contract, monomials
+from lefschetz.symbolic import poly_mat_mul
 
 FIELDS = [QQ, GF(5), GF(32003)]
 fields = st.sampled_from(FIELDS)
@@ -148,6 +152,30 @@ def old_symbolic_steps(alg, coords):
             mat.append(row)
         out.append(mat)
     return out
+
+
+def chain_power(steps, d, i):
+    """L^d on A_i as the chain of polynomial matrix products of the steps."""
+    m = steps[i]
+    for e in range(i + 1, i + d):
+        m = poly_mat_mul(steps[e], m)
+    return m
+
+
+def assert_symbolic_powers_match(alg):
+    """Every generic power L^d : A_i -> A_{i+d} against the chain of the
+    per-coordinate steps; a chain through an empty degree collapses to [],
+    where the power must be the zero matrix of full shape."""
+    steps = old_symbolic_steps(alg, degree_one_coordinates(alg))
+    D = alg.socle_degree
+    for d in range(1, D + 1):
+        for i in range(D - d + 1):
+            got = _symbolic_power(alg, d, i)
+            assert [len(row) for row in got] == [alg.dim(i)] * alg.dim(i + d), (d, i)
+            if all(alg.dim(e) for e in range(i + 1, i + d)):
+                assert got == chain_power(steps, d, i), (d, i)
+            else:
+                assert all(x.is_zero() for row in got for x in row), (d, i)
 
 
 def assert_maps_match(alg, Lvec):
@@ -271,23 +299,52 @@ QUOTIENT_CASES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(QUOTIENT_CASES))
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_quotient_operator_against_polynomial_products(kind, data):
+def assert_operator_columns(alg, w, v):
     """Column k of a quotient's operator for v in A_w is the normal form of
     the polynomial product v * m_k, which reads no product table."""
-    alg = data.draw(QUOTIENT_CASES[kind])[0]
-    F, D = alg.field, alg.socle_degree
-    w = data.draw(st.integers(0, D))
-    v = element_vector(data.draw, alg, w)
+    F = alg.field
     f = alg.poly(w, v)
-    for i in range(D - w + 1):
+    for i in range(alg.socle_degree - w + 1):
         X = operator_matrix(alg, w, v, i)
         assert (X.rows, X.cols) == (alg.dim(i + w), alg.dim(i))
         for k, e in enumerate(Matrix.identity(F, alg.dim(i)).entries):
             assert X.col(k) == alg.vector(f * alg.poly(i, e), i + w), (w, v, i, k)
         assert_canonical(F, [X])
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTIENT_CASES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_quotient_operator_against_polynomial_products(kind, data):
+    alg = data.draw(QUOTIENT_CASES[kind])[0]
+    w = data.draw(st.integers(0, alg.socle_degree))
+    assert_operator_columns(alg, w, element_vector(data.draw, alg, w))
+
+
+def _dense_quotient(kind, F):
+    """Fixed quotients whose product tables have normal forms of several
+    terms: a dense quadric, a dense weighted form, a dense dual generator."""
+    if kind == "dual_generator":
+        r = Ring(tuple("xyz"), F)
+        return from_dual_generator(r.parse_dual("X^3 + X^2*Y + X*Y*Z + 2*Y^3 + Z^3"), r)
+    weights, gens = {
+        "ideal": ((1, 1, 1), ["x^2 + 2*x*y - y^2 + y*z + 3*z^2", "x^3", "y^3", "z^3"]),
+        "weighted_ideal": ((1, 1, 2), ["x^2 + x*y + 2*y^2 - z", "x^4", "y^4", "z^3"]),
+    }[kind]
+    r = Ring(tuple("xyz"), F, weights)
+    return from_ideal(Ideal(r, tuple(r.parse(g) for g in gens)))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("kind", sorted(QUOTIENT_CASES))
+def test_quotient_operator_on_fixed_dense_quotients(kind, F):
+    """The column check above on every basis vector of every degree of fixed
+    quotients; the bundled quotients all have one-term normal forms."""
+    alg = _dense_quotient(kind, F)
+    for w in range(alg.socle_degree + 1):
+        for v in Matrix.identity(F, alg.dim(w)).entries:
+            assert_operator_columns(alg, w, v)
+    assert any(len(entry) >= 2 for entry in alg._mult_cache.values())
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -527,3 +584,27 @@ PRODUCT_TABLES = {
 def test_product_tables_are_pinned(case):
     build, digest = PRODUCT_TABLES[case]
     assert product_table_digest(build()) == digest
+
+
+# -- generic powers -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTIENT_CASES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_symbolic_powers_of_quotients(kind, data):
+    assert_symbolic_powers_match(data.draw(QUOTIENT_CASES[kind])[0])
+
+
+BUNDLED_ALGEBRAS = sorted(e.name for e in (resources.files("lefschetz") / "data").iterdir() if e.name.endswith(".alg"))
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_symbolic_powers_of_bundled_files(name):
+    assert_symbolic_powers_match(_data_algebra(name))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_symbolic_powers_of_pair_and_blowup_models(model, F):
+    assert_symbolic_powers_match(MODELS[model](F))

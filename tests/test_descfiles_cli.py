@@ -402,3 +402,42 @@ def test_hessian_seed_follows_the_flag_then_the_environment(monkeypatch, capsys,
         monkeypatch.setenv("LEFSCHETZ_SEED", env)
     assert cli.main(["hessian", data_path("sum_of_squares.alg"), *argv]) == 0
     assert seen == [want]
+
+
+# file -> (weak, strong) conditions of ``nll --json``, recorded when the
+# generic powers were products of the symbolic step matrices; None is an
+# input error.  weighted_y3.alg --mode strong (h = 1, 1, 0, 1, 1) raised an
+# IndexError then: its map A_1 -> A_3 passes A_2 = 0, so its locus is "0".
+NLL_CONDITIONS = {
+    "ex71_a.alg": (["a2"], ["a2", "a1*a2"]),
+    "ex71_b.alg": ([], ["a1*a2"]),
+    "ex71_t.alg": (["a1"], ["a1"]),
+    "ikeda.alg": (None, None),
+    "notgor_a.alg": ([], ["a1*a2"]),
+    "notgor_t.alg": (["a1"], ["a1"]),
+    "perazzo.alg": (["0"], ["0", "a1*a4^2 + a2*a4*a5 + a3*a5^2"]),
+    "stanley_333.alg": (None, None),
+    "sum_of_squares.alg": ([], ["a1^2 + a2^2 + a3^2"]),
+    "weighted_y3.alg": (["a1"], ["a1", "0"]),
+    "x2y2.alg": ([], ["a1*a2"]),
+    "x2y2z2.alg": (["a1*a2*a3"], ["a1*a2*a3"]),
+    "x2y2z2_f2.alg": (["0"], ["0"]),
+}
+
+
+def test_nll_conditions_cover_every_bundled_file():
+    assert sorted(NLL_CONDITIONS) == sorted(e.name for e in DATA.iterdir() if e.name.endswith(".alg"))
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+@pytest.mark.parametrize("name", sorted(NLL_CONDITIONS))
+def test_cli_nll_on_every_bundled_file(capsys, name, mode):
+    code = cli.main(["nll", data_path(name), "--mode", mode, "--json"])
+    captured = capsys.readouterr()
+    want = NLL_CONDITIONS[name][mode == "strong"]
+    if want is None:
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["results"]["conditions"] == want

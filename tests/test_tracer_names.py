@@ -3,9 +3,11 @@
 ``perfbench/tracer.py`` looks every traced function up in its owner's
 ``__dict__``; a renamed function would only show when the benchmark runs with
 ``--trace 1``.  Installing the tracer here fails on such a rename; one traced
-decision checks that rank counting and elimination spans still fire, and a
-traced connected sum and blowup that the model spans, whose wrappers look up
-each model's ``multiply``, still fire.
+decision checks that rank counting and elimination spans still fire, a traced
+connected sum and blowup that the model spans, whose wrappers look up each
+model's ``multiply``, still fire, and a traced certified negative that its
+symbolic work lands in the decision and in Bareiss, with no polynomial matrix
+products.
 """
 
 import importlib.util
@@ -66,3 +68,17 @@ def test_tracer_spans_the_construction_models():
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"algebra.operator_matrix", "constructions.pair", "constructions.blowup"} <= names
+
+
+def test_tracer_spans_a_certified_negative():
+    alg = parse_algebra_text(_read("perazzo.alg")).build()
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        rep = checks.slp_generic(alg, checks.GenericityConfig(certify=True))
+    finally:
+        tracer.uninstall()
+    assert (rep.holds, rep.certification) == (False, "symbolic")
+    names = {span[0] for span in tracer.spans}
+    assert {"checks.decide", "symbolic.bareiss"} <= names
+    assert "symbolic.poly_mat_mul" not in names

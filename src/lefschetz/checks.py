@@ -1,11 +1,13 @@
 """Weak/strong/narrow Lefschetz deciders, Jordan types, loci and Hessians.
 
-Concrete linear forms give exact verdicts by rank computations.  Generic
-verdicts are randomized-with-witness: a sampled form whose maps all reach
-full rank is a proof, because rank deficiency is a Zariski-closed condition.
-Negative verdicts escalate to fraction-free symbolic ranks over the function
-field of the coefficients (characteristic zero) or exhaustive search over a
-small finite field.
+Concrete linear forms give exact verdicts by rank computations
+(``report_for_element``).  A generic verdict is the element verdict at a
+well-chosen form, because rank deficiency is a Zariski-closed condition: one
+candidate loop sends seeded forms, or every point of the projective space over
+a small finite field, through ``report_for_element``, and the first form that
+holds is an exact witness.  Negatives keep the best rank seen per map and, in
+characteristic zero, escalate to fraction-free symbolic ranks over the
+function field of the coefficients.
 
 Every algebra model is read through the generator maps X_g : A_i -> A_{i+w}
 that ``algebra.algebra_generators`` builds once per algebra.  Multiplication
@@ -23,18 +25,20 @@ is first ranked modulo the word-size prime ``MODULAR_PRIME``: reducing the
 p-integral matrix entries is a ring map, so a nonzero minor mod p is nonzero
 over QQ and a full rank mod p is a full rank over QQ.  The X_k are reduced
 mod p once per algebra; the certificate is skipped if an X_k or L has a
-denominator divisible by p.  Only maps deficient mod p are ranked over QQ.
+denominator divisible by p.  Only maps deficient mod p are ranked over QQ,
+so the exact step matrices of L are built only on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .algebra import GradedAlgebra, algebra_generators, degree_one_maps
+from .algebra import GradedAlgebra, algebra_generators, degree_one_maps, hilbert_function
 from .exactmath import GF, Matrix, Scalar, det, rank
 from .polynomials import (
     DualPoly,
@@ -163,10 +167,10 @@ def degree_one_vector(alg, L) -> tuple:
 
 def step_matrices(alg, Lvec) -> list[Matrix]:
     """Multiplication by L from each degree i, for i = 0..D-1."""
-    return _combine(alg.field, degree_one_maps(alg), Lvec, _h(alg))
+    return _combine(alg.field, degree_one_maps(alg), Lvec, hilbert_function(alg))
 
 
-def _combine(field, maps: list, coeffs, dims: list[int]) -> list[Matrix]:
+def _combine(field, maps: list, coeffs, dims: Sequence[int]) -> list[Matrix]:
     """The dense matrices sum_k c_k X_k : A_i -> A_{i+1} over ``field``."""
     p = field.characteristic
     zero = field.zero()
@@ -219,8 +223,8 @@ class RankTable:
 
     def __init__(self, alg, Lvec):
         self.alg = alg
-        self.steps = step_matrices(alg, Lvec)
-        self._dims = _h(alg)
+        self._Lvec = Lvec
+        self._dims = hilbert_function(alg)
         self._ranks: dict = {}
         self._mats: dict = {}
         self._mod_mats: dict = {}
@@ -230,6 +234,11 @@ class RankTable:
         if maps is not None and all(c.denominator % MODULAR_PRIME for c in Lvec):
             coeffs = [_MODULAR_FIELD.coerce(c) for c in Lvec]
             self._mod_steps = _combine(_MODULAR_FIELD, maps, coeffs, self._dims)
+
+    @functools.cached_property
+    def steps(self) -> list[Matrix]:
+        """The exact step matrices of L, built on first use."""
+        return step_matrices(self.alg, self._Lvec)
 
     def rank(self, d: int, i: int) -> int:
         D = self.alg.socle_degree
@@ -271,10 +280,6 @@ def _power(steps: list[Matrix], memo: dict, d: int, i: int) -> Matrix:
     return memo[key]
 
 
-def _h(alg) -> list[int]:
-    return [alg.dim(d) for d in range(alg.socle_degree + 1)]
-
-
 def _map_list(alg, mode: str) -> list[tuple[int, int]]:
     """The (d, i) pairs a mode must check."""
     c = alg.socle_degree
@@ -292,26 +297,11 @@ def _expected(alg, d: int, i: int) -> int:
 
 
 def report_for_element(alg, L, mode: str) -> LefschetzReport:
-    Lvec = degree_one_vector(alg, L)
-    table = RankTable(alg, Lvec)
-    h = _h(alg)
-    c = alg.socle_degree
-    maps = []
-    ok = True
-    notes = []
-    for d, i in _map_list(alg, mode):
-        exp = _expected(alg, d, i)
-        got = table.rank(d, i)
-        maps.append(MapRecord(i, d, exp, got))
-        if got != exp:
-            ok = False
-        if mode == "slpn" and h[i] != h[c - i]:
-            ok = False
-    if mode == "slpn":
-        if h != list(reversed(h)):
-            ok = False
-            notes.append("Hilbert function is not symmetric")
-    return LefschetzReport(mode, tuple(maps), ok, None, "element", tuple(notes))
+    table = RankTable(alg, degree_one_vector(alg, L))
+    maps = tuple(MapRecord(i, d, _expected(alg, d, i), table.rank(d, i)) for d, i in _map_list(alg, mode))
+    if mode == "slpn" and not symmetric(hilbert_function(alg)):
+        return LefschetzReport(mode, maps, False, None, "element", ("Hilbert function is not symmetric",))
+    return LefschetzReport(mode, maps, all(m.full for m in maps), None, "element")
 
 
 def wlp_for_element(alg, L) -> LefschetzReport:
@@ -365,114 +355,68 @@ def _symbolic_step_matrices(alg) -> list[list[list[Poly]]]:
 def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -> LefschetzReport:
     """Search for a Lefschetz element; certify negatives when feasible.
 
-    A found witness is exact.  In characteristic zero a certified negative
-    computes generic ranks over the rational function field; over a small
-    finite field the search is exhaustive instead.
+    Lefschetz is an open condition on L, so a generic verdict is the element
+    verdict of ``report_for_element`` at a well-chosen candidate, and one
+    loop decides every candidate: the points of the projective space over a
+    small GF(p) ("exhaustive"), else ``cfg.trials`` seeded ones ("witness").
+    The first candidate that holds is an exact witness.  Otherwise ``best``
+    keeps the highest rank seen per map; in characteristic zero the maps
+    still deficient are ranked over the rational function field of the
+    coefficients, and full generic ranks send 8 more seeded candidates
+    through the same loop to exhibit a witness ("symbolic").
     """
-    F = alg.field
     coords = degree_one_coordinates(alg)
-    h = _h(alg)
-    pairs_id = _map_list(alg, mode)
-    notes: list[str] = []
+    h, p = hilbert_function(alg), alg.field.characteristic
+    best = {(d, i): MapRecord(i, d, _expected(alg, d, i), 0) for d, i in _map_list(alg, mode)}
+    notes: tuple = ()
 
-    symmetric_needed = mode == "slpn"
-    sym_ok = h == list(reversed(h))
-    if symmetric_needed and not sym_ok:
-        maps = tuple(MapRecord(i, d, _expected(alg, d, i), 0) for d, i in pairs_id)
-        return LefschetzReport(
-            mode, maps, False, None, "exact", ("Hilbert function is not symmetric",)
-        )
+    def verdict(holds: bool, cert: str, *extra: str) -> LefschetzReport:
+        return LefschetzReport(mode, tuple(best.values()), holds, None, cert, notes + extra)
 
+    def search(candidates, cert: str) -> Optional[LefschetzReport]:
+        for coeffs in candidates:
+            rep = report_for_element(alg, combine_coordinates(alg, coords, coeffs), mode)
+            if rep.holds:
+                witness = {label: str(c) for (label, _), c in zip(coords, coeffs)}
+                return LefschetzReport(mode, rep.maps, True, witness, cert, notes)
+            for m in rep.maps:
+                if m.achieved > best[m.d, m.i].achieved:
+                    best[m.d, m.i] = m
+        return None
+
+    if mode == "slpn" and not symmetric(h):
+        return verdict(False, "exact", "Hilbert function is not symmetric")
     if not coords:
-        maps = tuple(MapRecord(i, d, _expected(alg, d, i), 0) for d, i in pairs_id)
-        holds = all(m.expected == 0 for m in maps)
-        return LefschetzReport(mode, maps, holds, None, "exact", ("A_1 = 0",))
-
-    def element_maps(coeffs):
-        Lvec = combine_coordinates(alg, coords, coeffs)
-        table = RankTable(alg, Lvec)
-        recs = [MapRecord(i, d, _expected(alg, d, i), table.rank(d, i)) for d, i in pairs_id]
-        return recs
-
-    def witness_report(coeffs, recs, cert):
-        witness = {label: str(cv) for (label, _), cv in zip(coords, coeffs)}
-        holds = all(r.full for r in recs)
-        if symmetric_needed:
-            holds = holds and sym_ok
-        return LefschetzReport(mode, tuple(recs), holds, witness, cert, tuple(notes))
-
-    if F.characteristic != 0:
-        p = F.characteristic
-        if p ** len(coords) <= cfg.exhaustive_limit:
-            best: dict = {}
-            for coeffs in itertools.product(range(p), repeat=len(coords)):
-                if all(x == 0 for x in coeffs):
-                    continue
-                recs = element_maps(coeffs)
-                for r in recs:
-                    key = (r.d, r.i)
-                    best[key] = max(best.get(key, 0), r.achieved)
-                if all(r.full for r in recs):
-                    return witness_report(coeffs, recs, "exhaustive")
-            maps = tuple(
-                MapRecord(i, d, _expected(alg, d, i), best.get((d, i), 0))
-                for d, i in pairs_id
-            )
-            return LefschetzReport(mode, maps, False, None, "exhaustive", tuple(notes))
-        notes.append(f"finite field too large to enumerate ({p}^{len(coords)})")
-
+        return verdict(all(m.full for m in best.values()), "exact", "A_1 = 0")
+    if p and p ** len(coords) <= cfg.exhaustive_limit:
+        # c L has the ranks of L: one point per line, first nonzero coordinate 1
+        points = (c for c in itertools.product(range(p), repeat=len(coords)) if next(filter(None, c), 0) == 1)
+        return search(points, "exhaustive") or verdict(False, "exhaustive")
+    if p:
+        notes = (f"finite field too large to enumerate ({p}^{len(coords)})",)
     rng = random.Random(cfg.seed)
     bound = cfg.effective_bound(alg)
-    best_recs: dict = {}
-    for _ in range(cfg.trials):
-        coeffs = tuple(rng.randint(1, bound) for _ in coords)
-        recs = element_maps(coeffs)
-        for r in recs:
-            key = (r.d, r.i)
-            prev = best_recs.get(key)
-            if prev is None or r.achieved > prev.achieved:
-                best_recs[key] = r
-        if all(r.full for r in recs):
-            return witness_report(coeffs, recs, "witness")
 
-    can_symbolic = (
-        F.characteristic == 0
-        and len(coords) <= cfg.symbolic_ambient_limit
-        and sum(h) <= cfg.symbolic_dim_limit
-    )
-    if F.characteristic == 0 and (cfg.certify or can_symbolic):
-        maps = []
-        all_full = True
-        for d, i in pairs_id:
-            exp = _expected(alg, d, i)
-            cached = best_recs.get((d, i))
-            if cached is not None and cached.achieved == exp:
-                maps.append(cached)
-                continue
-            got = fraction_free_echelon(_symbolic_power(alg, d, i), stop_at=exp)
-            maps.append(MapRecord(i, d, exp, got))
-            if got != exp:
-                all_full = False
-        if all_full:
-            # a common witness exists over the infinite base field; sample
-            # a few more points to exhibit one
-            for _ in range(8):
-                coeffs = tuple(rng.randint(1, bound) for _ in coords)
-                recs = element_maps(coeffs)
-                if all(r.full for r in recs):
-                    return witness_report(coeffs, recs, "symbolic")
-            notes.append("generic ranks are full but no sampled witness; reporting holds")
-            return LefschetzReport(mode, tuple(maps), True, None, "symbolic", tuple(notes))
-        return LefschetzReport(mode, tuple(maps), False, None, "symbolic", tuple(notes))
+    def draws(n: int):
+        return (tuple(rng.randint(1, bound) for _ in coords) for _ in range(n))
 
-    maps = tuple(
-        best_recs[(d, i)]
-        if (d, i) in best_recs
-        else MapRecord(i, d, _expected(alg, d, i), 0)
-        for d, i in pairs_id
-    )
-    notes.append(f"randomized only ({cfg.trials} trials, bound {bound}): negatives are probabilistic")
-    return LefschetzReport(mode, maps, False, None, "randomized", tuple(notes))
+    found = search(draws(cfg.trials), "witness")
+    if found:
+        return found
+    if p == 0 and (cfg.certify or (len(coords) <= cfg.symbolic_ambient_limit
+                                   and sum(h) <= cfg.symbolic_dim_limit)):
+        for key, m in best.items():
+            if not m.full:
+                got = fraction_free_echelon(_symbolic_power(alg, m.d, m.i), stop_at=m.expected)
+                best[key] = replace(m, achieved=got)
+        if not all(m.full for m in best.values()):
+            return verdict(False, "symbolic")
+        # a common witness exists over the infinite base field; sample a few
+        # more points to exhibit one
+        return search(draws(8), "symbolic") or verdict(
+            True, "symbolic", "generic ranks are full but no sampled witness; reporting holds")
+    return verdict(False, "randomized",
+                   f"randomized only ({cfg.trials} trials, bound {bound}): negatives are probabilistic")
 
 
 def wlp_generic(alg, cfg: GenericityConfig = GenericityConfig()) -> LefschetzReport:
@@ -500,7 +444,7 @@ def jordan_type(alg, L) -> JordanType:
 def _jordan_type(table: RankTable) -> JordanType:
     alg = table.alg
     D = alg.socle_degree
-    total = sum(_h(alg))
+    total = sum(hilbert_function(alg))
     r = table.rank
     starts = []
     for i in range(D + 1):
@@ -555,7 +499,7 @@ def nll_conditions(
     The locus lives in the coefficient space of ``degree_one_coordinates``,
     on every algebra model.
     """
-    if sum(_h(alg)) > dim_guard:
+    if sum(hilbert_function(alg)) > dim_guard:
         raise ValueError(f"algebra dimension exceeds the symbolic guard {dim_guard}")
     modekey = {"weak": "wlp", "strong": "slp"}.get(mode)
     if modekey is None:

@@ -34,7 +34,7 @@ from .algebra import (
     operator_matrix,
     pairing_matrix,
 )
-from .checks import GenericityConfig, slp_generic, wlp_generic
+from .checks import GenericityConfig, generic_report
 from .exactmath import Matrix, RowSpace, Scalar, kernel_basis, kernel_space, rank, solve
 from .polynomials import DualPoly, Poly, contract, dual_pairing
 
@@ -758,15 +758,7 @@ def lefschetz_preservation_report(
         raise ValueError(f"unknown preservation statement {theorem!r}")
     names, in_mode, out_mode, extra = specs[theorem]
 
-    def run(alg, mode):
-        fn = {"wlp": wlp_generic, "slp": slp_generic}.get(mode)
-        if fn is not None:
-            return fn(alg, cfg)
-        from .checks import slpn_generic
-
-        return slpn_generic(alg, cfg)
-
-    input_reports = {nm: run(inputs[nm], in_mode) for nm in names}
+    input_reports = {nm: generic_report(inputs[nm], in_mode, cfg) for nm in names}
     hypotheses_ok = all(r.holds for r in input_reports.values())
     side_conditions = {}
     if extra == "equal-socle":
@@ -782,7 +774,7 @@ def lefschetz_preservation_report(
             inputs["A"].socle_degree - inputs["T"].socle_degree <= 2
         )
     hypotheses_ok = hypotheses_ok and all(side_conditions.values())
-    out_report = run(output, out_mode)
+    out_report = generic_report(output, out_mode, cfg)
     consistent = (not hypotheses_ok) or bool(out_report.holds)
     return {
         "theorem": theorem,

@@ -1,19 +1,38 @@
+import itertools
 import math
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lefschetz.checks as checks
 from lefschetz.exactmath import GF, QQ
+from lefschetz.descfiles import parse_algebra_text
 from lefschetz.polynomials import DualPoly, Poly, monomials, to_ordinary
 from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal
+from lefschetz.symbolic import fraction_free_echelon
 from lefschetz.checks import (
     GenericityConfig,
+    LefschetzReport,
+    MapRecord,
+    RankTable,
+    _expected,
+    _map_list,
+    _symbolic_power,
+    combine_coordinates,
+    degree_one_coordinates,
+    degree_one_vector,
+    generic_report,
     h_vector,
     hessian_det,
     hessian_det_at,
     hessian_matrix,
     jordan_type,
     nll_conditions,
+    report_for_element,
     slp_by_hessian,
     slp_for_element,
     slp_generic,
@@ -363,3 +382,266 @@ def test_h_vector_polynomial_identity_oracle():
 def test_genericity_config_rejects_empty_sampling(bad):
     with pytest.raises(ValueError):
         GenericityConfig(**bad)
+
+
+# -- reference oracle for the generic search ----------------------------------
+#
+# Verbatim copies of the former ``report_for_element`` and ``generic_report``,
+# which decided candidates in two closures and three separate loops.  The one
+# candidate loop through ``report_for_element`` must give the same whole
+# report: verdict, witness, certification label, notes and every map rank.
+
+
+def _h(alg) -> list[int]:
+    return [alg.dim(d) for d in range(alg.socle_degree + 1)]
+
+
+def ref_report_for_element(alg, L, mode: str) -> LefschetzReport:
+    Lvec = degree_one_vector(alg, L)
+    table = RankTable(alg, Lvec)
+    h = _h(alg)
+    c = alg.socle_degree
+    maps = []
+    ok = True
+    notes = []
+    for d, i in _map_list(alg, mode):
+        exp = _expected(alg, d, i)
+        got = table.rank(d, i)
+        maps.append(MapRecord(i, d, exp, got))
+        if got != exp:
+            ok = False
+        if mode == "slpn" and h[i] != h[c - i]:
+            ok = False
+    if mode == "slpn":
+        if h != list(reversed(h)):
+            ok = False
+            notes.append("Hilbert function is not symmetric")
+    return LefschetzReport(mode, tuple(maps), ok, None, "element", tuple(notes))
+
+
+def ref_generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -> LefschetzReport:
+    """Search for a Lefschetz element; certify negatives when feasible.
+
+    A found witness is exact.  In characteristic zero a certified negative
+    computes generic ranks over the rational function field; over a small
+    finite field the search is exhaustive instead.
+    """
+    F = alg.field
+    coords = degree_one_coordinates(alg)
+    h = _h(alg)
+    pairs_id = _map_list(alg, mode)
+    notes: list[str] = []
+
+    symmetric_needed = mode == "slpn"
+    sym_ok = h == list(reversed(h))
+    if symmetric_needed and not sym_ok:
+        maps = tuple(MapRecord(i, d, _expected(alg, d, i), 0) for d, i in pairs_id)
+        return LefschetzReport(
+            mode, maps, False, None, "exact", ("Hilbert function is not symmetric",)
+        )
+
+    if not coords:
+        maps = tuple(MapRecord(i, d, _expected(alg, d, i), 0) for d, i in pairs_id)
+        holds = all(m.expected == 0 for m in maps)
+        return LefschetzReport(mode, maps, holds, None, "exact", ("A_1 = 0",))
+
+    def element_maps(coeffs):
+        Lvec = combine_coordinates(alg, coords, coeffs)
+        table = RankTable(alg, Lvec)
+        recs = [MapRecord(i, d, _expected(alg, d, i), table.rank(d, i)) for d, i in pairs_id]
+        return recs
+
+    def witness_report(coeffs, recs, cert):
+        witness = {label: str(cv) for (label, _), cv in zip(coords, coeffs)}
+        holds = all(r.full for r in recs)
+        if symmetric_needed:
+            holds = holds and sym_ok
+        return LefschetzReport(mode, tuple(recs), holds, witness, cert, tuple(notes))
+
+    if F.characteristic != 0:
+        p = F.characteristic
+        if p ** len(coords) <= cfg.exhaustive_limit:
+            best: dict = {}
+            for coeffs in itertools.product(range(p), repeat=len(coords)):
+                if all(x == 0 for x in coeffs):
+                    continue
+                recs = element_maps(coeffs)
+                for r in recs:
+                    key = (r.d, r.i)
+                    best[key] = max(best.get(key, 0), r.achieved)
+                if all(r.full for r in recs):
+                    return witness_report(coeffs, recs, "exhaustive")
+            maps = tuple(
+                MapRecord(i, d, _expected(alg, d, i), best.get((d, i), 0))
+                for d, i in pairs_id
+            )
+            return LefschetzReport(mode, maps, False, None, "exhaustive", tuple(notes))
+        notes.append(f"finite field too large to enumerate ({p}^{len(coords)})")
+
+    rng = random.Random(cfg.seed)
+    bound = cfg.effective_bound(alg)
+    best_recs: dict = {}
+    for _ in range(cfg.trials):
+        coeffs = tuple(rng.randint(1, bound) for _ in coords)
+        recs = element_maps(coeffs)
+        for r in recs:
+            key = (r.d, r.i)
+            prev = best_recs.get(key)
+            if prev is None or r.achieved > prev.achieved:
+                best_recs[key] = r
+        if all(r.full for r in recs):
+            return witness_report(coeffs, recs, "witness")
+
+    can_symbolic = (
+        F.characteristic == 0
+        and len(coords) <= cfg.symbolic_ambient_limit
+        and sum(h) <= cfg.symbolic_dim_limit
+    )
+    if F.characteristic == 0 and (cfg.certify or can_symbolic):
+        maps = []
+        all_full = True
+        for d, i in pairs_id:
+            exp = _expected(alg, d, i)
+            cached = best_recs.get((d, i))
+            if cached is not None and cached.achieved == exp:
+                maps.append(cached)
+                continue
+            got = fraction_free_echelon(_symbolic_power(alg, d, i), stop_at=exp)
+            maps.append(MapRecord(i, d, exp, got))
+            if got != exp:
+                all_full = False
+        if all_full:
+            # a common witness exists over the infinite base field; sample
+            # a few more points to exhibit one
+            for _ in range(8):
+                coeffs = tuple(rng.randint(1, bound) for _ in coords)
+                recs = element_maps(coeffs)
+                if all(r.full for r in recs):
+                    return witness_report(coeffs, recs, "symbolic")
+            notes.append("generic ranks are full but no sampled witness; reporting holds")
+            return LefschetzReport(mode, tuple(maps), True, None, "symbolic", tuple(notes))
+        return LefschetzReport(mode, tuple(maps), False, None, "symbolic", tuple(notes))
+
+    maps = tuple(
+        best_recs[(d, i)]
+        if (d, i) in best_recs
+        else MapRecord(i, d, _expected(alg, d, i), 0)
+        for d, i in pairs_id
+    )
+    notes.append(f"randomized only ({cfg.trials} trials, bound {bound}): negatives are probabilistic")
+    return LefschetzReport(mode, maps, False, None, "randomized", tuple(notes))
+
+
+MODES = ("wlp", "slp", "slpn")
+ORACLE_CONFIGS = (
+    GenericityConfig(seed=2),
+    GenericityConfig(trials=1, certify=True),
+    GenericityConfig(trials=1, symbolic_dim_limit=0),
+)
+
+
+def assert_matches_reference(alg, mode, cfg):
+    rep = generic_report(alg, mode, cfg)
+    assert rep == ref_generic_report(alg, mode, cfg)
+    return rep
+
+
+def bundled(name):
+    return parse_algebra_text((resources.files("lefschetz") / "data" / name).read_text()).build()
+
+
+BUNDLED = sorted(p.name for p in (resources.files("lefschetz") / "data").iterdir() if p.name.endswith(".alg"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_generic_report_matches_reference_on_bundled_files(name):
+    alg = bundled(name)
+    for mode in MODES:
+        for cfg in ORACLE_CONFIGS:
+            assert_matches_reference(alg, mode, cfg)
+
+
+PERAZZO_32003 = "vars: x, y, z, u, v\nfield: Fp(32003)\ndualgen:\nX*U^2 + Y*U*V + Z*V^2\n"
+
+# (algebra, mode, config, certification, verdict, first note): one case per
+# label and note of ``generic_report``
+LABEL_CASES = [
+    (lambda: build("x,y", ["x^2", "x*y", "y^5"]), "slpn", CFG,
+     "exact", False, "Hilbert function is not symmetric"),
+    (lambda: build("z", ["z^2"], weights=[2]), "wlp", CFG, "exact", True, "A_1 = 0"),
+    (lambda: build("z", ["z^2"], weights=[2]), "slp", CFG, "exact", False, "A_1 = 0"),
+    # the first point of P^1(GF(3)) that holds is y: the witness has x = 0
+    (lambda: build("x,y", ["x^2", "x*y", "y^3"], field=GF(3)), "wlp", CFG, "exhaustive", True, None),
+    # the best ranks of this negative are not the ranks of its last point
+    (lambda: build("x,y", ["x^4", "y^3", "x*y + x^2"], field=GF(2)), "slp", CFG, "exhaustive", False, None),
+    (lambda: build("x,y,z", ["x^2", "y^2", "z^3", "x*z + z^2"], field=GF(3)), "slp", CFG,
+     "exhaustive", False, None),
+    (lambda: build("x,y", ["x^2", "y^2"]), "slp", CFG, "witness", True, None),
+    # L^2 = 2b(a - b)xy: the one trial a = b fails, the symbolic rank is full
+    (lambda: build("x,y", ["x^2", "x^2 + 2*x*y + y^2"]), "slp", GenericityConfig(trials=1, bound=1),
+     "symbolic", True, None),
+    (lambda: bundled("perazzo.alg"), "wlp", GenericityConfig(seed=5, certify=True), "symbolic", False, None),
+    (lambda: build("x,y", ["x^2", "x^2 + 2*x*y + y^2"]), "slp",
+     GenericityConfig(trials=1, bound=1, symbolic_dim_limit=0), "randomized", False, "randomized only"),
+    (lambda: build("x,y", ["x^2", "y^2"], field=GF(32003)), "slp", CFG,
+     "witness", True, "finite field too large"),
+    (lambda: parse_algebra_text(PERAZZO_32003).build(), "wlp", CFG,
+     "randomized", False, "finite field too large"),
+]
+
+
+@pytest.mark.parametrize("make, mode, cfg, cert, holds, note", LABEL_CASES)
+def test_generic_report_matches_reference_on_every_label(make, mode, cfg, cert, holds, note):
+    rep = assert_matches_reference(make(), mode, cfg)
+    assert (rep.certification, rep.holds) == (cert, holds)
+    assert (rep.witness is not None) == (holds and cert != "exact")
+    assert bool(rep.notes) == (note is not None)
+    assert not note or rep.notes[0].startswith(note)
+
+
+oracle_fields = st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(32003)])
+
+
+@st.composite
+def oracle_algebras(draw):
+    """Dual-generator (symmetric h) or ideal (often non-symmetric h) algebras."""
+    field = draw(oracle_fields)
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = Ring(tuple("xyz"[:n]), field)
+    coeff = st.integers(min_value=1, max_value=field.characteristic - 1 if field.characteristic else 4)
+    if draw(st.booleans()):
+        deg = draw(st.integers(min_value=2, max_value=4))
+        support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=4, unique=True))
+        return from_dual_generator(DualPoly.make(n, field, {m: draw(coeff) for m in support}), r)
+    gens = [r.parse(f"{v}^{draw(st.integers(min_value=2, max_value=4))}") for v in r.varnames]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        deg = draw(st.integers(min_value=2, max_value=3))
+        support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=3, unique=True))
+        gens.append(Poly.make(n, field, {m: draw(coeff) for m in support}))
+    return from_ideal(Ideal(r, tuple(gens)))
+
+
+@given(oracle_algebras(), st.sampled_from(MODES), st.sampled_from(ORACLE_CONFIGS),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_reports_match_reference_on_drawn_algebras(alg, mode, cfg, coeffs):
+    assert_matches_reference(alg, mode, cfg)
+    L = coeffs[: alg.dim(1)]
+    assert report_for_element(alg, L, mode) == ref_report_for_element(alg, L, mode)
+
+
+def test_exhaustive_negative_decides_one_point_per_line(monkeypatch):
+    # L^3 = 0 in characteristic 3, so no point holds: each of the
+    # (3^3 - 1)/2 points of P^2(GF(3)) is decided once
+    alg = build("x,y,z", ["x^3", "y^3", "z^3"], field=GF(3))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return combine_coordinates(*args)
+
+    monkeypatch.setattr(checks, "combine_coordinates", counting)
+    rep = slp_generic(alg, CFG)
+    assert (rep.holds, rep.certification) == (False, "exhaustive")
+    assert len(calls) == (3**3 - 1) // 2
+    assert all(next(c for c in coeffs if c) == 1 for coeffs in calls)

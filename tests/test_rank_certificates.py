@@ -103,6 +103,18 @@ def test_denominator_divisible_by_the_prime_skips_the_modular_path():
     alg = from_ideal(Ideal(r, (r.parse("x^3"),)))
     table = RankTable(alg, degree_one_vector(alg, (Fraction(1, MODULAR_PRIME),)))
     assert [table.rank(d, i) for d, i in [(2, 0), (1, 0), (1, 1)]] == [1, 1, 1]
+    assert "steps" in table.__dict__
+
+
+def test_maps_settled_modulo_the_prime_never_build_the_exact_steps():
+    r = Ring(("x", "y", "z"), QQ)
+    alg = from_ideal(Ideal(r, tuple(r.parse(g) for g in ("x^2", "y^3", "z^3"))))
+    table = RankTable(alg, degree_one_vector(alg, r.parse("x + 2*y - 3*z")))
+    D = alg.socle_degree
+    ranks = {(d, i): table.rank(d, i) for d in range(1, D + 1) for i in range(D - d + 1)}
+    assert all(r == min(alg.dim(i), alg.dim(i + d)) for (d, i), r in ranks.items())
+    assert "steps" not in table.__dict__
+    assert [s.rows for s in table.steps] == [alg.dim(i + 1) for i in range(D)]
 
 
 def test_injective_narrow_maps_do_not_certify_without_symmetry():

@@ -5,8 +5,9 @@ Builds the seeded corpus of ``perfbench`` for one workload, runs every job
 once unprofiled (so memoised tables are as warm as in a benchmark run), once
 more unprofiled with each job timed, then once more under cProfile.  It
 prints the slowest jobs of the timed pass with their wall times, which shows
-the jobs that set the benchmark's ``job_tail_ms``, and then the functions
-with the most self time.
+the jobs that set the benchmark's ``job_tail_ms``, then the functions
+with the most self time, then the toolkit's functions (those under
+``lefschetz/``) with the most cumulative time, callees included.
 
     python3 scripts/profile_workload.py --workload ci-ladder --seed 5 --top 25
 
@@ -85,7 +86,10 @@ def main(argv=None) -> int:
           f"jobs, the last one listed sets job_tail_ms):")
     for t, job_id in slowest:
         print(f"  {1000 * t:9.1f} ms  {job_id}")
-    pstats.Stats(prof, stream=sys.stdout).sort_stats("tottime").print_stats(args.top)
+    stats = pstats.Stats(prof, stream=sys.stdout)
+    stats.sort_stats("tottime").print_stats(args.top)
+    # cumulative time includes callees; the toolkit's own functions only
+    stats.sort_stats("cumulative").print_stats("lefschetz/", args.top)
     return 1 if failed else 0
 
 

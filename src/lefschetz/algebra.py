@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import array
 import functools
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, kernel_basis, kernel_space
+from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, dense, kernel_space
 from .polynomials import (
     DualPoly,
     Monomial,
@@ -208,10 +209,10 @@ def inverse_system(ideal: Ideal, d: int) -> list[DualPoly]:
     pieces = _IdealPieces(ideal.ring, ideal.generators)
     pieces.extend_to(d)
     monos = pieces.monos[d]
-    out = []
-    for v in kernel_basis(pieces.spaces[d].dense_matrix()):
-        out.append(DualPoly.make(ideal.ring.nvars, ideal.ring.field, dict(zip(monos, v))))
-    return out
+    return [
+        DualPoly.make(ideal.ring.nvars, ideal.ring.field, {monos[c]: x for c, x in v.items()})
+        for v in pieces.spaces[d].kernel().values()
+    ]
 
 
 class GradedAlgebra:
@@ -412,15 +413,14 @@ class GradedAlgebra:
         if self._dual_generator is not None:
             return self._dual_generator
         D = self.socle_degree
-        kern = kernel_basis(self._spaces[D].dense_matrix())
+        kern = list(self._spaces[D].kernel().values())
         if len(kern) != 1:
             raise NotGorensteinError(
                 f"top ideal piece has perp of dimension {len(kern)}, not 1"
             )
         if not is_gorenstein(self):
             raise NotGorensteinError("socle is not one-dimensional")
-        v = kern[0]
-        F = DualPoly.make(self.nvars, self.field, dict(zip(self._monos[D], v)))
+        F = DualPoly.make(self.nvars, self.field, {self._monos[D][c]: x for c, x in kern[0].items()})
         # normalise so the pairing with the standard monomial of A_D is 1
         c = F.coefficient(self._std[D][0])
         F = F.scale(self.field.inv(c))
@@ -479,11 +479,14 @@ def from_ideal(ideal: Ideal, max_degree: Optional[int] = None) -> GradedAlgebra:
 
 
 def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
-    """Apell construction: the Gorenstein quotient by the annihilator of F.
+    """The apolar (Macaulay inverse-system) construction: the Gorenstein
+    quotient by the annihilator of F.
 
-    The ideal piece of degree d is the kernel of the catalecticant (degree-d
-    monomials contracted into F, against degree-(D - d) ones), read off one
-    elimination in reduced form by ``kernel_space``.
+    The ideal piece of degree d is the kernel of the degree-d catalecticant,
+    whose row for a monomial t of degree D - d is the contraction t o F: a
+    term c X^[m] puts c at row t, column m - t, for every divisor t of m.  One
+    pass over F's terms builds the nonzero rows of every degree, and each
+    kernel is read off one elimination in reduced form by ``kernel_space``.
     """
     if F.is_zero():
         raise ValueError("dual generator must be nonzero")
@@ -492,17 +495,16 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
     if F.nvars != ring.nvars:
         raise ValueError("variable-count mismatch")
     D = F.degree(ring.weights)
-    fmap = {m: c for m, c in F.terms}
-    z = ring.field.zero()
-    monos_all = []
-    spaces = []
-    for d in range(D + 1):
-        monos = ring.monomials(d)
-        target = ring.monomials(D - d)
-        rows = tuple(tuple(fmap.get(mono_mul(t, s), z) for s in monos) for t in target)
-        monos_all.append(monos)
-        spaces.append(kernel_space(Matrix(ring.field, len(monos), rows)))
-    return GradedAlgebra(ring, D, monos_all, spaces, dual_generator_poly=F)
+    monos = [ring.monomials(d) for d in range(D + 1)]
+    idx = [{m: i for i, m in enumerate(ms)} for ms in monos]
+    rows: list[dict] = [{} for _ in range(D + 1)]  # degree d -> {t: row of t o F}
+    for m, c in F.terms:
+        for t in itertools.product(*(range(e + 1) for e in m)):
+            s = tuple(a - b for a, b in zip(m, t))
+            d = mono_degree(s, ring.weights)
+            rows[d].setdefault(t, {})[idx[d][s]] = c
+    spaces = [kernel_space(ring.field, len(monos[d]), rows[d].values()) for d in range(D + 1)]
+    return GradedAlgebra(ring, D, monos, spaces, dual_generator_poly=F)
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +650,15 @@ def socle_vectors(alg) -> list[tuple[int, tuple]]:
         nd = alg.dim(d)
         if nd == 0:
             continue
-        rows: dict[tuple, list] = {}
+        rows: dict[tuple, dict] = {}  # (generator, row of its map) -> sparse row
         for n, g in enumerate(gens):
             if d + g.degree <= D:
                 for r, c, v in g.maps[d]:
-                    rows.setdefault((n, r), [F.zero()] * nd)[c] = v
-        for v in kernel_basis(Matrix(F, nd, tuple(map(tuple, rows.values())))):
-            out.append((d, v))
+                    rows.setdefault((n, r), {})[c] = v
+        space = RowSpace(F, nd)
+        for row in rows.values():
+            space.add(row)
+        out.extend((d, dense(F, nd, v)) for v in space.kernel().values())
     return out
 
 
@@ -725,12 +729,6 @@ def same_degreewise_ideal(a: GradedAlgebra, b: GradedAlgebra) -> bool:
         return False
     if a.ring.varnames != b.ring.varnames or a.ring.weights != b.ring.weights:
         return False
-    for d in range(a.socle_degree + 1):
-        ra = a.ideal_space(d)
-        rb = b.ideal_space(d)
-        if ra.rank != rb.rank or ra.pivots() != rb.pivots():
-            return False
-        for row in ra.rref_rows():
-            if not rb.contains(row):
-                return False
-    return True
+    # the reduced row echelon form of a space is unique
+    degrees = range(a.socle_degree + 1)
+    return all(a.ideal_space(d).rref_rows() == b.ideal_space(d).rref_rows() for d in degrees)

@@ -122,7 +122,7 @@ def _finish(args, report: dict, human: str) -> int:
     return 0
 
 
-def _base_report(args, command: str, inputs, results: dict, cert=None) -> dict:
+def _base_report(command: str, inputs, results: dict, cert=None) -> dict:
     rep = {
         "schema": 1,
         "command": command,
@@ -150,7 +150,7 @@ def cmd_hilbert(args) -> int:
         "symmetric": symmetric(h),
     }
     human = primary
-    return _finish(args, _base_report(args, "hilbert", [digest], results), human)
+    return _finish(args, _base_report("hilbert", [digest], results), human)
 
 
 def cmd_socle(args) -> int:
@@ -170,14 +170,14 @@ def cmd_socle(args) -> int:
         [f"socle dimension {len(soc)}; gorenstein: {gor}"]
         + [f"  degree {it['degree']}: {it['element']}" for it in items]
     )
-    return _finish(args, _base_report(args, "socle", [digest], results), human)
+    return _finish(args, _base_report("socle", [digest], results), human)
 
 
 def cmd_dualgen(args) -> int:
     alg, digest = _load_algebra(args.file, cap=args.cap)
     text = alg.ring.format(alg.dual_generator())
     results = {"primary": text, "dual_generator": text}
-    return _finish(args, _base_report(args, "dualgen", [digest], results), text)
+    return _finish(args, _base_report("dualgen", [digest], results), text)
 
 
 def cmd_ann(args) -> int:
@@ -185,7 +185,7 @@ def cmd_ann(args) -> int:
     gens = alg.minimal_generators()
     texts = [alg.ring.format(g) for g in gens]
     results = {"primary": "; ".join(texts), "generators": texts}
-    return _finish(args, _base_report(args, "ann", [digest], results), "\n".join(texts))
+    return _finish(args, _base_report("ann", [digest], results), "\n".join(texts))
 
 
 def cmd_check(args) -> int:
@@ -218,7 +218,7 @@ def cmd_check(args) -> int:
         human_lines.append(f"note: {note}")
     return _finish(
         args,
-        _base_report(args, f"check --mode {args.mode}", [digest], results, cert),
+        _base_report(f"check --mode {args.mode}", [digest], results, cert),
         "\n".join(human_lines),
     )
 
@@ -231,7 +231,7 @@ def cmd_jordan(args) -> int:
         **jt.as_dict(),
     }
     human = f"jordan type: {list(jt.parts)}; strand starts: {list(jt.starts)}"
-    return _finish(args, _base_report(args, "jordan", [digest], results), human)
+    return _finish(args, _base_report("jordan", [digest], results), human)
 
 
 def cmd_hessian(args) -> int:
@@ -245,7 +245,7 @@ def cmd_hessian(args) -> int:
             "size": alg.dim(args.degree),
             "vanishes": det.is_zero(),
         }
-        return _finish(args, _base_report(args, "hessian", [digest], results), text)
+        return _finish(args, _base_report("hessian", [digest], results), text)
     rep = slp_by_hessian(alg, seed=_seed(args))
     verdict = "holds" if rep["slp"] else "fails"
     results = {"primary": f"slp {verdict}", **rep}
@@ -258,7 +258,7 @@ def cmd_hessian(args) -> int:
         )
     return _finish(
         args,
-        _base_report(args, "hessian", [digest], results),
+        _base_report("hessian", [digest], results),
         "\n".join(human),
     )
 
@@ -274,7 +274,7 @@ def cmd_nll(args) -> int:
     human = "non-" + args.mode + " Lefschetz locus: " + (
         " = 0; ".join(texts) + " = 0" if texts else "empty (codimension >= 2 only)"
     )
-    return _finish(args, _base_report(args, "nll", [digest], results), human)
+    return _finish(args, _base_report("nll", [digest], results), human)
 
 
 def cmd_sl2(args) -> int:
@@ -298,7 +298,7 @@ def cmd_sl2(args) -> int:
     human = "weights: " + ", ".join(
         f"{w} (dim {k})" for w, k in weights.items()
     )
-    return _finish(args, _base_report(args, "sl2", [digest], results), human)
+    return _finish(args, _base_report("sl2", [digest], results), human)
 
 
 def cmd_hvector(args) -> int:
@@ -309,7 +309,7 @@ def cmd_hvector(args) -> int:
     hv = h_vector(f, args.dim)
     primary = " ".join(str(x) for x in hv)
     results = {"primary": primary, "h_vector": list(hv)}
-    return _finish(args, _base_report(args, "hvector", [], results), primary)
+    return _finish(args, _base_report("hvector", [], results), primary)
 
 
 # -- constructions -------------------------------------------------------------
@@ -368,7 +368,7 @@ def _emit_constructed(args, command, inputs, alg_like, extra: dict) -> int:
             raise InputError(f"cannot write {args.out}: {exc}")
         human_lines.append(f"wrote {args.out}")
     return _finish(
-        args, _base_report(args, command, inputs, results), "\n".join(human_lines)
+        args, _base_report(command, inputs, results), "\n".join(human_lines)
     )
 
 
@@ -466,22 +466,9 @@ def cmd_paper_suite(args) -> int:
     results = suite_mod.run_all(verbose=not args.json)
     passed = sum(1 for r in results if r["ok"])
     failed = len(results) - passed
-    report = _base_report(
-        args,
-        "paper-suite",
-        [],
-        {
-            "primary": f"{passed}/{len(results)} passed",
-            "cases": results,
-            "passed": passed,
-            "failed": failed,
-        },
-    )
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(f"{passed}/{len(results)} cases passed")
-    return 0 if failed == 0 else 1
+    primary = f"{passed}/{len(results)} passed"
+    report = _base_report("paper-suite", [], {"primary": primary, "cases": results, "passed": passed, "failed": failed})
+    return _finish(args, report, f"{passed}/{len(results)} cases passed") or int(failed > 0)
 
 
 # -- argument parsing -----------------------------------------------------------

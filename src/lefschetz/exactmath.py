@@ -6,9 +6,10 @@ carries the characteristic and supplies scalar arithmetic, so matrices and
 polynomials stay lightweight.
 
 ``RowSpace`` is the one elimination engine.  ``rref``, ``rank``,
-``kernel_basis``, ``kernel_space``, ``solve``, ``invert`` and ``det`` on
-dense matrices are views of it: they feed the rows into a fresh ``RowSpace``
-and read the answer off its reduced rows and pivots.
+``kernel_basis``, ``solve``, ``invert`` and ``det`` on dense matrices, and
+``kernel_space`` on sparse rows, are views of it: they feed the rows into a
+fresh ``RowSpace`` and read the answer off its reduced rows and pivots.
+Every kernel is read by one method, ``RowSpace.kernel``.
 
 The hot kernels (``RowSpace.reduce``/``RowSpace.add`` and ``Matrix.mul``)
 rely on that representation instead of calling ``FieldSpec`` per scalar:
@@ -280,9 +281,7 @@ def _dots(field: FieldSpec, row: Sequence[Scalar], cols: Sequence[Sequence[Scala
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form, padded with zero rows, and the pivot columns."""
-    space = RowSpace(m.field, m.cols)
-    for row in m.entries:
-        space.add(dict(enumerate(row)))
+    space = _row_space(m)
     red = space.dense_matrix()
     pad = Matrix.zero(m.field, m.rows - red.rows, m.cols)
     return Matrix(m.field, m.cols, red.entries + pad.entries), space.pivots()
@@ -292,46 +291,39 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def _row_space(m: Matrix) -> RowSpace:
+    space = RowSpace(m.field, m.cols)
+    for row in m.entries:
+        space.add(dict(enumerate(row)))
+    return space
+
+
+def dense(field: FieldSpec, n: int, vec: dict[int, Scalar]) -> tuple:
+    """The sparse vector vec as a tuple of length n."""
+    z = field.zero()
+    return tuple(vec.get(c, z) for c in range(n))
+
+
 def kernel_basis(m: Matrix) -> list[tuple]:
-    """Basis of the right kernel, one vector per free column.
-
-    Each vector has a 1 in its own free column and 0 in every other free
-    column, so coordinates of any kernel element can be read off the free
-    positions directly.
-    """
-    F = m.field
-    red, pivots = rref(m)
-    ncols = m.cols
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [F.zero()] * ncols
-        v[fcol] = F.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(red.entries[r][fcol])
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right kernel, one vector per free column: the vectors of
+    ``RowSpace.kernel`` of m's rows, densified."""
+    return [dense(m.field, m.cols, v) for v in _row_space(m).kernel().values()]
 
 
-def kernel_space(m: Matrix) -> RowSpace:
-    """The right kernel of m as a RowSpace, from one elimination.
+def kernel_space(field: FieldSpec, ncols: int, rows: Iterable[dict[int, Scalar]]) -> RowSpace:
+    """The right kernel of the matrix with these sparse rows, as a RowSpace.
 
     With the columns eliminated in reverse order, the kernel vector of a free
     column is 1 there and otherwise nonzero only at pivot columns after it,
-    and every other kernel vector is 0 there: the ``kernel_basis`` vectors
-    are already the kernel's reduced rows, so none is eliminated again.
+    and every other kernel vector is 0 there: the vectors of ``kernel`` are
+    already the kernel's reduced rows, so adding them eliminates nothing.
     """
-    F, n = m.field, m.cols
-    rev = RowSpace(F, n)
-    for row in m.entries:
-        rev.add({n - 1 - c: v for c, v in enumerate(row)})
-    out = RowSpace(F, n)
-    out._rows = {n - 1 - c: {n - 1 - c: F.one()} for c in range(n) if c not in rev._rows}
-    for pc, row in rev._rows.items():
-        for c, v in row.items():
-            if c != pc:
-                out._rows[n - 1 - c][n - 1 - pc] = F.neg(v)
-    out._cols = {c for row in out._rows.values() for c in row}
+    rev = RowSpace(field, ncols)
+    for row in rows:
+        rev.add({ncols - 1 - c: v for c, v in row.items()})
+    out = RowSpace(field, ncols)
+    for v in rev.kernel().values():
+        out.add({ncols - 1 - c: x for c, x in v.items()})
     return out
 
 
@@ -411,8 +403,7 @@ class RowSpace:
 
     ``_cols`` holds every column at which some stored row may be nonzero (a
     superset is fine).  A new pivot outside it occurs in no stored row, so
-    ``add`` back-substitutes only when the pivot is in it; code that writes
-    ``_rows`` directly must fill ``_cols`` too.
+    ``add`` back-substitutes only when the pivot is in it.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
@@ -477,6 +468,19 @@ class RowSpace:
         self._cols.update(norm)
         self._rows[pc] = norm
         return True
+
+    def kernel(self) -> dict[int, dict[int, Scalar]]:
+        """The right kernel: for each free column f, in increasing f, the
+        vector that is 1 at f, -row[f] at each stored row's pivot and 0
+        elsewhere, every other free column included.  A stored row is zero at
+        the other pivots, so its entries off its pivot are at free columns."""
+        p, one = self.field.characteristic, self.field.one()
+        out = {f: {f: one} for f in range(self.ncols) if f not in self._rows}
+        for pc, row in self._rows.items():
+            for c, x in row.items():
+                if c != pc:
+                    out[c][pc] = -x % p if p else -x
+        return out
 
     def contains(self, row: dict[int, Scalar]) -> bool:
         return not self.reduce(row)

@@ -29,6 +29,7 @@ from lefschetz.checks import (
 )
 from lefschetz.constructions import (
     AlgebraMap,
+    BlowupAlgebra,
     algebra_map,
     blowup,
     blowup_square_commutes,
@@ -452,6 +453,18 @@ def test_blowup_exceptional_divisor_and_square():
     assert tt.hilbert_function() == (1, 2, 2, 1)
     assert is_gorenstein(tt)
     assert blowup_square_commutes(bug, tt)
+
+
+def test_blowup_square_reads_one_operator_per_first_factor_and_weight(monkeypatch):
+    a, t, pi = _blowup_notgor()
+    bug = blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    tt = exceptional_divisor(t, bug.t_coeffs, bug.lam, bug.tau_t)
+    calls = []
+    original = BlowupAlgebra.operator
+    monkeypatch.setattr(BlowupAlgebra, "operator", lambda self, *args: calls.append(args) or original(self, *args))
+    assert blowup_square_commutes(bug, tt)
+    # one per variable of A (the first factor) and weight of the second
+    assert 0 < len(calls) <= a.nvars * len(set(a.ring.weights))
 
 
 def test_blowup_lambda_zero_rejected():

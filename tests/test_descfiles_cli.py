@@ -356,6 +356,16 @@ def test_cli_paper_suite_passes():
     assert rep["results"]["passed"] >= 25
 
 
+@pytest.mark.parametrize("expect, code, err_lines", [("0/29 passed", 1, 1), ("29/29 passed", 0, 0)])
+def test_cli_paper_suite_expect(expect, code, err_lines):
+    out = run_cli("paper-suite", "--expect", expect)
+    assert out.returncode == code
+    assert out.stdout.splitlines()[-1] == "29/29 cases passed"
+    assert len(out.stderr.splitlines()) == err_lines
+    if err_lines:
+        assert out.stderr == f"expected {expect!r}, got '29/29 passed'\n"
+
+
 # -- in-process runs ------------------------------------------------------------
 
 

@@ -171,7 +171,7 @@ def test_kernel_space_is_the_reduced_kernel(m):
     space = RowSpace(m.field, m.cols)
     for v in kernel_basis(m):
         space.add(dict(enumerate(v)))
-    got = kernel_space(m)
+    got = kernel_space(m.field, m.cols, [dict(enumerate(row)) for row in m.entries])
     assert got.rref_rows() == space.rref_rows()
     assert got.pivots() == space.pivots()
     assert_canonical(m.field, [x for row in got.rref_rows() for x in row.values()])
@@ -187,7 +187,7 @@ def add_sequences(draw):
     sparse = st.dictionaries(st.integers(min_value=0, max_value=n - 1), entries, max_size=3)
     if draw(st.booleans()):
         rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
-        space = kernel_space(Matrix(F, n, tuple(map(tuple, rows))))
+        space = kernel_space(F, n, [dict(enumerate(row)) for row in rows])
         made_from = space.rref_rows()
     else:
         space, made_from = RowSpace(F, n), []

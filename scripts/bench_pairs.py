@@ -10,10 +10,13 @@ and their bounds come from PARENT's ``BENCHMARK.json``; nothing in either
 checkout is written to except what ``perfbench/run.py`` itself writes.
 
 Every pair is printed, then, per end-to-end metric: both medians, the
-interquartile range of PARENT's runs, the number of pairs CHANGE won, and
-whether CHANGE's median is worse than PARENT's by more than the bound (a
-fraction of PARENT's median).  The exit status is 1 if any metric is worse
-beyond its bound or any run fails, 0 otherwise.
+interquartile range of PARENT's runs, the number of pairs CHANGE won, and a
+verdict.  WORSE: CHANGE's median is worse than PARENT's by more than the
+bound (a fraction of PARENT's median).  UNRESOLVED: PARENT's own runs spread
+wider than that bound (IQR above bound x median), so a change within the
+bound cannot be told from noise, unless every CHANGE run beats every PARENT
+run.  The exit status is 1 if any metric is WORSE or any run fails, 0
+otherwise; UNRESOLVED alone does not fail.
 """
 
 from __future__ import annotations
@@ -60,6 +63,17 @@ def worse_beyond_bound(metric: dict, change: float, parent: float) -> bool:
     return change > parent * (1 + metric["bound"])
 
 
+def classify(metric: dict, parent: list, change: list) -> str:
+    """"WORSE", "UNRESOLVED" or "" for one metric's runs (see the module doc)."""
+    p_med = statistics.median(parent)
+    if worse_beyond_bound(metric, statistics.median(change), p_med):
+        return "WORSE"
+    beats_all = all(better(metric, c, p) for c in change for p in parent)
+    if iqr(parent) > metric["bound"] * abs(p_med) and not beats_all:
+        return "UNRESOLVED"
+    return ""
+
+
 def iqr(values: list) -> float:
     if len(values) < 2:
         return 0.0
@@ -87,9 +101,9 @@ def main(argv=None) -> int:
         change = [r[name] for r in runs["change"]]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         wins = sum(better(m, c, p) for p, c in zip(parent, change))
-        flag = ""
-        if worse_beyond_bound(m, c_med, p_med):
-            flag, status = f"  WORSE beyond bound {m['bound']:g}", 1
+        verdict = classify(m, parent, change)
+        flag = f"  {verdict} (bound {m['bound']:g})" if verdict else ""
+        status |= verdict == "WORSE"
         print(f"  {name:12s} median {p_med:10.4g} / {c_med:10.4g} {m['unit']:5s}"
               f"  parent IQR {iqr(parent):8.3g}  change wins {wins}/{args.pairs}{flag}")
     return status

@@ -14,8 +14,9 @@ that ``algebra.algebra_generators`` builds once per algebra.  Multiplication
 by L = sum c_k e_k on A_i is sum c_k X_k over the degree-one maps of
 ``algebra.degree_one_maps``, and the generic form sum a_j g_j over the
 degree-one generators g_j is sum a_j X_{g_j}; those generators parametrise
-the candidate elements and the non-Lefschetz loci, and ``_symbolic_power``
-builds the generic L^d by pushing A_i through sum a_j X_{g_j} d times.
+the candidate elements and the non-Lefschetz loci.  Every power L^d, concrete,
+modular or generic, comes from one builder, ``PowerChains``: L on A_i is the
+sparse step, and each further power pushes its columns through the next step.
 
 Concrete ranks come from ``RankTable``, which does exact work only where no
 certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
@@ -26,7 +27,7 @@ p-integral matrix entries is a ring map, so a nonzero minor mod p is nonzero
 over QQ and a full rank mod p is a full rank over QQ.  The X_k are reduced
 mod p once per algebra; the certificate is skipped if an X_k or L has a
 denominator divisible by p.  Only maps deficient mod p are ranked over QQ,
-so the exact step matrices of L are built only on first use.
+so the exact chain of L is pushed only on first use.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algebra import GradedAlgebra, algebra_generators, degree_one_maps, hilbert_function
-from .exactmath import GF, Matrix, Scalar, det, rank
+from .exactmath import GF, Matrix, Scalar, dense, det, rank
 from .polynomials import (
     DualPoly,
     Poly,
@@ -127,7 +128,7 @@ class JordanType:
 
 
 # ---------------------------------------------------------------------------
-# Degree-one coordinates and concrete rank tables
+# Degree-one coordinates, powers of a linear form and concrete rank tables
 # ---------------------------------------------------------------------------
 
 
@@ -165,33 +166,68 @@ def degree_one_vector(alg, L) -> tuple:
     return vec
 
 
-def step_matrices(alg, Lvec) -> list[Matrix]:
-    """Multiplication by L from each degree i, for i = 0..D-1."""
-    return _combine(alg.field, degree_one_maps(alg), Lvec, hilbert_function(alg))
+class PowerChains:
+    """L^d : A_i -> A_{i+d} for one linear form L, as sparse columns.
+
+    The entry (row, col, value) of X_k : A_e -> A_{e+1} (``maps[e][k]``) adds
+    c * value at key offset * stride + row of column col of the step of L on
+    A_e, for ``terms[k] = (offset, c)``: offsets are 0 for a concrete L, and
+    pack an exponent of a above the row for the generic form.  L^1 on A_i is
+    the step; each further power is one push, memoised per A_i."""
+
+    def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple]):
+        self.field, self.dims, self.stride, self._p = field, dims, max(dims) + 1, field.characteristic
+        self.steps = []
+        for e, per_k in enumerate(maps):
+            step = [{} for _ in range(dims[e])]
+            for (offset, c), entries in zip(terms, per_k):
+                for r, col, v in entries if c else ():
+                    key = offset * self.stride + r
+                    step[col][key] = step[col].get(key, 0) + c * v
+            self.steps.append([_nonzero(col, self._p) for col in step])
+        self._chains: dict = {}  # i -> [columns of L^1, L^2, ... on A_i]
+
+    def power(self, d: int, i: int) -> list[dict]:
+        """The columns of L^d on A_i for d >= 1: the step itself for d = 1,
+        then one push per further degree."""
+        chain = self._chains.setdefault(i, [self.steps[i]])
+        while len(chain) < d:
+            chain.append(_push(chain[-1], self.steps[i + len(chain)], self.stride, self._p))
+        return chain[d - 1]
+
+    def image(self, vec: Sequence, e: int) -> tuple:
+        """L vec for a dense vector of A_e, pushed through the same step."""
+        (col,) = _push([{r: x for r, x in enumerate(vec) if x}], self.steps[e], self.stride, self._p)
+        return dense(self.field, self.dims[e + 1], col)
 
 
-def _combine(field, maps: list, coeffs, dims: Sequence[int]) -> list[Matrix]:
-    """The dense matrices sum_k c_k X_k : A_i -> A_{i+1} over ``field``."""
-    p = field.characteristic
-    zero = field.zero()
+def _push(cols: list[dict], step: list[dict], stride: int, p: int) -> list[dict]:
+    """Sparse columns on A_e pushed through one step into A_{e+1}: a key's row
+    selects the step's column, whose keys add on top of the key's exponent."""
     out = []
-    for i, per_k in enumerate(maps):
-        rows = [[zero] * dims[i] for _ in range(dims[i + 1])]
-        for c, entries in zip(coeffs, per_k):
-            if c:
-                for r, col, v in entries:
-                    rows[r][col] += c * v
-        if p:
-            rows = [[x % p for x in row] for row in rows]
-        out.append(Matrix(field, dims[i], tuple(map(tuple, rows))))
+    for col in cols:
+        acc: dict = {}
+        get = acc.get
+        for key, x in col.items():
+            r = key % stride
+            base = key - r
+            for k, v in step[r].items():
+                k += base
+                acc[k] = get(k, 0) + x * v
+        out.append(_nonzero(acc, p))
     return out
 
 
-def power_map_matrix(steps: list[Matrix], d: int, i: int) -> Matrix:
-    m = steps[i]
-    for k in range(i + 1, i + d):
-        m = steps[k].mul(m)
-    return m
+def _nonzero(col: dict, p: int) -> dict:
+    return {k: v % p for k, v in col.items() if v % p} if p else {k: v for k, v in col.items() if v}
+
+
+def power_map_matrix(table: "RankTable", d: int, i: int, modular: bool = False) -> Matrix:
+    """L^d : A_i -> A_{i+d} of a rank table's form as a dense dim A_{i+d} x dim A_i
+    matrix (zero through an empty degree); ``modular``: modulo ``MODULAR_PRIME``."""
+    chains = table.mod_chains if modular else table.chains
+    cols, z = chains.power(d, i), chains.field.zero()
+    return Matrix(chains.field, len(cols), tuple(tuple(c.get(r, z) for c in cols) for r in range(chains.dims[i + d])))
 
 
 # Word-size prime for the modular certificate over QQ (see ``RankTable``).
@@ -212,13 +248,13 @@ class RankTable:
     the check, but d = 1 uses it once it has been made.  If one narrow map
     is deficient, every map is ranked.
 
-    Modular certificate over QQ: the step matrices modulo ``MODULAR_PRIME``
-    are sum (c_k mod p)(X_k mod p), with the X_k reduced once per algebra
+    Modular certificate over QQ: ``mod_chains`` push through
+    sum (c_k mod p)(X_k mod p), with the X_k reduced once per algebra
     (skipped if an X_k or L has a denominator divisible by p).  Reduction
     mod p is a ring map from the p-integral rationals, so a minor that is
     nonzero mod p is nonzero over QQ, and the rank mod p is at most the rank
     over QQ.  A map of full rank mod p therefore has full rank over QQ; only
-    maps deficient mod p are ranked again over QQ.
+    maps deficient mod p are ranked again, on the exact ``chains``.
     """
 
     def __init__(self, alg, Lvec):
@@ -226,19 +262,17 @@ class RankTable:
         self._Lvec = Lvec
         self._dims = hilbert_function(alg)
         self._ranks: dict = {}
-        self._mats: dict = {}
-        self._mod_mats: dict = {}
         self._narrow: Optional[bool] = None
-        self._mod_steps = None
+        self.mod_chains: Optional[PowerChains] = None
         maps = degree_one_maps(alg, MODULAR_PRIME) if alg.field.characteristic == 0 else None
         if maps is not None and all(c.denominator % MODULAR_PRIME for c in Lvec):
-            coeffs = [_MODULAR_FIELD.coerce(c) for c in Lvec]
-            self._mod_steps = _combine(_MODULAR_FIELD, maps, coeffs, self._dims)
+            terms = [(0, _MODULAR_FIELD.coerce(c)) for c in Lvec]
+            self.mod_chains = PowerChains(_MODULAR_FIELD, self._dims, maps, terms)
 
     @functools.cached_property
-    def steps(self) -> list[Matrix]:
-        """The exact step matrices of L, built on first use."""
-        return step_matrices(self.alg, self._Lvec)
+    def chains(self) -> PowerChains:
+        """The exact chains of L, built on first use."""
+        return PowerChains(self.alg.field, self._dims, degree_one_maps(self.alg), [(0, c) for c in self._Lvec])
 
     def rank(self, d: int, i: int) -> int:
         D = self.alg.socle_degree
@@ -262,22 +296,12 @@ class RankTable:
         key = (d, i)
         if key not in self._ranks:
             r = -1
-            if self._mod_steps is not None:
-                r = rank(_power(self._mod_steps, self._mod_mats, d, i))
+            if self.mod_chains is not None:
+                r = rank(power_map_matrix(self, d, i, modular=True))
             if r < min(self._dims[i], self._dims[i + d]):
-                r = rank(_power(self.steps, self._mats, d, i))
+                r = rank(power_map_matrix(self, d, i))
             self._ranks[key] = r
         return self._ranks[key]
-
-
-def _power(steps: list[Matrix], memo: dict, d: int, i: int) -> Matrix:
-    """L^d on A_i, built as L on A_{i+d-1} times L^{d-1} on A_i, memoised."""
-    if d == 1:
-        return steps[i]
-    key = (d, i)
-    if key not in memo:
-        memo[key] = steps[i + d - 1].mul(_power(steps, memo, d - 1, i))
-    return memo[key]
 
 
 def _map_list(alg, mode: str) -> list[tuple[int, int]]:
@@ -321,30 +345,30 @@ def slpn_for_element(alg, L) -> LefschetzReport:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_power(alg, d: int, i: int) -> list[list[Poly]]:
-    """L^d : A_i -> A_{i+d} for the generic form L = sum a_j g_j, with entries
-    in the base field adjoined one variable a_j per degree-one generator g_j.
-
-    Each unit column of A_i is pushed d times through sum a_j X_{g_j}.  An
-    entry is a dict {exponent of a, one base-(d+1) digit per a_j: coefficient}
-    in plain arithmetic, made a ``Poly`` once, at the end.  The matrix is
-    dim A_{i+d} x dim A_i, and zero if it passes through an empty degree.
-    """
+def _generic_powers(alg, top: int):
+    """A reader power(d, i) of L^d : A_i -> A_{i+d}, d <= top, for the generic
+    form sum a_j g_j over the degree-one generators g_j: chains through
+    sum a_j X_{g_j}, a_j adding one base-(top+1) digit to the packed exponent
+    of a, each entry made a ``Poly`` at the end, A_i pushed once per reader."""
     gens = [g for g in algebra_generators(alg) if g.degree == 1]
-    k, n, base = len(gens), alg.dim(i), d + 1
-    cur = [[{0: 1} if r == c else {} for c in range(n)] for r in range(n)]
-    for e in range(i, i + d):
-        nxt = [[{} for _ in range(n)] for _ in range(alg.dim(e + 1))]
-        for j, g in enumerate(gens):
-            shift = base**j
-            for r, col, v in g.maps[e]:
-                for src, dst in zip(cur[col], nxt[r]):
-                    for m, c in src.items():
-                        m += shift
-                        dst[m] = dst.get(m, 0) + c * v
-        cur = nxt
-    return [[Poly.make(k, alg.field, {tuple(m // base**j % base for j in range(k)): c for m, c in t.items()})
-             for t in row] for row in cur]
+    k, base, dims = len(gens), top + 1, hilbert_function(alg)
+    maps = [[g.maps[e] for g in gens] for e in range(alg.socle_degree)]
+    chains = PowerChains(alg.field, dims, maps, [(base**j, 1) for j in range(k)])
+
+    def power(d: int, i: int) -> list[list[Poly]]:
+        rows = [[{} for _ in range(dims[i])] for _ in range(dims[i + d])]
+        for c, col in enumerate(chains.power(d, i)):
+            for key, x in col.items():
+                m, r = divmod(key, chains.stride)
+                rows[r][c][tuple(m // base**j % base for j in range(k))] = x
+        return [[Poly.make(k, alg.field, t) for t in row] for row in rows]
+
+    return power
+
+
+def _symbolic_power(alg, d: int, i: int) -> list[list[Poly]]:
+    """The generic L^d : A_i -> A_{i+d} (see ``_generic_powers``)."""
+    return _generic_powers(alg, d)(d, i)
 
 
 def _symbolic_step_matrices(alg) -> list[list[list[Poly]]]:
@@ -405,10 +429,11 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
         return found
     if p == 0 and (cfg.certify or (len(coords) <= cfg.symbolic_ambient_limit
                                    and sum(h) <= cfg.symbolic_dim_limit)):
-        for key, m in best.items():
-            if not m.full:
-                got = fraction_free_echelon(_symbolic_power(alg, m.d, m.i), stop_at=m.expected)
-                best[key] = replace(m, achieved=got)
+        deficient = [m for m in best.values() if not m.full]
+        power = _generic_powers(alg, max((m.d for m in deficient), default=0))
+        for m in deficient:
+            got = fraction_free_echelon(power(m.d, m.i), stop_at=m.expected)
+            best[m.d, m.i] = replace(m, achieved=got)
         if not all(m.full for m in best.values()):
             return verdict(False, "symbolic")
         # a common witness exists over the infinite base field; sample a few
@@ -509,11 +534,12 @@ def nll_conditions(
         return []
     out: list[Poly] = []
     seen = set()
+    power = _generic_powers(alg, alg.socle_degree)
     for d, i in _map_list(alg, modekey):
         r = _expected(alg, d, i)
         if r == 0:
             continue
-        mat = _symbolic_power(alg, d, i)
+        mat = power(d, i)
         nrows, ncols = alg.dim(i + d), alg.dim(i)
         if math.comb(nrows, r) * math.comb(ncols, r) > minor_guard:
             raise ValueError("too many minors; raise minor_guard to proceed")

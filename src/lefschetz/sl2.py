@@ -45,22 +45,6 @@ class WeightDecomposition:
         return ()
 
 
-def _sub(a: Matrix, b: Matrix) -> Matrix:
-    F = a.field
-    return Matrix(
-        F,
-        a.cols,
-        tuple(
-            tuple(F.sub(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(a.entries, b.entries)
-        ),
-    )
-
-
-def _bracket(a: Matrix, b: Matrix) -> Matrix:
-    return _sub(a.mul(b), b.mul(a))
-
-
 def verify_triple(t: Sl2Triple) -> bool:
     """Exact check of [E,F]=H, [H,E]=2E, [H,F]=-2F."""
     for m in (t.e, t.h, t.f):
@@ -73,14 +57,13 @@ def verify_triple(t: Sl2Triple) -> bool:
         raise ValueError("sl2 machinery requires characteristic zero")
 
     def scaled(m: Matrix, c: int) -> Matrix:
-        return Matrix(
-            F, m.cols, tuple(tuple(F.mul(F.from_int(c), x) for x in r) for r in m.entries)
-        )
+        return Matrix(F, m.cols, tuple(tuple(F.mul(F.from_int(c), x) for x in r) for r in m.entries))
 
+    # [A, B] = C as AB = BA + C
     return (
-        _bracket(t.e, t.f) == t.h
-        and _bracket(t.h, t.e) == scaled(t.e, 2)
-        and _bracket(t.h, t.f) == scaled(t.f, -2)
+        t.e.mul(t.f) == t.f.mul(t.e).add(t.h)
+        and t.h.mul(t.e) == t.e.mul(t.h).add(scaled(t.e, 2))
+        and t.h.mul(t.f) == t.f.mul(t.h).add(scaled(t.f, -2))
     )
 
 
@@ -141,7 +124,7 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
             )
     dims = [alg.dim(k) for k in range(c + 1)]
     z = F.zero()
-    steps = table.steps
+    steps = [power_map_matrix(table, 1, k) for k in range(c)]
     # per degree k: (chain vector in A_k, its image under F in A_{k-1})
     chains: list[list[tuple]] = [[] for _ in range(c + 1)]
     for s in range(c // 2 + 1):
@@ -149,7 +132,7 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
             continue
         d = c - 2 * s  # strands starting in A_s end in A_{c-s}
         # primitive vectors: the kernel of L^{d+1} : A_s -> A_{c-s+1}
-        power = power_map_matrix(steps, d + 1, s) if s else Matrix(F, dims[0], ())
+        power = power_map_matrix(table, d + 1, s) if s else Matrix(F, dims[0], ())
         for v in kernel_basis(power):
             below = (z,) * (dims[s - 1] if s else 0)
             for j in range(d + 1):
@@ -157,7 +140,7 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
                 if j < d:
                     coeff = F.from_int((j + 1) * (d - j))
                     below = tuple(F.mul(coeff, x) for x in v)
-                    v = steps[s + j].mul_vec(v)
+                    v = table.chains.image(v, s + j)
     f_blocks = []
     for k in range(c + 1):
         # C_k is square exactly when A_k holds dim A_k chain vectors
@@ -171,7 +154,7 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
     for k in range(c + 1):
         ef = steps[k - 1].mul(f_blocks[k]) if k else Matrix.zero(F, dims[k], dims[k])
         fe = f_blocks[k + 1].mul(steps[k]) if k < c else Matrix.zero(F, dims[k], dims[k])
-        if _sub(ef, fe) != _scalar(F, dims[k], 2 * k - c):
+        if ef != fe.add(_scalar(F, dims[k], 2 * k - c)):
             raise AssertionError("constructed operators fail the bracket relations")
 
     return Sl2Triple(
@@ -194,18 +177,7 @@ def weight_decomposition(h: Matrix, candidates=None) -> WeightDecomposition:
     spaces = []
     found = 0
     for lam in candidates if candidates is not None else range(-n, n + 1):
-        shifted = Matrix(
-            F,
-            n,
-            tuple(
-                tuple(
-                    F.sub(x, F.from_int(lam)) if i == j else x
-                    for j, x in enumerate(row)
-                )
-                for i, row in enumerate(h.entries)
-            ),
-        )
-        kern = kernel_basis(shifted)
+        kern = kernel_basis(h.add(_scalar(F, n, -lam)))
         if kern:
             spaces.append((lam, tuple(kern)))
             found += len(kern)

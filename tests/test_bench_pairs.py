@@ -1,0 +1,55 @@
+"""Verdicts of ``scripts/bench_pairs.py`` on synthetic parent/change runs.
+
+The script is loaded by path, the way ``test_tracer_names`` loads the tracer.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load()
+RATE = {"name": "jobs_per_s", "better": "higher", "bound": 0.1}
+LATENCY = {"name": "job_p50_ms", "better": "lower", "bound": 0.2}
+TIGHT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+WIDE = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]
+
+
+@pytest.mark.parametrize("metric, parent, change, verdict", [
+    # tight parent runs: a change within the bound is resolved either way
+    (RATE, TIGHT, [x * 0.95 for x in TIGHT], ""),
+    (RATE, TIGHT, [x * 1.05 for x in TIGHT], ""),
+    (RATE, TIGHT, [x * 0.85 for x in TIGHT], "WORSE"),
+    (LATENCY, TIGHT, [x * 1.25 for x in TIGHT], "WORSE"),
+    (LATENCY, TIGHT, [x * 0.5 for x in TIGHT], ""),
+    # parent IQR (40) above bound x median (10 jobs/s, 20 ms): unresolved
+    # unless every change run beats every parent run
+    (RATE, WIDE, WIDE, "UNRESOLVED"),
+    (RATE, WIDE, [x * 1.05 for x in WIDE], "UNRESOLVED"),
+    (RATE, WIDE, [150.0 + k for k in range(10)], ""),
+    (LATENCY, WIDE, [50.0 + k for k in range(10)], ""),
+    (LATENCY, WIDE, [x * 1.1 for x in WIDE], "UNRESOLVED"),
+    # worse beyond the bound stays WORSE however wide the spread
+    (RATE, WIDE, [x * 0.5 for x in WIDE], "WORSE"),
+])
+def test_classify(metric, parent, change, verdict):
+    assert bench_pairs.classify(metric, parent, change) == verdict
+
+
+def test_unresolved_does_not_fail_the_run(monkeypatch, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "jobs_per_s", "unit": "jobs/s", '
+                                             '"better": "higher", "bound": 0.1}]}')
+    runs = iter([{"jobs_per_s": x} for pair in zip(WIDE, WIDE) for x in pair])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, args: next(runs))
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "10"]) == 0
+    assert "UNRESOLVED" in capsys.readouterr().out

@@ -645,3 +645,43 @@ def test_exhaustive_negative_decides_one_point_per_line(monkeypatch):
     assert (rep.holds, rep.certification) == (False, "exhaustive")
     assert len(calls) == (3**3 - 1) // 2
     assert all(next(c for c in coeffs if c) == 1 for coeffs in calls)
+
+
+PERAZZO_D6 = "X*U^5*V + Y*U*V^5 + Z*U^2*V^4"
+
+
+# (algebra, deficient (d, i) maps, pushes): on the degree-6 form L^2 on A_2
+# is read off the chain that L^3 on A_2 needs, so 7 pushes where pushing
+# every map from its own L would take 8
+@pytest.mark.parametrize("make, deficient, pushed", [
+    (lambda: bundled("perazzo.alg"), [(1, 1)], 0),
+    (lambda: from_dual_generator(ring("x,y,z,u,v").parse_dual(PERAZZO_D6), ring("x,y,z,u,v")),
+     [(1, 3), (2, 2), (2, 3), (3, 2), (5, 1)], 7),
+], ids=["perazzo", "perazzo-d6"])
+def test_generic_escalation_pushes_each_degree_once(make, deficient, pushed, monkeypatch):
+    # the escalation pushes each A_i once, to its largest deficient d; L on
+    # A_i is the step itself, so that chain takes d - 1 pushes.  Pushes made
+    # while deciding candidate elements are not counted.
+    alg = make()
+    pushes, deciding = [], []
+    push, decide = checks._push, checks.report_for_element
+
+    def counted(*args):
+        if not deciding:
+            pushes.append(args)
+        return push(*args)
+
+    def decide_quietly(*args):
+        deciding.append(args)
+        try:
+            return decide(*args)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(checks, "_push", counted)
+    monkeypatch.setattr(checks, "report_for_element", decide_quietly)
+    rep = slp_generic(alg, GenericityConfig(certify=True))
+    assert (rep.holds, rep.certification) == (False, "symbolic")
+    assert sorted((m.d, m.i) for m in rep.maps if not m.full) == deficient
+    top = {i: max(d for d, j in deficient if j == i) for _, i in deficient}
+    assert len(pushes) == sum(d - 1 for d in top.values()) == pushed

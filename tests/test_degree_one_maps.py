@@ -1,8 +1,9 @@
-"""Generator maps and the step matrices built from them, model by model.
+"""Generator maps and the steps of L built from them, model by model.
 
 ``algebra_generators`` stores each generator's map X_g : A_i -> A_{i+w};
-``step_matrices`` and ``RankTable`` combine the degree-one maps X_k of
-``degree_one_maps`` with the coordinates of L, and ``socle_vectors`` takes the
+``RankTable``'s exact and modular chains combine the degree-one maps X_k of
+``degree_one_maps`` with the coordinates of L (read back as the dense
+``power_map_matrix(table, 1, i)``), and ``socle_vectors`` takes the
 common kernel of the X_g.  The oracles build each map as the model's operator
 (``operator_matrix``, the one multiplication path, which every model composes
 from its parts' operators), and the socle from every basis vector of every
@@ -43,7 +44,7 @@ from lefschetz.checks import (
     _symbolic_power,
     _symbolic_step_matrices,
     degree_one_coordinates,
-    step_matrices,
+    power_map_matrix,
 )
 from lefschetz.constructions import (
     algebra_map,
@@ -179,21 +180,22 @@ def assert_symbolic_powers_match(alg):
 
 
 def assert_maps_match(alg, Lvec):
-    F = alg.field
-    got = step_matrices(alg, Lvec)
-    want = [operator_matrix(alg, 1, Lvec, i) for i in range(alg.socle_degree)]
+    F, D = alg.field, alg.socle_degree
+    table = RankTable(alg, Lvec)
+    got = [power_map_matrix(table, 1, i) for i in range(D)]
+    want = [operator_matrix(alg, 1, Lvec, i) for i in range(D)]
     assert got == want
     assert_canonical(F, got)
     if F.characteristic == 0:
         mod = GF(MODULAR_PRIME)
-        table = RankTable(alg, Lvec)
         if degree_one_maps(alg, MODULAR_PRIME) is None or any(
             c.denominator % MODULAR_PRIME == 0 for c in Lvec
         ):
-            assert table._mod_steps is None
+            assert table.mod_chains is None
         else:
-            assert table._mod_steps == [Matrix.from_rows(mod, m.entries, ncols=m.cols) for m in want]
-            assert_canonical(mod, table._mod_steps)
+            mod_steps = [power_map_matrix(table, 1, i, modular=True) for i in range(D)]
+            assert mod_steps == [Matrix.from_rows(mod, m.entries, ncols=m.cols) for m in want]
+            assert_canonical(mod, mod_steps)
     coords = degree_one_coordinates(alg)
     assert _symbolic_step_matrices(alg) == old_symbolic_steps(alg, coords)
 
@@ -362,7 +364,8 @@ def test_maps_without_degree_one(F):
     alg = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
     assert alg.dim(1) == 0
     assert_maps_match(alg, ())
-    assert all(m.is_zero() for m in step_matrices(alg, ()))
+    table = RankTable(alg, ())
+    assert all(power_map_matrix(table, 1, i).is_zero() for i in range(alg.socle_degree))
 
 
 def test_map_denominator_divisible_by_the_prime_skips_the_modular_path():

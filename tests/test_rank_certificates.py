@@ -1,43 +1,123 @@
-"""Certified ranks of ``RankTable`` against plain exact ranks over QQ.
+"""Certified ranks and power matrices of ``RankTable`` against dense references.
 
 ``RankTable`` skips exact work in two ways: bijective narrow maps certify
 every power map, and a full rank modulo ``MODULAR_PRIME`` certifies a full
-rank over QQ.  Each (d, i) it reports must be the QQ rank of the product of
-the step matrices.
+rank over QQ.  Each (d, i) it reports must be the exact rank of L^d : A_i ->
+A_{i+d}.  Its powers are sparse column chains (``PowerChains``); the
+references below are the dense step matrices and their products that the
+toolkit used before, kept verbatim: every ``power_map_matrix(table, d, i)``,
+exact and modular, must equal the dense product over every field, on
+quotients, dual-generator algebras, the fiber product, the connected sum and
+the blowup, across a vanishing middle degree too.
 """
 
 from fractions import Fraction
 from importlib import resources
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal
+from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal, hilbert_function
 from lefschetz.checks import (
     MODULAR_PRIME,
     RankTable,
     degree_one_vector,
     power_map_matrix,
-    step_matrices,
 )
-from lefschetz.descfiles import parse_algebra_text
-from lefschetz.exactmath import QQ, rank
+from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_product
+from lefschetz.descfiles import parse_algebra_text, parse_map_text
+from lefschetz.exactmath import GF, QQ, Matrix, rank
 from lefschetz.polynomials import DualPoly, Poly, monomials
+
+
+def ref_step_matrices(alg, Lvec) -> list[Matrix]:
+    """Multiplication by L from each degree i, for i = 0..D-1."""
+    return ref_combine(alg.field, degree_one_maps(alg), Lvec, hilbert_function(alg))
+
+
+def ref_combine(field, maps: list, coeffs, dims: Sequence[int]) -> list[Matrix]:
+    """The dense matrices sum_k c_k X_k : A_i -> A_{i+1} over ``field``."""
+    p = field.characteristic
+    zero = field.zero()
+    out = []
+    for i, per_k in enumerate(maps):
+        rows = [[zero] * dims[i] for _ in range(dims[i + 1])]
+        for c, entries in zip(coeffs, per_k):
+            if c:
+                for r, col, v in entries:
+                    rows[r][col] += c * v
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        out.append(Matrix(field, dims[i], tuple(map(tuple, rows))))
+    return out
+
+
+def ref_power_map_matrix(steps: list[Matrix], d: int, i: int) -> Matrix:
+    m = steps[i]
+    for k in range(i + 1, i + d):
+        m = steps[k].mul(m)
+    return m
+
+
+def ref_power(steps: list[Matrix], memo: dict, d: int, i: int) -> Matrix:
+    """L^d on A_i, built as L on A_{i+d-1} times L^{d-1} on A_i, memoised."""
+    if d == 1:
+        return steps[i]
+    key = (d, i)
+    if key not in memo:
+        memo[key] = steps[i + d - 1].mul(ref_power(steps, memo, d - 1, i))
+    return memo[key]
+
+
+def all_pairs(alg):
+    D = alg.socle_degree
+    return [(d, i) for d in range(1, D + 1) for i in range(D - d + 1)]
+
+
+def assert_canonical(m: Matrix):
+    p = m.field.characteristic
+    for x in (x for row in m.entries for x in row):
+        assert type(x) is int and 0 <= x < p if p else type(x) is Fraction, (m.field, x)
 
 
 def assert_certified_ranks(alg, L):
     Lvec = degree_one_vector(alg, L)
-    steps = step_matrices(alg, Lvec)
-    D = alg.socle_degree
-    pairs = [(d, i) for d in range(1, D + 1) for i in range(D - d + 1)]
-    want = {(d, i): rank(power_map_matrix(steps, d, i)) for d, i in pairs}
+    steps = ref_step_matrices(alg, Lvec)
+    pairs = all_pairs(alg)
+    want = {(d, i): rank(ref_power_map_matrix(steps, d, i)) for d, i in pairs}
     # ascending d makes the d = 1 ranks exact; descending d asks for the
     # narrow certificate first, so d = 1 may be read off it
     for order in (pairs, pairs[::-1]):
         table = RankTable(alg, Lvec)
         got = {(d, i): table.rank(d, i) for d, i in order}
         assert got == want
+
+
+def assert_powers_match(alg, Lvec):
+    """Every rank and every power of ``RankTable``, exact and modular, against
+    the dense references."""
+    F = alg.field
+    assert_certified_ranks(alg, Lvec)
+    steps, memo = ref_step_matrices(alg, Lvec), {}
+    table = RankTable(alg, Lvec)
+    # descending d pushes each chain to its top first; the shorter powers
+    # are then read off the memoised chain
+    for d, i in all_pairs(alg)[::-1]:
+        got = power_map_matrix(table, d, i)
+        assert got == ref_power(steps, memo, d, i) == ref_power_map_matrix(steps, d, i), (d, i)
+        assert_canonical(got)
+    maps = degree_one_maps(alg, MODULAR_PRIME) if F.characteristic == 0 else None
+    if maps is None or any(c.denominator % MODULAR_PRIME == 0 for c in Lvec):
+        assert table.mod_chains is None
+        return
+    mod = GF(MODULAR_PRIME)
+    mod_steps, mod_memo = ref_combine(mod, maps, [mod.coerce(c) for c in Lvec], hilbert_function(alg)), {}
+    for d, i in all_pairs(alg):
+        got = power_map_matrix(table, d, i, modular=True)
+        assert got == ref_power(mod_steps, mod_memo, d, i), (d, i)
+        assert_canonical(got)
 
 
 coefficients = st.integers(min_value=-3, max_value=3)
@@ -90,12 +170,103 @@ def test_certified_ranks_bundled(name, coeffs):
     assert_certified_ranks(alg, Poly.linear_form(alg.nvars, QQ, coeffs[: alg.nvars]))
 
 
+FIELDS = [QQ, GF(2), GF(5), GF(32003)]
+# over QQ, MODULAR_PRIME makes a map deficient modulo the prime (the exact
+# chain is pushed) and 1/MODULAR_PRIME skips the modular chains
+form_coefficients = st.sampled_from([0, 1, -1, 2, 3, Fraction(2, 3), MODULAR_PRIME, Fraction(1, MODULAR_PRIME)])
+
+
+@st.composite
+def field_algebras(draw):
+    """Quotients by powers of the variables plus random forms, and algebras of
+    dual generators, over every field."""
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = Ring(tuple("xyz"[:n]), F)
+    nonzero = coefficients.filter(lambda c: F.coerce(c))
+    if draw(st.booleans()):
+        deg = draw(st.integers(min_value=1, max_value=4))
+        support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=4, unique=True))
+        terms = {m: F.coerce(draw(nonzero)) for m in support}
+        alg = from_dual_generator(DualPoly.make(n, F, terms), r)
+    else:
+        gens = [r.parse(f"{v}^{draw(st.integers(min_value=1, max_value=4))}") for v in r.varnames]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            deg = draw(st.integers(min_value=2, max_value=3))
+            support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=3, unique=True))
+            gens.append(Poly.make(n, F, {m: F.coerce(draw(nonzero)) for m in support}))
+        alg = from_ideal(Ideal(r, tuple(gens)))
+    return alg, draw(form_vectors(alg))
+
+
+@st.composite
+def form_vectors(draw, alg):
+    F = alg.field
+    coeffs = draw(st.lists(form_coefficients, min_size=alg.dim(1), max_size=alg.dim(1)))
+    return tuple(F.coerce(c) for c in coeffs)
+
+
+@given(field_algebras())
+@settings(max_examples=60, deadline=None)
+def test_powers_match_the_dense_references(case):
+    assert_powers_match(*case)
+
+
+def _bundled(name, F):
+    return (resources.files("lefschetz") / "data" / name).read_text().replace("QQ", str(F))
+
+
+def _example_71(F):
+    a, b, t = (parse_algebra_text(_bundled(f"ex71_{k}.alg", F)).build() for k in "abt")
+    pa = algebra_map(a, t, parse_map_text(_bundled("ex71_map_a.map", F), a.ring, t.ring))
+    pb = algebra_map(b, t, parse_map_text(_bundled("ex71_map_b.map", F), b.ring, t.ring))
+    return a, b, t, pa, pb
+
+
+def _notgor_blowup(F):
+    a, t = (parse_algebra_text(_bundled(f"notgor_{k}.alg", F)).build() for k in "at")
+    pi = algebra_map(a, t, parse_map_text(_bundled("notgor_map.map", F), a.ring, t.ring))
+    return blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+
+
+CONSTRUCTIONS = {
+    "fiber_product": lambda F: fiber_product(*_example_71(F)),
+    "connected_sum": lambda F: connected_sum(*_example_71(F)),
+    "blowup": _notgor_blowup,
+}
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_powers_of_constructions_match_the_dense_references(name, F, data):
+    alg = CONSTRUCTIONS[name](F)
+    assert_powers_match(alg, data.draw(form_vectors(alg)))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_powers_across_a_vanishing_middle_degree(F, data):
+    # weights (1, 3): A_2 = 0, so L^d through degree 2 is the zero map
+    r = Ring(("x", "y"), F, (1, 3))
+    alg = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
+    assert alg.hilbert_function() == (1, 1, 0, 1, 1)
+    Lvec = data.draw(form_vectors(alg))
+    assert_powers_match(alg, Lvec)
+    table = RankTable(alg, Lvec)
+    assert power_map_matrix(table, 3, 0) == Matrix.zero(F, 1, 1)
+
+
 def test_modular_deficiency_falls_back_to_qq():
     # L = P x vanishes modulo the certificate's prime, but not over QQ
     r = Ring(("x",), QQ)
     alg = from_ideal(Ideal(r, (r.parse("x^3"),)))
     table = RankTable(alg, degree_one_vector(alg, (MODULAR_PRIME,)))
     assert [table.rank(d, i) for d, i in [(1, 0), (1, 1), (2, 0)]] == [1, 1, 1]
+    assert "chains" in table.__dict__
+    assert_powers_match(alg, table._Lvec)
 
 
 def test_denominator_divisible_by_the_prime_skips_the_modular_path():
@@ -103,7 +274,8 @@ def test_denominator_divisible_by_the_prime_skips_the_modular_path():
     alg = from_ideal(Ideal(r, (r.parse("x^3"),)))
     table = RankTable(alg, degree_one_vector(alg, (Fraction(1, MODULAR_PRIME),)))
     assert [table.rank(d, i) for d, i in [(2, 0), (1, 0), (1, 1)]] == [1, 1, 1]
-    assert "steps" in table.__dict__
+    assert table.mod_chains is None
+    assert "chains" in table.__dict__
 
 
 def test_maps_settled_modulo_the_prime_never_build_the_exact_steps():
@@ -113,8 +285,9 @@ def test_maps_settled_modulo_the_prime_never_build_the_exact_steps():
     D = alg.socle_degree
     ranks = {(d, i): table.rank(d, i) for d in range(1, D + 1) for i in range(D - d + 1)}
     assert all(r == min(alg.dim(i), alg.dim(i + d)) for (d, i), r in ranks.items())
-    assert "steps" not in table.__dict__
-    assert [s.rows for s in table.steps] == [alg.dim(i + 1) for i in range(D)]
+    assert "chains" not in table.__dict__
+    want = ref_step_matrices(alg, table._Lvec)
+    assert [power_map_matrix(table, 1, i) for i in range(D)] == want
 
 
 def test_injective_narrow_maps_do_not_certify_without_symmetry():

@@ -1,9 +1,16 @@
+import hashlib
+import json
 from collections import Counter
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from lefschetz import cli
+from lefschetz.descfiles import parse_algebra_text
 from lefschetz.exactmath import QQ, Matrix, rank
 from lefschetz.algebra import Ideal, Ring, from_ideal
+from lefschetz.polynomials import Poly
 from lefschetz.checks import slpn_for_element
 from lefschetz.sl2 import (
     Sl2Triple,
@@ -275,3 +282,68 @@ def test_triple_requires_characteristic_zero():
     a = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
     with pytest.raises(ValueError):
         triple_from_lefschetz(a, a.ring.parse("x + y"))
+
+
+# SHA-256 of the E, H and F entries of ``triple_from_lefschetz`` and of the
+# ``lefschetz sl2 --json`` bytes (run from the data directory), recorded when
+# the triple was built from dense products of the step matrices.
+RUNG_TRIPLES = {
+    (3, 3, 3): "08525882407b1b9da326a47801b76c2e6d7ab690f2bb34c9a87ec02de9282ec9",
+    (2, 4, 4): "3539a41184f9e26f30e11eccddcebf4216bb0a2ea99f325a4222ed2acea3aa34",
+    (2, 2, 3, 3): "45fb12c9fb0b206a92e9460a79b30c1df70be89c6149c8603c598977886f2995",
+}
+WITNESS_TRIPLES = {
+    ("x2y2.alg", "x+y"): (
+        "defe35ba268dcae6628e51d96b5e6a4449e03bbac65a3e94a809259da0b7e9df",
+        "9ee2e3ab5ae041bad92960e8210c62e4814be9657f04f4c4d28df1e8a9148eb8"),
+    ("x2y2z2.alg", "x+y+z"): (
+        "b4bbda5f830401c44c766821ebf62411e78623b617ac6e8ba398a9413fef91aa",
+        "d12bc7faff0d4478c930d053c76b7e536b577a38e957f17642895d7db6a1723a"),
+    ("x2y2z2.alg", "2*x+3*y+4*z"): (
+        "e69e33f240a37a2dad5ab326c81ad1fae749d2ef6fbf91ec88a3e4c50e5ba32d",
+        "799a71ccb96c5dfe05ab684daf3db68cf4497d2154ae4dde75464eea8e6865d0"),
+    ("stanley_333.alg", "x+y+z"): (
+        "08525882407b1b9da326a47801b76c2e6d7ab690f2bb34c9a87ec02de9282ec9",
+        "1d215df938ec8ad2510eff60cffc33d6fab9fea5ba0e918665e846e06c704fd6"),
+    ("sum_of_squares.alg", "x+y+z"): (
+        "9a2fb2ec15d9fd8d44b9c1748579f06d767342ee696be8e7716bbb6e553c79c5",
+        "1253736ad0b4453051b9a81893e1beca1c5e51cb75086a407f6769cc936b8f1e"),
+    ("ex71_a.alg", "x+y"): (
+        "9485fec214bf10b2665198ef8f3a58c1ce7851a976de0b18103c879885a08d0f",
+        "3478060bb4efb23287840c23179d78f54ec1b92ff4f5a6f5bbc9a00e97e0e609"),
+    ("ex71_b.alg", "u+v"): (
+        "8abf8f82f6985b1e12db011be76412d74e06aa66bae25ca944e61a9fb85b10d1",
+        "51fd7b8ddd5f23b9e0cad82f2859a82abd5535bd0d93494003908f067760fcaf"),
+    ("ex71_t.alg", "z"): (
+        "e32712caf707114417fb268159346e52c8a2a02224cf79e7ffd0914e343d7ba7",
+        "38bc0c4ae1c75af0824ce1a3987167ad05b836bebf4c1078b5605ea3ba03841f"),
+    ("notgor_a.alg", "2*x+3*y"): (
+        "9639c18f7153eba811a062c9e9200aecb25ed4d6223b2c3a9da3a8269919a3af",
+        "f50074954bcafef7ce7172d572429d1fb36f6941a5172d3a5d3c0d6e3c5bb227"),
+    ("notgor_t.alg", "x+y"): (
+        "e32712caf707114417fb268159346e52c8a2a02224cf79e7ffd0914e343d7ba7",
+        "b2425c821657612e39b93a1345b3c65d5925e1a59289709803fb0c8bd11145de"),
+}
+
+
+def triple_digest(t):
+    doc = [[[str(x) for x in row] for row in m.entries] for m in (t.e, t.h, t.f)]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("exps", sorted(RUNG_TRIPLES))
+def test_rung_triples_are_pinned(exps):
+    r = Ring(("x", "y", "z", "w")[: len(exps)], QQ)
+    a = from_ideal(Ideal(r, tuple(r.parse(f"{v}^{e}") for v, e in zip(r.varnames, exps))))
+    t = triple_from_lefschetz(a, Poly.linear_form(a.nvars, QQ, [1] * a.nvars))
+    assert triple_digest(t) == RUNG_TRIPLES[exps]
+
+
+@pytest.mark.parametrize("name, element", sorted(WITNESS_TRIPLES))
+def test_bundled_witness_triples_and_json_are_pinned(name, element, monkeypatch, capsys):
+    triple_want, json_want = WITNESS_TRIPLES[name, element]
+    monkeypatch.chdir(resources.files("lefschetz") / "data")
+    a = parse_algebra_text(Path(name).read_text()).build()
+    assert triple_digest(triple_from_lefschetz(a, a.ring.parse(element))) == triple_want
+    assert cli.main(["sl2", name, "--element", element, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_want

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` looks every traced function up in its owner's
 ``__dict__``; a renamed function would only show when the benchmark runs with
 ``--trace 1``.  Installing the tracer here fails on such a rename; one traced
-decision checks that rank counting and elimination spans still fire, a traced
+decision checks that rank counting, power and elimination spans still fire
+with no dense matrix product, a traced
 connected sum and blowup that the model spans, whose wrappers look up each
 model's ``multiply``, still fire, and a traced certified negative that its
 symbolic work lands in the decision and in Bareiss, with no polynomial matrix
@@ -43,6 +44,10 @@ def test_tracer_installs_and_records():
     assert tracer.counts["checks.rank_maps"] > 0
     names = {span[0] for span in tracer.spans}
     assert {"checks.decide", "exactmath.rref"} <= names
+    # powers of L are pushed sparse columns read through power_map_matrix,
+    # never dense matrix products
+    assert "checks.power_matrix" in names
+    assert "exactmath.matmul" not in names
 
 
 def _read(name):

@@ -5,7 +5,8 @@ A GradedAlgebra stores, for each degree up to the socle degree, the full
 monomial basis, the reduced row space of the ideal piece, and the standard
 monomials (non-pivot columns under descending grevlex).  Its products are read
 from one product table: the normal forms of the monomials of degree at most
-D, each reduced once, when first needed.
+D, each reduced once, when first needed.  The pieces of a tensor product are
+not reduced at all: ``tensor_pieces`` writes them from the factors' tables.
 """
 
 from __future__ import annotations
@@ -215,6 +216,66 @@ def inverse_system(ideal: Ideal, d: int) -> list[DualPoly]:
     ]
 
 
+def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> tuple[list, list]:
+    """The monomials and ideal pieces of A (x) B in degrees 0 to D_A + D_B,
+    on ``ring``: A's variables, then B's.
+
+    The ideals live in disjoint variables, so (``constructions.tensor_product``)
+    the standard monomials are the products s_A * s_B and the reduced row of
+    any other monomial x^a * y^b is x^a * y^b - nf_A(x^a) * nf_B(y^b): 1 at
+    its lead and otherwise supported on standard monomials, which come after
+    it.  Each row is written from the factors' product tables and stored as
+    it is; nothing is eliminated.
+    """
+    F, D = ring.field, A.socle_degree + B.socle_degree
+    p, one = F.characteristic, F.one()
+    (std_a, other_a), (std_b, other_b) = _normal_forms(A, D), _normal_forms(B, D)
+    monos, spaces = [], []
+    for d in range(D + 1):
+        monos.append(ring.monomials(d))
+        idx = {m: i for i, m in enumerate(monos[-1])}
+        space = RowSpace(F, len(idx))
+        for da in range(d + 1):
+            db = d - da
+            # each non-standard x^a with every y^b, each standard x^a with
+            # each non-standard y^b
+            pairs = itertools.chain(
+                itertools.product(other_a[da], std_b[db] + other_b[db]),
+                itertools.product(std_a[da], other_b[db]),
+            )
+            for (x, nx), (y, ny) in pairs:
+                pc = idx[x + y]
+                row = {pc: one}
+                for s, a in nx:
+                    for t, b in ny:
+                        row[idx[s + t]] = -a * b % p if p else -a * b
+                space.store_reduced(pc, row)
+        spaces.append(space)
+    return monos, spaces
+
+
+def _normal_forms(alg: GradedAlgebra, top: int) -> tuple[list, list]:
+    """Per degree e <= top, the standard monomials s of alg, each paired with
+    its normal form ((s, 1),), and the other monomials, each paired with its
+    normal form as (standard monomial, value) pairs read from the product
+    table (none beyond the socle degree)."""
+    one = alg.field.one()
+    std: list[list] = []
+    other: list[list] = []
+    for e in range(top + 1):
+        if e > alg.socle_degree:
+            std.append([])
+            other.append([(m, ()) for m in alg.ring.monomials(e)])
+            continue
+        basis, pos = alg._std[e], alg._std_col[e]
+        std.append([(s, ((s, one),)) for s in basis])
+        other.append([
+            (m, tuple((basis[k], v) for k, v in alg._basis_product(e, c)))
+            for c, m in enumerate(alg._monos[e]) if c not in pos
+        ])
+    return std, other
+
+
 class GradedAlgebra:
     """An artinian graded quotient with explicit degreewise bases."""
 
@@ -274,11 +335,10 @@ class GradedAlgebra:
         """Row space of the ideal piece in degree d (full space beyond D)."""
         if d <= self.socle_degree:
             return self._spaces[d]
-        monos = self.ring.monomials(d)
-        full = RowSpace(self.field, len(monos))
+        full = RowSpace(self.field, len(self.ring.monomials(d)))
         one = self.field.one()
-        for i in range(len(monos)):
-            full.add({i: one})
+        for i in range(full.ncols):
+            full.store_reduced(i, {i: one})
         return full
 
     def monomial_basis(self, d: int) -> list[Monomial]:

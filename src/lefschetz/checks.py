@@ -173,31 +173,38 @@ class PowerChains:
     c * value at key offset * stride + row of column col of the step of L on
     A_e, for ``terms[k] = (offset, c)``: offsets are 0 for a concrete L, and
     pack an exponent of a above the row for the generic form.  L^1 on A_i is
-    the step; each further power is one push, memoised per A_i."""
+    the step, built on first read; each further power is one push, memoised
+    per A_i."""
 
     def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple]):
         self.field, self.dims, self.stride, self._p = field, dims, max(dims) + 1, field.characteristic
-        self.steps = []
-        for e, per_k in enumerate(maps):
-            step = [{} for _ in range(dims[e])]
-            for (offset, c), entries in zip(terms, per_k):
+        self._maps, self._terms = maps, terms
+        self._steps: dict = {}  # e -> columns of the step of L on A_e
+        self._chains: dict = {}  # i -> [columns of L^1, L^2, ... on A_i]
+
+    def step(self, e: int) -> list[dict]:
+        """The columns of the step of L on A_e, built when first read."""
+        got = self._steps.get(e)
+        if got is None:
+            step = [{} for _ in range(self.dims[e])]
+            for (offset, c), entries in zip(self._terms, self._maps[e]):
                 for r, col, v in entries if c else ():
                     key = offset * self.stride + r
                     step[col][key] = step[col].get(key, 0) + c * v
-            self.steps.append([_nonzero(col, self._p) for col in step])
-        self._chains: dict = {}  # i -> [columns of L^1, L^2, ... on A_i]
+            got = self._steps[e] = [_nonzero(col, self._p) for col in step]
+        return got
 
     def power(self, d: int, i: int) -> list[dict]:
         """The columns of L^d on A_i for d >= 1: the step itself for d = 1,
         then one push per further degree."""
-        chain = self._chains.setdefault(i, [self.steps[i]])
+        chain = self._chains.setdefault(i, [self.step(i)])
         while len(chain) < d:
-            chain.append(_push(chain[-1], self.steps[i + len(chain)], self.stride, self._p))
+            chain.append(_push(chain[-1], self.step(i + len(chain)), self.stride, self._p))
         return chain[d - 1]
 
     def image(self, vec: Sequence, e: int) -> tuple:
         """L vec for a dense vector of A_e, pushed through the same step."""
-        (col,) = _push([{r: x for r, x in enumerate(vec) if x}], self.steps[e], self.stride, self._p)
+        (col,) = _push([{r: x for r, x in enumerate(vec) if x}], self.step(e), self.stride, self._p)
         return dense(self.field, self.dims[e + 1], col)
 
 

@@ -375,7 +375,10 @@ def _emit_constructed(args, command, inputs, alg_like, extra: dict) -> int:
 def cmd_tensor(args) -> int:
     a, da = _load_algebra(args.a)
     b, db = _load_algebra(args.b)
-    t = tensor_product(a, b)
+    try:
+        t = tensor_product(a, b)
+    except (ValueError, AssertionError) as exc:
+        raise InputError(str(exc))
     return _emit_constructed(args, "tensor", [da, db], t, {})
 
 

@@ -316,14 +316,14 @@ def kernel_space(field: FieldSpec, ncols: int, rows: Iterable[dict[int, Scalar]]
     With the columns eliminated in reverse order, the kernel vector of a free
     column is 1 there and otherwise nonzero only at pivot columns after it,
     and every other kernel vector is 0 there: the vectors of ``kernel`` are
-    already the kernel's reduced rows, so adding them eliminates nothing.
+    already the kernel's reduced rows, and they are stored as they are.
     """
     rev = RowSpace(field, ncols)
     for row in rows:
         rev.add({ncols - 1 - c: v for c, v in row.items()})
     out = RowSpace(field, ncols)
-    for v in rev.kernel().values():
-        out.add({ncols - 1 - c: x for c, x in v.items()})
+    for f, v in rev.kernel().items():
+        out.store_reduced(ncols - 1 - f, {ncols - 1 - c: x for c, x in v.items()})
     return out
 
 
@@ -401,6 +401,10 @@ class RowSpace:
     the grevlex-largest monomial, so pivots are leading monomials and the
     non-pivot columns are the standard monomials.
 
+    Rows enter through ``add``, which eliminates, or ``store_reduced``, for
+    a row already known to be the reduced row at its pivot; nothing else
+    writes the stored rows.
+
     ``_cols`` holds every column at which some stored row may be nonzero (a
     superset is fine).  A new pivot outside it occurs in no stored row, so
     ``add`` back-substitutes only when the pivot is in it.
@@ -468,6 +472,19 @@ class RowSpace:
         self._cols.update(norm)
         self._rows[pc] = norm
         return True
+
+    def store_reduced(self, pivot: int, row: dict[int, Scalar]) -> None:
+        """Store a row that is already reduced against the space, as it is.
+
+        The caller vouches that row is 1 at its pivot, zero at every stored
+        pivot, and that every stored row is zero at this pivot, so nothing is
+        eliminated.  Checked here is only what is cheap: the pivot is the
+        row's smallest column, the row is 1 there, and no stored row has it.
+        """
+        if row.get(pivot) != 1 or min(row) != pivot or pivot in self._rows:
+            raise ValueError(f"row is not reduced at pivot {pivot}")
+        self._cols.update(row)
+        self._rows[pivot] = row
 
     def kernel(self) -> dict[int, dict[int, Scalar]]:
         """The right kernel: for each free column f, in increasing f, the

@@ -685,3 +685,21 @@ def test_generic_escalation_pushes_each_degree_once(make, deficient, pushed, mon
     assert sorted((m.d, m.i) for m in rep.maps if not m.full) == deficient
     top = {i: max(d for d, j in deficient if j == i) for _, i in deficient}
     assert len(pushes) == sum(d - 1 for d in top.values()) == pushed
+
+
+def test_power_chains_build_only_the_steps_they_read():
+    alg = build("x,y,z", ["x^3", "y^3", "z^3"])
+    maps = checks.degree_one_maps(alg)
+    chains = checks.PowerChains(alg.field, alg.hilbert_function(), maps, [(0, 1), (0, 2), (0, 3)])
+    assert chains._steps == {}
+    chains.power(2, 1)
+    assert sorted(chains._steps) == [1, 2]
+    chains.image(alg.one(), 0)
+    chains.power(1, 2)
+    assert sorted(chains._steps) == [0, 1, 2]
+    # a rank table reads the modular steps of the one map it ranks, and
+    # builds no exact chains when that map has full rank mod p
+    table = RankTable(alg, alg.vector(alg.ring.parse("x + y + z"), 1))
+    assert table._exact_rank(3, 1) == 3
+    assert sorted(table.mod_chains._steps) == [1, 2, 3]
+    assert "chains" not in vars(table)

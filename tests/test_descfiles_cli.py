@@ -451,3 +451,14 @@ def test_cli_nll_on_every_bundled_file(capsys, name, mode):
     else:
         assert code == 0
         assert json.loads(captured.out)["results"]["conditions"] == want
+
+
+def test_tensor_check_failure_exits_2_with_one_error_line(monkeypatch, capsys):
+    def broken(a, b):
+        raise AssertionError("tensor product violates the convolution identity")
+
+    monkeypatch.setattr(cli, "tensor_product", broken)
+    assert cli.main(["tensor", data_path("x2y2.alg"), data_path("x2y2.alg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: tensor product violates the convolution identity"]

@@ -13,6 +13,7 @@ order and value) and free columns as the library.
 
 from importlib import resources
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -228,7 +229,10 @@ def assert_duality_matches(ideal, D):
 @settings(max_examples=150, deadline=None)
 def test_kernel_reads_match_the_dense_reads(m):
     assert kernel_basis(m) == ref_kernel_basis(m)
-    got = kernel_space(m.field, m.cols, [dict(enumerate(row)) for row in m.entries])
+    with pytest.MonkeyPatch.context() as patch:
+        calls, got = _count_adds(patch, lambda: kernel_space(m.field, m.cols, [dict(enumerate(row)) for row in m.entries]))
+    # one add per row, into the reversed space; the kernel vectors are stored as they are
+    assert len(calls) == m.rows
     want = ref_kernel_space(m)
     assert (got.rref_rows(), got.pivots()) == (want.rref_rows(), want.pivots())
     # the keys of kernel() are the free columns, in increasing order
@@ -335,11 +339,12 @@ def test_catalecticant_adds_only_nonzero_contractions(monkeypatch):
     calls, alg = _count_adds(monkeypatch, desc.build)
     D = alg.socle_degree
     assert alg.hilbert_function() == (1, 5, 5, 1)
-    # rank Cat_d = h_{D-d}; each kernel vector is stored by one add that
-    # eliminates nothing, so every add that adds nothing is a catalecticant row
+    # rank Cat_d = h_{D-d}; each kernel vector is stored as it is, with no
+    # add, so every add is a catalecticant row
     ranks = sum(alg.dim(D - d) for d in range(D + 1))
     kernels = sum(len(ring.monomials(d)) - alg.dim(d) for d in range(D + 1))
-    assert calls.count(True) == ranks + kernels
+    assert calls.count(True) == ranks
+    assert sum(alg.ideal_space(d).rank for d in range(D + 1)) == kernels
     # the rows t o F of the monomials t dividing a term: 3 + 7 + 5 + 1 rows,
     # of which the degree-3 and degree-2 t give 2 zero remainders each
     assert calls.count(False) == 4
@@ -363,3 +368,14 @@ def test_inverse_system_and_dual_generator_read_the_reduced_pieces(monkeypatch):
     calls, form = _count_adds(monkeypatch, alg.dual_generator)
     assert len(calls) == len(socle)
     assert form == ring.parse_dual("X^[2] + Y^[2] + Z^[2]")
+
+
+def test_full_space_beyond_the_socle_degree_adds_nothing(monkeypatch):
+    ring = Ring(("x", "y"), GF(5), (1, 2))
+    alg = from_ideal(Ideal(ring, (ring.parse("x^3"), ring.parse("y^2"))))
+    D = alg.socle_degree
+    for d in range(D + 1, D + 4):
+        calls, space = _count_adds(monkeypatch, lambda: alg.ideal_space(d))
+        assert calls == []
+        assert space.rref_rows() == [{c: 1} for c in range(len(ring.monomials(d)))]
+        assert space.kernel() == {}

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, dense, kernel_space
+from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space
 from .polynomials import (
     DualPoly,
     Monomial,
@@ -377,13 +377,13 @@ class GradedAlgebra:
     #
     # One product table serves every product in the quotient: the normal
     # forms of the monomials of each degree up to D, memoised as they are
-    # first read (``_basis_product``).  The variable maps X_j and every
-    # operator are sums of its entries.
+    # first read (``_basis_product``).  The variable maps X_j are its
+    # entries, and every operator column is a sum of them.
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
+        return product(self, d1, v1, d2, v2)
 
-    def operator(self, w: int, v: tuple, i: int) -> Matrix:
+    def operator(self, w: int, v: tuple, i: int) -> list:
         """Multiplication by v in A_w from A_i: column k is the sum of
         v_s nf(s * m_k) over the standard monomials s of A_w, each normal form
         read from the product table, in plain arithmetic with one reduction
@@ -391,14 +391,9 @@ class GradedAlgebra:
         p, e, table = self.field.characteristic, i + w, self._basis_product
         idx = self._index[e]
         terms = [(s, c) for s, c in zip(self._std[w], v) if c]
-        rows = [[self.field.zero()] * self.dim(i) for _ in range(self.dim(e))]
-        for k, m in enumerate(self._std[i]):
-            for s, c in terms:
-                for r, x in table(e, idx[mono_mul(s, m)]):
-                    rows[r][k] += c * x
-        if p:
-            rows = [[x % p for x in row] for row in rows]
-        return Matrix(self.field, self.dim(i), tuple(map(tuple, rows)))
+        coeffs = list(enumerate(c for _, c in terms))
+        return [tuple(apply_columns([table(e, idx[mono_mul(s, m)]) for s, _ in terms], coeffs, p).items())
+                for m in self._std[i]]
 
     def _basis_product(self, e: int, col: int) -> tuple:
         """The product table's entry for the degree-e monomial in column col:
@@ -415,7 +410,7 @@ class GradedAlgebra:
     def _variable_generators(self) -> list[Generator]:
         """``algebra_generators`` of a quotient: the variables x_j of weight
         w_j <= D, where column k of X_j from A_i is the product-table entry of
-        x_j * m_k."""
+        x_j * m_k itself, not a copy."""
         ring, D, table = self.ring, self.socle_degree, self._basis_product
         live = [(j, w) for j, w in enumerate(ring.weights) if w <= D]
         maps: dict[int, list] = {j: [] for j, _ in live}
@@ -425,7 +420,7 @@ class GradedAlgebra:
                     continue
                 shift = _shift_table(ring.nvars, ring.weights, e, j)
                 # the columns of the standard monomials m_k of degree e - w, in order
-                maps[j].append([(r, k, v) for k, c in enumerate(self._std_col[e - w]) for r, v in table(e, shift[c])])
+                maps[j].append([table(e, shift[c]) for c in self._std_col[e - w]])
         return [
             Generator(ring.varnames[j], w, self.vector(ring.variable(j), w), maps[j])
             for j, w in live
@@ -440,7 +435,8 @@ class GradedAlgebra:
             raise ValueError(
                 f"degree out of range: map {i} -> {i + w} with socle degree {self.socle_degree}"
             )
-        return operator_matrix(self, w, self.vector(f, w), i)
+        n, cols = self.dim(i + w), operator_matrix(self, w, self.vector(f, w), i)
+        return Matrix.from_cols(self.field, [dense(self.field, n, dict(c)) for c in cols], nrows=n)
 
     # -- presentation-facing helpers -------------------------------------------
 
@@ -571,10 +567,12 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
 # Generators, socle, orientations, Poincare pairing.  These functions serve
 # every algebra model: they read dim/socle_degree/field, the generator maps of
 # ``algebra_generators`` and the model's one multiplication path,
-# ``operator(w, v, i)``, the matrix of multiplication by v in A_w from A_i
-# (through ``operator_matrix``): on a quotient a sum of product-table entries,
-# on the other models composed from their parts' operators.  Every model's
-# ``multiply`` is the same line, which applies that matrix.
+# ``operator(w, v, i)``, multiplication by v in A_w from A_i (through
+# ``operator_matrix``): on a quotient a sum of product-table entries, on the
+# other models read off their parts' operators.  A multiplication map is a
+# list of sparse columns, one per basis vector of A_i, each a tuple of (row,
+# value) pairs with nonzero values (reduced mod p over GF(p)); ``product``,
+# every model's ``multiply``, applies one to a vector.
 # ---------------------------------------------------------------------------
 
 
@@ -596,19 +594,25 @@ def hilbert_series_text(alg) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def operator_matrix(alg, de: int, ve: Sequence[Scalar], i: int) -> Matrix:
-    """Matrix of multiplication by a degree-de element from degree i: the
-    model's ``operator``, or the zero map when one of the degrees is empty."""
+def operator_matrix(alg, de: int, ve: Sequence[Scalar], i: int) -> list:
+    """The columns of multiplication by a degree-de element from degree i: the
+    model's ``operator``, or empty columns when one of the degrees is empty."""
     if alg.dim(de) and alg.dim(i) and alg.dim(i + de):
         return alg.operator(de, tuple(ve), i)
-    return Matrix.zero(alg.field, alg.dim(i + de), alg.dim(i))
+    return [()] * alg.dim(i)
+
+
+def product(alg, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
+    """v1 * v2 in A_(d1+d2) as a dense vector: the operator of v1 applied to v2."""
+    image = apply_columns(operator_matrix(alg, d1, v1, d2), enumerate(v2), alg.field.characteristic)
+    return dense(alg.field, alg.dim(d1 + d2), image)
 
 
 @dataclass(frozen=True)
 class Generator:
     """An algebra generator g of degree w: its label, its coordinates in A_w
-    and ``maps[i]``, the nonzero entries (row, column, value) of multiplication
-    by g, X_g : A_i -> A_{i+w}, for 0 <= i <= D - w."""
+    and ``maps[i]``, the columns of X_g : A_i -> A_{i+w} for 0 <= i <= D - w.
+    On a quotient they are the product table's own entries: never modify them."""
 
     label: str
     degree: int
@@ -649,24 +653,14 @@ def _spanning_generators(alg) -> list[Generator]:
         span = RowSpace(F, nd)
         for g in gens:
             X = operator_matrix(alg, g.degree, g.vector, d - g.degree)
-            g.maps.append([(r, c, v) for r, row in enumerate(X.entries) for c, v in enumerate(row) if v])
-            for v in X.transpose().entries:
-                span.add({i: c for i, c in enumerate(v) if c})
+            g.maps.append(X)
+            for col in X:
+                span.add(dict(col))
         for j, unit in enumerate(Matrix.identity(F, nd).entries):
             if span.add({j: F.one()}):
                 label = f"e{j}" if d == 1 else f"e{j}_{d}"
-                gens.append(Generator(label, d, unit, [[(j, 0, F.one())]]))
+                gens.append(Generator(label, d, unit, [[((j, F.one()),)]]))
     return gens
-
-
-def apply_map(field: FieldSpec, entries: list, vec: Sequence[Scalar], n: int) -> tuple:
-    """The image of vec under the map with these sparse entries and n rows."""
-    out = [field.zero()] * n
-    for r, c, v in entries:
-        if vec[c]:
-            out[r] += vec[c] * v
-    p = field.characteristic
-    return tuple(x % p for x in out) if p else tuple(out)
 
 
 _MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> {modulus: maps}
@@ -675,12 +669,12 @@ _MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> {mo
 def degree_one_maps(alg, modulus: int = 0) -> Optional[list]:
     """Multiplication by each basis vector of A_1, memoised per algebra.
 
-    ``maps[i][k]`` lists the nonzero entries (row, column, value) of X_k :
-    A_i -> A_{i+1}, the map of the degree-one generator equal to the k-th
-    basis vector e_k of A_1 (on a quotient, the k-th standard variable), for
-    i < socle degree; multiplication by sum c_k e_k is sum c_k X_k.  Over QQ
-    a prime ``modulus`` gives the maps modulo it instead, or None when an
-    entry's denominator vanishes there.
+    ``maps[i][k]`` is X_k : A_i -> A_{i+1} as sparse columns, the map of the
+    degree-one generator equal to the k-th basis vector e_k of A_1 (on a
+    quotient, the k-th standard variable), for i < socle degree;
+    multiplication by sum c_k e_k is sum c_k X_k.  Over QQ a prime ``modulus``
+    gives the maps modulo it instead (entries that vanish there dropped), or
+    None when an entry's denominator vanishes there.
     """
     memo = _MAPS.setdefault(alg, {})
     if modulus in memo:
@@ -688,7 +682,8 @@ def degree_one_maps(alg, modulus: int = 0) -> Optional[list]:
     if modulus:
         try:
             F = GF(modulus)
-            maps = [[[(r, c, F.coerce(v)) for r, c, v in X] for X in per_k] for per_k in degree_one_maps(alg)]
+            maps = [[[tuple((r, x) for r, v in col if (x := F.coerce(v))) for col in X] for X in per_k]
+                    for per_k in degree_one_maps(alg)]
         except ValueError:  # a denominator vanishes modulo the prime
             maps = None
     else:
@@ -713,8 +708,9 @@ def socle_vectors(alg) -> list[tuple[int, tuple]]:
         rows: dict[tuple, dict] = {}  # (generator, row of its map) -> sparse row
         for n, g in enumerate(gens):
             if d + g.degree <= D:
-                for r, c, v in g.maps[d]:
-                    rows.setdefault((n, r), {})[c] = v
+                for c, col in enumerate(g.maps[d]):
+                    for r, v in col:
+                        rows.setdefault((n, r), {})[c] = v
         space = RowSpace(F, nd)
         for row in rows.values():
             space.add(row)
@@ -779,7 +775,7 @@ def pairing_matrix(alg, omega: Orientation, i: int) -> Matrix:
     rows = []
     for ea in Matrix.identity(F, alg.dim(i)).entries:
         X = operator_matrix(alg, i, ea, D - i)
-        rows.append(tuple(omega.apply(F, col) for col in X.transpose().entries))
+        rows.append(tuple(F.coerce(sum(omega.coeffs[r] * v for r, v in col)) for col in X))
     return Matrix(F, alg.dim(D - i), tuple(rows))
 
 

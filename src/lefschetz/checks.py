@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algebra import GradedAlgebra, algebra_generators, degree_one_maps, hilbert_function
-from .exactmath import GF, Matrix, Scalar, dense, det, rank
+from .exactmath import GF, Matrix, Scalar, dense, det, nonzero, rank
 from .polynomials import (
     DualPoly,
     Poly,
@@ -169,12 +169,12 @@ def degree_one_vector(alg, L) -> tuple:
 class PowerChains:
     """L^d : A_i -> A_{i+d} for one linear form L, as sparse columns.
 
-    The entry (row, col, value) of X_k : A_e -> A_{e+1} (``maps[e][k]``) adds
-    c * value at key offset * stride + row of column col of the step of L on
-    A_e, for ``terms[k] = (offset, c)``: offsets are 0 for a concrete L, and
-    pack an exponent of a above the row for the generic form.  L^1 on A_i is
-    the step, built on first read; each further power is one push, memoised
-    per A_i."""
+    Each (row, value) pair of column col of X_k : A_e -> A_{e+1}
+    (``maps[e][k]``) adds c * value at key offset * stride + row of column col
+    of the step of L on A_e, for ``terms[k] = (offset, c)``: offsets are 0 for
+    a concrete L, and pack an exponent of a above the row for the generic
+    form.  L^1 on A_i is the step, built on first read; each further power is
+    one push, memoised per A_i."""
 
     def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple]):
         self.field, self.dims, self.stride, self._p = field, dims, max(dims) + 1, field.characteristic
@@ -187,11 +187,12 @@ class PowerChains:
         got = self._steps.get(e)
         if got is None:
             step = [{} for _ in range(self.dims[e])]
-            for (offset, c), entries in zip(self._terms, self._maps[e]):
-                for r, col, v in entries if c else ():
-                    key = offset * self.stride + r
-                    step[col][key] = step[col].get(key, 0) + c * v
-            got = self._steps[e] = [_nonzero(col, self._p) for col in step]
+            for (offset, c), cols in zip(self._terms, self._maps[e]):
+                base = offset * self.stride
+                for acc, col in zip(step, cols) if c else ():
+                    for r, v in col:
+                        acc[base + r] = acc.get(base + r, 0) + c * v
+            got = self._steps[e] = [nonzero(col, self._p) for col in step]
         return got
 
     def power(self, d: int, i: int) -> list[dict]:
@@ -221,12 +222,8 @@ def _push(cols: list[dict], step: list[dict], stride: int, p: int) -> list[dict]
             for k, v in step[r].items():
                 k += base
                 acc[k] = get(k, 0) + x * v
-        out.append(_nonzero(acc, p))
+        out.append(nonzero(acc, p))
     return out
-
-
-def _nonzero(col: dict, p: int) -> dict:
-    return {k: v % p for k, v in col.items() if v % p} if p else {k: v for k, v in col.items() if v}
 
 
 def power_map_matrix(table: "RankTable", d: int, i: int, modular: bool = False) -> Matrix:

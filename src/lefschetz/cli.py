@@ -4,8 +4,8 @@ Reports are built as plain dicts and rendered either as human text or as
 canonical JSON (sorted keys): byte-identical across runs for fixed inputs
 and seed.  Elapsed time goes to stderr with --timing so reports stay
 deterministic.  Exit codes: 0 success, 1 mathematical negative under
---expect or failing suite cases, 2 input errors (a ValueError from the library
-counts as one: a message line on stderr, no traceback).
+--expect or failing suite cases, 2 input errors (a ValueError or a failed
+check's AssertionError from the library: one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .checks import (
     unimodal,
 )
 from .constructions import (
+    PresentationSizeError,
     algebra_map,
     blowup,
     blowup_square_commutes,
@@ -50,7 +51,6 @@ from .constructions import (
     hilbert_function,
     presented_algebra,
     tensor_product,
-    thom_class,
 )
 from .descfiles import (
     description_of,
@@ -353,7 +353,7 @@ def _emit_constructed(args, command, inputs, alg_like, extra: dict) -> int:
             description = format_algebra_description(
                 description_of(presented_algebra(alg_like))
             )
-        except (ValueError, AssertionError):
+        except PresentationSizeError:
             results["presentation"] = "omitted (size guard)"
     if description is not None:
         results["description"] = description
@@ -375,11 +375,7 @@ def _emit_constructed(args, command, inputs, alg_like, extra: dict) -> int:
 def cmd_tensor(args) -> int:
     a, da = _load_algebra(args.a)
     b, db = _load_algebra(args.b)
-    try:
-        t = tensor_product(a, b)
-    except (ValueError, AssertionError) as exc:
-        raise InputError(str(exc))
-    return _emit_constructed(args, "tensor", [da, db], t, {})
+    return _emit_constructed(args, "tensor", [da, db], tensor_product(a, b), {})
 
 
 def cmd_fiber_product(args) -> int:
@@ -388,10 +384,7 @@ def cmd_fiber_product(args) -> int:
     t, dt = _load_algebra(args.t)
     pa, dma = _load_map(args.map_a, a, t)
     pb, dmb = _load_map(args.map_b, b, t)
-    try:
-        fp = fiber_product(a, b, t, pa, pb)
-    except (ValueError, AssertionError) as exc:
-        raise InputError(str(exc))
+    fp = fiber_product(a, b, t, pa, pb)
     identity = [
         a.dim(d) + b.dim(d) - t.dim(d) for d in range(fp.socle_degree + 1)
     ]
@@ -412,28 +405,25 @@ def cmd_connect_sum(args) -> int:
     omega_b = _orientation_option(b, args.orient_b)
     if args.t is not None and (args.map_a is None or args.map_b is None):
         raise InputError("connect-sum over T needs both --map-a and --map-b")
-    try:
-        if args.t is None:
-            cs = connected_sum_over_field(a, b, omega_a, omega_b)
-            extra = {}
-        else:
-            t, dt = _load_algebra(args.t)
-            pa, dma = _load_map(args.map_a, a, t)
-            pb, dmb = _load_map(args.map_b, b, t)
-            inputs += [dt, dma, dmb]
-            omega_t = _orientation_option(t, args.orient_t)
-            cs = connected_sum(a, b, t, pa, pb, omega_a, omega_b, omega_t)
-            extra = {
-                "hilbert_identity": [
-                    a.dim(i)
-                    + b.dim(i)
-                    - t.dim(i)
-                    - t.dim(i - (a.socle_degree - t.socle_degree))
-                    for i in range(a.socle_degree + 1)
-                ]
-            }
-    except (ValueError, AssertionError) as exc:
-        raise InputError(str(exc))
+    if args.t is None:
+        cs = connected_sum_over_field(a, b, omega_a, omega_b)
+        extra = {}
+    else:
+        t, dt = _load_algebra(args.t)
+        pa, dma = _load_map(args.map_a, a, t)
+        pb, dmb = _load_map(args.map_b, b, t)
+        inputs += [dt, dma, dmb]
+        omega_t = _orientation_option(t, args.orient_t)
+        cs = connected_sum(a, b, t, pa, pb, omega_a, omega_b, omega_t)
+        extra = {
+            "hilbert_identity": [
+                a.dim(i)
+                + b.dim(i)
+                - t.dim(i)
+                - t.dim(i - (a.socle_degree - t.socle_degree))
+                for i in range(a.socle_degree + 1)
+            ]
+        }
     return _emit_constructed(args, "connect-sum", inputs, cs, extra)
 
 
@@ -448,15 +438,11 @@ def cmd_blowup(args) -> int:
     if coeff_texts == [""]:
         coeff_texts = []
     coeffs = [a.ring.parse(c) for c in coeff_texts]
-    try:
-        tau = thom_class(pi, omega_a, omega_t)
-        bug = blowup(a, t, pi, coeffs, args.lam, omega_a=omega_a, omega_t=omega_t)
-        tt = exceptional_divisor(t, bug.t_coeffs, bug.lam, bug.tau_t)
-        square = blowup_square_commutes(bug, tt)
-    except (ValueError, AssertionError) as exc:
-        raise InputError(str(exc))
+    bug = blowup(a, t, pi, coeffs, args.lam, omega_a=omega_a, omega_t=omega_t)
+    tt = exceptional_divisor(t, bug.t_coeffs, bug.lam, bug.tau_t)
+    square = blowup_square_commutes(bug, tt)
     extra = {
-        "thom_class": a.ring.format(tau.poly(a)),
+        "thom_class": a.ring.format(bug.tau.poly(a)),
         "lambda": str(args.lam),
         "exceptional_divisor": format_algebra_description(description_of(tt)),
         "exceptional_divisor_hilbert": list(tt.hilbert_function()),
@@ -612,7 +598,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.fn(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

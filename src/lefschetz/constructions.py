@@ -7,14 +7,15 @@ the over-the-base-field presentations exist separately and are cross-checked
 degreewise.  Blowup elements are stored as an A component plus one T
 component per positive power of the exceptional class.
 
-Every model multiplies through one method, ``operator(w, v, i)``: the matrix
-of multiplication by v in degree w from degree i, composed from the parts'
-operators (``operator_matrix``).  ``multiply`` applies that matrix to a
-vector, and the pairing and the Thom-class check read operators directly.
+Every model multiplies through one method, ``operator(w, v, i)``: the sparse
+columns of multiplication by v in degree w from degree i, read off the parts'
+columns (``operator_matrix``).  ``multiply`` applies them to a vector, and the
+pairing and the Thom-class check read them directly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +26,6 @@ from .algebra import (
     Orientation,
     Ring,
     algebra_generators,
-    apply_map,
     default_orientation,
     from_ideal,
     hilbert_function,
@@ -33,10 +33,11 @@ from .algebra import (
     is_gorenstein,
     operator_matrix,
     pairing_matrix,
+    product,
     tensor_pieces,
 )
 from .checks import GenericityConfig, generic_report
-from .exactmath import Matrix, RowSpace, Scalar, dense, kernel_space, rank, solve
+from .exactmath import Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, nonzero, rank, solve
 from .polynomials import DualPoly, Poly, contract, dual_pairing
 
 
@@ -152,9 +153,9 @@ def _check_thom_identity(pi, omega_a, omega_t, tau: ThomClass) -> None:
     the products tau * e read off one operator of tau per degree."""
     A, T = pi.source, pi.target
     for m in range(A.socle_degree + 1):
-        tau_e = operator_matrix(A, tau.degree, tau.coords, m).transpose().entries
-        for col, e in zip(tau_e, Matrix.identity(A.field, A.dim(m)).entries):
-            if integral(A, omega_a, tau.degree + m, col) != integral(T, omega_t, m, pi.apply(m, e)):
+        for col, e in zip(operator_matrix(A, tau.degree, tau.coords, m), Matrix.identity(A.field, A.dim(m)).entries):
+            tau_e = dense(A.field, A.dim(tau.degree + m), dict(col))
+            if integral(A, omega_a, tau.degree + m, tau_e) != integral(T, omega_t, m, pi.apply(m, e)):
                 raise AssertionError("Thom class fails its defining identity")
 
 
@@ -194,18 +195,18 @@ def _check_thom_dual_characterisation(pi, omega_a, omega_t, tau: ThomClass) -> N
 class PairAlgebra:
     """Subalgebra of A + B with explicit degreewise bases.
 
-    Basis vectors are ambient coordinate rows (A coords followed by B
-    coords), normalised so each has a private indicator column; membership
-    is verified whenever ambient vectors are re-expressed in the basis.
-    Multiplication by v = (a, b) is coords o (op_A(a) + op_B(b)) o basis,
-    the parts' operators side by side between the bases.
+    Basis vectors are the sparse ``RowSpace.kernel`` vectors in A_d + B_d
+    (B's columns after A's), each 1 at its own free column and 0 at the
+    others.  Multiplication by v = (a, b) pushes each basis vector through
+    op_A(a) + op_B(b) and reads the coordinates at the free columns, with
+    membership verified (``coords``).
     """
 
-    def __init__(self, A, B, bases: list[list[tuple]], free_cols: list[list[int]]):
+    def __init__(self, A, B, bases: list[list[dict]], free_cols: list[list[int]]):
         self.A = A
         self.B = B
         self.field = A.field
-        self._basis = [Matrix.from_cols(A.field, b, nrows=sum(self._sizes(d))) for d, b in enumerate(bases)]
+        self._basis = bases
         self._free = free_cols
         D = len(bases) - 1
         while D > 0 and not bases[D]:
@@ -215,37 +216,35 @@ class PairAlgebra:
     def dim(self, d: int) -> int:
         if d < 0 or d > self.socle_degree:
             return 0
-        return self._basis[d].cols
+        return len(self._basis[d])
 
-    def _sizes(self, d: int) -> list[int]:
-        return [self.A.dim(d), self.B.dim(d)]
+    def ambient(self, d: int, vec) -> dict:
+        """The sparse ambient vector with these (basis index, coordinate) pairs."""
+        return apply_columns([u.items() for u in self._basis[d]], vec, self.field.characteristic)
 
-    def ambient(self, d: int, vec: Sequence[Scalar]) -> tuple:
-        return self._basis[d].mul_vec(vec)
-
-    def coords(self, d: int, ambient_vec: Sequence[Scalar]) -> tuple:
-        got = tuple(ambient_vec[c] for c in self._free[d])
-        if tuple(ambient_vec) != self.ambient(d, got):
+    def coords(self, d: int, ambient: dict) -> tuple:
+        """A sparse ambient vector's coordinates as (basis index, value) pairs:
+        its entries at the free columns, checked to recombine to it."""
+        got = tuple((k, ambient[c]) for k, c in enumerate(self._free[d]) if c in ambient)
+        if self.ambient(d, got) != ambient:
             raise ValueError("ambient vector is not in the pair subalgebra")
         return got
 
-    def split(self, d: int, ambient_vec: Sequence[Scalar]) -> tuple[tuple, tuple]:
-        na = self.A.dim(d)
-        return tuple(ambient_vec[:na]), tuple(ambient_vec[na:])
-
-    def operator(self, w: int, v: tuple, i: int) -> Matrix:
-        a, b = self.split(w, self.ambient(w, v))
-        ops = {(0, 0): operator_matrix(self.A, w, a, i), (1, 1): operator_matrix(self.B, w, b, i)}
-        both = Matrix.blocks(self.field, self._sizes(i + w), self._sizes(i), ops)
-        prods = both.mul(self._basis[i]).transpose().entries
-        return Matrix.from_cols(self.field, [self.coords(i + w, p) for p in prods], nrows=self.dim(i + w))
+    def operator(self, w: int, v: tuple, i: int) -> list:
+        F, na = self.field, self.A.dim(w)
+        amb = self.ambient(w, enumerate(v))
+        a, b = dense(F, na, amb), dense(F, self.B.dim(w), {c - na: x for c, x in amb.items() if c >= na})
+        off = self.A.dim(i + w)  # B's rows come after A_(i+w)'s
+        op_b = [tuple((off + r, x) for r, x in col) for col in operator_matrix(self.B, w, b, i)]
+        both = operator_matrix(self.A, w, a, i) + op_b
+        return [self.coords(i + w, apply_columns(both, u.items(), F.characteristic)) for u in self._basis[i]]
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
+        return product(self, d1, v1, d2, v2)
 
     def one(self) -> tuple:
-        amb = tuple(self.A.one()) + tuple(self.B.one())
-        return self.coords(0, amb)
+        # A_0 and B_0 are the field: ambient columns 0 and 1
+        return dense(self.field, self.dim(0), dict(self.coords(0, {0: self.field.one(), 1: self.field.one()})))
 
 
 def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
@@ -270,7 +269,7 @@ def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
             row.update((na + c, -x) for c, x in enumerate(rb) if x)
             space.add(row)
         kernel = space.kernel()
-        bases.append([dense(F, n, v) for v in kernel.values()])
+        bases.append(list(kernel.values()))
         free_cols.append(list(kernel))
     fp = PairAlgebra(A, B, bases, free_cols)
     expect = [
@@ -285,7 +284,9 @@ class QuotientAlgebra:
     """Quotient of an algebra model by degreewise relation row spaces.
 
     The free (non-pivot) columns of each degree are the basis; multiplication
-    by v is project o op_base(lift v) on the free columns.
+    by v (lifted to the base by zeros at the pivots) reads the base operator
+    at each free column, reduces that column by the relations and reads its
+    coordinates at the free columns.
     """
 
     def __init__(self, base, relations: list[RowSpace]):
@@ -306,27 +307,18 @@ class QuotientAlgebra:
             return 0
         return len(self._free[d])
 
-    def lift(self, d: int, vec: Sequence[Scalar]) -> tuple:
-        F = self.field
-        out = [F.zero()] * self.base.dim(d)
-        for c, pos in zip(vec, self._free[d]):
-            out[pos] = c
-        return tuple(out)
-
-    def project(self, d: int, base_vec: Sequence[Scalar]) -> tuple:
-        red = self._rel[d].reduce(dict(enumerate(base_vec)))
-        return tuple(red.get(c, self.field.zero()) for c in self._free[d])
-
-    def operator(self, w: int, v: tuple, i: int) -> Matrix:
-        X = operator_matrix(self.base, w, self.lift(w, v), i)
-        cols = [self.project(i + w, X.col(c)) for c in self._free[i]]
-        return Matrix.from_cols(self.field, cols, nrows=self.dim(i + w))
+    def operator(self, w: int, v: tuple, i: int) -> list:
+        X = operator_matrix(self.base, w, dense(self.field, self.base.dim(w), dict(zip(self._free[w], v))), i)
+        rel, free = self._rel[i + w], self._free[i + w]
+        reduced = (rel.reduce(dict(X[c])) for c in self._free[i])
+        return [tuple((k, red[f]) for k, f in enumerate(free) if f in red) for red in reduced]
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
+        return product(self, d1, v1, d2, v2)
 
     def one(self) -> tuple:
-        return self.project(0, self.base.one())
+        red = self._rel[0].reduce(dict(enumerate(self.base.one())))
+        return tuple(red.get(c, self.field.zero()) for c in self._free[0])
 
 
 def connected_sum(
@@ -355,14 +347,15 @@ def connected_sum(
     if pi_a.apply(n, tau_a.coords) != pi_b.apply(n, tau_b.coords):
         raise ValueError("Thom classes are incompatible: their images in T differ")
     fp = fiber_product(A, B, T, pi_a, pi_b)
-    t_pair = fp.coords(n, tuple(tau_a.coords) + tuple(tau_b.coords))
     F = A.field
+    pair = {c: x for c, x in enumerate(tuple(tau_a.coords) + tuple(tau_b.coords)) if x}
+    t_pair = dense(F, fp.dim(n), dict(fp.coords(n, pair)))
     relations = []
     for i in range(fp.socle_degree + 1):
         rel = RowSpace(F, fp.dim(i))
         if i >= n:
-            for prod in operator_matrix(fp, n, t_pair, i - n).transpose().entries:
-                rel.add({c: v for c, v in enumerate(prod) if not F.is_zero(v)})
+            for col in operator_matrix(fp, n, t_pair, i - n):
+                rel.add(dict(col))
         relations.append(rel)
     cs = QuotientAlgebra(fp, relations)
     hf = [cs.dim(i) for i in range(d + 1)]
@@ -454,13 +447,13 @@ class BlowupAlgebra:
     Since xi * ker pi = 0, an element of degree d is a + sum_(0<j<n) xi^j t_j
     with a in A_d and t_j in T_(d-j), stored in the layout
     [A_d | T_(d-1) | ... | T_(d-n+1)].  Multiplication by such a v of degree w
-    is the matrix sum_(j<n) Xi^j D(l_j), where l_0 = a, l_j = lift(t_j) through
-    a fixed section of pi, D(x) = diag(op_A(x), op_T(pi x), ..., op_T(pi x))
-    is multiplication by x in A, and Xi : A~_k -> A~_(k+1) is multiplication by
+    is sum_(j<n) Xi^j D(l_j), where l_0 = a, l_j = lift(t_j) through a fixed
+    section of pi, D(x) = diag(op_A(x), op_T(pi x), ..., op_T(pi x)) is
+    multiplication by x in A, and Xi : A~_k -> A~_(k+1) is multiplication by
     xi: pi from A_k into slot 1, the identity from slot j to slot j + 1, and
     from the last slot s the relation xi^n = -sum a_i xi^(n-i) - lambda tau,
-    that is -pi(a_i) s into slot n - i and -lambda tau lift(s) into A.  For
-    n = 1 the operator is op_A(a).
+    that is -pi(a_i) s into slot n - i and -lambda tau lift(s) into A, all as
+    sparse columns.  For n = 1 the operator is op_A(a).
     """
 
     def __init__(
@@ -483,11 +476,15 @@ class BlowupAlgebra:
         self.t_coeffs = coefficients  # index i-1 -> coords of pi(a_i) in T_i
         self.tau_t = pi.apply(self.n, tau.coords) if T.dim(self.n) else ()
         self._lifts: dict[int, Matrix] = {}
-        self._xis: dict[int, Matrix] = {}
+        self._xis: dict[int, list] = {}
 
     def _sizes(self, d: int) -> list[int]:
         """Block sizes of the layout [A_d | T_(d-1) | ... | T_(d-n+1)]."""
         return [self.A.dim(d)] + [self.T.dim(d - j) for j in range(1, self.n)]
+
+    def _offsets(self, d: int) -> list[int]:
+        """The first row of each slot of the layout in degree d."""
+        return list(itertools.accumulate(self._sizes(d)[:-1], initial=0))
 
     def dim(self, d: int) -> int:
         if d < 0 or d > self.socle_degree:
@@ -495,10 +492,8 @@ class BlowupAlgebra:
         return sum(self._sizes(d))
 
     def split(self, d: int, vec: Sequence[Scalar]) -> tuple[tuple, list[tuple]]:
-        parts, pos = [], 0
-        for size in self._sizes(d):
-            parts.append(tuple(vec[pos : pos + size]))
-            pos += size
+        off = self._offsets(d) + [len(vec)]
+        parts = [tuple(vec[start:end]) for start, end in zip(off, off[1:])]
         return parts[0], parts[1:]
 
     def lift_matrix(self, m: int) -> Matrix:
@@ -518,43 +513,49 @@ class BlowupAlgebra:
             return ()
         return self.lift_matrix(m).mul_vec(t_vec)
 
-    def _diag(self, m: int, x: tuple, i: int) -> Matrix:
+    def _diag(self, m: int, x: tuple, i: int) -> list:
         """D(x): multiplication by x in A_m from A~_i, slot by slot."""
         tx = self.pi.apply(m, x) if self.T.dim(m) else ()
         ops = [operator_matrix(self.A, m, x, i)]
         ops += [operator_matrix(self.T, m, tx, i - j) for j in range(1, self.n)]
-        return Matrix.blocks(self.field, self._sizes(i + m), self._sizes(i), {(j, j): op for j, op in enumerate(ops)})
+        return [tuple((off + r, y) for r, y in col) for op, off in zip(ops, self._offsets(i + m)) for col in op]
 
-    def _xi(self, k: int) -> Matrix:
+    def _xi(self, k: int) -> list:
         """Xi : A~_k -> A~_(k+1), multiplication by xi (n >= 2)."""
         if k not in self._xis:
             F, T, n, s = self.field, self.T, self.n, k - self.n + 1
-            blocks = {(1, 0): self.pi.matrix(k)}
-            blocks.update({(j + 1, j): Matrix.identity(F, T.dim(k - j)) for j in range(1, n - 1)})
-            for i, t_i in self.t_coeffs:
-                if t_i is not None:
-                    blocks[(n - i, n - 1)] = operator_matrix(T, i, tuple(F.neg(x) for x in t_i), s)
-            minus_lam_tau = tuple(F.mul(F.neg(self.lam), x) for x in self.tau.coords)
-            blocks[(0, n - 1)] = operator_matrix(self.A, n, minus_lam_tau, s).mul(self.lift_matrix(s))
-            self._xis[k] = Matrix.blocks(F, self._sizes(k + 1), self._sizes(k), blocks)
+            off, one = self._offsets(k + 1), F.one()
+            cols = [tuple((off[1] + r, x) for r, x in col) for col in self.pi.matrix(k).columns()]
+            cols += [((off[j + 1] + r, one),) for j in range(1, n - 1) for r in range(T.dim(k - j))]
+            # the last slot, through xi^n = -sum a_i xi^(n-i) - lambda tau
+            into_a = operator_matrix(self.A, n, tuple(F.mul(F.neg(self.lam), x) for x in self.tau.coords), s)
+            into_t = [(off[n - i], operator_matrix(T, i, tuple(F.neg(x) for x in t_i), s))
+                      for i, t_i in self.t_coeffs if t_i is not None]
+            for c, lifted in enumerate(self.lift_matrix(s).columns()):
+                col = tuple(apply_columns(into_a, lifted, F.characteristic).items())
+                cols.append(col + tuple((o + r, x) for o, op in into_t for r, x in op[c]))
+            self._xis[k] = cols
         return self._xis[k]
 
-    def operator(self, w: int, v: tuple, i: int) -> Matrix:
+    def operator(self, w: int, v: tuple, i: int) -> list:
         a, slots = self.split(w, v)
         lifts = [a] + [self.lift(w - j, t) for j, t in enumerate(slots, start=1)]
+        p, out = self.field.characteristic, [{} for _ in range(self.dim(i))]
         # Horner, sum_j Xi^j D(l_j) = D(l_0) + Xi (D(l_1) + Xi (D(l_2) + ...)),
-        # skipping the terms of zero l_j
-        out = None
+        # skipping the products with zero and the terms of zero l_j
         for j in reversed(range(self.n)):
-            if out is not None:
-                out = self._xi(i + w - j - 1).mul(out)
+            if any(out):
+                xi = self._xi(i + w - j - 1)
+                out = [apply_columns(xi, col.items(), p) for col in out]
             if any(lifts[j]):
-                D = self._diag(w - j, lifts[j], i)
-                out = D if out is None else out.add(D)
-        return out if out is not None else Matrix.zero(self.field, self.dim(i + w), self.dim(i))
+                for acc, col in zip(out, self._diag(w - j, lifts[j], i)):
+                    for r, x in col:
+                        acc[r] = acc.get(r, 0) + x
+                out = [nonzero(acc, p) for acc in out]
+        return [tuple(col.items()) for col in out]
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
-        return operator_matrix(self, d1, v1, d2).mul_vec(v2)
+        return product(self, d1, v1, d2, v2)
 
     def one(self) -> tuple:
         return self.embed_a(0, self.A.one())
@@ -672,7 +673,8 @@ def blowup_square_commutes(bug: BlowupAlgebra, t_tilde: GradedAlgebra) -> bool:
         ops = {w2: operator_matrix(bug, w1, v1, w2) for w2 in set(weights) if w1 + w2 <= bug.socle_degree}
         for v2, w2 in zip(betas, weights):
             if w2 in ops:
-                lhs = t_tilde.nf_poly(pihat(w1 + w2, ops[w2].mul_vec(v2)))
+                prod = apply_columns(ops[w2], enumerate(v2), bug.field.characteristic)
+                lhs = t_tilde.nf_poly(pihat(w1 + w2, dense(bug.field, bug.dim(w1 + w2), prod)))
                 if lhs != t_tilde.nf_poly(pihat(w1, v1) * pihat(w2, v2)):
                     return False
     return True
@@ -681,6 +683,10 @@ def blowup_square_commutes(bug: BlowupAlgebra, t_tilde: GradedAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # Presentation extraction (for reporting pair and blowup models)
 # ---------------------------------------------------------------------------
+
+
+class PresentationSizeError(ValueError):
+    """The model has more generators than a presentation is built for."""
 
 
 def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
@@ -696,7 +702,7 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
     D = alg.socle_degree
     gens = algebra_generators(alg)
     if len(gens) > max_generators:
-        raise ValueError("too many generators for a presentation")
+        raise PresentationSizeError("too many generators for a presentation")
     ring = Ring(
         tuple(f"{name_prefix}{i + 1}" for i in range(len(gens))),
         F,
@@ -705,21 +711,22 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
     # the image of a monomial is X_j applied to the image of the monomial
     # divided by its last generator z_j; the kernel in each degree is the
     # ideal of relations
-    images = {}
+    images = {}  # monomial -> its image as a sparse vector
     monos, kernels = [], []
     for m in range(D + 1):
         monos.append(ring.monomials(m))
-        for mono in monos[m]:
+        rows: list[dict] = [{} for _ in range(alg.dim(m))]
+        for c, mono in enumerate(monos[m]):
             if m == 0:
-                images[mono] = alg.one()
-                continue
-            j = max(k for k, e in enumerate(mono) if e)
-            g = gens[j]
-            rest = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
-            images[mono] = apply_map(F, g.maps[m - g.degree], images[rest], alg.dim(m))
-        cols = [images[mm] for mm in monos[m]]
-        rows = [{k: col[r] for k, col in enumerate(cols) if col[r]} for r in range(alg.dim(m))]
-        kernels.append(kernel_space(F, len(cols), rows))
+                images[mono] = {r: x for r, x in enumerate(alg.one()) if x}
+            else:
+                j = max(k for k, e in enumerate(mono) if e)
+                g = gens[j]
+                rest = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
+                images[mono] = apply_columns(g.maps[m - g.degree], images[rest].items(), F.characteristic)
+            for r, x in images[mono].items():
+                rows[r][c] = x
+        kernels.append(kernel_space(F, len(monos[m]), rows))
     generator_data = [(g.degree, g.vector) for g in gens]
     return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), generator_data
 

@@ -116,10 +116,6 @@ class FieldSpec:
         p = self.characteristic
         return a + b if p == 0 else (a + b) % p
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        p = self.characteristic
-        return a - b if p == 0 else (a - b) % p
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         p = self.characteristic
         return a * b if p == 0 else (a * b) % p
@@ -233,8 +229,9 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+    def columns(self) -> list[tuple]:
+        """The columns as (row, value) pairs of their nonzero entries."""
+        return [tuple((r, row[j]) for r, row in enumerate(self.entries) if row[j]) for j in range(self.ncols)]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.ncols)))
@@ -302,6 +299,23 @@ def dense(field: FieldSpec, n: int, vec: dict[int, Scalar]) -> tuple:
     """The sparse vector vec as a tuple of length n."""
     z = field.zero()
     return tuple(vec.get(c, z) for c in range(n))
+
+
+def nonzero(col: dict, p: int) -> dict:
+    """The entries of a sparse vector that are nonzero (modulo p when p > 0)."""
+    return {k: v % p for k, v in col.items() if v % p} if p else {k: v for k, v in col.items() if v}
+
+
+def apply_columns(cols: Sequence, vec: Iterable[tuple[int, Scalar]], p: int) -> dict:
+    """sum x * cols[k] over the (k, x) pairs of vec, each column a sequence of
+    (row, value) pairs: a multiplication map applied to a vector, sparsely."""
+    acc: dict = {}
+    get = acc.get
+    for k, x in vec:
+        if x:
+            for r, v in cols[k]:
+                acc[r] = get(r, 0) + x * v
+    return nonzero(acc, p)
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:

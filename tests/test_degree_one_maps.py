@@ -1,18 +1,18 @@
 """Generator maps and the steps of L built from them, model by model.
 
-``algebra_generators`` stores each generator's map X_g : A_i -> A_{i+w};
-``RankTable``'s exact and modular chains combine the degree-one maps X_k of
-``degree_one_maps`` with the coordinates of L (read back as the dense
-``power_map_matrix(table, 1, i)``), and ``socle_vectors`` takes the
-common kernel of the X_g.  The oracles build each map as the model's operator
-(``operator_matrix``, the one multiplication path, which every model composes
-from its parts' operators), and the socle from every basis vector of every
-positive degree.  Both sides must give the same field elements, of the same
-Python types (``Fraction(2) == 2``, so equality alone would miss a drift).
-Because those oracles read the operators under test, the product tables of
-the derived models and of bundled quotients are pinned by digest, sampled
-products are checked against the algebra axioms and the blowup relations,
-and a quotient's operator is checked against reduced polynomial products.
+``algebra_generators`` stores each generator's map X_g : A_i -> A_{i+w} as
+sparse columns; ``RankTable``'s exact and modular chains combine the
+degree-one maps X_k of ``degree_one_maps`` with the coordinates of L (read
+back as the dense ``power_map_matrix(table, 1, i)``), and ``socle_vectors``
+takes the common kernel of the X_g.  The oracles build each map as the dense
+reference operator (``reference_operators.ref_operator_matrix``, which
+composes every derived model from its parts' dense operators), and the socle
+from every basis vector of every positive degree.  Both sides must give the
+same field elements, of the same Python types (``Fraction(2) == 2``, so
+equality alone would miss a drift).  The product tables of the derived
+models and of bundled quotients are pinned by digest, sampled products are
+checked against the algebra axioms and the blowup relations, and a
+quotient's operator is checked against reduced polynomial products.
 Every generic power L^d of ``_symbolic_power`` is checked against the chain
 of polynomial matrix products of the per-coordinate step matrices.
 """
@@ -55,9 +55,10 @@ from lefschetz.constructions import (
     thom_class,
 )
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
-from lefschetz.exactmath import GF, QQ, Matrix, kernel_basis
+from lefschetz.exactmath import GF, QQ, Matrix, dense, kernel_basis
 from lefschetz.polynomials import DualPoly, Poly, contract, monomials
 from lefschetz.symbolic import poly_mat_mul
+from reference_operators import densify, ref_operator_matrix
 
 FIELDS = [QQ, GF(5), GF(32003)]
 fields = st.sampled_from(FIELDS)
@@ -78,22 +79,31 @@ def assert_canonical(F, mats):
         assert_canonical_values(F, (x for row in m.entries for x in row))
 
 
+def assert_columns(F, cols, ncols, nrows):
+    """The column format of every multiplication map: one tuple per basis
+    vector of the source, of (row, value) pairs with distinct rows in range
+    and nonzero values, reduced mod p."""
+    assert type(cols) is list and len(cols) == ncols
+    for col in cols:
+        assert type(col) is tuple
+        rows = [r for r, _ in col]
+        assert len(set(rows)) == len(rows) and all(0 <= r < nrows for r in rows), col
+        assert all(v for _, v in col), col
+        assert_canonical_values(F, [v for _, v in col])
+
+
 def assert_generator_maps(alg):
-    """Every generator's X_g against ``operator_matrix`` on each A_i."""
+    """Every generator's X_g against ``ref_operator_matrix`` on each A_i."""
     F, D = alg.field, alg.socle_degree
     gens = algebra_generators(alg)
     for g in gens:
         assert len(g.vector) == alg.dim(g.degree)
         assert_canonical_values(F, g.vector)
         assert len(g.maps) == D - g.degree + 1
-        for i, entries in enumerate(g.maps):
-            rows = [[F.zero()] * alg.dim(i) for _ in range(alg.dim(i + g.degree))]
-            for r, c, v in entries:
-                rows[r][c] = v
-            got = Matrix(F, alg.dim(i), tuple(map(tuple, rows)))
-            assert got == operator_matrix(alg, g.degree, g.vector, i), (g.label, i)
-            assert all(v for _, _, v in entries)
-            assert_canonical_values(F, [v for _, _, v in entries])
+        for i, cols in enumerate(g.maps):
+            assert_columns(F, cols, alg.dim(i), alg.dim(i + g.degree))
+            got = densify(F, cols, alg.dim(i + g.degree))
+            assert got == ref_operator_matrix(alg, g.degree, g.vector, i), (g.label, i)
     if isinstance(alg, GradedAlgebra):
         # the variables of weight at most D, zero images included
         ring = alg.ring
@@ -121,7 +131,7 @@ def reference_socle(alg):
         for w in range(1, alg.socle_degree - d + 1):
             for j in range(alg.dim(w)):
                 unit = tuple(F.one() if k == j else F.zero() for k in range(alg.dim(w)))
-                stacked.extend(operator_matrix(alg, w, unit, d).entries)
+                stacked.extend(ref_operator_matrix(alg, w, unit, d).entries)
         out.extend((d, v) for v in kernel_basis(Matrix(F, nd, tuple(stacked))))
     return out
 
@@ -134,12 +144,12 @@ def assert_socle_matches(alg):
 
 def old_symbolic_steps(alg, coords):
     """Per degree, the generic form's matrix assembled from per-coordinate
-    ``operator_matrix`` calls."""
+    ``ref_operator_matrix`` calls."""
     F = alg.field
     k = len(coords)
     out = []
     for i in range(alg.socle_degree):
-        per_coord = [operator_matrix(alg, 1, vec, i) for _, vec in coords]
+        per_coord = [ref_operator_matrix(alg, 1, vec, i) for _, vec in coords]
         mat = []
         for r in range(alg.dim(i + 1)):
             row = []
@@ -183,7 +193,7 @@ def assert_maps_match(alg, Lvec):
     F, D = alg.field, alg.socle_degree
     table = RankTable(alg, Lvec)
     got = [power_map_matrix(table, 1, i) for i in range(D)]
-    want = [operator_matrix(alg, 1, Lvec, i) for i in range(D)]
+    want = [ref_operator_matrix(alg, 1, Lvec, i) for i in range(D)]
     assert got == want
     assert_canonical(F, got)
     if F.characteristic == 0:
@@ -308,10 +318,9 @@ def assert_operator_columns(alg, w, v):
     f = alg.poly(w, v)
     for i in range(alg.socle_degree - w + 1):
         X = operator_matrix(alg, w, v, i)
-        assert (X.rows, X.cols) == (alg.dim(i + w), alg.dim(i))
+        assert_columns(F, X, alg.dim(i), alg.dim(i + w))
         for k, e in enumerate(Matrix.identity(F, alg.dim(i)).entries):
-            assert X.col(k) == alg.vector(f * alg.poly(i, e), i + w), (w, v, i, k)
-        assert_canonical(F, [X])
+            assert dense(F, alg.dim(i + w), dict(X[k])) == alg.vector(f * alg.poly(i, e), i + w), (w, v, i, k)
 
 
 @pytest.mark.parametrize("kind", sorted(QUOTIENT_CASES))

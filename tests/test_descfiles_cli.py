@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -462,3 +463,71 @@ def test_tensor_check_failure_exits_2_with_one_error_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: tensor product violates the convolution identity"]
+
+
+def test_presentation_size_guard_is_labelled(tmp_path, capsys):
+    # A x_k B of two algebras with A_1 and B_1 of dimensions 5 and 4: its
+    # nine degree-one generators exceed the presentation guard of eight
+    files = {
+        "a.alg": "vars: a, b, c, d, e\nideal:\n" + "\n".join(f"{x}*{y}" for x in "abcde" for y in "abcde" if x <= y),
+        "b.alg": "vars: u, v, w, s\nideal:\n" + "\n".join(f"{x}*{y}" for x in "uvws" for y in "uvws" if x <= y),
+        "k.alg": "vars: t\nideal:\nt\n",
+        "a.map": "map: " + "; ".join(f"{x} -> 0" for x in "abcde") + "\n",
+        "b.map": "map: " + "; ".join(f"{x} -> 0" for x in "uvws") + "\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    p = lambda name: str(tmp_path / name)
+    argv = ["fiber-product", p("a.alg"), p("b.alg"), p("k.alg"), "--map-a", p("a.map"), "--map-b", p("b.map"), "--json"]
+    assert cli.main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["hilbert_function"] == [1, 9]
+    assert results["presentation"] == "omitted (size guard)"
+    assert "description" not in results
+
+
+def test_failed_presentation_check_exits_2_with_one_error_line(monkeypatch, capsys):
+    def broken(alg):
+        raise AssertionError("extracted presentation has the wrong Hilbert function")
+
+    monkeypatch.setattr(cli, "presented_algebra", broken)
+    argv = ["fiber-product", data_path("ex71_a.alg"), data_path("ex71_b.alg"), data_path("ex71_t.alg"),
+            "--map-a", data_path("ex71_map_a.map"), "--map-b", data_path("ex71_map_b.map"), "--json"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: extracted presentation has the wrong Hilbert function"]
+
+
+def test_jordan_check_failure_exits_2_with_one_error_line(monkeypatch, capsys):
+    from lefschetz import checks
+
+    def broken(table):
+        raise AssertionError("strand bookkeeping lost dimensions")
+
+    monkeypatch.setattr(checks, "_jordan_type", broken)
+    assert cli.main(["jordan", "--element", "x+y+z", data_path("x2y2z2.alg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: strand bookkeeping lost dimensions"]
+
+
+def test_blowup_command_computes_one_thom_class(monkeypatch, capsys):
+    from lefschetz import constructions
+
+    calls = []
+    real = constructions.thom_class
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "thom_class", counted)
+    monkeypatch.setattr(cli, "thom_class", counted, raising=False)
+    monkeypatch.chdir(str(DATA))
+    argv = ["blowup", "notgor_a.alg", "notgor_t.alg", "--map", "notgor_map.map", "--coeffs", "x;0", "--lam", "1", "--json"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    # the report's bytes, recorded when the command computed the class twice
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "7df2d977f35a73d71c331a65d796af1f3e8e374a22fd7e2c16805db838d29451"

@@ -33,7 +33,7 @@ from lefschetz.algebra import (
 )
 from lefschetz.constructions import algebra_map, fiber_product
 from lefschetz.descfiles import parse_algebra_text
-from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, kernel_basis, kernel_space, rref
+from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, dense, kernel_basis, kernel_space, rref
 from lefschetz.polynomials import DualPoly, Poly, mono_mul
 
 FIELDS = [QQ, GF(2), GF(5), GF(32003)]
@@ -99,8 +99,9 @@ def ref_socle_vectors(alg) -> list[tuple[int, tuple]]:
         rows: dict[tuple, list] = {}
         for n, g in enumerate(gens):
             if d + g.degree <= D:
-                for r, c, v in g.maps[d]:
-                    rows.setdefault((n, r), [F.zero()] * nd)[c] = v
+                for c, col in enumerate(g.maps[d]):
+                    for r, v in col:
+                        rows.setdefault((n, r), [F.zero()] * nd)[c] = v
         for v in ref_kernel_basis(Matrix(F, nd, tuple(map(tuple, rows.values())))):
             out.append((d, v))
     return out
@@ -274,7 +275,7 @@ def assert_fiber_product_matches(A, B, T, pa, pb):
     bases, free_cols = ref_fiber_bases(A, B, T, pa, pb)
     assert fp._free == free_cols
     for d, basis in enumerate(bases):
-        assert fp._basis[d] == Matrix.from_cols(A.field, basis, nrows=A.dim(d) + B.dim(d)), d
+        assert [dense(A.field, A.dim(d) + B.dim(d), u) for u in fp._basis[d]] == basis, d
     assert socle_vectors(fp) == ref_socle_vectors(fp)
 
 

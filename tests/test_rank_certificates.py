@@ -8,18 +8,18 @@ references below are the dense step matrices and their products that the
 toolkit used before, kept verbatim: every ``power_map_matrix(table, d, i)``,
 exact and modular, must equal the dense product over every field, on
 quotients, dual-generator algebras, the fiber product, the connected sum and
-the blowup, across a vanishing middle degree too.
+the blowup, across a vanishing middle degree too.  The dense steps are the
+reference operators of ``reference_operators``.
 """
 
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal, hilbert_function
+from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal
 from lefschetz.checks import (
     MODULAR_PRIME,
     RankTable,
@@ -30,28 +30,13 @@ from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_pr
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
 from lefschetz.exactmath import GF, QQ, Matrix, rank
 from lefschetz.polynomials import DualPoly, Poly, monomials
+from reference_operators import ref_operator_matrix
 
 
 def ref_step_matrices(alg, Lvec) -> list[Matrix]:
-    """Multiplication by L from each degree i, for i = 0..D-1."""
-    return ref_combine(alg.field, degree_one_maps(alg), Lvec, hilbert_function(alg))
-
-
-def ref_combine(field, maps: list, coeffs, dims: Sequence[int]) -> list[Matrix]:
-    """The dense matrices sum_k c_k X_k : A_i -> A_{i+1} over ``field``."""
-    p = field.characteristic
-    zero = field.zero()
-    out = []
-    for i, per_k in enumerate(maps):
-        rows = [[zero] * dims[i] for _ in range(dims[i + 1])]
-        for c, entries in zip(coeffs, per_k):
-            if c:
-                for r, col, v in entries:
-                    rows[r][col] += c * v
-        if p:
-            rows = [[x % p for x in row] for row in rows]
-        out.append(Matrix(field, dims[i], tuple(map(tuple, rows))))
-    return out
+    """Multiplication by L from each degree i, for i = 0..D-1, as the dense
+    reference operators."""
+    return [ref_operator_matrix(alg, 1, Lvec, i) for i in range(alg.socle_degree)]
 
 
 def ref_power_map_matrix(steps: list[Matrix], d: int, i: int) -> Matrix:
@@ -113,7 +98,8 @@ def assert_powers_match(alg, Lvec):
         assert table.mod_chains is None
         return
     mod = GF(MODULAR_PRIME)
-    mod_steps, mod_memo = ref_combine(mod, maps, [mod.coerce(c) for c in Lvec], hilbert_function(alg)), {}
+    # reduction mod p is a ring map on the p-integral rationals
+    mod_steps, mod_memo = [Matrix.from_rows(mod, m.entries, ncols=m.cols) for m in steps], {}
     for d, i in all_pairs(alg):
         got = power_map_matrix(table, d, i, modular=True)
         assert got == ref_power(mod_steps, mod_memo, d, i), (d, i)

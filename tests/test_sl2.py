@@ -251,8 +251,8 @@ def _graded_triple_cases():
 def test_triple_blocks_in_graded_basis():
     # E is multiplication by L block by block and H is 2 deg - c on the
     # graded basis; given E and H, [E,F]=H pins F, so the dense check closes it
-    from lefschetz.algebra import operator_matrix
     from lefschetz.checks import degree_one_vector
+    from reference_operators import ref_operator_matrix
 
     for a, L in _graded_triple_cases():
         t = triple_from_lefschetz(a, L)
@@ -265,7 +265,7 @@ def test_triple_blocks_in_graded_basis():
             for k in range(c + 1):
                 block = tuple(row[off[k] : off[k + 1]] for row in t.e.entries[off[i] : off[i + 1]])
                 if i == k + 1:
-                    assert block == operator_matrix(a, 1, Lvec, k).entries
+                    assert block == ref_operator_matrix(a, 1, Lvec, k).entries
                 else:
                     assert block == Matrix.zero(QQ, dims[i], dims[k]).entries
         degree = [k for k in range(c + 1) for _ in range(dims[k])]

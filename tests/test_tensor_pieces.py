@@ -88,9 +88,10 @@ pairs = fields.flatmap(lambda F: st.tuples(factors(F), factors(F)))
 
 
 def sorted_maps(alg):
-    # entry order follows the key order of the stored rows, which neither
-    # route fixes; the entries themselves are the contract
-    return [(g.label, g.degree, g.vector, [sorted(m) for m in g.maps]) for g in algebra_generators(alg)]
+    # the pair order in a column follows the key order of the stored rows,
+    # which neither route fixes; the columns' entries are the contract
+    return [(g.label, g.degree, g.vector, [[sorted(col) for col in m] for m in g.maps])
+            for g in algebra_generators(alg)]
 
 
 @given(pairs)

@@ -27,7 +27,8 @@ p-integral matrix entries is a ring map, so a nonzero minor mod p is nonzero
 over QQ and a full rank mod p is a full rank over QQ.  The X_k are reduced
 mod p once per algebra; the certificate is skipped if an X_k or L has a
 denominator divisible by p.  Only maps deficient mod p are ranked over QQ,
-so the exact chain of L is pushed only on first use.
+so the exact chain of L is pushed only on first use.  Every rank is read off
+a chain's sparse columns (``PowerChains.rank``), with no dense matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algebra import GradedAlgebra, algebra_generators, degree_one_maps, hilbert_function
-from .exactmath import GF, Matrix, Scalar, dense, det, nonzero, rank
+from .exactmath import GF, Matrix, RowSpace, Scalar, dense, det, nonzero
 from .polynomials import (
     DualPoly,
     Poly,
@@ -203,6 +204,16 @@ class PowerChains:
             chain.append(_push(chain[-1], self.step(i + len(chain)), self.stride, self._p))
         return chain[d - 1]
 
+    def rank(self, d: int, i: int) -> int:
+        """The rank of L^d on A_i: its columns enter one ``RowSpace`` over
+        A_{i+d} until the rank reaches min(h_i, h_{i+d})."""
+        space, full = RowSpace(self.field, self.dims[i + d]), min(self.dims[i], self.dims[i + d])
+        for col in self.power(d, i):
+            if space.rank == full:
+                break
+            space.add(col)
+        return space.rank
+
     def image(self, vec: Sequence, e: int) -> tuple:
         """L vec for a dense vector of A_e, pushed through the same step."""
         (col,) = _push([{r: x for r, x in enumerate(vec) if x}], self.step(e), self.stride, self._p)
@@ -258,7 +269,8 @@ class RankTable:
     mod p is a ring map from the p-integral rationals, so a minor that is
     nonzero mod p is nonzero over QQ, and the rank mod p is at most the rank
     over QQ.  A map of full rank mod p therefore has full rank over QQ; only
-    maps deficient mod p are ranked again, on the exact ``chains``.
+    maps deficient mod p are ranked again, on the exact ``chains``.  Either
+    chain ranks L^d by ``PowerChains.rank``, on its sparse columns.
     """
 
     def __init__(self, alg, Lvec):
@@ -299,11 +311,9 @@ class RankTable:
     def _exact_rank(self, d: int, i: int) -> int:
         key = (d, i)
         if key not in self._ranks:
-            r = -1
-            if self.mod_chains is not None:
-                r = rank(power_map_matrix(self, d, i, modular=True))
+            r = self.mod_chains.rank(d, i) if self.mod_chains is not None else -1
             if r < min(self._dims[i], self._dims[i + d]):
-                r = rank(power_map_matrix(self, d, i))
+                r = self.chains.rank(d, i)
             self._ranks[key] = r
         return self._ranks[key]
 

@@ -593,8 +593,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with "--opt -v" written "--opt=-v" where --opt takes one value in
+    the chosen subcommand and -v is not one of its options: argparse reads a
+    separate value that starts with one "-" (``--lam -1/3``, ``--element
+    -x+y``) as an option."""
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    command = sub.choices.get(next((a for a in argv if a[:1] != "-"), None))
+    options = command._option_string_actions if command else {}
+    out: list = []
+    for tok in argv:
+        action = options.get(out[-1]) if out else None
+        dash_value = tok[:1] == "-" and tok[1:2] not in ("", "-") and tok not in options
+        if dash_value and action and action.nargs is None:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(_join_dash_values(parser, sys.argv[1:] if argv is None else list(argv)))
     start = time.monotonic()
     try:
         code = args.fn(args)

@@ -285,7 +285,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return _row_space(m).rank
 
 
 def _row_space(m: Matrix) -> RowSpace:

@@ -531,3 +531,30 @@ def test_blowup_command_computes_one_thom_class(monkeypatch, capsys):
     # the report's bytes, recorded when the command computed the class twice
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "7df2d977f35a73d71c331a65d796af1f3e8e374a22fd7e2c16805db838d29451"
+
+
+@pytest.mark.parametrize(
+    "option, value, argv",
+    [
+        ("--lam", "-1/3", ["blowup", "notgor_a.alg", "notgor_t.alg", "--map", "notgor_map.map", "--coeffs", "x;0"]),
+        ("--coeffs", "-x;0", ["blowup", "notgor_a.alg", "notgor_t.alg", "--map", "notgor_map.map"]),
+        ("--element", "-x+y+z", ["check", "x2y2z2.alg", "--mode", "slp"]),
+        ("--expect", "-1", ["hilbert", "x2y2z2.alg"]),
+    ],
+)
+def test_a_separate_value_may_start_with_a_dash(monkeypatch, capsys, option, value, argv):
+    # argparse alone reads a separate value such as "-1/3" as an option; it
+    # is the option's value, as in the "--lam=-1/3" form
+    monkeypatch.chdir(str(DATA))
+    for tail in (["--json"], []):
+        joined, separate = _main_runs(capsys, [[*argv, f"{option}={value}", *tail], [*argv, option, value, *tail]])
+        assert separate == joined
+        assert joined[0] in (0, 1) and joined[1]
+
+
+def test_an_option_after_a_value_option_stays_an_option(capsys):
+    # "--out --json" is a missing value, not an output file named "--json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tensor", data_path("x2y2.alg"), data_path("x2y2.alg"), "--out", "--json"])
+    assert exc.value.code == 2
+    assert "argument --out: expected one argument" in capsys.readouterr().err

@@ -10,6 +10,11 @@ exact and modular, must equal the dense product over every field, on
 quotients, dual-generator algebras, the fiber product, the connected sum and
 the blowup, across a vanishing middle degree too.  The dense steps are the
 reference operators of ``reference_operators``.
+
+Ranks are read off the sparse chains (``PowerChains.rank``) and off dense
+matrices by one ``RowSpace`` (``rank``); the reference rank is the pivot count
+of the padded ``rref`` that ``rank`` used before, kept verbatim as
+``ref_rank``.
 """
 
 from fractions import Fraction
@@ -22,15 +27,21 @@ from hypothesis import strategies as st
 from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal
 from lefschetz.checks import (
     MODULAR_PRIME,
+    PowerChains,
     RankTable,
     degree_one_vector,
     power_map_matrix,
+    report_for_element,
 )
 from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_product
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
-from lefschetz.exactmath import GF, QQ, Matrix, rank
+from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, rank, rref
 from lefschetz.polynomials import DualPoly, Poly, monomials
 from reference_operators import ref_operator_matrix
+
+
+def ref_rank(m: Matrix) -> int:
+    return len(rref(m)[1])
 
 
 def ref_step_matrices(alg, Lvec) -> list[Matrix]:
@@ -71,7 +82,7 @@ def assert_certified_ranks(alg, L):
     Lvec = degree_one_vector(alg, L)
     steps = ref_step_matrices(alg, Lvec)
     pairs = all_pairs(alg)
-    want = {(d, i): rank(ref_power_map_matrix(steps, d, i)) for d, i in pairs}
+    want = {(d, i): ref_rank(ref_power_map_matrix(steps, d, i)) for d, i in pairs}
     # ascending d makes the d = 1 ranks exact; descending d asks for the
     # narrow certificate first, so d = 1 may be read off it
     for order in (pairs, pairs[::-1]):
@@ -81,8 +92,8 @@ def assert_certified_ranks(alg, L):
 
 
 def assert_powers_match(alg, Lvec):
-    """Every rank and every power of ``RankTable``, exact and modular, against
-    the dense references."""
+    """Every rank and every power of ``RankTable``, exact and modular, and the
+    rank of every chain, against the dense references."""
     F = alg.field
     assert_certified_ranks(alg, Lvec)
     steps, memo = ref_step_matrices(alg, Lvec), {}
@@ -93,6 +104,7 @@ def assert_powers_match(alg, Lvec):
         got = power_map_matrix(table, d, i)
         assert got == ref_power(steps, memo, d, i) == ref_power_map_matrix(steps, d, i), (d, i)
         assert_canonical(got)
+        assert table.chains.rank(d, i) == ref_rank(got), (d, i)
     maps = degree_one_maps(alg, MODULAR_PRIME) if F.characteristic == 0 else None
     if maps is None or any(c.denominator % MODULAR_PRIME == 0 for c in Lvec):
         assert table.mod_chains is None
@@ -104,9 +116,35 @@ def assert_powers_match(alg, Lvec):
         got = power_map_matrix(table, d, i, modular=True)
         assert got == ref_power(mod_steps, mod_memo, d, i), (d, i)
         assert_canonical(got)
+        assert table.mod_chains.rank(d, i) == ref_rank(got), (d, i)
 
 
 coefficients = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Tall, wide, empty and all-zero matrices over QQ, GF(2) and GF(32003),
+    with small entries, so that ranks are often deficient."""
+    F = draw(st.sampled_from([QQ, GF(2), GF(32003)]))
+    kind = draw(st.sampled_from(["tall", "wide", "empty", "zero"]))
+    short = draw(st.integers(min_value=1, max_value=4))
+    long = draw(st.integers(min_value=short + 1, max_value=7))
+    rows, cols = (long, short) if kind == "tall" else (short, long)
+    if kind == "empty":
+        rows, cols = draw(st.sampled_from([(0, long), (long, 0)]))
+    if kind == "zero" and draw(st.booleans()):
+        rows, cols = cols, rows
+    values = [0, 1, -1, 2, 3, 32003] + ([Fraction(2, 3)] if F == QQ else [])
+    entry = st.just(0) if kind == "zero" else st.sampled_from(values)
+    entries = [[F.coerce(draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(F, cols, tuple(map(tuple, entries)))
+
+
+@given(shaped_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_the_rref_reference(m):
+    assert rank(m) == ref_rank(m)
 
 
 @st.composite
@@ -285,3 +323,45 @@ def test_injective_narrow_maps_do_not_certify_without_symmetry():
     assert alg.hilbert_function() == (1, 3, 2)
     table = RankTable(alg, degree_one_vector(alg, r.parse("x")))
     assert [table.rank(2, 0), table.rank(1, 1), table.rank(1, 0)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "name, form, mode",
+    [("x2y2z2.alg", "x + y + z", "slp"), ("x2y2z2.alg", "x", "slp"),
+     ("perazzo.alg", "x + y + z + u + v", "slp"), ("x2y2z2.alg", f"{MODULAR_PRIME}*x + y", "wlp")],
+)
+def test_rank_tables_stop_adding_at_full_rank(monkeypatch, name, form, mode):
+    # each chain rank feeds columns to its space only while the rank is below
+    # min(h_i, h_{i+d}); the last form is deficient modulo MODULAR_PRIME, so
+    # the exact chains are ranked too
+    alg = parse_algebra_text(_bundled(name, QQ)).build()
+    L = alg.ring.parse(form)
+    report_for_element(alg, L, mode)  # builds the maps outside the count
+    adds, full = [], []
+    add, chain_rank = RowSpace.add, PowerChains.rank
+
+    def tracking_rank(self, d, i):
+        full.append(min(self.dims[i], self.dims[i + d]))
+        try:
+            return chain_rank(self, d, i)
+        finally:
+            full.pop()
+
+    def counting_add(self, row):
+        before, grew = self.rank, add(self, row)
+        if full:
+            adds.append((before, full[-1], grew, self.field.characteristic))
+        return grew
+
+    monkeypatch.setattr(PowerChains, "rank", tracking_rank)
+    monkeypatch.setattr(RowSpace, "add", counting_add)
+    report_for_element(alg, L, mode)
+    assert all(before < top for before, top, _, _ in adds)
+    fields = {p for *_, p in adds}
+    if form == "x + y + z":
+        # h = (1, 3, 3, 1): L on A_0, A_1, A_2 and L^3 on A_0, one add per
+        # unit of rank, all modulo the prime
+        assert [grew for _, _, grew, _ in adds] == [True] * 6
+        assert fields == {MODULAR_PRIME}
+    else:
+        assert fields == {0, MODULAR_PRIME}

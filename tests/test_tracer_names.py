@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` looks every traced function up in its owner's
 ``__dict__``; a renamed function would only show when the benchmark runs with
 ``--trace 1``.  Installing the tracer here fails on such a rename; one traced
-decision checks that rank counting, power and elimination spans still fire
-with no dense matrix product, a traced
-connected sum and blowup that the model spans, whose wrappers look up each
+decision checks that rank counting and sparse elimination spans fire with no
+dense power matrix, rref or matrix product, a traced sl2 triple on the same
+algebra that the dense power, rref, kernel and inverse spans still fire, a
+traced connected sum and blowup that the model spans, whose wrappers look up each
 model's ``multiply``, still fire, and a traced certified negative that its
 symbolic work lands in the decision and in Bareiss, with no polynomial matrix
 products.
@@ -15,7 +16,7 @@ import importlib.util
 from importlib import resources
 from pathlib import Path
 
-from lefschetz import checks
+from lefschetz import checks, sl2
 from lefschetz.constructions import algebra_map, blowup, connected_sum
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
 from lefschetz.exactmath import Matrix
@@ -43,11 +44,20 @@ def test_tracer_installs_and_records():
     assert rep.holds
     assert tracer.counts["checks.rank_maps"] > 0
     names = {span[0] for span in tracer.spans}
-    assert {"checks.decide", "exactmath.rref"} <= names
-    # powers of L are pushed sparse columns read through power_map_matrix,
-    # never dense matrix products
-    assert "checks.power_matrix" in names
-    assert "exactmath.matmul" not in names
+    assert {"checks.decide", "exactmath.rowspace"} <= names
+    # powers of L are pushed sparse columns, ranked as they are built: no
+    # dense view, rref or matrix product on the way to a verdict
+    assert not {"exactmath.matmul", "exactmath.rref", "checks.power_matrix"} & names
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        sl2.triple_from_lefschetz(alg, L)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    # the triple reads the dense powers, their kernels and inverse chain bases
+    assert {"checks.power_matrix", "exactmath.rref", "exactmath.kernel", "exactmath.invert"} <= names
 
 
 def _read(name):

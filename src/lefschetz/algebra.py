@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space
+from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, rows_of
 from .polynomials import (
     DualPoly,
     Monomial,
@@ -450,7 +450,10 @@ class GradedAlgebra:
             monos = self.monomial_basis(d)
             span = RowSpace(F, len(monos))
             add_shifted_rows(span, ring, d, self.ideal_space)
-            for row in self.ideal_space(d).rref_rows():
+            ideal = self.ideal_space(d)
+            for row in ideal.rref_rows():
+                if span.rank == ideal.rank:
+                    break
                 if span.add(row):
                     out.append(
                         Poly.make(self.nvars, F, {monos[c]: v for c, v in row.items()})
@@ -655,9 +658,11 @@ def _spanning_generators(alg) -> list[Generator]:
             X = operator_matrix(alg, g.degree, g.vector, d - g.degree)
             g.maps.append(X)
             for col in X:
+                if span.rank == nd:
+                    break
                 span.add(dict(col))
         for j, unit in enumerate(Matrix.identity(F, nd).entries):
-            if span.add({j: F.one()}):
+            if span.rank < nd and span.add({j: F.one()}):
                 label = f"e{j}" if d == 1 else f"e{j}_{d}"
                 gens.append(Generator(label, d, unit, [[((j, F.one()),)]]))
     return gens
@@ -705,14 +710,10 @@ def socle_vectors(alg) -> list[tuple[int, tuple]]:
         nd = alg.dim(d)
         if nd == 0:
             continue
-        rows: dict[tuple, dict] = {}  # (generator, row of its map) -> sparse row
-        for n, g in enumerate(gens):
-            if d + g.degree <= D:
-                for c, col in enumerate(g.maps[d]):
-                    for r, v in col:
-                        rows.setdefault((n, r), {})[c] = v
         space = RowSpace(F, nd)
-        for row in rows.values():
+        for row in (r for g in gens if d + g.degree <= D for r in rows_of(g.maps[d], alg.dim(d + g.degree)) if r):
+            if space.rank == nd:  # the socle is 0 in this degree
+                break
             space.add(row)
         out.extend((d, dense(F, nd, v)) for v in space.kernel().values())
     return out

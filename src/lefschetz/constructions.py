@@ -37,7 +37,7 @@ from .algebra import (
     tensor_pieces,
 )
 from .checks import GenericityConfig, generic_report
-from .exactmath import Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, nonzero, rank, solve
+from .exactmath import Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, nonzero, rank, rows_of, solve
 from .polynomials import DualPoly, Poly, contract, dual_pairing
 
 
@@ -715,8 +715,7 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
     monos, kernels = [], []
     for m in range(D + 1):
         monos.append(ring.monomials(m))
-        rows: list[dict] = [{} for _ in range(alg.dim(m))]
-        for c, mono in enumerate(monos[m]):
+        for mono in monos[m]:
             if m == 0:
                 images[mono] = {r: x for r, x in enumerate(alg.one()) if x}
             else:
@@ -724,8 +723,7 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
                 g = gens[j]
                 rest = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
                 images[mono] = apply_columns(g.maps[m - g.degree], images[rest].items(), F.characteristic)
-            for r, x in images[mono].items():
-                rows[r][c] = x
+        rows = rows_of([images[mono].items() for mono in monos[m]], alg.dim(m))
         kernels.append(kernel_space(F, len(monos[m]), rows))
     generator_data = [(g.degree, g.vector) for g in gens]
     return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), generator_data

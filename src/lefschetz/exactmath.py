@@ -318,6 +318,16 @@ def apply_columns(cols: Sequence, vec: Iterable[tuple[int, Scalar]], p: int) -> 
     return nonzero(acc, p)
 
 
+def rows_of(cols: Sequence, nrows: int) -> list[dict]:
+    """The nrows rows {column: value} of a map given by its columns, each a
+    sequence of (row, value) pairs."""
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, v in col:
+            rows[r][c] = v
+    return rows
+
+
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right kernel, one vector per free column: the vectors of
     ``RowSpace.kernel`` of m's rows, densified."""

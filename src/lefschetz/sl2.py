@@ -3,10 +3,11 @@
 Characteristic zero throughout.  A narrow-sense Lefschetz element makes the
 whole algebra an sl2 representation with E the multiplication operator and
 H acting on A_i by 2i - c.  The triple is built one degree at a time in the
-graded basis: only the lowering operator F has to be solved for, against
-the chain basis of each degree, with the normalisations of the standard
-irreducible model.  ``weight_decomposition`` (integer eigenvalue search)
-and ``verify_triple`` remain as dense checks for arbitrary matrices.
+graded basis, on the sparse columns of the chains of L: only the lowering
+operator F has to be solved for, off one row space per degree, with the
+normalisations of the standard irreducible model.  Only the returned triple
+is dense.  ``weight_decomposition`` (integer eigenvalue search) and
+``verify_triple`` remain as dense checks for arbitrary matrices.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import RankTable, _jordan_type, degree_one_vector, power_map_matrix
-from .exactmath import FieldSpec, Matrix, QQ, invert, kernel_basis
+from .checks import RankTable, _jordan_type, _push, degree_one_vector
+from .exactmath import FieldSpec, Matrix, QQ, RowSpace, apply_columns, dense, kernel_basis, nonzero, rows_of
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,16 @@ def _scalar(F: FieldSpec, n: int, value: int) -> Matrix:
 def triple_from_lefschetz(alg, L) -> Sl2Triple:
     """sl2 triple with E multiplication by a narrow-sense witness.
 
-    Built degree by degree in the graded basis.  E_k : A_k -> A_{k+1} is
-    multiplication by L and H acts on A_k by 2k - c.  The chain vectors in
-    A_k (primitive vectors v of each centred strand and their images L^j v)
-    form an invertible matrix C_k, and F_k : A_k -> A_{k-1} sends L^j v to
-    j(d - j + 1) L^{j-1} v on a strand of length d + 1.  Refuses linear
-    forms that are not narrow-sense Lefschetz elements: the strands are
-    certified centred and every C_k invertible before F is assembled, and
-    [E, F] = H is checked on every A_k ([H, E] = 2E and [H, F] = -2F hold by
-    degree).
+    Built degree by degree in the graded basis, on the sparse columns of the
+    rank table's exact chains.  E_k : A_k -> A_{k+1} is the step of L and H
+    acts on A_k by 2k - c.  The chain vectors of A_k are the primitive
+    vectors v of the centred strands and their pushes L^j v, and F sends
+    L^j v to j(d - j + 1) L^{j-1} v on a strand of length d + 1: the rows
+    (u | F u) of A_k's chain vectors reduce to (e_i | F e_i) exactly when
+    they are a basis.  Refuses linear forms that are not narrow-sense
+    Lefschetz elements: the strands are certified centred and the chain
+    vectors a basis of every A_k, and [E, F] = H is checked on every basis
+    vector ([H, E] = 2E and [H, F] = -2F hold by degree).
     """
     F = alg.field
     if F.characteristic != 0:
@@ -122,45 +124,45 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
                 "element is not a narrow-sense Lefschetz witness: "
                 f"strand at degree {start} of length {length} is not centered"
             )
-    dims = [alg.dim(k) for k in range(c + 1)]
-    z = F.zero()
-    steps = [power_map_matrix(table, 1, k) for k in range(c)]
-    # per degree k: (chain vector in A_k, its image under F in A_{k-1})
-    chains: list[list[tuple]] = [[] for _ in range(c + 1)]
+    chains = table.chains
+    dims = chains.dims
+    E = [[tuple(col.items()) for col in chains.step(k)] for k in range(c)]
+    # per degree k: the rows (u | F u) of its chain vectors, F u past A_k
+    graph: list[list[dict]] = [[] for _ in range(c + 1)]
     for s in range(c // 2 + 1):
-        if dims[s] == 0:
-            continue
         d = c - 2 * s  # strands starting in A_s end in A_{c-s}
         # primitive vectors: the kernel of L^{d+1} : A_s -> A_{c-s+1}
-        power = power_map_matrix(table, d + 1, s) if s else Matrix(F, dims[0], ())
-        for v in kernel_basis(power):
-            below = (z,) * (dims[s - 1] if s else 0)
-            for j in range(d + 1):
-                chains[s + j].append((v, below))
-                if j < d:
-                    coeff = F.from_int((j + 1) * (d - j))
-                    below = tuple(F.mul(coeff, x) for x in v)
-                    v = table.chains.image(v, s + j)
-    f_blocks = []
+        space = RowSpace(F, dims[s])
+        for row in rows_of([col.items() for col in chains.power(d + 1, s)], dims[c - s + 1]) if s else ():
+            space.add(row)
+        vs = list(space.kernel().values())
+        prev: list[dict] = [{} for _ in vs]
+        for j in range(d + 1):
+            graph[s + j] += [{**v, **{dims[s + j] + r: j * (d - j + 1) * x for r, x in u.items()}}
+                             for v, u in zip(vs, prev)]
+            if j < d:
+                prev, vs = vs, _push(vs, chains.step(s + j), chains.stride, 0)
+    f_cols = []
+    for k, rows in enumerate(graph):
+        n = dims[k]
+        space = RowSpace(F, n + (dims[k - 1] if k else 0))
+        for row in rows:
+            space.add(row)
+        if len(rows) != n or space.pivots() != list(range(n)):
+            raise ValueError("element is not a narrow-sense Lefschetz witness")
+        f_cols.append([tuple((col - n, x) for col, x in row.items() if col >= n) for row in space.rref_rows()])
     for k in range(c + 1):
-        # C_k is square exactly when A_k holds dim A_k chain vectors
-        C = Matrix.from_cols(F, [v for v, _ in chains[k]], nrows=dims[k])
-        try:
-            C_inv = invert(C)
-        except ValueError as exc:
-            raise ValueError("element is not a narrow-sense Lefschetz witness") from exc
-        M = Matrix.from_cols(F, [b for _, b in chains[k]], nrows=dims[k - 1] if k else 0)
-        f_blocks.append(M.mul(C_inv))
-    for k in range(c + 1):
-        ef = steps[k - 1].mul(f_blocks[k]) if k else Matrix.zero(F, dims[k], dims[k])
-        fe = f_blocks[k + 1].mul(steps[k]) if k < c else Matrix.zero(F, dims[k], dims[k])
-        if ef != fe.add(_scalar(F, dims[k], 2 * k - c)):
-            raise AssertionError("constructed operators fail the bracket relations")
-
+        for i in range(dims[k]):
+            ef = apply_columns(E[k - 1], f_cols[k][i], 0) if k else {}
+            fe = apply_columns(f_cols[k + 1], E[k][i], 0) if k < c else {}
+            fe[i] = fe.get(i, 0) + 2 * k - c
+            if ef != nonzero(fe, 0):
+                raise AssertionError("constructed operators fail the bracket relations")
+    blk = lambda cols, n: Matrix.from_cols(F, [dense(F, n, dict(col)) for col in cols], nrows=n)
     return Sl2Triple(
-        Matrix.blocks(F, dims, dims, {(k + 1, k): steps[k] for k in range(c)}),
+        Matrix.blocks(F, dims, dims, {(k + 1, k): blk(E[k], dims[k + 1]) for k in range(c)}),
         Matrix.blocks(F, dims, dims, {(k, k): _scalar(F, dims[k], 2 * k - c) for k in range(c + 1)}),
-        Matrix.blocks(F, dims, dims, {(k - 1, k): f_blocks[k] for k in range(1, c + 1)}),
+        Matrix.blocks(F, dims, dims, {(k - 1, k): blk(f_cols[k], dims[k - 1]) for k in range(1, c + 1)}),
     )
 
 

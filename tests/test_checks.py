@@ -694,7 +694,7 @@ def test_power_chains_build_only_the_steps_they_read():
     assert chains._steps == {}
     chains.power(2, 1)
     assert sorted(chains._steps) == [1, 2]
-    chains.image(alg.one(), 0)
+    chains.power(1, 0)
     chains.power(1, 2)
     assert sorted(chains._steps) == [0, 1, 2]
     # a rank table reads the modular steps of the one map it ranks, and

@@ -415,6 +415,24 @@ def test_hessian_seed_follows_the_flag_then_the_environment(monkeypatch, capsys,
     assert seen == [want]
 
 
+def test_hessian_criterion_refuses_weighted_gradings(tmp_path, capsys):
+    # x^3, y^2 with weights 1, 2: every Hessian determinant is nonzero, yet
+    # L^4 : A_0 -> A_4 is 0, since only x has degree 1 and x^3 = 0
+    path = tmp_path / "w12.alg"
+    path.write_text("vars: x, y\nweights: 1, 2\nideal:\nx^3\ny^2\n")
+    assert cli.main(["check", str(path), "--mode", "slp"]) == 0
+    assert capsys.readouterr().out.startswith("slp fails (symbolic)")
+    for name in (str(path), data_path("weighted_y3.alg")):
+        assert cli.main(["hessian", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the Hessian criterion applies to standard gradings only (every weight 1)"]
+    # one Hessian determinant is still computed on request
+    assert cli.main(["hessian", str(path), "--degree", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["vanishes"] is False
+
+
 # file -> (weak, strong) conditions of ``nll --json``, recorded when the
 # generic powers were products of the symbolic step matrices; None is an
 # input error.  weighted_y3.alg --mode strong (h = 1, 1, 0, 1, 1) raised an

@@ -1,19 +1,31 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz import cli
 from lefschetz.descfiles import parse_algebra_text
-from lefschetz.exactmath import QQ, Matrix, rank
-from lefschetz.algebra import Ideal, Ring, from_ideal
-from lefschetz.polynomials import Poly
-from lefschetz.checks import slpn_for_element
+from lefschetz.exactmath import QQ, Matrix, invert, kernel_basis, rank
+from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal
+from lefschetz.polynomials import DualPoly, Poly, monomials
+from lefschetz.checks import (
+    JordanType,
+    PowerChains,
+    RankTable,
+    _jordan_type,
+    degree_one_vector,
+    power_map_matrix,
+    slpn_for_element,
+)
 from lefschetz.sl2 import (
     Sl2Triple,
+    _scalar,
     irreducible_decomposition,
     model_rep,
     slpn_via_weights,
@@ -275,6 +287,18 @@ def test_triple_blocks_in_graded_basis():
         assert verify_triple(t)
 
 
+@pytest.mark.parametrize("element", ["x", "x + y", "0"])
+def test_chain_vectors_that_are_no_basis_are_refused(monkeypatch, element):
+    # with the strand check bypassed, a form that is no witness leaves chain
+    # vectors that are no basis of some A_k, and F is refused
+    import lefschetz.sl2 as sl2
+
+    a = build("x,y,z", ["x^2", "y^2", "z^2"])
+    monkeypatch.setattr(sl2, "_jordan_type", lambda table: JordanType((), ()))
+    with pytest.raises(ValueError, match="^element is not a narrow-sense Lefschetz witness$"):
+        triple_from_lefschetz(a, a.ring.parse(element))
+
+
 def test_triple_requires_characteristic_zero():
     from lefschetz.exactmath import GF
 
@@ -347,3 +371,124 @@ def test_bundled_witness_triples_and_json_are_pinned(name, element, monkeypatch,
     assert triple_digest(triple_from_lefschetz(a, a.ring.parse(element))) == triple_want
     assert cli.main(["sl2", name, "--element", element, "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_want
+
+
+# The triple as it was built from dense matrices, kept verbatim but for the
+# marked line (``PowerChains.image``, since deleted, pushed v through the
+# same step): steps and powers densified by ``power_map_matrix``, primitive
+# vectors from ``kernel_basis``, F_k = M_k C_k^-1 by ``invert`` and the
+# bracket checked by dense products.
+def ref_triple_from_lefschetz(alg, L) -> Sl2Triple:
+    """sl2 triple with E multiplication by a narrow-sense witness.
+
+    Built degree by degree in the graded basis.  E_k : A_k -> A_{k+1} is
+    multiplication by L and H acts on A_k by 2k - c.  The chain vectors in
+    A_k (primitive vectors v of each centred strand and their images L^j v)
+    form an invertible matrix C_k, and F_k : A_k -> A_{k-1} sends L^j v to
+    j(d - j + 1) L^{j-1} v on a strand of length d + 1.  Refuses linear
+    forms that are not narrow-sense Lefschetz elements: the strands are
+    certified centred and every C_k invertible before F is assembled, and
+    [E, F] = H is checked on every A_k ([H, E] = 2E and [H, F] = -2F hold by
+    degree).
+    """
+    F = alg.field
+    if F.characteristic != 0:
+        raise ValueError("sl2 machinery requires characteristic zero")
+    table = RankTable(alg, degree_one_vector(alg, L))
+    jt = _jordan_type(table)
+    c = alg.socle_degree
+    for start, length in jt.starts:
+        if 2 * start + length - 1 != c:
+            raise ValueError(
+                "element is not a narrow-sense Lefschetz witness: "
+                f"strand at degree {start} of length {length} is not centered"
+            )
+    dims = [alg.dim(k) for k in range(c + 1)]
+    z = F.zero()
+    steps = [power_map_matrix(table, 1, k) for k in range(c)]
+    # per degree k: (chain vector in A_k, its image under F in A_{k-1})
+    chains: list[list[tuple]] = [[] for _ in range(c + 1)]
+    for s in range(c // 2 + 1):
+        if dims[s] == 0:
+            continue
+        d = c - 2 * s  # strands starting in A_s end in A_{c-s}
+        # primitive vectors: the kernel of L^{d+1} : A_s -> A_{c-s+1}
+        power = power_map_matrix(table, d + 1, s) if s else Matrix(F, dims[0], ())
+        for v in kernel_basis(power):
+            below = (z,) * (dims[s - 1] if s else 0)
+            for j in range(d + 1):
+                chains[s + j].append((v, below))
+                if j < d:
+                    coeff = F.from_int((j + 1) * (d - j))
+                    below = tuple(F.mul(coeff, x) for x in v)
+                    v = steps[s + j].mul_vec(v)  # was table.chains.image(v, s + j)
+    f_blocks = []
+    for k in range(c + 1):
+        # C_k is square exactly when A_k holds dim A_k chain vectors
+        C = Matrix.from_cols(F, [v for v, _ in chains[k]], nrows=dims[k])
+        try:
+            C_inv = invert(C)
+        except ValueError as exc:
+            raise ValueError("element is not a narrow-sense Lefschetz witness") from exc
+        M = Matrix.from_cols(F, [b for _, b in chains[k]], nrows=dims[k - 1] if k else 0)
+        f_blocks.append(M.mul(C_inv))
+    for k in range(c + 1):
+        ef = steps[k - 1].mul(f_blocks[k]) if k else Matrix.zero(F, dims[k], dims[k])
+        fe = f_blocks[k + 1].mul(steps[k]) if k < c else Matrix.zero(F, dims[k], dims[k])
+        if ef != fe.add(_scalar(F, dims[k], 2 * k - c)):
+            raise AssertionError("constructed operators fail the bracket relations")
+
+    return Sl2Triple(
+        Matrix.blocks(F, dims, dims, {(k + 1, k): steps[k] for k in range(c)}),
+        Matrix.blocks(F, dims, dims, {(k, k): _scalar(F, dims[k], 2 * k - c) for k in range(c + 1)}),
+        Matrix.blocks(F, dims, dims, {(k - 1, k): f_blocks[k] for k in range(1, c + 1)}),
+    )
+
+
+@st.composite
+def triple_cases(draw):
+    """A monomial complete intersection or the algebra of a dual generator,
+    over QQ, with a linear form whose coefficients may vanish."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = Ring(("x", "y", "z")[:n], QQ)
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.integers(2, 4 if n < 3 else 3), min_size=n, max_size=n))
+        a = from_ideal(Ideal(r, tuple(r.parse(f"{v}^{e}") for v, e in zip(r.varnames, exps))))
+    else:
+        support = monomials(n, draw(st.integers(min_value=1, max_value=4)))
+        terms = draw(st.lists(st.sampled_from(support), min_size=1, max_size=3, unique=True))
+        a = from_dual_generator(DualPoly.make(n, QQ, {m: draw(st.integers(-3, 3).filter(bool)) for m in terms}), r)
+    return a, Poly.linear_form(n, QQ, draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)))
+
+
+@given(triple_cases())
+@settings(max_examples=80, deadline=None)
+def test_triple_matches_the_dense_reference(case):
+    a, L = case
+    try:
+        want = ref_triple_from_lefschetz(a, L)
+    except ValueError:
+        with pytest.raises(ValueError):
+            triple_from_lefschetz(a, L)
+        return
+    assert triple_from_lefschetz(a, L) == want
+
+
+def test_triple_uses_no_dense_linear_algebra(monkeypatch):
+    data = resources.files("lefschetz") / "data"
+    cases = []
+    for (name, element), (want, _) in sorted(WITNESS_TRIPLES.items()):
+        a = parse_algebra_text((data / name).read_text()).build()
+        cases.append((a, a.ring.parse(element), want))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense linear algebra while building a triple")
+
+    for module in [m for n, m in sys.modules.items() if n == "lefschetz" or n.startswith("lefschetz.")]:
+        for name in ("invert", "power_map_matrix", "kernel_basis"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(Matrix, "mul", forbidden)
+    assert not hasattr(PowerChains, "image")
+    for a, L, want in cases:
+        assert triple_digest(triple_from_lefschetz(a, L)) == want

@@ -4,10 +4,12 @@
 ``__dict__``; a renamed function would only show when the benchmark runs with
 ``--trace 1``.  Installing the tracer here fails on such a rename; one traced
 decision checks that rank counting and sparse elimination spans fire with no
-dense power matrix, rref or matrix product, a traced sl2 triple on the same
-algebra that the dense power, rref, kernel and inverse spans still fire, a
-traced connected sum and blowup that the model spans, whose wrappers look up each
-model's ``multiply``, still fire, and a traced certified negative that its
+dense power matrix, rref or matrix product; a traced sl2 triple on the same
+algebra that it opens only its own span and sparse elimination; the triple's
+dense checks and direct calls of the dense views that the product, kernel,
+rref, inverse and dense power spans still fire; a traced connected sum and
+blowup that the model spans, whose wrappers look up each model's
+``multiply``, still fire; and a traced certified negative that its
 symbolic work lands in the decision and in Bareiss, with no polynomial matrix
 products.
 """
@@ -16,7 +18,7 @@ import importlib.util
 from importlib import resources
 from pathlib import Path
 
-from lefschetz import checks, sl2
+from lefschetz import checks, exactmath, sl2
 from lefschetz.constructions import algebra_map, blowup, connected_sum
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
 from lefschetz.exactmath import Matrix
@@ -52,12 +54,31 @@ def test_tracer_installs_and_records():
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        sl2.triple_from_lefschetz(alg, L)
+        triple = sl2.triple_from_lefschetz(alg, L)
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    # the triple reads the dense powers, their kernels and inverse chain bases
-    assert {"checks.power_matrix", "exactmath.rref", "exactmath.kernel", "exactmath.invert"} <= names
+    # the triple is solved on the chains' sparse columns: no dense power,
+    # inverse or matrix product
+    assert names == {"sl2.triple", "exactmath.rowspace"}
+    assert not {"exactmath.invert", "exactmath.matmul", "checks.power_matrix"} & names
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert sl2.verify_triple(triple)
+        sl2.weight_decomposition(triple.h)
+        table = checks.RankTable(alg, checks.degree_one_vector(alg, L))
+        checks.power_map_matrix(table, 2, 1)
+        m = Matrix.from_rows(alg.field, [[1, 2], [3, 4]])
+        exactmath.rref(m)
+        exactmath.invert(m)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    # the dense checks of a triple and the dense views, called directly
+    assert {"exactmath.matmul", "exactmath.kernel", "exactmath.rref", "exactmath.invert",
+            "checks.power_matrix"} <= names
 
 
 def _read(name):

@@ -2,8 +2,10 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload ci-ladder --pairs 10 --seconds 8
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload all
 
-PARENT and CHANGE are checkout directories.  Each pair runs
+PARENT and CHANGE are checkout directories.  ``--workload all`` compares
+every workload named in PARENT's ``BENCHMARK.json``, one after the other.  Each pair runs
 ``perfbench/run.py --trace 0`` once in each, alternating which side runs
 first, and reads the JSON object on the last line of each run.  The metrics
 and their bounds come from PARENT's ``BENCHMARK.json``; nothing in either
@@ -15,8 +17,8 @@ verdict.  WORSE: CHANGE's median is worse than PARENT's by more than the
 bound (a fraction of PARENT's median).  UNRESOLVED: PARENT's own runs spread
 wider than that bound (IQR above bound x median), so a change within the
 bound cannot be told from noise, unless every CHANGE run beats every PARENT
-run.  The exit status is 1 if any metric is WORSE or any run fails, 0
-otherwise; UNRESOLVED alone does not fail.
+run.  The exit status is 1 if any metric on any workload is WORSE or any
+run fails, 0 otherwise; UNRESOLVED alone does not fail.
 """
 
 from __future__ import annotations
@@ -84,7 +86,16 @@ def iqr(values: list) -> float:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = spec["end_to_end"]
+    workloads = [w["name"] for w in spec["workloads"]] if args.workload == "all" else [args.workload]
+    status = 0
+    for workload in workloads:
+        status |= compare(argparse.Namespace(**{**vars(args), "workload": workload}), spec["end_to_end"])
+    return status
+
+
+def compare(args, metrics: list) -> int:
+    """Run the pairs on args.workload and print them and the verdicts; 1 if
+    any metric is WORSE."""
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")

@@ -191,6 +191,8 @@ def cmd_ann(args) -> int:
 def cmd_check(args) -> int:
     alg, digest = _load_algebra(args.file, cap=args.cap)
     cfg = _cfg_from_args(args)
+    if args.element and args.generic:
+        raise InputError("--generic and --element exclude each other")
     if args.element:
         rep = report_for_element(alg, alg.ring.parse(args.element), args.mode)
         cert = {"mode": "element", "element": args.element}

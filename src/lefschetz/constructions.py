@@ -9,8 +9,10 @@ component per positive power of the exceptional class.
 
 Every model multiplies through one method, ``operator(w, v, i)``: the sparse
 columns of multiplication by v in degree w from degree i, read off the parts'
-columns (``operator_matrix``).  ``multiply`` applies them to a vector, and the
-pairing and the Thom-class check read them directly.
+columns (``operator_matrix``).  ``multiply`` applies them to a vector.  An
+algebra map pi is held in the same format, one column per standard monomial,
+with a section from one elimination per degree; fiber products, Thom classes
+and blowups read both.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .algebra import (
     tensor_pieces,
 )
 from .checks import GenericityConfig, generic_report
-from .exactmath import Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, nonzero, rank, rows_of, solve
+from .exactmath import RowSpace, Scalar, apply_columns, dense, kernel_space, nonzero, rows_of, solve
 from .polynomials import DualPoly, Poly, contract, dual_pairing
 
 
@@ -47,7 +49,16 @@ from .polynomials import DualPoly, Poly, contract, dual_pairing
 
 
 class AlgebraMap:
-    """Degree-preserving algebra map determined by variable images."""
+    """Degree-preserving algebra map determined by variable images.
+
+    Each source monomial of degree at most D_T is mapped once, as x_j times
+    the image of mono / x_j (``_monomial_images``).  The map is well defined
+    when every reduced row of the source ideal maps to zero; ``columns(d)``
+    holds the images of the standard monomials of A_d.  ``section(d)``
+    reduces the rows (pi row r | e_r) to (R | E), E pi = R in reduced echelon
+    form: the pivot row at column c holds, at e_t, coordinate c of the rref
+    solution of pi(a) = e_t, and pi is onto T_d when no pivot is an e column.
+    """
 
     def __init__(self, source: GradedAlgebra, target: GradedAlgebra, images: Sequence[Poly]):
         if source.field != target.field:
@@ -57,51 +68,66 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.images = tuple(images)
-        for j, img in enumerate(self.images):
-            if img.is_zero():
-                continue
-            if not target.ring.is_homogeneous(img) or target.ring.degree(img) != source.ring.weights[j]:
-                raise ValueError(
-                    f"image of {source.ring.varnames[j]} must be homogeneous of "
-                    f"degree {source.ring.weights[j]}"
-                )
-        self._matrices: dict[int, Matrix] = {}
-        self._check_well_defined()
-        self.surjective = all(
-            rank(self.matrix(d)) == target.dim(d)
-            for d in range(target.socle_degree + 1)
-        )
+        for name, w, img in zip(source.ring.varnames, source.ring.weights, self.images):
+            if not img.is_zero() and (not target.ring.is_homogeneous(img) or target.ring.degree(img) != w):
+                raise ValueError(f"image of {name} must be homogeneous of degree {w}")
+        p, D = target.field.characteristic, target.socle_degree
+        maps = [[operator_matrix(target, w, target.vector(img, w), i) for i in range(D - w + 1)]
+                for img, w in zip(self.images, source.ring.weights)]
+        self._columns, self._sections = [], []  # per degree 0..D_T
+        for d, image in enumerate(_monomial_images(source.ring, D, target.one(), maps, p)):
+            cols = [image[m].items() for m in source.monomial_basis(d)]
+            if any(apply_columns(cols, row.items(), p) for _, row in source.ideal_space(d).pivot_rows()):
+                raise ValueError("map is not well defined: an ideal element has nonzero image")
+            self._columns.append([tuple(image[m].items()) for m in source.basis(d)])
+            self._sections.append(self._section(d))
+        self.surjective = None not in self._sections
 
-    def _check_well_defined(self) -> None:
-        src, tgt = self.source, self.target
-        for d in range(tgt.socle_degree + 1):
-            monos = src.monomial_basis(d)
-            for row in src.ideal_space(d).rref_rows():
-                p = Poly.make(src.nvars, src.field, {monos[c]: v for c, v in row.items()})
-                if not tgt.nf_poly(p.substitute(self.images)).is_zero():
-                    raise ValueError(
-                        "map is not well defined: an ideal element has nonzero image"
-                    )
+    def _section(self, d: int) -> Optional[list]:
+        """The columns of ``section(d)``, or None when pi is not onto T_d."""
+        F, na, nt = self.source.field, self.source.dim(d), self.target.dim(d)
+        space = RowSpace(F, na + nt)
+        for r, row in enumerate(rows_of(self._columns[d], nt)):
+            space.add({**row, na + r: F.one()})
+        if max(space.pivots(), default=-1) >= na:
+            return None
+        rows = sorted(space.pivot_rows())
+        return [tuple((pc, row[na + t]) for pc, row in rows if na + t in row) for t in range(nt)]
 
     def apply_poly(self, p: Poly) -> Poly:
         return self.target.nf_poly(p.substitute(self.images))
 
-    def matrix(self, d: int) -> Matrix:
-        """Induced map on degree-d pieces against standard bases."""
-        if d not in self._matrices:
-            src, tgt = self.source, self.target
-            nrows = tgt.dim(d)
-            cols = []
-            for m in src.basis(d):
-                p = Poly.make(src.nvars, src.field, {m: src.field.one()})
-                cols.append(tgt.vector(p.substitute(self.images), d))
-            self._matrices[d] = Matrix.from_cols(src.field, cols, nrows=nrows)
-        return self._matrices[d]
+    def columns(self, d: int) -> list:
+        """The map on degree-d pieces as sparse columns (empty beyond D_T)."""
+        return self._columns[d] if 0 <= d < len(self._columns) else [()] * self.source.dim(d)
+
+    def section(self, d: int) -> list:
+        """A fixed section T_d -> A_d as sparse columns (free coordinates zero)."""
+        sec = self._sections[d] if 0 <= d < len(self._sections) else []
+        if sec is None:
+            raise ValueError("projection is not surjective in degree %d" % d)
+        return sec
 
     def apply(self, d: int, vec: Sequence[Scalar]) -> tuple:
-        if self.target.dim(d) == 0:
-            return ()
-        return self.matrix(d).mul_vec(vec)
+        F, cols = self.target.field, self.columns(d)
+        if len(vec) != len(cols):
+            raise ValueError("dimension mismatch in map application")
+        return dense(F, self.target.dim(d), apply_columns(cols, enumerate(vec), F.characteristic))
+
+
+def _monomial_images(ring: Ring, top: int, one: tuple, maps: Sequence[Sequence[list]], p: int) -> list[dict]:
+    """{monomial: sparse image} per degree 0..top, in the order of
+    ``ring.monomials``, of the algebra map from ring sending 1 to one: x_j
+    times the image of mono / x_j, x_j the monomial's last variable, through
+    maps[j][i], multiplication by the image of x_j from degree i."""
+    images = [dict.fromkeys(ring.monomials(0), nonzero(dict(enumerate(one)), p))]
+    for m in range(1, top + 1):
+        images.append({})
+        for mono in ring.monomials(m):
+            j = max(k for k, e in enumerate(mono) if e)
+            w, rest = ring.weights[j], mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
+            images[m][mono] = apply_columns(maps[j][m - w], images[m - w][rest].items(), p)
+    return images
 
 
 def algebra_map(source: GradedAlgebra, target: GradedAlgebra, images) -> AlgebraMap:
@@ -138,7 +164,7 @@ def thom_class(pi: AlgebraMap, omega_a: Orientation, omega_t: Orientation) -> Th
     if not pi.surjective:
         raise ValueError("Thom classes require a surjective map")
     n = d - k
-    rhs = [integral(T, omega_t, k, pi.apply(k, e)) for e in Matrix.identity(A.field, A.dim(k)).entries]
+    rhs = [integral(T, omega_t, k, dense(T.field, T.dim(k), dict(col))) for col in pi.columns(k)]
     sol = solve(pairing_matrix(A, omega_a, k), rhs)
     if sol is None:
         raise ValueError("orientations and map admit no Thom class (inconsistent system)")
@@ -150,12 +176,14 @@ def thom_class(pi: AlgebraMap, omega_a: Orientation, omega_t: Orientation) -> Th
 
 def _check_thom_identity(pi, omega_a, omega_t, tau: ThomClass) -> None:
     """integral(tau * e) = integral(pi(e)) on each basis vector e of A, with
-    the products tau * e read off one operator of tau per degree."""
+    the products tau * e read off one operator of tau per degree and the
+    images pi(e) off the map's columns."""
     A, T = pi.source, pi.target
     for m in range(A.socle_degree + 1):
-        for col, e in zip(operator_matrix(A, tau.degree, tau.coords, m), Matrix.identity(A.field, A.dim(m)).entries):
+        for col, image in zip(operator_matrix(A, tau.degree, tau.coords, m), pi.columns(m)):
             tau_e = dense(A.field, A.dim(tau.degree + m), dict(col))
-            if integral(A, omega_a, tau.degree + m, tau_e) != integral(T, omega_t, m, pi.apply(m, e)):
+            pi_e = dense(T.field, T.dim(m), dict(image))
+            if integral(A, omega_a, tau.degree + m, tau_e) != integral(T, omega_t, m, pi_e):
                 raise AssertionError("Thom class fails its defining identity")
 
 
@@ -263,10 +291,8 @@ def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
         # the kernel of (pi_a, -pi_b), its basis vectors indexed by the free columns
         na, n = A.dim(d), A.dim(d) + B.dim(d)
         space = RowSpace(F, n)
-        rows = zip(pi_a.matrix(d).entries, pi_b.matrix(d).entries) if T.dim(d) else ()
-        for ra, rb in rows:
-            row = {c: x for c, x in enumerate(ra) if x}
-            row.update((na + c, -x) for c, x in enumerate(rb) if x)
+        for row, rb in zip(rows_of(pi_a.columns(d), T.dim(d)), rows_of(pi_b.columns(d), T.dim(d))):
+            row.update((na + c, -x) for c, x in rb.items())
             space.add(row)
         kernel = space.kernel()
         bases.append(list(kernel.values()))
@@ -474,8 +500,7 @@ class BlowupAlgebra:
         self.lam = lam
         self.tau = tau
         self.t_coeffs = coefficients  # index i-1 -> coords of pi(a_i) in T_i
-        self.tau_t = pi.apply(self.n, tau.coords) if T.dim(self.n) else ()
-        self._lifts: dict[int, Matrix] = {}
+        self.tau_t = pi.apply(self.n, tau.coords)
         self._xis: dict[int, list] = {}
 
     def _sizes(self, d: int) -> list[int]:
@@ -496,26 +521,14 @@ class BlowupAlgebra:
         parts = [tuple(vec[start:end]) for start, end in zip(off, off[1:])]
         return parts[0], parts[1:]
 
-    def lift_matrix(self, m: int) -> Matrix:
-        """A fixed section of pi on degree-m pieces (free coordinates zero)."""
-        if m not in self._lifts:
-            cols = []
-            for et in Matrix.identity(self.field, self.T.dim(m)).entries:
-                sol = solve(self.pi.matrix(m), et)
-                if sol is None:
-                    raise ValueError("projection is not surjective in degree %d" % m)
-                cols.append(sol)
-            self._lifts[m] = Matrix.from_cols(self.field, cols, nrows=self.A.dim(m))
-        return self._lifts[m]
-
     def lift(self, m: int, t_vec: Sequence[Scalar]) -> tuple:
-        if self.A.dim(m) == 0:
-            return ()
-        return self.lift_matrix(m).mul_vec(t_vec)
+        """t_vec in T_m lifted to A_m through the fixed section of pi."""
+        lifted = apply_columns(self.pi.section(m), enumerate(t_vec), self.field.characteristic)
+        return dense(self.field, self.A.dim(m), lifted)
 
     def _diag(self, m: int, x: tuple, i: int) -> list:
         """D(x): multiplication by x in A_m from A~_i, slot by slot."""
-        tx = self.pi.apply(m, x) if self.T.dim(m) else ()
+        tx = self.pi.apply(m, x)
         ops = [operator_matrix(self.A, m, x, i)]
         ops += [operator_matrix(self.T, m, tx, i - j) for j in range(1, self.n)]
         return [tuple((off + r, y) for r, y in col) for op, off in zip(ops, self._offsets(i + m)) for col in op]
@@ -525,13 +538,13 @@ class BlowupAlgebra:
         if k not in self._xis:
             F, T, n, s = self.field, self.T, self.n, k - self.n + 1
             off, one = self._offsets(k + 1), F.one()
-            cols = [tuple((off[1] + r, x) for r, x in col) for col in self.pi.matrix(k).columns()]
+            cols = [tuple((off[1] + r, x) for r, x in col) for col in self.pi.columns(k)]
             cols += [((off[j + 1] + r, one),) for j in range(1, n - 1) for r in range(T.dim(k - j))]
             # the last slot, through xi^n = -sum a_i xi^(n-i) - lambda tau
             into_a = operator_matrix(self.A, n, tuple(F.mul(F.neg(self.lam), x) for x in self.tau.coords), s)
             into_t = [(off[n - i], operator_matrix(T, i, tuple(F.neg(x) for x in t_i), s))
                       for i, t_i in self.t_coeffs if t_i is not None]
-            for c, lifted in enumerate(self.lift_matrix(s).columns()):
+            for c, lifted in enumerate(self.pi.section(s)):
                 col = tuple(apply_columns(into_a, lifted, F.characteristic).items())
                 cols.append(col + tuple((o + r, x) for o, op in into_t for r, x in op[c]))
             self._xis[k] = cols
@@ -708,23 +721,11 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
         F,
         tuple(g.degree for g in gens),
     )
-    # the image of a monomial is X_j applied to the image of the monomial
-    # divided by its last generator z_j; the kernel in each degree is the
-    # ideal of relations
-    images = {}  # monomial -> its image as a sparse vector
-    monos, kernels = [], []
-    for m in range(D + 1):
-        monos.append(ring.monomials(m))
-        for mono in monos[m]:
-            if m == 0:
-                images[mono] = {r: x for r, x in enumerate(alg.one()) if x}
-            else:
-                j = max(k for k, e in enumerate(mono) if e)
-                g = gens[j]
-                rest = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
-                images[mono] = apply_columns(g.maps[m - g.degree], images[rest].items(), F.characteristic)
-        rows = rows_of([images[mono].items() for mono in monos[m]], alg.dim(m))
-        kernels.append(kernel_space(F, len(monos[m]), rows))
+    # the kernel of the monomials' images in each degree is the ideal of relations
+    images = _monomial_images(ring, D, alg.one(), [g.maps for g in gens], F.characteristic)
+    kernels = [kernel_space(F, len(image), rows_of([v.items() for v in image.values()], alg.dim(m)))
+               for m, image in enumerate(images)]
+    monos = [list(image) for image in images]
     generator_data = [(g.degree, g.vector) for g in gens]
     return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), generator_data
 

@@ -229,10 +229,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    def columns(self) -> list[tuple]:
-        """The columns as (row, value) pairs of their nonzero entries."""
-        return [tuple((r, row[j]) for r, row in enumerate(self.entries) if row[j]) for j in range(self.ncols)]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.ncols)))
 

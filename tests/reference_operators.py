@@ -10,12 +10,21 @@ models' bodies read their parts through ``ref_operator_matrix`` again, so no
 sparse column enters a reference.  ``densify`` turns sparse columns into the
 dense matrix they stand for, without coercing any entry, so a drift in the
 scalar types shows as a mismatch.
+
+An algebra map's references are the former dense implementations, verbatim
+but for reading the map's attributes from an argument: ``ref_map_matrix``
+substitutes the variable images into each standard monomial,
+``ref_lift_matrix`` solves pi(a) = e_t once per unit vector,
+``ref_lift`` applies it, and ``ref_check_well_defined`` substitutes into each
+reduced ideal row.
 """
+
+import weakref
 
 from lefschetz.algebra import GradedAlgebra
 from lefschetz.constructions import BlowupAlgebra, PairAlgebra, QuotientAlgebra
-from lefschetz.exactmath import Matrix, dense
-from lefschetz.polynomials import mono_mul
+from lefschetz.exactmath import Matrix, dense, solve
+from lefschetz.polynomials import Poly, mono_mul
 
 
 def ref_operator_matrix(alg, de, ve, i) -> Matrix:
@@ -30,6 +39,57 @@ def densify(field, cols, nrows) -> Matrix:
     z = field.zero()
     maps = [dict(col) for col in cols]
     return Matrix(field, len(maps), tuple(tuple(m.get(r, z) for m in maps) for r in range(nrows)))
+
+
+# -- algebra maps ----------------------------------------------------------------
+
+_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # map -> {d: matrix}
+_LIFTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # map -> {m: section}
+
+
+def ref_check_well_defined(src, tgt, images) -> None:
+    for d in range(tgt.socle_degree + 1):
+        monos = src.monomial_basis(d)
+        for row in src.ideal_space(d).rref_rows():
+            p = Poly.make(src.nvars, src.field, {monos[c]: v for c, v in row.items()})
+            if not tgt.nf_poly(p.substitute(images)).is_zero():
+                raise ValueError(
+                    "map is not well defined: an ideal element has nonzero image"
+                )
+
+
+def ref_map_matrix(pi, d: int) -> Matrix:
+    """Induced map on degree-d pieces against standard bases."""
+    memo = _MATRICES.setdefault(pi, {})
+    if d not in memo:
+        src, tgt = pi.source, pi.target
+        nrows = tgt.dim(d)
+        cols = []
+        for m in src.basis(d):
+            p = Poly.make(src.nvars, src.field, {m: src.field.one()})
+            cols.append(tgt.vector(p.substitute(pi.images), d))
+        memo[d] = Matrix.from_cols(src.field, cols, nrows=nrows)
+    return memo[d]
+
+
+def ref_lift_matrix(pi, m: int) -> Matrix:
+    """A fixed section of pi on degree-m pieces (free coordinates zero)."""
+    memo = _LIFTS.setdefault(pi, {})
+    if m not in memo:
+        cols = []
+        for et in Matrix.identity(pi.source.field, pi.target.dim(m)).entries:
+            sol = solve(ref_map_matrix(pi, m), et)
+            if sol is None:
+                raise ValueError("projection is not surjective in degree %d" % m)
+            cols.append(sol)
+        memo[m] = Matrix.from_cols(pi.source.field, cols, nrows=pi.source.dim(m))
+    return memo[m]
+
+
+def ref_lift(pi, m: int, t_vec) -> tuple:
+    if pi.source.dim(m) == 0:
+        return ()
+    return ref_lift_matrix(pi, m).mul_vec(t_vec)
 
 
 def _column(X: Matrix, j: int) -> tuple:
@@ -123,19 +183,19 @@ def _diag(self, m, x, i):
 
 def _xi(self, k):
     F, T, n, s = self.field, self.T, self.n, k - self.n + 1
-    blocks = {(1, 0): self.pi.matrix(k)}
+    blocks = {(1, 0): ref_map_matrix(self.pi, k)}
     blocks.update({(j + 1, j): Matrix.identity(F, T.dim(k - j)) for j in range(1, n - 1)})
     for i, t_i in self.t_coeffs:
         if t_i is not None:
             blocks[(n - i, n - 1)] = ref_operator_matrix(T, i, tuple(F.neg(x) for x in t_i), s)
     minus_lam_tau = tuple(F.mul(F.neg(self.lam), x) for x in self.tau.coords)
-    blocks[(0, n - 1)] = ref_operator_matrix(self.A, n, minus_lam_tau, s).mul(self.lift_matrix(s))
+    blocks[(0, n - 1)] = ref_operator_matrix(self.A, n, minus_lam_tau, s).mul(ref_lift_matrix(self.pi, s))
     return Matrix.blocks(F, self._sizes(k + 1), self._sizes(k), blocks)
 
 
 def _blowup_operator(self, w, v, i):
     a, slots = self.split(w, v)
-    lifts = [a] + [self.lift(w - j, t) for j, t in enumerate(slots, start=1)]
+    lifts = [a] + [ref_lift(self.pi, w - j, t) for j, t in enumerate(slots, start=1)]
     # Horner, sum_j Xi^j D(l_j) = D(l_0) + Xi (D(l_1) + Xi (D(l_2) + ...)),
     # skipping the terms of zero l_j
     out = None

@@ -53,3 +53,25 @@ def test_unresolved_does_not_fail_the_run(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, args: next(runs))
     assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "10"]) == 0
     assert "UNRESOLVED" in capsys.readouterr().out
+
+
+def test_all_runs_every_workload_and_fails_on_any_worse(monkeypatch, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text('{"workloads": [{"name": "w1"}, {"name": "w2"}], "end_to_end": '
+                                           '[{"name": "jobs_per_s", "unit": "jobs/s", "better": "higher", '
+                                           '"bound": 0.1}]}')
+    seen = []
+
+    def run_once(checkout, args):
+        seen.append((checkout.name, args.workload))
+        slow = checkout == change and args.workload == "w2"
+        return {"jobs_per_s": 50.0 if slow else 100.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "all", "--pairs", "3"]) == 1
+    out = capsys.readouterr().out
+    assert [w for _, w in seen] == ["w1"] * 6 + ["w2"] * 6
+    assert "w1: 3 pairs" in out and "w2: 3 pairs" in out
+    assert out.count("WORSE") == 1 and out.index("WORSE") > out.index("w2: 3 pairs")
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w1", "--pairs", "3"]) == 0

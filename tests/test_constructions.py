@@ -44,6 +44,7 @@ from lefschetz.constructions import (
     tensor_product,
     thom_class,
 )
+from reference_operators import ref_lift_matrix, ref_map_matrix
 
 
 def ring(names, field=QQ, weights=None):
@@ -492,14 +493,14 @@ def test_blowup_alternate_lifts_well_defined():
     rng = random.Random(0)
     F = a.field
     for m in range(t.socle_degree + 1):
-        base = bug.lift_matrix(m)
+        base = ref_lift_matrix(pi, m)
         for tcol in range(t.dim(m)):
             et = tuple(F.one() if s == tcol else F.zero() for s in range(t.dim(m)))
             lifted = base.mul_vec(et)
             # perturb the lift by a random kernel element of pi
             from lefschetz.exactmath import kernel_basis
 
-            kern = kernel_basis(pi.matrix(m))
+            kern = kernel_basis(ref_map_matrix(pi, m))
             if not kern:
                 continue
             pert = kern[rng.randrange(len(kern))]

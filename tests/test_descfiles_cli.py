@@ -576,3 +576,15 @@ def test_an_option_after_a_value_option_stays_an_option(capsys):
         cli.main(["tensor", data_path("x2y2.alg"), data_path("x2y2.alg"), "--out", "--json"])
     assert exc.value.code == 2
     assert "argument --out: expected one argument" in capsys.readouterr().err
+
+
+def test_check_refuses_generic_with_element(capsys):
+    # an element check would ignore --generic, so the pair is an input error
+    path = data_path("x2y2z2.alg")
+    assert cli.main(["check", "--mode", "wlp", "--generic", "--element", "x+y+z", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --generic and --element exclude each other"]
+    for flags in (["--element", "x+y+z"], ["--generic"]):
+        assert cli.main(["check", "--mode", "wlp", *flags, path]) == 0
+        assert capsys.readouterr().out.startswith("wlp holds")

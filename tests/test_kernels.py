@@ -35,6 +35,7 @@ from lefschetz.constructions import algebra_map, fiber_product
 from lefschetz.descfiles import parse_algebra_text
 from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, dense, kernel_basis, kernel_space, rref
 from lefschetz.polynomials import DualPoly, Poly, mono_mul
+from reference_operators import ref_map_matrix
 
 FIELDS = [QQ, GF(2), GF(5), GF(32003)]
 fields = st.sampled_from(FIELDS)
@@ -139,7 +140,7 @@ def ref_fiber_bases(A, B, T, pi_a, pi_b) -> tuple[list, list]:
     bases: list[list[tuple]] = []
     free_cols: list[list[int]] = []
     for d in range(D + 1):
-        rows = zip(pi_a.matrix(d).entries, pi_b.matrix(d).entries) if T.dim(d) else ()
+        rows = zip(ref_map_matrix(pi_a, d).entries, ref_map_matrix(pi_b, d).entries) if T.dim(d) else ()
         mat = Matrix(F, A.dim(d) + B.dim(d), tuple(ra + tuple(F.neg(x) for x in rb) for ra, rb in rows))
         bases.append(ref_kernel_basis(mat))
         free_cols.append([max(c for c, x in enumerate(v) if x) for v in bases[-1]])

@@ -12,13 +12,16 @@ and their bounds come from PARENT's ``BENCHMARK.json``; nothing in either
 checkout is written to except what ``perfbench/run.py`` itself writes.
 
 Every pair is printed, then, per end-to-end metric: both medians, the
-interquartile range of PARENT's runs, the number of pairs CHANGE won, and a
-verdict.  WORSE: CHANGE's median is worse than PARENT's by more than the
-bound (a fraction of PARENT's median).  UNRESOLVED: PARENT's own runs spread
-wider than that bound (IQR above bound x median), so a change within the
-bound cannot be told from noise, unless every CHANGE run beats every PARENT
-run.  The exit status is 1 if any metric on any workload is WORSE or any
-run fails, 0 otherwise; UNRESOLVED alone does not fail.
+interquartile ranges of PARENT's and of CHANGE's runs, the number of pairs
+CHANGE won, and verdicts.  GAIN: CHANGE won at least nine tenths of the
+pairs (ties count for neither side) and its median is better than PARENT's
+by more than PARENT's IQR, the rule for claiming a gain.  WORSE: CHANGE's
+median is worse than PARENT's by more than the bound (a fraction of
+PARENT's median).  UNRESOLVED: PARENT's own runs spread wider than that
+bound (IQR above bound x median), so a change within the bound cannot be
+told from noise, unless every CHANGE run beats every PARENT run.  The exit
+status is 1 if any metric on any workload is WORSE or any run fails, 0
+otherwise; UNRESOLVED alone does not fail.
 """
 
 from __future__ import annotations
@@ -76,6 +79,14 @@ def classify(metric: dict, parent: list, change: list) -> str:
     return ""
 
 
+def gain(metric: dict, parent: list, change: list) -> bool:
+    """CHANGE wins at least 9/10 of the pairs and beats PARENT's median by
+    more than PARENT's IQR."""
+    wins = sum(better(metric, c, p) for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return 10 * wins >= 9 * len(parent) and better(metric, c_med, p_med) and abs(c_med - p_med) > iqr(parent)
+
+
 def iqr(values: list) -> float:
     if len(values) < 2:
         return 0.0
@@ -113,10 +124,12 @@ def compare(args, metrics: list) -> int:
         p_med, c_med = statistics.median(parent), statistics.median(change)
         wins = sum(better(m, c, p) for p, c in zip(parent, change))
         verdict = classify(m, parent, change)
-        flag = f"  {verdict} (bound {m['bound']:g})" if verdict else ""
+        flag = "  GAIN" if gain(m, parent, change) else ""
+        flag += f"  {verdict} (bound {m['bound']:g})" if verdict else ""
         status |= verdict == "WORSE"
         print(f"  {name:12s} median {p_med:10.4g} / {c_med:10.4g} {m['unit']:5s}"
-              f"  parent IQR {iqr(parent):8.3g}  change wins {wins}/{args.pairs}{flag}")
+              f"  parent IQR {iqr(parent):8.3g}  change IQR {iqr(change):8.3g}"
+              f"  change wins {wins}/{args.pairs}{flag}")
     return status
 
 

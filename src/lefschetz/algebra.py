@@ -546,6 +546,9 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
     term c X^[m] puts c at row t, column m - t, for every divisor t of m.  One
     pass over F's terms builds the nonzero rows of every degree, and each
     kernel is read off one elimination in reduced form by ``kernel_space``.
+    The degrees are built downwards: the rank of the degree-d catalecticant
+    is h_{D-d}, so below D/2, where degree D - d is already built, its rows
+    are read, densest first, only until they reach that rank.
     """
     if F.is_zero():
         raise ValueError("dual generator must be nonzero")
@@ -562,7 +565,13 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
             s = tuple(a - b for a, b in zip(m, t))
             d = mono_degree(s, ring.weights)
             rows[d].setdefault(t, {})[idx[d][s]] = c
-    spaces = [kernel_space(ring.field, len(monos[d]), rows[d].values()) for d in range(D + 1)]
+    spaces: list = [None] * (D + 1)
+    for d in range(D, -1, -1):
+        if 2 * d < D:  # densest rows first: they are the least often redundant
+            rank, feed = len(monos[D - d]) - spaces[D - d].rank, sorted(rows[d].values(), key=len, reverse=True)
+        else:
+            rank, feed = None, rows[d].values()
+        spaces[d] = kernel_space(ring.field, len(monos[d]), feed, rank)
     return GradedAlgebra(ring, D, monos, spaces, dual_generator_poly=F)
 
 

@@ -17,6 +17,9 @@ degree-one generators g_j is sum a_j X_{g_j}; those generators parametrise
 the candidate elements and the non-Lefschetz loci.  Every power L^d, concrete,
 modular or generic, comes from one builder, ``PowerChains``: L on A_i is the
 sparse step, and each further power pushes its columns through the next step.
+Over QQ the chains push integers: ``integer_maps`` scales the maps on A_e by
+the lcm of their denominators, a concrete L's coordinates are scaled by the
+lcm of theirs, and each power is a known nonzero multiple of the true one.
 
 Concrete ranks come from ``RankTable``, which does exact work only where no
 certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
@@ -28,7 +31,8 @@ over QQ and a full rank mod p is a full rank over QQ.  The X_k are reduced
 mod p once per algebra; the certificate is skipped if an X_k or L has a
 denominator divisible by p.  Only maps deficient mod p are ranked over QQ,
 so the exact chain of L is pushed only on first use.  Every rank is read off
-a chain's sparse columns (``PowerChains.rank``), with no dense matrix.
+a chain's sparse columns by one fraction-free count, ``exactmath.echelon_rank``
+(``PowerChains.rank``), with no dense matrix and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import GradedAlgebra, algebra_generators, degree_one_maps, hilbert_function
-from .exactmath import GF, Matrix, RowSpace, Scalar, det, nonzero
+from .exactmath import GF, Matrix, Scalar, det, echelon_rank, nonzero
 from .polynomials import (
     DualPoly,
     Poly,
@@ -175,11 +181,19 @@ class PowerChains:
     of the step of L on A_e, for ``terms[k] = (offset, c)``: offsets are 0 for
     a concrete L, and pack an exponent of a above the row for the generic
     form.  L^1 on A_i is the step, built on first read; each further power is
-    one push, memoised per A_i."""
+    one push, memoised per A_i.
 
-    def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple]):
+    Over QQ the maps and terms are integers (``integer_maps``), so the step
+    on A_e is ``scales[e]`` times the true one and L^d on A_i is the product
+    of those scales times the true power: the same rank, read fraction-free
+    by ``exactmath.echelon_rank``, and the true values by ``exact``.  Over
+    GF(p) every scale is 1."""
+
+    def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple],
+                 scales: Optional[Sequence[int]] = None):
         self.field, self.dims, self.stride, self._p = field, dims, max(dims) + 1, field.characteristic
         self._maps, self._terms = maps, terms
+        self.scales = scales or [1] * len(maps)
         self._steps: dict = {}  # e -> columns of the step of L on A_e
         self._chains: dict = {}  # i -> [columns of L^1, L^2, ... on A_i]
 
@@ -204,15 +218,43 @@ class PowerChains:
             chain.append(_push(chain[-1], self.step(i + len(chain)), self.stride, self._p))
         return chain[d - 1]
 
+    def exact(self, d: int, i: int) -> list[dict]:
+        """The columns of L^d on A_i with their true values: over QQ each
+        pushed value divided, as a ``Fraction``, by the chain's scale."""
+        if self._p:
+            return self.power(d, i)
+        scale = math.prod(self.scales[i:i + d])
+        return [{k: Fraction(x, scale) for k, x in col.items()} for col in self.power(d, i)]
+
     def rank(self, d: int, i: int) -> int:
-        """The rank of L^d on A_i: its columns enter one ``RowSpace`` over
-        A_{i+d} until the rank reaches min(h_i, h_{i+d})."""
-        space, full = RowSpace(self.field, self.dims[i + d]), min(self.dims[i], self.dims[i + d])
-        for col in self.power(d, i):
-            if space.rank == full:
-                break
-            space.add(col)
-        return space.rank
+        """The rank of L^d on A_i: ``echelon_rank`` of its columns, stopped
+        at min(h_i, h_{i+d})."""
+        return echelon_rank(self.power(d, i), self._p, min(self.dims[i], self.dims[i + d]))
+
+
+_INTEGER_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> {generic: (maps, scales)}
+
+
+def integer_maps(alg, generic: bool = False) -> tuple[list, list]:
+    """The degree-one maps of ``degree_one_maps`` (generic: the maps of the
+    degree-one generators) as integer columns, with their scales, memoised
+    per algebra: over QQ every value on A_e is multiplied by lambda_e, the
+    lcm of the denominators of the maps' values there, and ``scales[e]`` is
+    lambda_e.  Over GF(p) the maps themselves, with every scale 1."""
+    memo = _INTEGER_MAPS.setdefault(alg, {})
+    if generic not in memo:
+        if generic:
+            gens = [g for g in algebra_generators(alg) if g.degree == 1]
+            maps = [[g.maps[e] for g in gens] for e in range(alg.socle_degree)]
+        else:
+            maps = degree_one_maps(alg)
+        if alg.field.characteristic:
+            memo[generic] = maps, [1] * len(maps)
+        else:
+            scales = [math.lcm(*(v.denominator for X in per_e for col in X for _, v in col)) for per_e in maps]
+            memo[generic] = [[[tuple((r, v.numerator * (s // v.denominator)) for r, v in col) for col in X]
+                              for X in per_e] for per_e, s in zip(maps, scales)], scales
+    return memo[generic]
 
 
 def _push(cols: list[dict], step: list[dict], stride: int, p: int) -> list[dict]:
@@ -237,7 +279,7 @@ def power_map_matrix(table: "RankTable", d: int, i: int, modular: bool = False) 
     matrix (zero through an empty degree); ``modular``: modulo ``MODULAR_PRIME``.
     The library reads no power densely; this view is the tests' reference."""
     chains = table.mod_chains if modular else table.chains
-    cols, z = chains.power(d, i), chains.field.zero()
+    cols, z = chains.exact(d, i), chains.field.zero()
     return Matrix(chains.field, len(cols), tuple(tuple(c.get(r, z) for c in cols) for r in range(chains.dims[i + d])))
 
 
@@ -265,8 +307,9 @@ class RankTable:
     mod p is a ring map from the p-integral rationals, so a minor that is
     nonzero mod p is nonzero over QQ, and the rank mod p is at most the rank
     over QQ.  A map of full rank mod p therefore has full rank over QQ; only
-    maps deficient mod p are ranked again, on the exact ``chains``.  Either
-    chain ranks L^d by ``PowerChains.rank``, on its sparse columns.
+    maps deficient mod p are ranked again, on the exact ``chains``, which
+    over QQ push integer multiples of the true powers.  Either chain ranks
+    L^d by ``PowerChains.rank``, on its sparse columns.
     """
 
     def __init__(self, alg, Lvec):
@@ -283,8 +326,13 @@ class RankTable:
 
     @functools.cached_property
     def chains(self) -> PowerChains:
-        """The exact chains of L, built on first use."""
-        return PowerChains(self.alg.field, self._dims, degree_one_maps(self.alg), [(0, c) for c in self._Lvec])
+        """The exact chains of L, built on first use: over QQ through the
+        ``integer_maps`` and L's coordinates times mu, the lcm of their
+        denominators, so the step on A_e is mu * lambda_e times L's."""
+        maps, scales = integer_maps(self.alg)
+        mu = math.lcm(*(c.denominator for c in self._Lvec))
+        terms = [(0, c.numerator * (mu // c.denominator)) for c in self._Lvec]
+        return PowerChains(self.alg.field, self._dims, maps, terms, [mu * s for s in scales])
 
     def rank(self, d: int, i: int) -> int:
         D = self.alg.socle_degree
@@ -359,15 +407,16 @@ def _generic_powers(alg, top: int):
     """A reader power(d, i) of L^d : A_i -> A_{i+d}, d <= top, for the generic
     form sum a_j g_j over the degree-one generators g_j: chains through
     sum a_j X_{g_j}, a_j adding one base-(top+1) digit to the packed exponent
-    of a, each entry made a ``Poly`` at the end, A_i pushed once per reader."""
-    gens = [g for g in algebra_generators(alg) if g.degree == 1]
-    k, base, dims = len(gens), top + 1, hilbert_function(alg)
-    maps = [[g.maps[e] for g in gens] for e in range(alg.socle_degree)]
-    chains = PowerChains(alg.field, dims, maps, [(base**j, 1) for j in range(k)])
+    of a, A_i pushed once per reader.  Over QQ the chains push the integer
+    maps (``integer_maps``), and each entry is divided by the chain's scale
+    and made a ``Poly`` only at the end."""
+    maps, scales = integer_maps(alg, generic=True)
+    k, base, dims = len(degree_one_coordinates(alg)), top + 1, hilbert_function(alg)
+    chains = PowerChains(alg.field, dims, maps, [(base**j, 1) for j in range(k)], scales)
 
     def power(d: int, i: int) -> list[list[Poly]]:
         rows = [[{} for _ in range(dims[i])] for _ in range(dims[i + d])]
-        for c, col in enumerate(chains.power(d, i)):
+        for c, col in enumerate(chains.exact(d, i)):
             for key, x in col.items():
                 m, r = divmod(key, chains.stride)
                 rows[r][c][tuple(m // base**j % base for j in range(k))] = x

@@ -5,24 +5,34 @@ and canonical residues ``int`` in ``[0, p)`` over GF(p).  A ``FieldSpec``
 carries the characteristic and supplies scalar arithmetic, so matrices and
 polynomials stay lightweight.
 
-``RowSpace`` is the one elimination engine.  ``rref``, ``rank``,
+``RowSpace`` is the engine for reduced row spaces.  ``rref``, ``rank``,
 ``kernel_basis``, ``solve``, ``invert`` and ``det`` on dense matrices, and
 ``kernel_space`` on sparse rows, are views of it: they feed the rows into a
 fresh ``RowSpace`` and read the answer off its reduced rows and pivots.
 Every kernel is read by one method, ``RowSpace.kernel``.
 
-The hot kernels (``RowSpace.reduce``/``RowSpace.add`` and ``Matrix.mul``)
-rely on that representation instead of calling ``FieldSpec`` per scalar:
-over GF(p) they compute with plain ``int`` and take one ``% p`` per updated
-entry or per dot product, which brings every result back into ``[0, p)``;
-over QQ they add and multiply ``Fraction`` objects directly.  Entries handed
-to them must therefore be field elements as ``FieldSpec.coerce`` returns
-them.  Polynomial coefficients follow the same rule; it is written down in
-the ``polynomials`` module docstring.
+The one other elimination, ``echelon_rank``, only counts.  It ranks the
+chains of powers of a linear form (``checks.PowerChains``), over ZZ or
+GF(p), and keeps no reduced rows: it eliminates forward only, never divides
+over ZZ, and stops at a rank known in advance.  The chains over QQ are
+scaled to integers for it, so their ranks make no ``Fraction`` arithmetic,
+while a ``RowSpace`` over QQ stores ``Fraction`` rows, because its callers
+read them.
+
+The hot kernels (``RowSpace.reduce``/``RowSpace.add``, ``echelon_rank`` and
+``Matrix.mul``) rely on that representation instead of calling ``FieldSpec``
+per scalar: over GF(p) they compute with plain ``int`` and take one ``% p``
+per updated entry or per dot product, which brings every result back into
+``[0, p)``; over QQ they add and multiply ``Fraction`` objects directly,
+except ``echelon_rank``, which takes integers.  Entries handed to them must
+therefore be field elements as ``FieldSpec.coerce`` returns them.  Polynomial
+coefficients follow the same rule; it is written down in the
+``polynomials`` module docstring.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -324,22 +334,67 @@ def rows_of(cols: Sequence, nrows: int) -> list[dict]:
     return rows
 
 
+def echelon_rank(vectors: Iterable[dict[int, int]], p: int, stop: int) -> int:
+    """The rank of sparse vectors {index: nonzero value}, integers over ZZ
+    (p = 0) or residues in [0, p) modulo a prime p, drawing no further
+    vector once the rank reaches stop.
+
+    Forward elimination only: a vector is reduced at its smallest index by
+    the stored row leading there until it leads at a new index or vanishes,
+    and it is then stored; nothing is back-substituted, so the stored rows
+    form an echelon form, not the reduced one of ``RowSpace``.  Modulo p a
+    stored row is scaled to lead with 1, one inverse per row.  Over ZZ
+    nothing is divided while reducing: the vector is cross-multiplied,
+    v <- (a/g) v - (b/g) row for the leads b of v and a of the row with
+    g = gcd(a, b), and a stored row is divided by the gcd of its entries,
+    one gcd per row.  A rank over QQ is the rank of the vectors scaled to
+    integers.
+    """
+    rows: dict[int, dict[int, int]] = {}  # leading index -> stored row
+    for v in vectors if stop > 0 else ():
+        while v and (lead := min(v)) in rows:
+            row, a, b = rows[lead], 1, v[lead]
+            if not p:
+                g = math.gcd(row[lead], b)
+                a, b = row[lead] // g, b // g
+            acc = {c: a * x for c, x in v.items()} if a != 1 else dict(v)
+            get = acc.get
+            for c, x in row.items():
+                acc[c] = get(c, 0) - b * x
+            v = nonzero(acc, p)
+        if v:
+            if p:
+                inv = pow(v[lead], -1, p)
+                rows[lead] = {c: x * inv % p for c, x in v.items()}
+            else:
+                g = math.gcd(*v.values())
+                rows[lead] = {c: x // g for c, x in v.items()}
+            if len(rows) == stop:
+                break
+    return len(rows)
+
+
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right kernel, one vector per free column: the vectors of
     ``RowSpace.kernel`` of m's rows, densified."""
     return [dense(m.field, m.cols, v) for v in _row_space(m).kernel().values()]
 
 
-def kernel_space(field: FieldSpec, ncols: int, rows: Iterable[dict[int, Scalar]]) -> RowSpace:
+def kernel_space(field: FieldSpec, ncols: int, rows: Iterable[dict[int, Scalar]],
+                 rank: Optional[int] = None) -> RowSpace:
     """The right kernel of the matrix with these sparse rows, as a RowSpace.
 
     With the columns eliminated in reverse order, the kernel vector of a free
     column is 1 there and otherwise nonzero only at pivot columns after it,
     and every other kernel vector is 0 there: the vectors of ``kernel`` are
-    already the kernel's reduced rows, and they are stored as they are.
+    already the kernel's reduced rows, and they are stored as they are.  A
+    caller that knows the rank of the matrix passes it: once the rows read
+    reach it they span the whole row space, and the rest are not read.
     """
     rev = RowSpace(field, ncols)
     for row in rows:
+        if rev.rank == rank:
+            break
         rev.add({ncols - 1 - c: v for c, v in row.items()})
     out = RowSpace(field, ncols)
     for f, v in rev.kernel().items():
@@ -413,11 +468,13 @@ def invert(m: Matrix) -> Matrix:
 class RowSpace:
     """Incrementally reduced row space of sparse vectors.
 
-    This is the only exact elimination over a field in the toolkit; the dense
-    functions above all reduce through it.  Rows are dicts {column index:
-    scalar}.  The space is kept in reduced row echelon form: each stored row
-    has leading coefficient 1 at its pivot column (the smallest occupied
-    column) and every other stored row is zero at that column.  Column 0 is
+    This is the toolkit's elimination for reduced rows, pivots and kernels;
+    the dense functions above all reduce through it.  Ranks of the chains
+    of powers, which need none of these, are counted by ``echelon_rank``.
+    Rows are dicts {column index: scalar}.  The space is kept in reduced
+    row echelon form: each stored row has leading coefficient 1 at its
+    pivot column (the smallest occupied column) and every other stored row
+    is zero at that column.  Column 0 is
     the grevlex-largest monomial, so pivots are leading monomials and the
     non-pivot columns are the standard monomials.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import RankTable, _jordan_type, _push, degree_one_vector
+from .checks import RankTable, _jordan_type, degree_one_vector
 from .exactmath import FieldSpec, Matrix, QQ, RowSpace, apply_columns, dense, kernel_basis, nonzero, rows_of
 
 
@@ -126,14 +126,14 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
             )
     chains = table.chains
     dims = chains.dims
-    E = [[tuple(col.items()) for col in chains.step(k)] for k in range(c)]
+    E = [[tuple(col.items()) for col in chains.exact(1, k)] for k in range(c)]
     # per degree k: the rows (u | F u) of its chain vectors, F u past A_k
     graph: list[list[dict]] = [[] for _ in range(c + 1)]
     for s in range(c // 2 + 1):
         d = c - 2 * s  # strands starting in A_s end in A_{c-s}
         # primitive vectors: the kernel of L^{d+1} : A_s -> A_{c-s+1}
         space = RowSpace(F, dims[s])
-        for row in rows_of([col.items() for col in chains.power(d + 1, s)], dims[c - s + 1]) if s else ():
+        for row in rows_of([col.items() for col in chains.exact(d + 1, s)], dims[c - s + 1]) if s else ():
             space.add(row)
         vs = list(space.kernel().values())
         prev: list[dict] = [{} for _ in vs]
@@ -141,7 +141,7 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
             graph[s + j] += [{**v, **{dims[s + j] + r: j * (d - j + 1) * x for r, x in u.items()}}
                              for v, u in zip(vs, prev)]
             if j < d:
-                prev, vs = vs, _push(vs, chains.step(s + j), chains.stride, 0)
+                prev, vs = vs, [apply_columns(E[s + j], v.items(), 0) for v in vs]
     f_cols = []
     for k, rows in enumerate(graph):
         n = dims[k]

@@ -75,3 +75,40 @@ def test_all_runs_every_workload_and_fails_on_any_worse(monkeypatch, tmp_path, c
     assert "w1: 3 pairs" in out and "w2: 3 pairs" in out
     assert out.count("WORSE") == 1 and out.index("WORSE") > out.index("w2: 3 pairs")
     assert bench_pairs.main([str(parent), str(change), "--workload", "w1", "--pairs", "3"]) == 0
+
+
+@pytest.mark.parametrize("metric, parent, change, want", [
+    # 10/10 wins by more than the parent's IQR
+    (RATE, TIGHT, [x * 1.05 for x in TIGHT], True),
+    (LATENCY, TIGHT, [x * 0.9 for x in TIGHT], True),
+    # 10/10 wins, but the medians differ by less than the parent's IQR (40)
+    (RATE, WIDE, [x + 1 for x in WIDE], False),
+    # 8/10 wins by a wide margin is not enough
+    (RATE, TIGHT, [x * 1.5 for x in TIGHT[:8]] + [x * 0.9 for x in TIGHT[8:]], False),
+    # 9/10 wins is enough
+    (RATE, TIGHT, [x * 1.5 for x in TIGHT[:9]] + [x * 0.9 for x in TIGHT[9:]], True),
+    # better in the wrong direction
+    (LATENCY, TIGHT, [x * 1.05 for x in TIGHT], False),
+    (RATE, TIGHT, TIGHT, False),
+])
+def test_gain(metric, parent, change, want):
+    assert bench_pairs.gain(metric, parent, change) is want
+
+
+def test_gain_and_both_spreads_are_printed(monkeypatch, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "jobs_per_s", "unit": "jobs/s", '
+                                           '"better": "higher", "bound": 0.1}, {"name": "job_p50_ms", '
+                                           '"unit": "ms", "better": "lower", "bound": 0.2}]}')
+    faster = [x * 1.3 for x in TIGHT]
+    runs = {parent: iter(TIGHT), change: iter(faster)}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, args: {"jobs_per_s": next(runs[checkout]), "job_p50_ms": 100.0})
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rate = next(line for line in lines if line.strip().startswith("jobs_per_s"))
+    p50 = next(line for line in lines if line.strip().startswith("job_p50_ms"))
+    assert "GAIN" in rate and "change wins 10/10" in rate
+    assert f"parent IQR {bench_pairs.iqr(TIGHT):8.3g}" in rate and f"change IQR {bench_pairs.iqr(faster):8.3g}" in rate
+    assert "GAIN" not in p50 and "change wins 0/10" in p50

@@ -14,7 +14,9 @@ models and of bundled quotients are pinned by digest, sampled products are
 checked against the algebra axioms and the blowup relations, and a
 quotient's operator is checked against reduced polynomial products.
 Every generic power L^d of ``_symbolic_power`` is checked against the chain
-of polynomial matrix products of the per-coordinate step matrices.
+of polynomial matrix products of the per-coordinate step matrices; on dual
+generators with non-unit denominators, the generic chains must push only
+``int`` values and hand on ``Fraction`` coefficients.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import checks
 from lefschetz.algebra import (
     GradedAlgebra,
     Ideal,
@@ -620,3 +623,41 @@ def test_symbolic_powers_of_bundled_files(name):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_symbolic_powers_of_pair_and_blowup_models(model, F):
     assert_symbolic_powers_match(MODELS[model](F))
+
+
+@st.composite
+def rational_dual_generators(draw):
+    """Algebras of dual generators whose coefficients have non-unit
+    denominators, so the degree-one maps do too."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    deg = draw(st.integers(min_value=2, max_value=5))
+    support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=4, unique=True))
+    fractions = st.sampled_from([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4), Fraction(3), Fraction(-1)])
+    return from_dual_generator(DualPoly.make(n, QQ, {m: draw(fractions) for m in support}), Ring(tuple("xyz"[:n]), QQ))
+
+
+@given(rational_dual_generators())
+@settings(max_examples=40, deadline=None)
+def test_generic_powers_with_denominators_push_integers(alg):
+    # the generic chains push the integer maps and divide each entry by the
+    # chain's scale only at the end: every pushed value is an int, every
+    # coefficient handed on a Fraction, and the powers those of the chain of
+    # polynomial products
+    made = []
+
+    class Recorded(checks.PowerChains):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "PowerChains", Recorded)
+        assert_symbolic_powers_match(alg)
+    assert made
+    for chains in made:
+        values = [x for step in chains._steps.values() for col in step for x in col.values()]
+        values += [x for chain in chains._chains.values() for cols in chain for col in cols for x in col.values()]
+        assert all(type(x) is int for x in values), {type(x) for x in values}
+    D = alg.socle_degree
+    assert_canonical_values(QQ, (c for d in range(1, D + 1) for i in range(D - d + 1)
+                                 for row in _symbolic_power(alg, d, i) for x in row for _, c in x.terms))

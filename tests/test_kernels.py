@@ -347,9 +347,12 @@ def test_catalecticant_adds_only_nonzero_contractions(monkeypatch):
     kernels = sum(len(ring.monomials(d)) - alg.dim(d) for d in range(D + 1))
     assert calls.count(True) == ranks
     assert sum(alg.ideal_space(d).rank for d in range(D + 1)) == kernels
-    # the rows t o F of the monomials t dividing a term: 3 + 7 + 5 + 1 rows,
-    # of which the degree-3 and degree-2 t give 2 zero remainders each
-    assert calls.count(False) == 4
+    # the rows t o F of the monomials t dividing a term: 3 + 7 + 5 + 1 rows.
+    # Below D/2 they are read, densest first, only until their rank reaches
+    # h_{D-d}: one of the three degree-3 t and six of the seven degree-2 t,
+    # one of those a zero remainder (reading every row gave 2 zero
+    # remainders in each of the two degrees)
+    assert calls.count(False) == 1
     # the dense catalecticant added a row for every monomial of degree D - d
     dense_wasted = sum(len(ring.monomials(D - d)) for d in range(D + 1)) - ranks
     assert dense_wasted == 44

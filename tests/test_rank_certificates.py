@@ -11,10 +11,14 @@ quotients, dual-generator algebras, the fiber product, the connected sum and
 the blowup, across a vanishing middle degree too.  The dense steps are the
 reference operators of ``reference_operators``.
 
-Ranks are read off the sparse chains (``PowerChains.rank``) and off dense
-matrices by one ``RowSpace`` (``rank``); the reference rank is the pivot count
-of the padded ``rref`` that ``rank`` used before, kept verbatim as
-``ref_rank``.
+Ranks are read off the sparse chains by ``exactmath.echelon_rank``
+(``PowerChains.rank``) and off dense matrices by one ``RowSpace`` (``rank``);
+the reference rank is the pivot count of the padded ``rref`` that ``rank``
+used before, kept verbatim as ``ref_rank``.  ``echelon_rank`` is checked
+against it over ZZ, with entries beyond 2^64, and modulo 2, 32003 and
+2^31 - 1.  Over QQ the chains push integer multiples of the powers: on dual
+generators with non-unit denominators and rational forms, every pushed value
+must be an ``int`` and the dense view must still be the true power.
 """
 
 from fractions import Fraction
@@ -24,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import checks
 from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal
 from lefschetz.checks import (
     MODULAR_PRIME,
@@ -35,7 +40,7 @@ from lefschetz.checks import (
 )
 from lefschetz.constructions import algebra_map, blowup, connected_sum, fiber_product
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
-from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, rank, rref
+from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, echelon_rank, rank, rows_of, rref
 from lefschetz.polynomials import DualPoly, Poly, monomials
 from reference_operators import ref_operator_matrix
 
@@ -236,6 +241,101 @@ def test_powers_match_the_dense_references(case):
     assert_powers_match(*case)
 
 
+@st.composite
+def integer_vectors(draw):
+    """Sparse vectors of tall, wide, empty and all-zero matrices over ZZ
+    (entries beyond 2^64 included, and rows that are combinations of earlier
+    ones) or modulo 2, 32003 and 2^31 - 1, as (p, vectors, their matrix)."""
+    p = draw(st.sampled_from([0, 2, 32003, MODULAR_PRIME]))
+    kind = draw(st.sampled_from(["tall", "wide", "empty", "zero"]))
+    short = draw(st.integers(min_value=1, max_value=4))
+    long = draw(st.integers(min_value=short + 1, max_value=7))
+    rows, cols = (long, short) if kind == "tall" else (short, long)
+    if kind == "empty":
+        rows, cols = draw(st.sampled_from([(0, long), (long, 0)]))
+    values = [0, 1, -1, 2, 3, 32003, MODULAR_PRIME, 2**64 + 13, -(3**50)]
+    entry = st.just(0) if kind == "zero" else st.sampled_from(values)
+    entries = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for k in range(1, rows) if kind != "zero" else ():
+        if draw(st.booleans()):  # a combination of the rows before
+            a, b = draw(st.sampled_from(values[1:])), draw(st.sampled_from(values))
+            j = draw(st.integers(min_value=0, max_value=k - 1))
+            entries[k] = [a * x + b * y for x, y in zip(entries[j], entries[k - 1])]
+    F = GF(p) if p else QQ
+    m = Matrix(F, cols, tuple(tuple(F.coerce(x) for x in row) for row in entries))
+    vectors = [{c: x % p if p else x for c, x in enumerate(row) if (x % p if p else x)} for row in entries]
+    return p, vectors, m
+
+
+@given(integer_vectors(), st.integers(min_value=0, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_echelon_rank_matches_the_rref_reference(case, stop):
+    p, vectors, m = case
+    copies = [dict(v) for v in vectors]
+    want = ref_rank(m)
+    assert echelon_rank(vectors, p, min(m.rows, m.cols)) == want
+    # rows and columns have one rank; a smaller stop caps it
+    assert echelon_rank(rows_of([v.items() for v in vectors], m.cols), p, m.rows) == want
+    assert echelon_rank(iter(vectors), p, stop) == min(stop, want)
+    assert vectors == copies
+
+
+def test_echelon_rank_draws_nothing_past_its_stop():
+    drawn = []
+
+    def vectors():
+        for v in ({0: 1}, {1: 1}, {2: 1}):
+            drawn.append(v)
+            yield v
+
+    assert echelon_rank(vectors(), 0, 2) == 2 and len(drawn) == 2
+    drawn.clear()
+    assert echelon_rank(vectors(), 7, 0) == 0 and drawn == []
+
+
+@st.composite
+def rational_dual_generator_algebras(draw):
+    """Dual generators with non-unit denominators, and rational forms such as
+    1/3 x + 2/7 y + z."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    deg = draw(st.integers(min_value=2, max_value=4))
+    support = draw(st.lists(st.sampled_from(monomials(n, deg)), min_size=1, max_size=4, unique=True))
+    fractions = st.sampled_from([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4), Fraction(3), Fraction(-1)])
+    alg = from_dual_generator(DualPoly.make(n, QQ, {m: draw(fractions) for m in support}), Ring(tuple("xyz"[:n]), QQ))
+    form = st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(1), Fraction(0), Fraction(-5, 6)])
+    return alg, tuple(draw(form) for _ in range(alg.dim(1)))
+
+
+def assert_integer_chains(chains: PowerChains):
+    """Every pushed value of a chain over QQ is an ``int``: no ``Fraction``
+    arithmetic was made."""
+    values = [x for step in chains._steps.values() for col in step for x in col.values()]
+    values += [x for chain in chains._chains.values() for cols in chain for col in cols for x in col.values()]
+    assert all(type(x) is int for x in values), {type(x) for x in values}
+
+
+@given(rational_dual_generator_algebras())
+@settings(max_examples=60, deadline=None)
+def test_powers_with_denominators_match_the_dense_references(case):
+    alg, Lvec = case
+    assert_powers_match(alg, Lvec)
+    table = RankTable(alg, Lvec)
+    for d, i in all_pairs(alg):
+        table.chains.rank(d, i)
+    assert_integer_chains(table.chains)
+
+
+def test_rational_form_on_a_bundled_algebra_pushes_integers():
+    alg = parse_algebra_text(_bundled("stanley_333.alg", QQ)).build()
+    Lvec = degree_one_vector(alg, alg.ring.parse("1/3*x + 2/7*y + z"))
+    assert_powers_match(alg, Lvec)
+    table = RankTable(alg, Lvec)
+    assert [table.chains.rank(d, i) for d, i in all_pairs(alg)] == [
+        ref_rank(power_map_matrix(table, d, i)) for d, i in all_pairs(alg)]
+    assert_integer_chains(table.chains)
+    assert any(s > 1 for s in table.chains.scales)
+
+
 def _bundled(name, F):
     return (resources.files("lefschetz") / "data" / name).read_text().replace("QQ", str(F))
 
@@ -331,37 +431,46 @@ def test_injective_narrow_maps_do_not_certify_without_symmetry():
      ("perazzo.alg", "x + y + z + u + v", "slp"), ("x2y2z2.alg", f"{MODULAR_PRIME}*x + y", "wlp")],
 )
 def test_rank_tables_stop_adding_at_full_rank(monkeypatch, name, form, mode):
-    # each chain rank feeds columns to its space only while the rank is below
-    # min(h_i, h_{i+d}); the last form is deficient modulo MODULAR_PRIME, so
-    # the exact chains are ranked too
+    # each chain rank draws columns into ``echelon_rank`` only while the rows
+    # it has stored are fewer than min(h_i, h_{i+d}); a reference RowSpace
+    # fed the same columns counts the rows stored.  The last form is
+    # deficient modulo MODULAR_PRIME, so the exact chains are ranked too
     alg = parse_algebra_text(_bundled(name, QQ)).build()
     L = alg.ring.parse(form)
     report_for_element(alg, L, mode)  # builds the maps outside the count
-    adds, full = [], []
-    add, chain_rank = RowSpace.add, PowerChains.rank
+    draws, ranked = [], []
+    chain_rank, echelon_rank = PowerChains.rank, checks.echelon_rank
 
     def tracking_rank(self, d, i):
-        full.append(min(self.dims[i], self.dims[i + d]))
+        ranked.append((self.field, self.dims[i + d]))
         try:
             return chain_rank(self, d, i)
         finally:
-            full.pop()
+            ranked.pop()
 
-    def counting_add(self, row):
-        before, grew = self.rank, add(self, row)
-        if full:
-            adds.append((before, full[-1], grew, self.field.characteristic))
-        return grew
+    def counting_rank(vectors, p, stop):
+        field, n = ranked[-1]
+        space = RowSpace(field, n)
+
+        def drawn():
+            for v in vectors:
+                before = space.rank
+                draws.append((before, stop, space.add({r: field.coerce(x) for r, x in v.items()}), p))
+                yield v
+
+        got = echelon_rank(drawn(), p, stop)
+        assert got == space.rank
+        return got
 
     monkeypatch.setattr(PowerChains, "rank", tracking_rank)
-    monkeypatch.setattr(RowSpace, "add", counting_add)
+    monkeypatch.setattr(checks, "echelon_rank", counting_rank)
     report_for_element(alg, L, mode)
-    assert all(before < top for before, top, _, _ in adds)
-    fields = {p for *_, p in adds}
+    assert draws and all(before < top for before, top, _, _ in draws)
+    fields = {p for *_, p in draws}
     if form == "x + y + z":
-        # h = (1, 3, 3, 1): L on A_0, A_1, A_2 and L^3 on A_0, one add per
-        # unit of rank, all modulo the prime
-        assert [grew for _, _, grew, _ in adds] == [True] * 6
+        # h = (1, 3, 3, 1): L on A_0, A_1, A_2 and L^3 on A_0, one stored
+        # row per column drawn, all modulo the prime
+        assert [stored for _, _, stored, _ in draws] == [True] * 6
         assert fields == {MODULAR_PRIME}
     else:
         assert fields == {0, MODULAR_PRIME}

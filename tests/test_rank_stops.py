@@ -5,22 +5,26 @@ shifted lower pieces and the rows read so far is smaller than I_d;
 ``socle_vectors`` adds the rows of the generator maps on A_d only while
 their span is smaller than A_d (the socle is then 0 there); and
 ``_spanning_generators`` adds the columns of the products of earlier
-generators, and then unit vectors, only while their span is smaller than A_d.
-Each guard wraps ``RowSpace.add``, checks that no add reaches a space
-already at that rank, and pins the number of adds on bundled algebras.  The
-outputs themselves are checked against references in ``test_ideal_pieces``
-and ``test_kernels``.
+generators, and then unit vectors, only while their span is smaller than A_d;
+and ``from_dual_generator`` reads the rows of the degree-d catalecticant,
+for d < D/2, only while their span is smaller than h_{D-d}, its rank by
+Gorenstein symmetry.  Each guard wraps ``RowSpace.add``, checks that no add
+reaches a space already at that rank, and pins the number of adds on
+bundled algebras.  The outputs themselves are checked against references in
+``test_ideal_pieces`` and ``test_kernels``; the catalecticant guard also
+compares each kernel with the one read from every row.
 """
 
+import math
 from importlib import resources
 
 import pytest
 
 from lefschetz import algebra
-from lefschetz.algebra import algebra_generators, socle_vectors
+from lefschetz.algebra import Ring, algebra_generators, from_dual_generator, socle_vectors
 from lefschetz.constructions import algebra_map, connected_sum, fiber_product
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
-from lefschetz.exactmath import RowSpace
+from lefschetz.exactmath import QQ, RowSpace
 
 
 def _read(name):
@@ -114,5 +118,50 @@ def test_spanning_generators_stop_at_the_dimension_of_each_degree(monkeypatch, b
     adds = _counting(monkeypatch, lambda space: space.ncols if space in spans else None)
     gens = algebra_generators(alg)
     assert gens and spans
+    assert all(before < top for before, top in adds)
+    assert len(adds) == count
+
+
+DUAL_GENERATORS = {
+    "perazzo-d6": ("x,y,z,u,v", "X*U^5*V + Y*U*V^5 + Z*U^2*V^4"),
+    "rational": ("x,y,z,u,v", "1/3*X*U^3*V + 2/7*Y*U*V^3 + Z*U^2*V^2 - 5/4*X^2*Y*Z*U"),
+}
+
+
+def _dual_generator_algebra(case):
+    if case.endswith(".alg"):
+        return _build(case)
+    ring = Ring(tuple(DUAL_GENERATORS[case][0].split(",")), QQ)
+    return from_dual_generator(ring.parse_dual(DUAL_GENERATORS[case][1]), ring)
+
+
+# catalecticant adds per dual generator; reading every row made 37, 16, 7,
+# 62 and 54
+@pytest.mark.parametrize("case, count", [
+    ("ikeda.alg", 32), ("perazzo.alg", 13), ("sum_of_squares.alg", 5), ("perazzo-d6", 54), ("rational", 42),
+])
+def test_catalecticants_stop_at_the_symmetric_rank(monkeypatch, case, count):
+    kernels, ranks = [], []  # (kernel, kernel of every row); known rank per call
+    kernel_space = algebra.kernel_space
+
+    def recording(field, ncols, rows, rank=None):
+        rows = list(rows)
+        ranks.append(rank)
+        try:
+            got = kernel_space(field, ncols, rows, rank)
+        finally:
+            ranks.pop()
+        kernels.append((got, kernel_space(field, ncols, rows)))
+        return got
+
+    def known_rank(space):
+        if not ranks:
+            return None  # not a catalecticant row
+        return math.inf if ranks[-1] is None else ranks[-1]  # d >= D/2 reads every row
+
+    monkeypatch.setattr(algebra, "kernel_space", recording)
+    adds = _counting(monkeypatch, known_rank)
+    _dual_generator_algebra(case)
+    assert kernels and all(got.rref_rows() == want.rref_rows() for got, want in kernels)
     assert all(before < top for before, top in adds)
     assert len(adds) == count

@@ -373,6 +373,24 @@ def test_bundled_witness_triples_and_json_are_pinned(name, element, monkeypatch,
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_want
 
 
+# (file, command) -> sha256 of the --json bytes for the rational element
+# 1/3*x+2/7*y+z, recorded when the chains over QQ still pushed Fractions: the
+# integer chains must give the same E, F and Jordan type
+RATIONAL_ELEMENT_JSON = {
+    ("x2y2z2.alg", "sl2"): "b3b3a9e1f1f90e3cda3ae377c7df52f2dd8ace9e8ba8a98945433bdd7ee7c9cb",
+    ("x2y2z2.alg", "jordan"): "8b8e7a93fb05e8c280c4ab001dcde22300b66bf3de188998e3306b9517db1303",
+    ("stanley_333.alg", "sl2"): "691a20801b0e34324a4c089f8af53fc379275a6bfe6947aa105d11554c617e2c",
+    ("stanley_333.alg", "jordan"): "9caf6d7f23b6524185bd5b0bbed184c50e9ad678268dfa625d991196d349b043",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(RATIONAL_ELEMENT_JSON))
+def test_rational_element_json_is_pinned(name, command, monkeypatch, capsys):
+    monkeypatch.chdir(resources.files("lefschetz") / "data")
+    assert cli.main([command, name, "--element", "1/3*x+2/7*y+z", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RATIONAL_ELEMENT_JSON[name, command]
+
+
 # The triple as it was built from dense matrices, kept verbatim but for the
 # marked line (``PowerChains.image``, since deleted, pushed v through the
 # same step): steps and powers densified by ``power_map_matrix``, primitive

@@ -11,15 +11,28 @@ with the most self time, then the toolkit's functions (those under
 
     python3 scripts/profile_workload.py --workload ci-ladder --seed 5 --top 25
 
-The benchmark's ``corpus.py`` and ``jobs.py`` are loaded by path and nothing
-under ``perfbench/`` is changed; ``constructions-cli`` writes its input files
-to ``.bench_build/perfbench/corpus``, as the benchmark does.
+Each ``--wrap MODULE:FUNCTION`` (repeatable; a method as ``Class.method``)
+adds, after all of that, unprofiled passes with the function wrapped by a
+counter and a timer, and prints its calls and wall time per pass, from the
+pass where it took least time.  Only outermost calls count: a call made
+while the function is already running is part of the enclosing call.  A
+function that no toolkit module refers to cannot be wrapped, and is an error.
+
+    python3 scripts/profile_workload.py --workload ci-ladder --seed 5 \
+        --wrap lefschetz.algebra:from_ideal --wrap lefschetz.exactmath:RowSpace.add
+
+The benchmark's ``corpus.py``, ``jobs.py`` and ``tracer.py`` (whose patching
+binds the wrappers) are loaded by path and nothing under ``perfbench/`` is
+changed; ``constructions-cli`` writes its input files to
+``.bench_build/perfbench/corpus``, as the benchmark does.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import functools
+import importlib
 import importlib.util
 import os
 import pstats
@@ -32,6 +45,7 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("ci-ladder", "gorenstein-survey", "constructions-cli")
 # job_tail_ms is the latency of the slowest job but this many (perfbench/harness.py)
 TAIL_BEYOND = 10
+WRAP_PASSES = 3
 
 
 def _load(name):
@@ -55,11 +69,61 @@ def run_pass(jobs, job_list) -> tuple[list, list]:
     return failed, walls
 
 
+def outermost_timer(fn, record: list):
+    """fn wrapped to add 1 to record[0] and its wall seconds to record[1]
+    per outermost call; calls made inside a running call are not counted."""
+    depth = 0
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        nonlocal depth
+        if depth:
+            return fn(*args, **kwargs)
+        depth += 1
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            record[1] += time.perf_counter() - t0
+            record[0] += 1
+            depth -= 1
+    return wrapper
+
+
+def wrapped_passes(jobs, job_list, targets, passes: int = WRAP_PASSES) -> dict:
+    """Per target ``module:function``: (calls, seconds) of its outermost calls
+    in the pass, of ``passes`` unprofiled ones, where it took least time.
+    Exits with an error naming a target that no toolkit module refers to,
+    which could not be wrapped."""
+    tracer = _load("tracer")  # its wrappers are bound wherever the toolkit imported the function
+    best = {t: None for t in targets}
+    for _ in range(passes):
+        records = {t: [0, 0.0] for t in targets}
+        patcher = tracer.Tracer()
+        try:
+            for t in targets:
+                module, _, path = t.partition(":")
+                bound = len(patcher._undo)
+                patcher._patch(importlib.import_module(module), path,
+                               lambda fn, r=records[t]: outermost_timer(fn, r))
+                if len(patcher._undo) == bound:  # no toolkit module holds the function
+                    raise SystemExit(f"--wrap {t}: no reference to it in a lefschetz module to wrap")
+            run_pass(jobs, job_list)
+        finally:
+            patcher.uninstall()
+        for t, (calls, seconds) in records.items():
+            if best[t] is None or seconds < best[t][1]:
+                best[t] = (calls, seconds)
+    return best
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--top", type=int, default=25, help="how many functions to print")
+    ap.add_argument("--wrap", action="append", default=[], metavar="MODULE:FUNCTION",
+                    help="also time this function's outermost calls per pass (repeatable)")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -90,6 +154,10 @@ def main(argv=None) -> int:
     stats.sort_stats("tottime").print_stats(args.top)
     # cumulative time includes callees; the toolkit's own functions only
     stats.sort_stats("cumulative").print_stats("lefschetz/", args.top)
+    if args.wrap:
+        print(f"wrapped functions, best of {WRAP_PASSES} unprofiled passes (outermost calls, per pass):")
+        for target, (calls, seconds) in wrapped_passes(jobs, built.jobs, args.wrap).items():
+            print(f"  {1000 * seconds:9.1f} ms  {calls:7d} calls  {target}")
     return 1 if failed else 0
 
 

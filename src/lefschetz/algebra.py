@@ -145,32 +145,61 @@ def _shift_table(nvars: int, weights: tuple, e: int, j: int) -> array.array:
     return array.array("i", [idx[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in lower])
 
 
-def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece) -> None:
-    """Add x_j times every stored row of degree e - w_j to the degree-e space.
+def store_units(space: RowSpace, columns) -> None:
+    """Store the unit row e_c at each column c, eliminating nothing: a
+    monomial in the space is the reduced row at its own column, whatever
+    else the space holds, and every column is one when the space is full."""
+    one = space.field.one()
+    for c in columns:
+        space.store_reduced(c, {c: one})
 
-    ``piece(d)`` returns the RowSpace of degree d.  Grevlex is multiplicative,
-    so x_j * r leads at the shift of r's pivot; a shifted row equal to the row
-    stored there already lies in the space and is skipped without reduction.
-    On a monomial ideal that skips every shift that adds nothing, since
-    x_j * (x_k * m) = x_k * (x_j * m) is reached once per variable of m.
+
+def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece, rows: Sequence[dict] = ()) -> None:
+    """Span the empty degree-e space by ``rows`` and by x_j times every stored
+    row of degree e - w_j; ``piece(d)`` returns the RowSpace of degree d.
+
+    The leads of a space are its pivots, and grevlex is multiplicative, so
+    x_j * c is a monomial of the degree-e space for every one-entry stored
+    row c below.  Those monomials and the monomials among ``rows`` are
+    stored first, as unit rows (``store_units``); when they are every
+    column, as above the socle degree of a monomial complete intersection,
+    nothing is eliminated.  Otherwise the other rows are added, and the
+    shifts of the other stored rows, a shift equal to the row stored at its
+    lead skipped unreduced, until the space is everything.
     """
-    for j, w in enumerate(ring.weights):
-        if e < w:
-            continue
-        shift = _shift_table(ring.nvars, ring.weights, e, j)
-        stores, add = space.stores, space.add
-        for pc, row in piece(e - w).pivot_rows():
-            shifted = {shift[c]: v for c, v in row.items()}
-            if not stores(shifted, shift[pc]):
-                add(shifted)
+    n = space.ncols
+    lowers = [(_shift_table(ring.nvars, ring.weights, e, j), piece(e - w))
+              for j, w in enumerate(ring.weights) if e >= w]
+    units = {min(row) for row in rows if len(row) == 1}
+    for shift, lower in lowers:
+        for pc, row in lower.pivot_rows():
+            if len(row) == 1:
+                units.add(shift[pc])
+    store_units(space, sorted(units))
+    if space.rank == n:
+        return
+    add, stores = space.add, space.stores
+    for row in rows:
+        if len(row) > 1 and add(row) and space.rank == n:
+            return
+    for shift, lower in lowers:
+        for pc, row in lower.pivot_rows():
+            if len(row) > 1:
+                shifted = {shift[c]: v for c, v in row.items()}
+                if not stores(shifted, shift[pc]) and add(shifted) and space.rank == n:
+                    return
 
 
 class _IdealPieces:
     """Degreewise row spaces of a homogeneous ideal, built incrementally.
 
     The degree-e space is spanned by the generators of degree e and by the
-    shifts x_j * r of the stored rows of lower degrees (``add_shifted_rows``,
-    which skips a shift equal to the row already stored at its lead).
+    shifts x_j * r of the stored rows of lower degrees (``add_shifted_rows``).
+    Each monomial of I_e that is a monomial generator or a shift of a
+    one-entry row is stored as its own unit row, and only the other rows
+    are eliminated, so a lead that only elimination reaches is still found.
+    When the unit rows are every monomial, as above the socle degree of a
+    monomial complete intersection, I_e is everything with no elimination.
     """
 
     def __init__(self, ring: Ring, generators: Sequence[Poly]):
@@ -186,10 +215,8 @@ class _IdealPieces:
             monos = ring.monomials(e)
             idx = {m: i for i, m in enumerate(monos)}
             space = RowSpace(ring.field, len(monos))
-            for g in self.generators:
-                if ring.degree(g) == e:
-                    space.add({idx[m]: c for m, c in g.terms})
-            add_shifted_rows(space, ring, e, lambda d: self.spaces[d])
+            gens = [{idx[m]: c for m, c in g.terms} for g in self.generators if ring.degree(g) == e]
+            add_shifted_rows(space, ring, e, lambda d: self.spaces[d], gens)
             self.monos.append(monos)
             self.spaces.append(space)
 
@@ -336,9 +363,7 @@ class GradedAlgebra:
         if d <= self.socle_degree:
             return self._spaces[d]
         full = RowSpace(self.field, len(self.ring.monomials(d)))
-        one = self.field.one()
-        for i in range(full.ncols):
-            full.store_reduced(i, {i: one})
+        store_units(full, range(full.ncols))
         return full
 
     def monomial_basis(self, d: int) -> list[Monomial]:

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .exactmath import GF, FieldSpec, Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, rows_of
+from .exactmath import FieldSpec, Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, rows_of
 from .polynomials import (
     DualPoly,
     Monomial,
@@ -700,38 +700,6 @@ def _spanning_generators(alg) -> list[Generator]:
                 label = f"e{j}" if d == 1 else f"e{j}_{d}"
                 gens.append(Generator(label, d, unit, [[((j, F.one()),)]]))
     return gens
-
-
-_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> {modulus: maps}
-
-
-def degree_one_maps(alg, modulus: int = 0) -> Optional[list]:
-    """Multiplication by each basis vector of A_1, memoised per algebra.
-
-    ``maps[i][k]`` is X_k : A_i -> A_{i+1} as sparse columns, the map of the
-    degree-one generator equal to the k-th basis vector e_k of A_1 (on a
-    quotient, the k-th standard variable), for i < socle degree;
-    multiplication by sum c_k e_k is sum c_k X_k.  Over QQ a prime ``modulus``
-    gives the maps modulo it instead (entries that vanish there dropped), or
-    None when an entry's denominator vanishes there.
-    """
-    memo = _MAPS.setdefault(alg, {})
-    if modulus in memo:
-        return memo[modulus]
-    if modulus:
-        try:
-            F = GF(modulus)
-            maps = [[[tuple((r, x) for r, v in col if (x := F.coerce(v))) for col in X] for X in per_k]
-                    for per_k in degree_one_maps(alg)]
-        except ValueError:  # a denominator vanishes modulo the prime
-            maps = None
-    else:
-        # the first degree-one generator equal to each basis vector
-        first = {g.vector: g for g in reversed(algebra_generators(alg)) if g.degree == 1}
-        basis = Matrix.identity(alg.field, alg.dim(1)).entries
-        maps = [[first[e].maps[i] for e in basis] for i in range(alg.socle_degree)]
-    memo[modulus] = maps
-    return maps
 
 
 def socle_vectors(alg) -> list[tuple[int, tuple]]:

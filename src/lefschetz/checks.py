@@ -10,34 +10,32 @@ characteristic zero, escalate to fraction-free symbolic ranks over the
 function field of the coefficients.
 
 Every algebra model is read through the generator maps X_g : A_i -> A_{i+w}
-that ``algebra.algebra_generators`` builds once per algebra.  Multiplication
-by L = sum c_k e_k on A_i is sum c_k X_k over the degree-one maps of
-``algebra.degree_one_maps``, and the generic form sum a_j g_j over the
-degree-one generators g_j is sum a_j X_{g_j}; those generators parametrise
-the candidate elements and the non-Lefschetz loci.  Every power L^d, concrete,
-modular or generic, comes from one builder, ``PowerChains``: L on A_i is the
-sparse step, and each further power pushes its columns through the next step.
-Over QQ the chains push integers: ``integer_maps`` scales the maps on A_e by
-the lcm of their denominators, a concrete L's coordinates are scaled by the
-lcm of theirs, and each power is a known nonzero multiple of the true one.
+that ``algebra.algebra_generators`` builds once per algebra, and every power
+of a linear form through one map source, the maps X_{g_j} of the degree-one
+generators g_j (``integer_maps``).  A concrete L = sum c_k e_k is
+sum c_k X_{g_j} with g_j the first degree-one generator whose vector is e_k,
+and the generic form is sum a_j X_{g_j}; those generators parametrise the
+candidate elements and the non-Lefschetz loci.  Every power L^d, concrete or
+generic, comes from one builder, ``PowerChains``: L on A_i is the sparse
+step, and each further power pushes its columns through the next step.  Over
+QQ the chains push integers: ``integer_maps`` scales the maps on A_e by the
+lcm of their denominators, a concrete L's coordinates are scaled by the lcm
+of theirs, and each power is a known nonzero integer multiple of the true one.
 
-Concrete ranks come from ``RankTable``, which does exact work only where no
-certificate applies.  If every narrow map L^{c-2i} : A_i -> A_{c-i} is
-bijective, every power map L^d has full rank, since it is a right factor of
-an injective narrow map or a left factor of a surjective one.  Over QQ a map
-is first ranked modulo the word-size prime ``MODULAR_PRIME``: reducing the
-p-integral matrix entries is a ring map, so a nonzero minor mod p is nonzero
-over QQ and a full rank mod p is a full rank over QQ.  The X_k are reduced
-mod p once per algebra; the certificate is skipped if an X_k or L has a
-denominator divisible by p.  Only maps deficient mod p are ranked over QQ,
-so the exact chain of L is pushed only on first use.  Every rank is read off
-a chain's sparse columns by one fraction-free count, ``exactmath.echelon_rank``
-(``PowerChains.rank``), with no dense matrix and no ``Fraction``.
+Concrete ranks come from ``RankTable``, one chain per linear form, which does
+exact work only where no certificate applies.  If every narrow map
+L^{c-2i} : A_i -> A_{c-i} is bijective, every power map L^d has full rank,
+since it is a right factor of an injective narrow map or a left factor of a
+surjective one.  Over QQ ``PowerChains.rank`` first ranks a power's integer
+columns modulo the word-size prime ``MODULAR_PRIME``: reduction ZZ -> F_p is
+a ring map, so a minor that is nonzero mod p is nonzero over ZZ, and a full
+rank mod p is the rank over QQ.  Only a power deficient mod p is ranked over
+ZZ.  Every rank is read off a chain's sparse columns by the fraction-free
+count ``exactmath.echelon_rank``, with no dense matrix and no ``Fraction``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -46,8 +44,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import GradedAlgebra, algebra_generators, degree_one_maps, hilbert_function
-from .exactmath import GF, Matrix, Scalar, det, echelon_rank, nonzero
+from .algebra import GradedAlgebra, algebra_generators, hilbert_function
+from .exactmath import Matrix, Scalar, det, echelon_rank, nonzero
 from .polynomials import (
     DualPoly,
     Poly,
@@ -173,12 +171,16 @@ def degree_one_vector(alg, L) -> tuple:
     return vec
 
 
+# Word-size prime of the modular rank certificate over QQ (``PowerChains.rank``).
+MODULAR_PRIME = 2**31 - 1
+
+
 class PowerChains:
     """L^d : A_i -> A_{i+d} for one linear form L, as sparse columns.
 
-    Each (row, value) pair of column col of X_k : A_e -> A_{e+1}
-    (``maps[e][k]``) adds c * value at key offset * stride + row of column col
-    of the step of L on A_e, for ``terms[k] = (offset, c)``: offsets are 0 for
+    Each (row, value) pair of column col of X_j : A_e -> A_{e+1}
+    (``maps[e][j]``) adds c * value at key offset * stride + row of column col
+    of the step of L on A_e, for ``terms[j] = (offset, c)``: offsets are 0 for
     a concrete L, and pack an exponent of a above the row for the generic
     form.  L^1 on A_i is the step, built on first read; each further power is
     one push, memoised per A_i.
@@ -186,8 +188,8 @@ class PowerChains:
     Over QQ the maps and terms are integers (``integer_maps``), so the step
     on A_e is ``scales[e]`` times the true one and L^d on A_i is the product
     of those scales times the true power: the same rank, read fraction-free
-    by ``exactmath.echelon_rank``, and the true values by ``exact``.  Over
-    GF(p) every scale is 1."""
+    by ``rank``, and the true values by ``exact``.  Over GF(p) every scale
+    is 1."""
 
     def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple],
                  scales: Optional[Sequence[int]] = None):
@@ -228,33 +230,37 @@ class PowerChains:
 
     def rank(self, d: int, i: int) -> int:
         """The rank of L^d on A_i: ``echelon_rank`` of its columns, stopped
-        at min(h_i, h_{i+d})."""
-        return echelon_rank(self.power(d, i), self._p, min(self.dims[i], self.dims[i + d]))
+        at min(h_i, h_{i+d}).  Over QQ the integer columns are ranked modulo
+        ``MODULAR_PRIME`` first, and over ZZ only when that rank is short:
+        the rank mod p is at most the rank over ZZ, so a full one is it."""
+        cols, full = self.power(d, i), min(self.dims[i], self.dims[i + d])
+        if not self._p and echelon_rank((nonzero(c, MODULAR_PRIME) for c in cols), MODULAR_PRIME, full) == full:
+            return full
+        return echelon_rank(cols, self._p, full)
 
 
-_INTEGER_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> {generic: (maps, scales)}
+_INTEGER_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> (maps, scales)
 
 
-def integer_maps(alg, generic: bool = False) -> tuple[list, list]:
-    """The degree-one maps of ``degree_one_maps`` (generic: the maps of the
-    degree-one generators) as integer columns, with their scales, memoised
-    per algebra: over QQ every value on A_e is multiplied by lambda_e, the
-    lcm of the denominators of the maps' values there, and ``scales[e]`` is
-    lambda_e.  Over GF(p) the maps themselves, with every scale 1."""
-    memo = _INTEGER_MAPS.setdefault(alg, {})
-    if generic not in memo:
-        if generic:
-            gens = [g for g in algebra_generators(alg) if g.degree == 1]
-            maps = [[g.maps[e] for g in gens] for e in range(alg.socle_degree)]
-        else:
-            maps = degree_one_maps(alg)
+def integer_maps(alg) -> tuple[list, list]:
+    """The maps of the degree-one generators g_j (``algebra_generators``),
+    ``maps[e][j]`` the columns of X_{g_j} on A_e, with their scales,
+    memoised per algebra: over QQ every value on A_e is multiplied by
+    lambda_e, the lcm of the denominators of the maps' values there, and
+    ``scales[e]`` is lambda_e.  Over GF(p) the maps themselves, with every
+    scale 1.  They are the one map source of every chain of a linear form."""
+    got = _INTEGER_MAPS.get(alg)
+    if got is None:
+        gens = [g for g in algebra_generators(alg) if g.degree == 1]
+        maps = [[g.maps[e] for g in gens] for e in range(alg.socle_degree)]
         if alg.field.characteristic:
-            memo[generic] = maps, [1] * len(maps)
+            got = maps, [1] * len(maps)
         else:
             scales = [math.lcm(*(v.denominator for X in per_e for col in X for _, v in col)) for per_e in maps]
-            memo[generic] = [[[tuple((r, v.numerator * (s // v.denominator)) for r, v in col) for col in X]
-                              for X in per_e] for per_e, s in zip(maps, scales)], scales
-    return memo[generic]
+            got = [[[tuple((r, v.numerator * (s // v.denominator)) for r, v in col) for col in X]
+                    for X in per_e] for per_e, s in zip(maps, scales)], scales
+        _INTEGER_MAPS[alg] = got
+    return got
 
 
 def _push(cols: list[dict], step: list[dict], stride: int, p: int) -> list[dict]:
@@ -274,22 +280,25 @@ def _push(cols: list[dict], step: list[dict], stride: int, p: int) -> list[dict]
     return out
 
 
-def power_map_matrix(table: "RankTable", d: int, i: int, modular: bool = False) -> Matrix:
+def power_map_matrix(table: "RankTable", d: int, i: int) -> Matrix:
     """L^d : A_i -> A_{i+d} of a rank table's form as a dense dim A_{i+d} x dim A_i
-    matrix (zero through an empty degree); ``modular``: modulo ``MODULAR_PRIME``.
-    The library reads no power densely; this view is the tests' reference."""
-    chains = table.mod_chains if modular else table.chains
+    matrix (zero through an empty degree).  The library reads no power
+    densely; this view is the tests' reference."""
+    chains = table.chains
     cols, z = chains.exact(d, i), chains.field.zero()
     return Matrix(chains.field, len(cols), tuple(tuple(c.get(r, z) for c in cols) for r in range(chains.dims[i + d])))
 
 
-# Word-size prime for the modular certificate over QQ (see ``RankTable``).
-MODULAR_PRIME = 2**31 - 1
-_MODULAR_FIELD = GF(MODULAR_PRIME)
-
-
 class RankTable:
-    """Ranks of L^d : A_i -> A_{i+d}, memoised, with two certified shortcuts.
+    """Ranks of L^d : A_i -> A_{i+d}, memoised, off one chain of L.
+
+    ``chains`` pushes L through the degree-one generator maps of
+    ``integer_maps``: coordinate k of L goes on the first degree-one
+    generator whose vector is e_k (on a quotient, the k-th standard variable
+    or an earlier variable equal to it in A), and over QQ the coordinates
+    are scaled by mu, the lcm of their denominators, so the step on A_e is
+    mu * lambda_e times L's.  Each map is ranked by ``PowerChains.rank``,
+    modulo ``MODULAR_PRIME`` first and over ZZ only if deficient there.
 
     Narrow-map certificate: when every narrow map L^{c-2i} : A_i -> A_{c-i}
     is bijective, every L^d has full rank, because each L^d is a factor of a
@@ -300,16 +309,6 @@ class RankTable:
     min(h_i, h_{i+d}) when they are all bijective; WLP (d = 1) never pays for
     the check, but d = 1 uses it once it has been made.  If one narrow map
     is deficient, every map is ranked.
-
-    Modular certificate over QQ: ``mod_chains`` push through
-    sum (c_k mod p)(X_k mod p), with the X_k reduced once per algebra
-    (skipped if an X_k or L has a denominator divisible by p).  Reduction
-    mod p is a ring map from the p-integral rationals, so a minor that is
-    nonzero mod p is nonzero over QQ, and the rank mod p is at most the rank
-    over QQ.  A map of full rank mod p therefore has full rank over QQ; only
-    maps deficient mod p are ranked again, on the exact ``chains``, which
-    over QQ push integer multiples of the true powers.  Either chain ranks
-    L^d by ``PowerChains.rank``, on its sparse columns.
     """
 
     def __init__(self, alg, Lvec):
@@ -318,21 +317,13 @@ class RankTable:
         self._dims = hilbert_function(alg)
         self._ranks: dict = {}
         self._narrow: Optional[bool] = None
-        self.mod_chains: Optional[PowerChains] = None
-        maps = degree_one_maps(alg, MODULAR_PRIME) if alg.field.characteristic == 0 else None
-        if maps is not None and all(c.denominator % MODULAR_PRIME for c in Lvec):
-            terms = [(0, _MODULAR_FIELD.coerce(c)) for c in Lvec]
-            self.mod_chains = PowerChains(_MODULAR_FIELD, self._dims, maps, terms)
-
-    @functools.cached_property
-    def chains(self) -> PowerChains:
-        """The exact chains of L, built on first use: over QQ through the
-        ``integer_maps`` and L's coordinates times mu, the lcm of their
-        denominators, so the step on A_e is mu * lambda_e times L's."""
-        maps, scales = integer_maps(self.alg)
-        mu = math.lcm(*(c.denominator for c in self._Lvec))
-        terms = [(0, c.numerator * (mu // c.denominator)) for c in self._Lvec]
-        return PowerChains(self.alg.field, self._dims, maps, terms, [mu * s for s in scales])
+        maps, scales = integer_maps(alg)
+        vectors = [g.vector for g in algebra_generators(alg) if g.degree == 1]
+        mu = math.lcm(*(c.denominator for c in Lvec))
+        terms = [(0, 0)] * len(vectors)
+        for e, c in zip(Matrix.identity(alg.field, len(Lvec)).entries, Lvec):
+            terms[vectors.index(e)] = (0, c.numerator * (mu // c.denominator))
+        self.chains = PowerChains(alg.field, self._dims, maps, terms, [mu * s for s in scales])
 
     def rank(self, d: int, i: int) -> int:
         D = self.alg.socle_degree
@@ -355,10 +346,7 @@ class RankTable:
     def _exact_rank(self, d: int, i: int) -> int:
         key = (d, i)
         if key not in self._ranks:
-            r = self.mod_chains.rank(d, i) if self.mod_chains is not None else -1
-            if r < min(self._dims[i], self._dims[i + d]):
-                r = self.chains.rank(d, i)
-            self._ranks[key] = r
+            self._ranks[key] = self.chains.rank(d, i)
         return self._ranks[key]
 
 
@@ -410,7 +398,7 @@ def _generic_powers(alg, top: int):
     of a, A_i pushed once per reader.  Over QQ the chains push the integer
     maps (``integer_maps``), and each entry is divided by the chain's scale
     and made a ``Poly`` only at the end."""
-    maps, scales = integer_maps(alg, generic=True)
+    maps, scales = integer_maps(alg)
     k, base, dims = len(degree_one_coordinates(alg)), top + 1, hilbert_function(alg)
     chains = PowerChains(alg.field, dims, maps, [(base**j, 1) for j in range(k)], scales)
 
@@ -425,14 +413,11 @@ def _generic_powers(alg, top: int):
     return power
 
 
-def _symbolic_power(alg, d: int, i: int) -> list[list[Poly]]:
-    """The generic L^d : A_i -> A_{i+d} (see ``_generic_powers``)."""
-    return _generic_powers(alg, d)(d, i)
-
-
 def _symbolic_step_matrices(alg) -> list[list[list[Poly]]]:
-    """The generic form's step matrices A_i -> A_{i+1}, for i = 0..D-1."""
-    return [_symbolic_power(alg, 1, i) for i in range(alg.socle_degree)]
+    """The generic form's step matrices A_i -> A_{i+1}, for i = 0..D-1, off
+    one reader of ``_generic_powers``."""
+    power = _generic_powers(alg, 1)
+    return [power(1, i) for i in range(alg.socle_degree)]
 
 
 def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -> LefschetzReport:

@@ -355,14 +355,17 @@ def _emit_constructed(args, command, inputs, alg_like, extra: dict) -> int:
             description = format_algebra_description(
                 description_of(presented_algebra(alg_like))
             )
-        except PresentationSizeError:
+        except PresentationSizeError as exc:
+            if args.out:
+                raise InputError(f"cannot write {args.out}: presentation omitted by the size guard ({exc})")
             results["presentation"] = "omitted (size guard)"
-    if description is not None:
-        results["description"] = description
     human_lines = [f"H = {list(h)}; gorenstein: {gor}"]
-    if description:
+    if description is None:
+        human_lines.append("presentation: omitted (size guard)")
+    else:
+        results["description"] = description
         human_lines.append(description.rstrip())
-    if args.out and description:
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(description)

@@ -102,7 +102,7 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
     """sl2 triple with E multiplication by a narrow-sense witness.
 
     Built degree by degree in the graded basis, on the sparse columns of the
-    rank table's exact chains.  E_k : A_k -> A_{k+1} is the step of L and H
+    rank table's chain of L.  E_k : A_k -> A_{k+1} is the step of L and H
     acts on A_k by 2k - c.  The chain vectors of A_k are the primitive
     vectors v of the centred strands and their pushes L^j v, and F sends
     L^j v to j(d - j + 1) L^{j-1} v on a strand of length d + 1: the rows

@@ -21,7 +21,7 @@ from lefschetz.checks import (
     RankTable,
     _expected,
     _map_list,
-    _symbolic_power,
+    _generic_powers,
     combine_coordinates,
     degree_one_coordinates,
     degree_one_vector,
@@ -506,7 +506,7 @@ def ref_generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig(
             if cached is not None and cached.achieved == exp:
                 maps.append(cached)
                 continue
-            got = fraction_free_echelon(_symbolic_power(alg, d, i), stop_at=exp)
+            got = fraction_free_echelon(_generic_powers(alg, d)(d, i), stop_at=exp)
             maps.append(MapRecord(i, d, exp, got))
             if got != exp:
                 all_full = False
@@ -689,7 +689,7 @@ def test_generic_escalation_pushes_each_degree_once(make, deficient, pushed, mon
 
 def test_power_chains_build_only_the_steps_they_read():
     alg = build("x,y,z", ["x^3", "y^3", "z^3"])
-    maps = checks.degree_one_maps(alg)
+    maps, _ = checks.integer_maps(alg)
     chains = checks.PowerChains(alg.field, alg.hilbert_function(), maps, [(0, 1), (0, 2), (0, 3)])
     assert chains._steps == {}
     chains.power(2, 1)
@@ -697,9 +697,9 @@ def test_power_chains_build_only_the_steps_they_read():
     chains.power(1, 0)
     chains.power(1, 2)
     assert sorted(chains._steps) == [0, 1, 2]
-    # a rank table reads the modular steps of the one map it ranks, and
-    # builds no exact chains when that map has full rank mod p
+    # a rank table reads, on its one chain, the steps of the one map it
+    # ranks, and pushes A_1 once per further power
     table = RankTable(alg, alg.vector(alg.ring.parse("x + y + z"), 1))
     assert table._exact_rank(3, 1) == 3
-    assert sorted(table.mod_chains._steps) == [1, 2, 3]
-    assert "chains" not in vars(table)
+    assert sorted(table.chains._steps) == [1, 2, 3]
+    assert list(table.chains._chains) == [1] and len(table.chains._chains[1]) == 3

@@ -1,10 +1,10 @@
 """Generator maps and the steps of L built from them, model by model.
 
 ``algebra_generators`` stores each generator's map X_g : A_i -> A_{i+w} as
-sparse columns; ``RankTable``'s exact and modular chains combine the
-degree-one maps X_k of ``degree_one_maps`` with the coordinates of L (read
-back as the dense ``power_map_matrix(table, 1, i)``), and ``socle_vectors``
-takes the common kernel of the X_g.  The oracles build each map as the dense
+sparse columns; ``integer_maps`` scales the maps of the degree-one
+generators to integers, ``RankTable``'s one chain combines them with the
+coordinates of L (read back as the dense ``power_map_matrix(table, 1, i)``),
+and ``socle_vectors`` takes the common kernel of the X_g.  The oracles build each map as the dense
 reference operator (``reference_operators.ref_operator_matrix``, which
 composes every derived model from its parts' dense operators), and the socle
 from every basis vector of every positive degree.  Both sides must give the
@@ -13,7 +13,7 @@ equality alone would miss a drift).  The product tables of the derived
 models and of bundled quotients are pinned by digest, sampled products are
 checked against the algebra axioms and the blowup relations, and a
 quotient's operator is checked against reduced polynomial products.
-Every generic power L^d of ``_symbolic_power`` is checked against the chain
+Every generic power L^d of ``_generic_powers`` is checked against the chain
 of polynomial matrix products of the per-coordinate step matrices; on dual
 generators with non-unit denominators, the generic chains must push only
 ``int`` values and hand on ``Fraction`` coefficients.
@@ -34,7 +34,6 @@ from lefschetz.algebra import (
     Ring,
     algebra_generators,
     default_orientation,
-    degree_one_maps,
     from_dual_generator,
     from_ideal,
     operator_matrix,
@@ -44,9 +43,10 @@ from lefschetz.algebra import (
 from lefschetz.checks import (
     MODULAR_PRIME,
     RankTable,
-    _symbolic_power,
+    _generic_powers,
     _symbolic_step_matrices,
     degree_one_coordinates,
+    integer_maps,
     power_map_matrix,
 )
 from lefschetz.constructions import (
@@ -182,9 +182,10 @@ def assert_symbolic_powers_match(alg):
     where the power must be the zero matrix of full shape."""
     steps = old_symbolic_steps(alg, degree_one_coordinates(alg))
     D = alg.socle_degree
+    power = _generic_powers(alg, D)
     for d in range(1, D + 1):
         for i in range(D - d + 1):
-            got = _symbolic_power(alg, d, i)
+            got = power(d, i)
             assert [len(row) for row in got] == [alg.dim(i)] * alg.dim(i + d), (d, i)
             if all(alg.dim(e) for e in range(i + 1, i + d)):
                 assert got == chain_power(steps, d, i), (d, i)
@@ -192,23 +193,30 @@ def assert_symbolic_powers_match(alg):
                 assert all(x.is_zero() for row in got for x in row), (d, i)
 
 
+def assert_integer_maps(alg):
+    """Each map of ``integer_maps`` on A_e, divided by its scale, is the
+    dense reference operator of its degree-one generator; over QQ every
+    value is an ``int``, and over GF(p) every scale is 1."""
+    F, D = alg.field, alg.socle_degree
+    maps, scales = integer_maps(alg)
+    gens = [g for g in algebra_generators(alg) if g.degree == 1]
+    assert len(maps) == len(scales) == D and all(len(per_e) == len(gens) for per_e in maps)
+    for e, (per_e, s) in enumerate(zip(maps, scales)):
+        assert type(s) is int and s >= 1 and (s == 1 or F.characteristic == 0)
+        for g, cols in zip(gens, per_e):
+            assert all(type(v) is int for col in cols for _, v in col)
+            true = [tuple((r, F.div(F.coerce(v), F.coerce(s))) for r, v in col) for col in cols]
+            assert densify(F, true, alg.dim(e + 1)) == ref_operator_matrix(alg, 1, g.vector, e), (g.label, e)
+
+
 def assert_maps_match(alg, Lvec):
     F, D = alg.field, alg.socle_degree
+    assert_integer_maps(alg)
     table = RankTable(alg, Lvec)
     got = [power_map_matrix(table, 1, i) for i in range(D)]
     want = [ref_operator_matrix(alg, 1, Lvec, i) for i in range(D)]
     assert got == want
     assert_canonical(F, got)
-    if F.characteristic == 0:
-        mod = GF(MODULAR_PRIME)
-        if degree_one_maps(alg, MODULAR_PRIME) is None or any(
-            c.denominator % MODULAR_PRIME == 0 for c in Lvec
-        ):
-            assert table.mod_chains is None
-        else:
-            mod_steps = [power_map_matrix(table, 1, i, modular=True) for i in range(D)]
-            assert mod_steps == [Matrix.from_rows(mod, m.entries, ncols=m.cols) for m in want]
-            assert_canonical(mod, mod_steps)
     coords = degree_one_coordinates(alg)
     assert _symbolic_step_matrices(alg) == old_symbolic_steps(alg, coords)
 
@@ -380,15 +388,20 @@ def test_maps_without_degree_one(F):
     assert all(power_map_matrix(table, 1, i).is_zero() for i in range(alg.socle_degree))
 
 
-def test_map_denominator_divisible_by_the_prime_skips_the_modular_path():
-    # x^2 = -y^2 / P in the quotient, so X_x has a denominator P
+def test_map_denominator_divisible_by_the_prime_is_scaled_away(monkeypatch):
+    # x^2 = -y^2 / P in the quotient, so X_x has a denominator P: the maps on
+    # A_1 are scaled by P to integers, and the chain of x + y is still full
+    # modulo P, so no rank is taken over ZZ
     r = Ring(("x", "y"), QQ)
     alg = from_ideal(Ideal(r, (r.parse(f"{MODULAR_PRIME}*x^2 + y^2"), r.parse("x*y"), r.parse("y^3"))))
-    assert degree_one_maps(alg, MODULAR_PRIME) is None
+    assert integer_maps(alg)[1] == [1, MODULAR_PRIME]
     Lvec = alg.vector(r.parse("x + y"), 1)
     assert_maps_match(alg, Lvec)
     table = RankTable(alg, Lvec)
+    moduli, echelon_rank = [], checks.echelon_rank
+    monkeypatch.setattr(checks, "echelon_rank", lambda v, p, stop: moduli.append(p) or echelon_rank(v, p, stop))
     assert [table.rank(1, 0), table.rank(1, 1), table.rank(2, 0)] == [1, 1, 1]
+    assert moduli == [MODULAR_PRIME] * 3
 
 
 def _example_71(F):
@@ -659,5 +672,6 @@ def test_generic_powers_with_denominators_push_integers(alg):
         values += [x for chain in chains._chains.values() for cols in chain for col in cols for x in col.values()]
         assert all(type(x) is int for x in values), {type(x) for x in values}
     D = alg.socle_degree
+    power = _generic_powers(alg, D)
     assert_canonical_values(QQ, (c for d in range(1, D + 1) for i in range(D - d + 1)
-                                 for row in _symbolic_power(alg, d, i) for x in row for _, c in x.terms))
+                                 for row in power(d, i) for x in row for _, c in x.terms))

@@ -483,9 +483,10 @@ def test_tensor_check_failure_exits_2_with_one_error_line(monkeypatch, capsys):
     assert captured.err.splitlines() == ["error: tensor product violates the convolution identity"]
 
 
-def test_presentation_size_guard_is_labelled(tmp_path, capsys):
-    # A x_k B of two algebras with A_1 and B_1 of dimensions 5 and 4: its
-    # nine degree-one generators exceed the presentation guard of eight
+def guarded_fiber_product(tmp_path) -> list:
+    """The argv of A x_k B of two algebras with A_1 and B_1 of dimensions 5
+    and 4: its nine degree-one generators exceed the presentation guard of
+    eight."""
     files = {
         "a.alg": "vars: a, b, c, d, e\nideal:\n" + "\n".join(f"{x}*{y}" for x in "abcde" for y in "abcde" if x <= y),
         "b.alg": "vars: u, v, w, s\nideal:\n" + "\n".join(f"{x}*{y}" for x in "uvws" for y in "uvws" if x <= y),
@@ -496,12 +497,42 @@ def test_presentation_size_guard_is_labelled(tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text + "\n")
     p = lambda name: str(tmp_path / name)
-    argv = ["fiber-product", p("a.alg"), p("b.alg"), p("k.alg"), "--map-a", p("a.map"), "--map-b", p("b.map"), "--json"]
-    assert cli.main(argv) == 0
+    return ["fiber-product", p("a.alg"), p("b.alg"), p("k.alg"), "--map-a", p("a.map"), "--map-b", p("b.map")]
+
+
+def test_presentation_size_guard_is_labelled(tmp_path, capsys):
+    assert cli.main(guarded_fiber_product(tmp_path) + ["--json"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["hilbert_function"] == [1, 9]
     assert results["presentation"] == "omitted (size guard)"
     assert "description" not in results
+
+
+def test_presentation_size_guard_is_named_in_the_human_output(tmp_path, capsys):
+    assert cli.main(guarded_fiber_product(tmp_path)) == 0
+    assert capsys.readouterr().out.splitlines() == ["H = [1, 9]; gorenstein: False", "presentation: omitted (size guard)"]
+
+
+def test_out_without_a_presentation_exits_2_and_writes_nothing(tmp_path, capsys):
+    # ikeda x_k perazzo over k = Q[w]/(w) with zero maps has nine degree-one
+    # generators: there is no presentation to write
+    (tmp_path / "k.alg").write_text("vars: w\nideal:\nw\n")
+    (tmp_path / "za.map").write_text("map: x -> 0; y -> 0; z -> 0; w -> 0\n")
+    (tmp_path / "zb.map").write_text("map: x -> 0; y -> 0; z -> 0; u -> 0; v -> 0\n")
+    out = tmp_path / "out.alg"
+    argv = ["fiber-product", data_path("ikeda.alg"), data_path("perazzo.alg"), str(tmp_path / "k.alg"),
+            "--map-a", str(tmp_path / "za.map"), "--map-b", str(tmp_path / "zb.map"), "--out", str(out)]
+    for extra in ([], ["--json"]):
+        assert cli.main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write {out}: presentation omitted by the size guard")
+        assert not out.exists()
+    # without --out the same command reports the Hilbert function and exits 0
+    assert cli.main(argv[:-2]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "H = [1, 9, 15, 11, 4, 1]; gorenstein: False", "presentation: omitted (size guard)"]
 
 
 def test_failed_presentation_check_exits_2_with_one_error_line(monkeypatch, capsys):

@@ -1,15 +1,16 @@
 """Certified ranks and power matrices of ``RankTable`` against dense references.
 
 ``RankTable`` skips exact work in two ways: bijective narrow maps certify
-every power map, and a full rank modulo ``MODULAR_PRIME`` certifies a full
-rank over QQ.  Each (d, i) it reports must be the exact rank of L^d : A_i ->
-A_{i+d}.  Its powers are sparse column chains (``PowerChains``); the
-references below are the dense step matrices and their products that the
-toolkit used before, kept verbatim: every ``power_map_matrix(table, d, i)``,
-exact and modular, must equal the dense product over every field, on
-quotients, dual-generator algebras, the fiber product, the connected sum and
-the blowup, across a vanishing middle degree too.  The dense steps are the
-reference operators of ``reference_operators``.
+every power map, and over QQ a full rank of its one integer chain modulo
+``MODULAR_PRIME`` certifies a full rank over ZZ.  Each (d, i) it reports must
+be the exact rank of L^d : A_i -> A_{i+d}, and the rank modulo the prime of
+every power of the chain at most that rank.  Its powers are sparse column
+chains (``PowerChains``); the references below are the dense step matrices
+and their products that the toolkit used before, kept verbatim: every
+``power_map_matrix(table, d, i)`` must equal the dense product over every
+field, on quotients, dual-generator algebras, the fiber product, the
+connected sum and the blowup, across a vanishing middle degree too.  The
+dense steps are the reference operators of ``reference_operators``.
 
 Ranks are read off the sparse chains by ``exactmath.echelon_rank``
 (``PowerChains.rank``) and off dense matrices by one ``RowSpace`` (``rank``);
@@ -29,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import checks
-from lefschetz.algebra import Ideal, Ring, degree_one_maps, from_dual_generator, from_ideal
+from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal
 from lefschetz.checks import (
     MODULAR_PRIME,
     PowerChains,
@@ -97,8 +98,9 @@ def assert_certified_ranks(alg, L):
 
 
 def assert_powers_match(alg, Lvec):
-    """Every rank and every power of ``RankTable``, exact and modular, and the
-    rank of every chain, against the dense references."""
+    """Every rank and every power of ``RankTable``, the rank of every power
+    of its chain, and over QQ that rank modulo the prime, against the dense
+    references."""
     F = alg.field
     assert_certified_ranks(alg, Lvec)
     steps, memo = ref_step_matrices(alg, Lvec), {}
@@ -110,18 +112,21 @@ def assert_powers_match(alg, Lvec):
         assert got == ref_power(steps, memo, d, i) == ref_power_map_matrix(steps, d, i), (d, i)
         assert_canonical(got)
         assert table.chains.rank(d, i) == ref_rank(got), (d, i)
-    maps = degree_one_maps(alg, MODULAR_PRIME) if F.characteristic == 0 else None
-    if maps is None or any(c.denominator % MODULAR_PRIME == 0 for c in Lvec):
-        assert table.mod_chains is None
-        return
-    mod = GF(MODULAR_PRIME)
-    # reduction mod p is a ring map on the p-integral rationals
-    mod_steps, mod_memo = [Matrix.from_rows(mod, m.entries, ncols=m.cols) for m in steps], {}
-    for d, i in all_pairs(alg):
-        got = power_map_matrix(table, d, i, modular=True)
-        assert got == ref_power(mod_steps, mod_memo, d, i), (d, i)
-        assert_canonical(got)
-        assert table.mod_chains.rank(d, i) == ref_rank(got), (d, i)
+        if F.characteristic == 0:
+            assert_modular_rank_bounded(table, d, i, ref_rank(got))
+
+
+def assert_modular_rank_bounded(table, d, i, exact: int):
+    """The integer chain reduced modulo ``MODULAR_PRIME`` (reduction ZZ ->
+    F_p is a ring map) has rank at most the exact one, and a full rank
+    modulo the prime is the exact one."""
+    mod, cols = GF(MODULAR_PRIME), table.chains.power(d, i)
+    assert all(type(x) is int for col in cols for x in col.values())
+    rows = range(table.chains.dims[i + d])
+    got = ref_rank(Matrix(mod, len(cols), tuple(tuple(mod.coerce(c.get(r, 0)) for c in cols) for r in rows)))
+    assert got <= exact, (d, i)
+    if got == min(len(cols), len(rows)):
+        assert got == exact, (d, i)
 
 
 coefficients = st.integers(min_value=-3, max_value=3)
@@ -200,8 +205,8 @@ def test_certified_ranks_bundled(name, coeffs):
 
 
 FIELDS = [QQ, GF(2), GF(5), GF(32003)]
-# over QQ, MODULAR_PRIME makes a map deficient modulo the prime (the exact
-# chain is pushed) and 1/MODULAR_PRIME skips the modular chains
+# over QQ, MODULAR_PRIME makes a map deficient modulo the prime (it is
+# ranked over ZZ too) and 1/MODULAR_PRIME is scaled to 1 on the chain
 form_coefficients = st.sampled_from([0, 1, -1, 2, 3, Fraction(2, 3), MODULAR_PRIME, Fraction(1, MODULAR_PRIME)])
 
 
@@ -383,33 +388,51 @@ def test_powers_across_a_vanishing_middle_degree(F, data):
     assert power_map_matrix(table, 3, 0) == Matrix.zero(F, 1, 1)
 
 
-def test_modular_deficiency_falls_back_to_qq():
+def recorded_moduli(monkeypatch) -> list:
+    """The modulus p of every ``echelon_rank`` call of ``PowerChains.rank``
+    (0 for a rank over ZZ)."""
+    moduli, echelon_rank = [], checks.echelon_rank
+
+    def recording(vectors, p, stop):
+        moduli.append(p)
+        return echelon_rank(vectors, p, stop)
+
+    monkeypatch.setattr(checks, "echelon_rank", recording)
+    return moduli
+
+
+def test_modular_deficiency_falls_back_to_qq(monkeypatch):
     # L = P x vanishes modulo the certificate's prime, but not over QQ
     r = Ring(("x",), QQ)
     alg = from_ideal(Ideal(r, (r.parse("x^3"),)))
     table = RankTable(alg, degree_one_vector(alg, (MODULAR_PRIME,)))
+    moduli = recorded_moduli(monkeypatch)
     assert [table.rank(d, i) for d, i in [(1, 0), (1, 1), (2, 0)]] == [1, 1, 1]
-    assert "chains" in table.__dict__
+    assert moduli == [MODULAR_PRIME, 0] * 3
     assert_powers_match(alg, table._Lvec)
 
 
-def test_denominator_divisible_by_the_prime_skips_the_modular_path():
+def test_denominator_divisible_by_the_prime_is_scaled_away(monkeypatch):
+    # L = x / P is pushed as x, so the modular certificate applies
     r = Ring(("x",), QQ)
     alg = from_ideal(Ideal(r, (r.parse("x^3"),)))
     table = RankTable(alg, degree_one_vector(alg, (Fraction(1, MODULAR_PRIME),)))
+    moduli = recorded_moduli(monkeypatch)
     assert [table.rank(d, i) for d, i in [(2, 0), (1, 0), (1, 1)]] == [1, 1, 1]
-    assert table.mod_chains is None
-    assert "chains" in table.__dict__
+    assert moduli and 0 not in moduli
+    assert table.chains.scales == [MODULAR_PRIME] * 2
+    assert_powers_match(alg, table._Lvec)
 
 
-def test_maps_settled_modulo_the_prime_never_build_the_exact_steps():
+def test_maps_full_modulo_the_prime_make_no_exact_rank(monkeypatch):
     r = Ring(("x", "y", "z"), QQ)
     alg = from_ideal(Ideal(r, tuple(r.parse(g) for g in ("x^2", "y^3", "z^3"))))
     table = RankTable(alg, degree_one_vector(alg, r.parse("x + 2*y - 3*z")))
+    moduli = recorded_moduli(monkeypatch)
     D = alg.socle_degree
     ranks = {(d, i): table.rank(d, i) for d in range(1, D + 1) for i in range(D - d + 1)}
     assert all(r == min(alg.dim(i), alg.dim(i + d)) for (d, i), r in ranks.items())
-    assert "chains" not in table.__dict__
+    assert moduli and 0 not in moduli
     want = ref_step_matrices(alg, table._Lvec)
     assert [power_map_matrix(table, 1, i) for i in range(D)] == want
 
@@ -433,8 +456,9 @@ def test_injective_narrow_maps_do_not_certify_without_symmetry():
 def test_rank_tables_stop_adding_at_full_rank(monkeypatch, name, form, mode):
     # each chain rank draws columns into ``echelon_rank`` only while the rows
     # it has stored are fewer than min(h_i, h_{i+d}); a reference RowSpace
-    # fed the same columns counts the rows stored.  The last form is
-    # deficient modulo MODULAR_PRIME, so the exact chains are ranked too
+    # over the field of the draw, fed the same columns, counts the rows
+    # stored.  The last form is deficient modulo MODULAR_PRIME, so its maps
+    # are ranked over ZZ too
     alg = parse_algebra_text(_bundled(name, QQ)).build()
     L = alg.ring.parse(form)
     report_for_element(alg, L, mode)  # builds the maps outside the count
@@ -442,15 +466,15 @@ def test_rank_tables_stop_adding_at_full_rank(monkeypatch, name, form, mode):
     chain_rank, echelon_rank = PowerChains.rank, checks.echelon_rank
 
     def tracking_rank(self, d, i):
-        ranked.append((self.field, self.dims[i + d]))
+        ranked.append(self.dims[i + d])
         try:
             return chain_rank(self, d, i)
         finally:
             ranked.pop()
 
     def counting_rank(vectors, p, stop):
-        field, n = ranked[-1]
-        space = RowSpace(field, n)
+        field = GF(p) if p else QQ
+        space = RowSpace(field, ranked[-1])
 
         def drawn():
             for v in vectors:

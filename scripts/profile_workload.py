@@ -34,6 +34,7 @@ import cProfile
 import functools
 import importlib
 import importlib.util
+import json
 import os
 import pstats
 import sys
@@ -42,7 +43,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("ci-ladder", "gorenstein-survey", "constructions-cli")
+# the workload names as BENCHMARK.json lists them
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 # job_tail_ms is the latency of the slowest job but this many (perfbench/harness.py)
 TAIL_BEYOND = 10
 WRAP_PASSES = 3
@@ -117,14 +120,18 @@ def wrapped_passes(jobs, job_list, targets, passes: int = WRAP_PASSES) -> dict:
     return best
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--top", type=int, default=25, help="how many functions to print")
     ap.add_argument("--wrap", action="append", default=[], metavar="MODULE:FUNCTION",
                     help="also time this function's outermost calls per pass (repeatable)")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)  # constructions-cli jobs name their files relative to the root

@@ -96,8 +96,8 @@ class Ring:
     def is_homogeneous(self, p) -> bool:
         return p.is_homogeneous(self.weights)
 
-    def extended(self, name: str, weight: int = 1) -> "Ring":
-        return Ring(self.varnames + (name,), self.field, self.weights + (weight,))
+    def extended(self, name: str) -> "Ring":
+        return Ring(self.varnames + (name,), self.field, self.weights + (1,))
 
     def joined(self, other: "Ring") -> tuple["Ring", list[str]]:
         """Disjoint union of variables; colliding names on the right get

@@ -108,9 +108,6 @@ class GenericityConfig:
     trials: int = 3
     bound: int = 10_000
     certify: bool = False
-    symbolic_ambient_limit: int = 6
-    symbolic_dim_limit: int = 60
-    exhaustive_limit: int = 2048
 
     def __post_init__(self):
         if self.trials < 1 or self.bound < 1:
@@ -420,6 +417,14 @@ def _symbolic_step_matrices(alg) -> list[list[list[Poly]]]:
     return [power(1, i) for i in range(alg.socle_degree)]
 
 
+# ``generic_report`` enumerates P^{n-1}(GF(p)) when p^n <= EXHAUSTIVE_LIMIT.  Over QQ
+# it ranks negatives symbolically with ``cfg.certify``, or when n <= SYMBOLIC_AMBIENT_LIMIT
+# and sum(h) <= SYMBOLIC_DIM_LIMIT; other negatives are labelled randomized.
+EXHAUSTIVE_LIMIT = 2048
+SYMBOLIC_AMBIENT_LIMIT = 6
+SYMBOLIC_DIM_LIMIT = 60
+
+
 def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -> LefschetzReport:
     """Search for a Lefschetz element; certify negatives when feasible.
 
@@ -456,7 +461,7 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
         return verdict(False, "exact", "Hilbert function is not symmetric")
     if not coords:
         return verdict(all(m.full for m in best.values()), "exact", "A_1 = 0")
-    if p and p ** len(coords) <= cfg.exhaustive_limit:
+    if p and p ** len(coords) <= EXHAUSTIVE_LIMIT:
         # c L has the ranks of L: one point per line, first nonzero coordinate 1
         points = (c for c in itertools.product(range(p), repeat=len(coords)) if next(filter(None, c), 0) == 1)
         return search(points, "exhaustive") or verdict(False, "exhaustive")
@@ -471,8 +476,7 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
     found = search(draws(cfg.trials), "witness")
     if found:
         return found
-    if p == 0 and (cfg.certify or (len(coords) <= cfg.symbolic_ambient_limit
-                                   and sum(h) <= cfg.symbolic_dim_limit)):
+    if p == 0 and (cfg.certify or (len(coords) <= SYMBOLIC_AMBIENT_LIMIT and sum(h) <= SYMBOLIC_DIM_LIMIT)):
         deficient = [m for m in best.values() if not m.full]
         power = _generic_powers(alg, max((m.d for m in deficient), default=0))
         for m in deficient:
@@ -552,12 +556,13 @@ def symmetric(h: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def nll_conditions(
-    alg,
-    mode: str = "weak",
-    dim_guard: int = 24,
-    minor_guard: int = 20_000,
-) -> list[Poly]:
+# Largest sum(h) ``nll_conditions`` takes.  It bounds the minors too: h_0 = 1, so
+# h_i + h_{i+d} <= 23 for i >= 1, at most C(17, 6) = 12 376 pairs of r x r minors
+# per map (19 448 even at 24), and at most 23 for i = 0.
+NLL_DIM_GUARD = 24
+
+
+def nll_conditions(alg, mode: str = "weak") -> list[Poly]:
     """Divisorial conditions cutting out the non-Lefschetz locus.
 
     For every map that must reach rank r, the monic gcd of the r x r minors
@@ -570,8 +575,8 @@ def nll_conditions(
     The locus lives in the coefficient space of ``degree_one_coordinates``,
     on every algebra model.
     """
-    if sum(hilbert_function(alg)) > dim_guard:
-        raise ValueError(f"algebra dimension exceeds the symbolic guard {dim_guard}")
+    if sum(hilbert_function(alg)) > NLL_DIM_GUARD:
+        raise ValueError(f"algebra dimension exceeds the symbolic guard {NLL_DIM_GUARD}")
     modekey = {"weak": "wlp", "strong": "slp"}.get(mode)
     if modekey is None:
         raise ValueError("mode must be 'weak' or 'strong'")
@@ -586,8 +591,6 @@ def nll_conditions(
             continue
         mat = power(d, i)
         nrows, ncols = alg.dim(i + d), alg.dim(i)
-        if math.comb(nrows, r) * math.comb(ncols, r) > minor_guard:
-            raise ValueError("too many minors; raise minor_guard to proceed")
         g = poly_gcd_list(
             poly_det([[mat[a][b] for b in csel] for a in rsel])
             for rsel in itertools.combinations(range(nrows), r)
@@ -634,13 +637,14 @@ def hessian_det_at(alg: GradedAlgebra, i: int, point: Sequence) -> Scalar:
     return det(Matrix.from_rows(F, rows, ncols=len(mat)))
 
 
-def slp_by_hessian(
-    alg: GradedAlgebra,
-    symbolic_size_limit: int = 10,
-    seed: int = 0,
-    bound: int = 10_000,
-    evaluations: int = 8,
-) -> dict:
+# ``slp_by_hessian`` expands Hessians of size at most HESSIAN_SYMBOLIC_SIZE and
+# evaluates larger ones at HESSIAN_EVALUATIONS seeded points in [1, HESSIAN_BOUND].
+HESSIAN_SYMBOLIC_SIZE = 10
+HESSIAN_BOUND = 10_000
+HESSIAN_EVALUATIONS = 8
+
+
+def slp_by_hessian(alg: GradedAlgebra, seed: int = 0) -> dict:
     """SLP criterion: no Hessian determinant vanishes up to half the socle.
 
     Sizes above the symbolic guard are decided by seeded random evaluation,
@@ -658,21 +662,19 @@ def slp_by_hessian(
     for i in range(c // 2 + 1):
         size = alg.dim(i)
         entry: dict = {"i": i, "size": size}
-        if size <= symbolic_size_limit:
+        if size <= HESSIAN_SYMBOLIC_SIZE:
             vanishes = hessian_det(alg, i).is_zero()
             entry["method"] = "symbolic"
         else:
             vanishes = True
-            for _ in range(evaluations):
-                point = [rng.randint(1, bound) for _ in range(alg.nvars)]
+            for _ in range(HESSIAN_EVALUATIONS):
+                point = [rng.randint(1, HESSIAN_BOUND) for _ in range(alg.nvars)]
                 if not alg.field.is_zero(hessian_det_at(alg, i, point)):
                     vanishes = False
                     break
             entry["method"] = "randomized"
             degree_bound = size * max(c - 2 * i, 1)
-            entry["schwartz_zippel_bound"] = (
-                f"<= ({degree_bound}/{bound})^{evaluations}"
-            )
+            entry["schwartz_zippel_bound"] = f"<= ({degree_bound}/{HESSIAN_BOUND})^{HESSIAN_EVALUATIONS}"
         entry["vanishes"] = vanishes
         if vanishes:
             holds = False

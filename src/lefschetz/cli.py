@@ -94,30 +94,18 @@ def _seed(args) -> int:
     return int(os.environ.get("LEFSCHETZ_SEED", "0"))
 
 
-def _cfg_from_args(args) -> GenericityConfig:
-    return GenericityConfig(
-        seed=_seed(args), trials=args.trials, bound=args.bound, certify=args.certify
-    )
-
-
-def _witness_text(alg, witness) -> str:
-    if witness is None:
-        return ""
-    parts = []
-    for label, coeff in witness.items():
-        parts.append(f"{coeff}*{label}" if coeff != "1" else label)
-    return " + ".join(parts)
+def _witness_text(witness) -> str:
+    return " + ".join(label if c == "1" else f"{c}*{label}" for label, c in (witness or {}).items())
 
 
 def _finish(args, report: dict, human: str) -> int:
-    expect = getattr(args, "expect", None)
     primary = report.get("results", {}).get("primary", "")
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(human)
-    if expect is not None and str(primary).strip() != expect.strip():
-        print(f"expected {expect!r}, got {primary!r}", file=sys.stderr)
+    if args.expect is not None and str(primary).strip() != args.expect.strip():
+        print(f"expected {args.expect!r}, got {primary!r}", file=sys.stderr)
         return 1
     return 0
 
@@ -190,7 +178,7 @@ def cmd_ann(args) -> int:
 
 def cmd_check(args) -> int:
     alg, digest = _load_algebra(args.file, cap=args.cap)
-    cfg = _cfg_from_args(args)
+    cfg = GenericityConfig(seed=_seed(args), trials=args.trials, bound=args.bound, certify=args.certify)
     if args.element and args.generic:
         raise InputError("--generic and --element exclude each other")
     if args.element:
@@ -205,7 +193,7 @@ def cmd_check(args) -> int:
             "bound": cfg.bound,
         }
     d = rep.as_dict()
-    d["witness_element"] = _witness_text(alg, rep.witness)
+    d["witness_element"] = _witness_text(rep.witness)
     verdict = "holds" if rep.holds else "fails"
     results = {"primary": f"{args.mode} {verdict}", **d}
     human_lines = [f"{args.mode} {verdict} ({rep.certification})"]
@@ -630,7 +618,7 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0
-    if getattr(args, "timing", False):
+    if args.timing:
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code
 

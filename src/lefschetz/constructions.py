@@ -347,6 +347,14 @@ class QuotientAlgebra:
         return tuple(red.get(c, self.field.zero()) for c in self._free[0])
 
 
+def _require_gorenstein(A: GradedAlgebra, B: GradedAlgebra) -> None:
+    """Raise unless both summands have a Macaulay dual generator (memoised)."""
+    try:
+        A.dual_generator(), B.dual_generator()
+    except NotGorensteinError:
+        raise NotGorensteinError("summands must be Gorenstein") from None
+
+
 def connected_sum(
     A,
     B,
@@ -358,6 +366,7 @@ def connected_sum(
     omega_t: Optional[Orientation] = None,
 ) -> QuotientAlgebra:
     """Quotient of the fiber product by the pair of Thom classes."""
+    _require_gorenstein(A, B)
     omega_a = omega_a or default_orientation(A)
     omega_b = omega_b or default_orientation(B)
     omega_t = omega_t or default_orientation(T)
@@ -413,13 +422,12 @@ def connected_sum_over_field(
     omega_b: Optional[Orientation] = None,
 ) -> GradedAlgebra:
     """Presentation form over the base field: kill cross products, glue socles."""
+    _require_gorenstein(A, B)
     omega_a = omega_a or default_orientation(A)
     omega_b = omega_b or default_orientation(B)
     d = A.socle_degree
     if B.socle_degree != d:
         raise ValueError("connected sums need equal socle degrees")
-    if A.dim(d) != 1 or B.dim(d) != 1:
-        raise NotGorensteinError("summands must be Gorenstein")
     ring, gens_a, gens_b = _joined_generators(A, B)
     n, na = ring.nvars, A.nvars
     gens = gens_a + gens_b
@@ -624,16 +632,18 @@ def blowup(
     return bug
 
 
+XI_NAME = "xi"  # the new degree-one variable of ``exceptional_divisor``
+
+
 def exceptional_divisor(
     T: GradedAlgebra,
     coefficients,  # list of (degree, T coords or None), as stored on the blowup
     lam,
     tau_t: Sequence[Scalar],
-    xi_name: str = "xi",
 ) -> GradedAlgebra:
     """The boundary algebra T[xi]/(f_T) as an honest presentation."""
     n = len(coefficients) + 1
-    ring = T.ring.extended(xi_name, 1)
+    ring = T.ring.extended(XI_NAME)
     nv = ring.nvars
     F = ring.field
 
@@ -702,7 +712,13 @@ class PresentationSizeError(ValueError):
     """The model has more generators than a presentation is built for."""
 
 
-def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
+# ``presentation_of`` names its generators PRESENTATION_PREFIX1, 2, ... and
+# refuses a model with more than MAX_PRESENTATION_GENERATORS of them.
+PRESENTATION_PREFIX = "z"
+MAX_PRESENTATION_GENERATORS = 8
+
+
+def presentation_of(alg):
     """Generators-and-relations description of an algebra model.
 
     The generators are ``algebra_generators(alg)``; the relations are the
@@ -714,10 +730,10 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
     F = alg.field
     D = alg.socle_degree
     gens = algebra_generators(alg)
-    if len(gens) > max_generators:
+    if len(gens) > MAX_PRESENTATION_GENERATORS:
         raise PresentationSizeError("too many generators for a presentation")
     ring = Ring(
-        tuple(f"{name_prefix}{i + 1}" for i in range(len(gens))),
+        tuple(f"{PRESENTATION_PREFIX}{i + 1}" for i in range(len(gens))),
         F,
         tuple(g.degree for g in gens),
     )
@@ -730,9 +746,9 @@ def presentation_of(alg, name_prefix: str = "z", max_generators: int = 8):
     return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), generator_data
 
 
-def presented_algebra(alg, name_prefix: str = "z", max_generators: int = 8) -> GradedAlgebra:
+def presented_algebra(alg) -> GradedAlgebra:
     """Rebuild an algebra model as a quotient presentation and verify it."""
-    ring, relations, _ = presentation_of(alg, name_prefix, max_generators)
+    ring, relations, _ = presentation_of(alg)
     out = from_ideal(
         Ideal(ring, tuple(relations)),
         max_degree=alg.socle_degree + max(ring.weights) + 1,

@@ -68,28 +68,26 @@ def verify_triple(t: Sl2Triple) -> bool:
     )
 
 
-def model_rep(d: int, field: FieldSpec = QQ) -> Sl2Triple:
-    """The irreducible representation on binary forms of degree d.
+def model_rep(d: int) -> Sl2Triple:
+    """The irreducible representation on binary forms of degree d over QQ.
 
     Operators x d/dy, x d/dx - y d/dy, y d/dx in the basis
     x^d, x^{d-1}y, ..., y^d; the H eigenvalue of x^a y^b is a - b.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if field.characteristic != 0:
-        raise ValueError("sl2 machinery requires characteristic zero")
     n = d + 1
-    z = field.zero()
+    z = QQ.zero()
     e = [[z] * n for _ in range(n)]
     f = [[z] * n for _ in range(n)]
     h = [[z] * n for _ in range(n)]
     for i in range(n):  # basis vector x^{d-i} y^i
-        h[i][i] = field.from_int(d - 2 * i)
+        h[i][i] = QQ.from_int(d - 2 * i)
         if i > 0:
-            e[i - 1][i] = field.from_int(i)
+            e[i - 1][i] = QQ.from_int(i)
         if i < d:
-            f[i + 1][i] = field.from_int(d - i)
-    mk = lambda rows: Matrix(field, n, tuple(tuple(r) for r in rows))
+            f[i + 1][i] = QQ.from_int(d - i)
+    mk = lambda rows: Matrix(QQ, n, tuple(tuple(r) for r in rows))
     return Sl2Triple(mk(e), mk(h), mk(f))
 
 

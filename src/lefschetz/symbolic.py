@@ -287,27 +287,22 @@ def _coeffs_wrt(p: Poly, v: int) -> dict[int, Poly]:
     return {e: Poly.make(p.nvars, p.field, mapping) for e, mapping in out.items()}
 
 
-def _mul_xpow(p: Poly, v: int, e: int) -> Poly:
-    return Poly(
-        p.nvars,
-        p.field,
-        tuple((tuple(x + e if i == v else x for i, x in enumerate(m)), c) for m, c in p.terms),
-    ) if e else p
+def _lead_wrt(p: Poly, v: int, e: int, shift: int = 0) -> Poly:
+    """The coefficient of v^e in p, a polynomial free of v, times v^shift.
+    Moving v's exponent from e to shift keeps p's term order."""
+    return Poly(p.nvars, p.field, tuple((m[:v] + (shift,) + m[v + 1:], c) for m, c in p.terms if m[v] == e))
 
 
 def _pseudo_rem(f: Poly, g: Poly, v: int) -> Poly:
     """Pseudo-remainder of f by g with respect to variable v."""
-    df, dg = _deg_in(f, v), _deg_in(g, v)
-    gc = _coeffs_wrt(g, v)
-    lead_g = gc[dg]
+    dg = _deg_in(g, v)
+    lead_g = _lead_wrt(g, v, dg)
     rem = f
     while not rem.is_zero():
         dr = _deg_in(rem, v)
         if dr < dg:
             break
-        rc = _coeffs_wrt(rem, v)
-        lead_r = rc[dr]
-        rem = rem * lead_g - _mul_xpow(lead_r, v, dr - dg) * g
+        rem = rem * lead_g - _lead_wrt(rem, v, dr, dr - dg) * g
     return rem
 
 

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from lefschetz import checks
 from lefschetz.exactmath import GF, QQ, Matrix, rank
 from lefschetz.polynomials import DualPoly, Poly, contract, monomials, to_ordinary
 from lefschetz.algebra import (
@@ -419,9 +420,11 @@ def test_criterion_10_gorenstein_properties():
     _pass(10, "random Gorenstein properties, sl2 bridges and tensor preservation")
 
 
-def test_criterion_11_randomized_vs_symbolic():
+def test_criterion_11_randomized_vs_symbolic(monkeypatch):
     rng = random.Random(11)
-    pure_random = GenericityConfig(seed=0, trials=2, symbolic_dim_limit=0)
+    # no symbolic escalation unless certify is set
+    monkeypatch.setattr(checks, "SYMBOLIC_DIM_LIMIT", 0)
+    pure_random = GenericityConfig(seed=0, trials=2)
     certified = GenericityConfig(seed=0, trials=2, certify=True)
     witnesses = 0
     for trial in range(50):

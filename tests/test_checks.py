@@ -274,6 +274,16 @@ def test_nll_single_variable():
     assert conds == [Poly.make(1, QQ, {(1,): 1})]
 
 
+def test_nll_dimension_guard_at_its_edge():
+    # sum h = 24 is the largest algebra the guard accepts
+    a1 = Poly.make(1, QQ, {(1,): 1})
+    a = build("x", ["x^24"])
+    assert sum(a.hilbert_function()) == checks.NLL_DIM_GUARD == 24
+    assert nll_conditions(a, "weak") == nll_conditions(a, "strong") == [a1]
+    with pytest.raises(ValueError, match="^algebra dimension exceeds the symbolic guard 24$"):
+        nll_conditions(build("x", ["x^25"]), "weak")
+
+
 # -- hessians -----------------------------------------------------------------
 
 
@@ -460,7 +470,7 @@ def ref_generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig(
 
     if F.characteristic != 0:
         p = F.characteristic
-        if p ** len(coords) <= cfg.exhaustive_limit:
+        if p ** len(coords) <= checks.EXHAUSTIVE_LIMIT:
             best: dict = {}
             for coeffs in itertools.product(range(p), repeat=len(coords)):
                 if all(x == 0 for x in coeffs):
@@ -494,8 +504,8 @@ def ref_generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig(
 
     can_symbolic = (
         F.characteristic == 0
-        and len(coords) <= cfg.symbolic_ambient_limit
-        and sum(h) <= cfg.symbolic_dim_limit
+        and len(coords) <= checks.SYMBOLIC_AMBIENT_LIMIT
+        and sum(h) <= checks.SYMBOLIC_DIM_LIMIT
     )
     if F.characteristic == 0 and (cfg.certify or can_symbolic):
         maps = []
@@ -533,16 +543,21 @@ def ref_generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig(
 
 
 MODES = ("wlp", "slp", "slpn")
+DIM_LIMIT = checks.SYMBOLIC_DIM_LIMIT
+# (config, the SYMBOLIC_DIM_LIMIT to decide it under): a limit of 0 labels
+# every uncertified negative over QQ randomized
 ORACLE_CONFIGS = (
-    GenericityConfig(seed=2),
-    GenericityConfig(trials=1, certify=True),
-    GenericityConfig(trials=1, symbolic_dim_limit=0),
+    (GenericityConfig(seed=2), DIM_LIMIT),
+    (GenericityConfig(trials=1, certify=True), DIM_LIMIT),
+    (GenericityConfig(trials=1), 0),
 )
 
 
-def assert_matches_reference(alg, mode, cfg):
-    rep = generic_report(alg, mode, cfg)
-    assert rep == ref_generic_report(alg, mode, cfg)
+def assert_matches_reference(alg, mode, cfg, dim_limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "SYMBOLIC_DIM_LIMIT", dim_limit)
+        rep = generic_report(alg, mode, cfg)
+        assert rep == ref_generic_report(alg, mode, cfg)
     return rep
 
 
@@ -557,42 +572,45 @@ BUNDLED = sorted(p.name for p in (resources.files("lefschetz") / "data").iterdir
 def test_generic_report_matches_reference_on_bundled_files(name):
     alg = bundled(name)
     for mode in MODES:
-        for cfg in ORACLE_CONFIGS:
-            assert_matches_reference(alg, mode, cfg)
+        for cfg, dim_limit in ORACLE_CONFIGS:
+            assert_matches_reference(alg, mode, cfg, dim_limit)
 
 
 PERAZZO_32003 = "vars: x, y, z, u, v\nfield: Fp(32003)\ndualgen:\nX*U^2 + Y*U*V + Z*V^2\n"
 
-# (algebra, mode, config, certification, verdict, first note): one case per
-# label and note of ``generic_report``
+# (algebra, mode, (config, SYMBOLIC_DIM_LIMIT), certification, verdict, first
+# note): one case per label and note of ``generic_report``
 LABEL_CASES = [
-    (lambda: build("x,y", ["x^2", "x*y", "y^5"]), "slpn", CFG,
+    (lambda: build("x,y", ["x^2", "x*y", "y^5"]), "slpn", (CFG, DIM_LIMIT),
      "exact", False, "Hilbert function is not symmetric"),
-    (lambda: build("z", ["z^2"], weights=[2]), "wlp", CFG, "exact", True, "A_1 = 0"),
-    (lambda: build("z", ["z^2"], weights=[2]), "slp", CFG, "exact", False, "A_1 = 0"),
+    (lambda: build("z", ["z^2"], weights=[2]), "wlp", (CFG, DIM_LIMIT), "exact", True, "A_1 = 0"),
+    (lambda: build("z", ["z^2"], weights=[2]), "slp", (CFG, DIM_LIMIT), "exact", False, "A_1 = 0"),
     # the first point of P^1(GF(3)) that holds is y: the witness has x = 0
-    (lambda: build("x,y", ["x^2", "x*y", "y^3"], field=GF(3)), "wlp", CFG, "exhaustive", True, None),
+    (lambda: build("x,y", ["x^2", "x*y", "y^3"], field=GF(3)), "wlp", (CFG, DIM_LIMIT),
+     "exhaustive", True, None),
     # the best ranks of this negative are not the ranks of its last point
-    (lambda: build("x,y", ["x^4", "y^3", "x*y + x^2"], field=GF(2)), "slp", CFG, "exhaustive", False, None),
-    (lambda: build("x,y,z", ["x^2", "y^2", "z^3", "x*z + z^2"], field=GF(3)), "slp", CFG,
+    (lambda: build("x,y", ["x^4", "y^3", "x*y + x^2"], field=GF(2)), "slp", (CFG, DIM_LIMIT),
      "exhaustive", False, None),
-    (lambda: build("x,y", ["x^2", "y^2"]), "slp", CFG, "witness", True, None),
+    (lambda: build("x,y,z", ["x^2", "y^2", "z^3", "x*z + z^2"], field=GF(3)), "slp", (CFG, DIM_LIMIT),
+     "exhaustive", False, None),
+    (lambda: build("x,y", ["x^2", "y^2"]), "slp", (CFG, DIM_LIMIT), "witness", True, None),
     # L^2 = 2b(a - b)xy: the one trial a = b fails, the symbolic rank is full
-    (lambda: build("x,y", ["x^2", "x^2 + 2*x*y + y^2"]), "slp", GenericityConfig(trials=1, bound=1),
-     "symbolic", True, None),
-    (lambda: bundled("perazzo.alg"), "wlp", GenericityConfig(seed=5, certify=True), "symbolic", False, None),
     (lambda: build("x,y", ["x^2", "x^2 + 2*x*y + y^2"]), "slp",
-     GenericityConfig(trials=1, bound=1, symbolic_dim_limit=0), "randomized", False, "randomized only"),
-    (lambda: build("x,y", ["x^2", "y^2"], field=GF(32003)), "slp", CFG,
+     (GenericityConfig(trials=1, bound=1), DIM_LIMIT), "symbolic", True, None),
+    (lambda: bundled("perazzo.alg"), "wlp", (GenericityConfig(seed=5, certify=True), DIM_LIMIT),
+     "symbolic", False, None),
+    (lambda: build("x,y", ["x^2", "x^2 + 2*x*y + y^2"]), "slp",
+     (GenericityConfig(trials=1, bound=1), 0), "randomized", False, "randomized only"),
+    (lambda: build("x,y", ["x^2", "y^2"], field=GF(32003)), "slp", (CFG, DIM_LIMIT),
      "witness", True, "finite field too large"),
-    (lambda: parse_algebra_text(PERAZZO_32003).build(), "wlp", CFG,
+    (lambda: parse_algebra_text(PERAZZO_32003).build(), "wlp", (CFG, DIM_LIMIT),
      "randomized", False, "finite field too large"),
 ]
 
 
 @pytest.mark.parametrize("make, mode, cfg, cert, holds, note", LABEL_CASES)
 def test_generic_report_matches_reference_on_every_label(make, mode, cfg, cert, holds, note):
-    rep = assert_matches_reference(make(), mode, cfg)
+    rep = assert_matches_reference(make(), mode, *cfg)
     assert (rep.certification, rep.holds) == (cert, holds)
     assert (rep.witness is not None) == (holds and cert != "exact")
     assert bool(rep.notes) == (note is not None)
@@ -625,7 +643,7 @@ def oracle_algebras(draw):
        st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_reports_match_reference_on_drawn_algebras(alg, mode, cfg, coeffs):
-    assert_matches_reference(alg, mode, cfg)
+    assert_matches_reference(alg, mode, *cfg)
     L = coeffs[: alg.dim(1)]
     assert report_for_element(alg, L, mode) == ref_report_for_element(alg, L, mode)
 

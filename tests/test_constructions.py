@@ -3,11 +3,13 @@ from importlib import resources
 
 import pytest
 
+from lefschetz import constructions
 from lefschetz.descfiles import parse_algebra_text
 from lefschetz.exactmath import QQ, rank
 from lefschetz.polynomials import Poly
 from lefschetz.algebra import (
     Ideal,
+    NotGorensteinError,
     Ring,
     default_orientation,
     from_dual_generator,
@@ -292,11 +294,13 @@ def test_presentation_is_pinned(name):
     assert _presentation_text(make()) == want
 
 
-def test_presentation_generator_guard():
+def test_presentation_generator_guard(monkeypatch):
     fp = fiber_product(*_example_71())
+    monkeypatch.setattr(constructions, "MAX_PRESENTATION_GENERATORS", 2)
     with pytest.raises(ValueError, match="too many generators for a presentation"):
-        presentation_of(fp, max_generators=2)
-    assert len(presentation_of(fp, max_generators=3)[2]) == 3
+        presentation_of(fp)
+    monkeypatch.setattr(constructions, "MAX_PRESENTATION_GENERATORS", 3)
+    assert len(presentation_of(fp)[2]) == 3
 
 
 def test_connected_sum_socle_degree_mismatch():
@@ -307,6 +311,19 @@ def test_connected_sum_socle_degree_mismatch():
     pb = algebra_map(b, t, ["z"])
     with pytest.raises(ValueError):
         connected_sum(a, b, t, pa, pb)
+
+
+def test_connected_sums_refuse_a_summand_that_is_not_gorenstein():
+    # h = (1, 2, 1), yet the socle is spanned by x and y^2
+    a = build("x,y", ["x^2", "x*y", "y^3"])
+    b = build("u,v", ["u^2", "v^2"])
+    f = build("w", ["w"])
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(NotGorensteinError, match="^summands must be Gorenstein$"):
+            connected_sum_over_field(first, second)
+        maps = algebra_map(first, f, ["0", "0"]), algebra_map(second, f, ["0", "0"])
+        with pytest.raises(NotGorensteinError, match="^summands must be Gorenstein$"):
+            connected_sum(first, second, f, *maps)
 
 
 def test_connected_sum_over_field_two_chains():

@@ -115,6 +115,9 @@ WRITTEN = {
     "<large-composite-char>": "vars: x\nfield: Fp(1000000016000000063)\nideal:\nx^2\n",
     "<not-artinian>": "vars: x, y\nideal:\nx^2\n",
     "<not-gorenstein>": "vars: x, y\nideal:\nx^2\nx*y\ny^2\n",
+    # h = (1, 2, 1), yet the socle is spanned by x and y^2
+    "<socle-in-two-degrees>": "vars: x, y\nideal:\nx^2\nx*y\ny^3\n",
+    "<point>": "vars: w\nideal:\nw\n",
 }
 # Map files the test writes, likewise.
 WRITTEN_MAPS = {
@@ -159,6 +162,10 @@ INPUT_ERRORS = [
     ["hvector", "--fvector", "3,x", "--dim", "2"],
     ["hvector", "--fvector", "3", "--dim", "2"],
     ["hvector", "--fvector", "3,3", "--dim", "-1"],
+    # a connected sum needs Gorenstein summands, over the field and over T
+    ["connect-sum", "<socle-in-two-degrees>", data_path("x2y2.alg")],
+    ["connect-sum", "<socle-in-two-degrees>", data_path("x2y2.alg"), "<point>",
+     "--map-a", "<zero-map>", "--map-b", "<zero-map>"],
     # a connected sum needs equal socle degrees
     ["connect-sum", data_path("x2y2.alg"), data_path("notgor_a.alg")],
     # a fiber product needs surjective maps

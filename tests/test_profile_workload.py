@@ -5,6 +5,7 @@ The script is loaded by path, the way ``test_bench_pairs`` loads its script.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,9 @@ def test_a_target_that_cannot_be_bound_is_an_error():
     with pytest.raises(SystemExit, match="json:dumps"):
         profile_workload.wrapped_passes(jobs, job_list, targets, passes=1)
     assert algebra.from_ideal is from_ideal and lefschetz.from_ideal is from_ideal
+
+
+def test_workload_choices_are_the_benchmark_workloads():
+    spec = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    (action,) = (a for a in profile_workload.build_parser()._actions if a.dest == "workload")
+    assert list(action.choices) == [w["name"] for w in spec["workloads"]]

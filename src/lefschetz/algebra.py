@@ -145,15 +145,6 @@ def _shift_table(nvars: int, weights: tuple, e: int, j: int) -> array.array:
     return array.array("i", [idx[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in lower])
 
 
-def store_units(space: RowSpace, columns) -> None:
-    """Store the unit row e_c at each column c, eliminating nothing: a
-    monomial in the space is the reduced row at its own column, whatever
-    else the space holds, and every column is one when the space is full."""
-    one = space.field.one()
-    for c in columns:
-        space.store_reduced(c, {c: one})
-
-
 def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece, rows: Sequence[dict] = ()) -> None:
     """Span the empty degree-e space by ``rows`` and by x_j times every stored
     row of degree e - w_j; ``piece(d)`` returns the RowSpace of degree d.
@@ -161,11 +152,11 @@ def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece, rows: Sequence[
     The leads of a space are its pivots, and grevlex is multiplicative, so
     x_j * c is a monomial of the degree-e space for every one-entry stored
     row c below.  Those monomials and the monomials among ``rows`` are
-    stored first, as unit rows (``store_units``); when they are every
-    column, as above the socle degree of a monomial complete intersection,
-    nothing is eliminated.  Otherwise the other rows are added, and the
-    shifts of the other stored rows, a shift equal to the row stored at its
-    lead skipped unreduced, until the space is everything.
+    stored first, as unit rows (``RowSpace.store_units``); when they are
+    every column, as above the socle degree of a monomial complete
+    intersection, nothing is eliminated.  Otherwise the other rows are
+    added, and the shifts of the other stored rows, until the space is
+    everything.
     """
     n = space.ncols
     lowers = [(_shift_table(ring.nvars, ring.weights, e, j), piece(e - w))
@@ -175,19 +166,17 @@ def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece, rows: Sequence[
         for pc, row in lower.pivot_rows():
             if len(row) == 1:
                 units.add(shift[pc])
-    store_units(space, sorted(units))
+    space.store_units(sorted(units))
     if space.rank == n:
         return
-    add, stores = space.add, space.stores
+    add = space.add
     for row in rows:
         if len(row) > 1 and add(row) and space.rank == n:
             return
     for shift, lower in lowers:
-        for pc, row in lower.pivot_rows():
-            if len(row) > 1:
-                shifted = {shift[c]: v for c, v in row.items()}
-                if not stores(shifted, shift[pc]) and add(shifted) and space.rank == n:
-                    return
+        for _, row in lower.pivot_rows():
+            if len(row) > 1 and add({shift[c]: v for c, v in row.items()}) and space.rank == n:
+                return
 
 
 class _IdealPieces:
@@ -363,7 +352,7 @@ class GradedAlgebra:
         if d <= self.socle_degree:
             return self._spaces[d]
         full = RowSpace(self.field, len(self.ring.monomials(d)))
-        store_units(full, range(full.ncols))
+        full.store_units(range(full.ncols))
         return full
 
     def monomial_basis(self, d: int) -> list[Monomial]:

@@ -188,11 +188,10 @@ class PowerChains:
     by ``rank``, and the true values by ``exact``.  Over GF(p) every scale
     is 1."""
 
-    def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple],
-                 scales: Optional[Sequence[int]] = None):
+    def __init__(self, field, dims: Sequence[int], maps: list, terms: Sequence[tuple], scales: Sequence[int]):
         self.field, self.dims, self.stride, self._p = field, dims, max(dims) + 1, field.characteristic
         self._maps, self._terms = maps, terms
-        self.scales = scales or [1] * len(maps)
+        self.scales = scales
         self._steps: dict = {}  # e -> columns of the step of L on A_e
         self._chains: dict = {}  # i -> [columns of L^1, L^2, ... on A_i]
 

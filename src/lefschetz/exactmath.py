@@ -9,7 +9,8 @@ polynomials stay lightweight.
 ``kernel_basis``, ``solve``, ``invert`` and ``det`` on dense matrices, and
 ``kernel_space`` on sparse rows, are views of it: they feed the rows into a
 fresh ``RowSpace`` and read the answer off its reduced rows and pivots.
-Every kernel is read by one method, ``RowSpace.kernel``.
+Rows enter it by ``add``, ``store_reduced`` or ``store_units``, and every
+kernel is read by one method, ``RowSpace.kernel``.
 
 The one other elimination, ``echelon_rank``, only counts.  It ranks the
 chains of powers of a linear form (``checks.PowerChains``), over ZZ or
@@ -19,15 +20,14 @@ scaled to integers for it, so their ranks make no ``Fraction`` arithmetic,
 while a ``RowSpace`` over QQ stores ``Fraction`` rows, because its callers
 read them.
 
-The hot kernels (``RowSpace.reduce``/``RowSpace.add``, ``echelon_rank`` and
-``Matrix.mul``) rely on that representation instead of calling ``FieldSpec``
-per scalar: over GF(p) they compute with plain ``int`` and take one ``% p``
-per updated entry or per dot product, which brings every result back into
-``[0, p)``; over QQ they add and multiply ``Fraction`` objects directly,
-except ``echelon_rank``, which takes integers.  Entries handed to them must
-therefore be field elements as ``FieldSpec.coerce`` returns them.  Polynomial
-coefficients follow the same rule; it is written down in the
-``polynomials`` module docstring.
+The hot kernels (``RowSpace.reduce``/``RowSpace.add`` and ``echelon_rank``)
+rely on that representation instead of calling ``FieldSpec`` per scalar:
+over GF(p) they compute with plain ``int`` and take one ``% p`` per updated
+entry, which brings every result back into ``[0, p)``; over QQ they add and
+multiply ``Fraction`` objects directly, except ``echelon_rank``, which takes
+integers.  Entries handed to them must therefore be field elements as
+``FieldSpec.coerce`` returns them.  Polynomial coefficients follow the same
+rule; it is written down in the ``polynomials`` module docstring.
 """
 
 from __future__ import annotations
@@ -269,17 +269,9 @@ class Matrix:
 
 
 def _dots(field: FieldSpec, row: Sequence[Scalar], cols: Sequence[Sequence[Scalar]]) -> tuple:
-    """The dot products of one row with each of cols, skipping the row's zeros
-    (and over QQ the zeros of each column, whose products still cost a
-    ``Fraction``)."""
+    """The dot products of one row with each of cols, skipping the row's zeros."""
     nz = [(j, x) for j, x in enumerate(row) if x]
-    if not nz:
-        z = field.zero()
-        return tuple(z for _ in cols)
-    p = field.characteristic
-    if p:
-        return tuple(sum([x * c[j] for j, x in nz]) % p for c in cols)
-    return tuple(sum([x * c[j] for j, x in nz if c[j]], Fraction(0)) for c in cols)
+    return tuple(field.coerce(sum(x * c[j] for j, x in nz)) for c in cols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -478,20 +470,16 @@ class RowSpace:
     the grevlex-largest monomial, so pivots are leading monomials and the
     non-pivot columns are the standard monomials.
 
-    Rows enter through ``add``, which eliminates, or ``store_reduced``, for
-    a row already known to be the reduced row at its pivot; nothing else
-    writes the stored rows.
-
-    ``_cols`` holds every column at which some stored row may be nonzero (a
-    superset is fine).  A new pivot outside it occurs in no stored row, so
-    ``add`` back-substitutes only when the pivot is in it.
+    Rows enter through ``add``, which eliminates, ``store_reduced``, for a
+    row already known to be the reduced row at its pivot, or
+    ``store_units``, for unit rows at columns no stored row has; nothing
+    else writes the stored rows.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
         self.field = field
         self.ncols = ncols
         self._rows: dict[int, dict[int, Scalar]] = {}  # pivot col -> row
-        self._cols: set[int] = set()
 
     @property
     def rank(self) -> int:
@@ -508,10 +496,6 @@ class RowSpace:
         """
         return self._rows.items()
 
-    def stores(self, row: dict[int, Scalar], pivot: int) -> bool:
-        """True when row is the stored row with this pivot (so it lies in the space)."""
-        return self._rows.get(pivot) == row
-
     def reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
         """Normal form of a sparse row against the stored rows."""
         p = self.field.characteristic
@@ -523,11 +507,8 @@ class RowSpace:
         return out
 
     def add(self, row: dict[int, Scalar]) -> bool:
-        """Insert a row; returns True when it enlarged the space.
-
-        The stored rows are scanned for the new pivot column, to clear it
-        from them, only when the column is in ``_cols``.
-        """
+        """Insert a row; returns True when it enlarged the space.  The new
+        pivot column is cleared from every stored row that has it."""
         rem = self.reduce(row)
         if not rem:
             return False
@@ -542,11 +523,9 @@ class RowSpace:
         else:
             inv = Fraction(1) / lead
             norm = {c: inv * v for c, v in rem.items()}
-        if pc in self._cols:
-            for other in self._rows.values():
-                if pc in other:
-                    _sub_multiple(other, other[pc], norm, p)
-        self._cols.update(norm)
+        for other in self._rows.values():
+            if pc in other:
+                _sub_multiple(other, other[pc], norm, p)
         self._rows[pc] = norm
         return True
 
@@ -560,8 +539,17 @@ class RowSpace:
         """
         if row.get(pivot) != 1 or min(row) != pivot or pivot in self._rows:
             raise ValueError(f"row is not reduced at pivot {pivot}")
-        self._cols.update(row)
         self._rows[pivot] = row
+
+    def store_units(self, columns: Sequence[int]) -> None:
+        """Store the unit row e_c at each column c, in the given order, as
+        they are.  The caller vouches that no stored row has these columns
+        (a monomial of the space is then the reduced row at its own column);
+        checked here is only that none of them is already a pivot."""
+        if not self._rows.keys().isdisjoint(columns):
+            raise ValueError("a unit row's column is already a pivot")
+        one = self.field.one()
+        self._rows.update((c, {c: one}) for c in columns)
 
     def kernel(self) -> dict[int, dict[int, Scalar]]:
         """The right kernel: for each free column f, in increasing f, the

@@ -164,19 +164,15 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
     )
 
 
-def weight_decomposition(h: Matrix, candidates=None) -> WeightDecomposition:
-    """Eigenspaces of H found by integer search over [-size, size].
-
-    candidates restricts the searched eigenvalues (the span check still
-    certifies nothing was missed).
-    """
+def weight_decomposition(h: Matrix) -> WeightDecomposition:
+    """Eigenspaces of H found by integer search over [-size, size]."""
     F = h.field
     n = h.rows
     if n != h.cols:
         raise ValueError("H must be square")
     spaces = []
     found = 0
-    for lam in candidates if candidates is not None else range(-n, n + 1):
+    for lam in range(-n, n + 1):
         kern = kernel_basis(h.add(_scalar(F, n, -lam)))
         if kern:
             spaces.append((lam, tuple(kern)))

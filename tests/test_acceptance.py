@@ -391,8 +391,7 @@ def test_criterion_10_gorenstein_properties():
         assert sum(jt.parts) == alg.total_dim()
         if slpn_rep.holds:
             triple = triple_from_lefschetz(alg, L)  # verifies brackets internally
-            c = alg.socle_degree
-            wd = weight_decomposition(triple.h, candidates=range(-c, c + 1))
+            wd = weight_decomposition(triple.h)
             for k, vs in wd.spaces:
                 if k >= 0:
                     continue

@@ -707,8 +707,8 @@ def test_generic_escalation_pushes_each_degree_once(make, deficient, pushed, mon
 
 def test_power_chains_build_only_the_steps_they_read():
     alg = build("x,y,z", ["x^3", "y^3", "z^3"])
-    maps, _ = checks.integer_maps(alg)
-    chains = checks.PowerChains(alg.field, alg.hilbert_function(), maps, [(0, 1), (0, 2), (0, 3)])
+    maps, scales = checks.integer_maps(alg)
+    chains = checks.PowerChains(alg.field, alg.hilbert_function(), maps, [(0, 1), (0, 2), (0, 3)], scales)
     assert chains._steps == {}
     chains.power(2, 1)
     assert sorted(chains._steps) == [1, 2]

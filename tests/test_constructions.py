@@ -178,6 +178,23 @@ def test_thom_class_example_71_b():
     assert tau.poly(b) == b.ring.parse("u*v^2")
 
 
+def test_thom_class_that_fails_its_identity_is_refused(monkeypatch):
+    # the identity is checked in degree D_T alone, where the pairing is
+    # perfect: tau + e_0 pairs differently with some basis vector there
+    a = build("x,y", ["x^2", "y^4"])
+    t = build("z", ["z^2"])
+    pi = algebra_map(a, t, ["z", "0"])
+    solve = constructions.solve
+
+    def off_by_e0(m, b):
+        sol = solve(m, b)
+        return (sol[0] + 1,) + sol[1:]
+
+    monkeypatch.setattr(constructions, "solve", off_by_e0)
+    with pytest.raises(AssertionError, match="Thom class fails its defining identity"):
+        thom_class(pi, default_orientation(a), default_orientation(t))
+
+
 def test_thom_class_to_base_field_is_socle():
     a = build("x,y", ["x^2", "y^4"])
     f = build("z", ["z"])  # the field, presented with one dead variable

@@ -71,7 +71,6 @@ def ref_kernel_space(m: Matrix) -> RowSpace:
         for c, v in row.items():
             if c != pc:
                 out._rows[n - 1 - c][n - 1 - pc] = F.neg(v)
-    out._cols = {c for row in out._rows.values() for c in row}
     return out
 
 

@@ -1,12 +1,14 @@
 """Graded artinian quotients of polynomial rings.
 
 Everything is computed degreewise by exact row reduction: no Groebner bases.
-A GradedAlgebra stores, for each degree up to the socle degree, the full
-monomial basis, the reduced row space of the ideal piece, and the standard
-monomials (non-pivot columns under descending grevlex).  Its products are read
-from one product table: the normal forms of the monomials of degree at most
-D, each reduced once, when first needed.  The pieces of a tensor product are
-not reduced at all: ``tensor_pieces`` writes them from the factors' tables.
+The columns of degree d are the ring's monomials in descending grevlex, one
+shared index per ring and degree (``Ring.monomial_index``).  A GradedAlgebra
+is built from its ring and its ideal pieces: per degree up to the socle degree
+the reduced row space of I_d and the standard monomials (non-pivot columns).
+Its products are read from one product table: the normal forms of the
+monomials of degree at most D, each reduced once, when first needed.  The
+pieces of a tensor product are not reduced at all: ``tensor_pieces`` writes
+them from the factors' tables.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class Ring:
 
     def monomials(self, d: int) -> list[Monomial]:
         return monomials(self.nvars, d, weights=self.weights)
+
+    def monomial_index(self, d: int) -> dict[Monomial, int]:
+        """{monomial: column} over ``monomials(d)``, in that order: one shared
+        dict per (nvars, weights, d), so it is read-only."""
+        return _monomial_index(self.nvars, self.weights, d)
 
     def variable(self, i: int) -> Poly:
         return Poly.variable(self.nvars, self.field, i)
@@ -136,11 +143,16 @@ class Ideal:
                 raise ValueError("degree-0 generator would collapse the algebra")
 
 
+@functools.lru_cache(maxsize=256)
+def _monomial_index(nvars: int, weights: tuple, d: int) -> dict[Monomial, int]:
+    return {m: i for i, m in enumerate(monomials(nvars, d, weights))}
+
+
 @functools.lru_cache(maxsize=1024)
 def _shift_table(nvars: int, weights: tuple, e: int, j: int) -> array.array:
     """Column of x_j * m among the degree-e monomials, for each monomial m of
     degree e - w_j in order (a compact array: the cache outlives algebras)."""
-    idx = {m: i for i, m in enumerate(monomials(nvars, e, weights))}
+    idx = _monomial_index(nvars, weights, e)
     lower = monomials(nvars, e - weights[j], weights)
     return array.array("i", [idx[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in lower])
 
@@ -189,29 +201,27 @@ class _IdealPieces:
     are eliminated, so a lead that only elimination reaches is still found.
     When the unit rows are every monomial, as above the socle degree of a
     monomial complete intersection, I_e is everything with no elimination.
+    The columns are the ring's (``Ring.monomial_index``); ``h`` counts them.
     """
 
     def __init__(self, ring: Ring, generators: Sequence[Poly]):
         self.ring = ring
         self.generators = list(generators)
-        self.monos: list[list[Monomial]] = []
         self.spaces: list[RowSpace] = []
 
     def extend_to(self, d: int) -> None:
         ring = self.ring
         while len(self.spaces) <= d:
             e = len(self.spaces)
-            monos = ring.monomials(e)
-            idx = {m: i for i, m in enumerate(monos)}
-            space = RowSpace(ring.field, len(monos))
+            idx = ring.monomial_index(e)
+            space = RowSpace(ring.field, len(idx))
             gens = [{idx[m]: c for m, c in g.terms} for g in self.generators if ring.degree(g) == e]
             add_shifted_rows(space, ring, e, lambda d: self.spaces[d], gens)
-            self.monos.append(monos)
             self.spaces.append(space)
 
     def h(self, d: int) -> int:
         self.extend_to(d)
-        return len(self.monos[d]) - self.spaces[d].rank
+        return self.spaces[d].ncols - self.spaces[d].rank
 
 
 def ideal_degree_piece(ideal: Ideal, d: int) -> Matrix:
@@ -225,16 +235,16 @@ def inverse_system(ideal: Ideal, d: int) -> list[DualPoly]:
     """Basis of the perp of I_d inside the degree-d dual, as divided forms."""
     pieces = _IdealPieces(ideal.ring, ideal.generators)
     pieces.extend_to(d)
-    monos = pieces.monos[d]
+    monos = ideal.ring.monomials(d)
     return [
         DualPoly.make(ideal.ring.nvars, ideal.ring.field, {monos[c]: x for c, x in v.items()})
         for v in pieces.spaces[d].kernel().values()
     ]
 
 
-def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> tuple[list, list]:
-    """The monomials and ideal pieces of A (x) B in degrees 0 to D_A + D_B,
-    on ``ring``: A's variables, then B's.
+def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> list[RowSpace]:
+    """The ideal pieces of A (x) B in degrees 0 to D_A + D_B, on ``ring``:
+    A's variables, then B's, with the ring's columns.
 
     The ideals live in disjoint variables, so (``constructions.tensor_product``)
     the standard monomials are the products s_A * s_B and the reduced row of
@@ -246,10 +256,9 @@ def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> tuple[list,
     F, D = ring.field, A.socle_degree + B.socle_degree
     p, one = F.characteristic, F.one()
     (std_a, other_a), (std_b, other_b) = _normal_forms(A, D), _normal_forms(B, D)
-    monos, spaces = [], []
+    spaces = []
     for d in range(D + 1):
-        monos.append(ring.monomials(d))
-        idx = {m: i for i, m in enumerate(monos[-1])}
+        idx = ring.monomial_index(d)
         space = RowSpace(F, len(idx))
         for da in range(d + 1):
             db = d - da
@@ -267,7 +276,7 @@ def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> tuple[list,
                         row[idx[s + t]] = -a * b % p if p else -a * b
                 space.store_reduced(pc, row)
         spaces.append(space)
-    return monos, spaces
+    return spaces
 
 
 def _normal_forms(alg: GradedAlgebra, top: int) -> tuple[list, list]:
@@ -287,36 +296,31 @@ def _normal_forms(alg: GradedAlgebra, top: int) -> tuple[list, list]:
         std.append([(s, ((s, one),)) for s in basis])
         other.append([
             (m, tuple((basis[k], v) for k, v in alg._basis_product(e, c)))
-            for c, m in enumerate(alg._monos[e]) if c not in pos
+            for c, m in enumerate(alg.ring.monomials(e)) if c not in pos
         ])
     return std, other
 
 
 class GradedAlgebra:
-    """An artinian graded quotient with explicit degreewise bases."""
+    """An artinian graded quotient built from its ring and its ideal pieces:
+    spaces[d] is the reduced row space of I_d on the columns of the ring's
+    shared ``monomial_index(d)`` (held in ``_index``) for d up to the socle
+    degree len(spaces) - 1; the standard monomials are the non-pivot columns."""
 
-    def __init__(
-        self,
-        ring: Ring,
-        socle_degree: int,
-        monos: list[list[Monomial]],
-        spaces: list[RowSpace],
-        generators: Optional[tuple] = None,
-        dual_generator_poly: Optional[DualPoly] = None,
-    ):
+    def __init__(self, ring: Ring, spaces: list[RowSpace], generators: Optional[tuple] = None,
+                 dual_generator_poly: Optional[DualPoly] = None):
         self.ring = ring
-        self.socle_degree = socle_degree
-        self._monos = monos
-        self._index = [{m: i for i, m in enumerate(ms)} for ms in monos]
+        self.socle_degree = len(spaces) - 1
+        self._index = [ring.monomial_index(d) for d in range(len(spaces))]
         self._spaces = spaces
         self.generators = generators
         self._dual_generator = dual_generator_poly
         self._std: list[list[Monomial]] = []
         self._std_col: list[dict[int, int]] = []  # column of a standard monomial -> its index
-        for d in range(socle_degree + 1):
-            pivots = set(spaces[d].pivots())
-            free = [c for c in range(len(monos[d])) if c not in pivots]
-            self._std.append([monos[d][c] for c in free])
+        for d, space in enumerate(spaces):
+            pivots, monos = set(space.pivots()), ring.monomials(d)
+            free = [c for c in range(space.ncols) if c not in pivots]
+            self._std.append([monos[c] for c in free])
             self._std_col.append({c: k for k, c in enumerate(free)})
         self._mult_cache: dict = {}  # the product table, see ``_basis_product``
         self._one = ring.field.one()
@@ -351,13 +355,11 @@ class GradedAlgebra:
         """Row space of the ideal piece in degree d (full space beyond D)."""
         if d <= self.socle_degree:
             return self._spaces[d]
-        full = RowSpace(self.field, len(self.ring.monomials(d)))
+        full = RowSpace(self.field, len(self.ring.monomial_index(d)))
         full.store_units(range(full.ncols))
         return full
 
     def monomial_basis(self, d: int) -> list[Monomial]:
-        if d <= self.socle_degree:
-            return self._monos[d]
         return self.ring.monomials(d)
 
     # -- normal forms ----------------------------------------------------------
@@ -493,7 +495,8 @@ class GradedAlgebra:
             )
         if not is_gorenstein(self):
             raise NotGorensteinError("socle is not one-dimensional")
-        F = DualPoly.make(self.nvars, self.field, {self._monos[D][c]: x for c, x in kern[0].items()})
+        monos = self.ring.monomials(D)
+        F = DualPoly.make(self.nvars, self.field, {monos[c]: x for c, x in kern[0].items()})
         # normalise so the pairing with the standard monomial of A_D is 1
         c = F.coefficient(self._std[D][0])
         F = F.scale(self.field.inv(c))
@@ -542,13 +545,7 @@ def from_ideal(ideal: Ideal, max_degree: Optional[int] = None) -> GradedAlgebra:
     D = len(h) - 1
     while h[D] == 0:
         D -= 1
-    return GradedAlgebra(
-        ring,
-        D,
-        [pieces.monos[d] for d in range(D + 1)],
-        [pieces.spaces[d] for d in range(D + 1)],
-        generators=gens,
-    )
+    return GradedAlgebra(ring, pieces.spaces[: D + 1], generators=gens)
 
 
 def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
@@ -571,8 +568,7 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
     if F.nvars != ring.nvars:
         raise ValueError("variable-count mismatch")
     D = F.degree(ring.weights)
-    monos = [ring.monomials(d) for d in range(D + 1)]
-    idx = [{m: i for i, m in enumerate(ms)} for ms in monos]
+    idx = [ring.monomial_index(d) for d in range(D + 1)]
     rows: list[dict] = [{} for _ in range(D + 1)]  # degree d -> {t: row of t o F}
     for m, c in F.terms:
         for t in itertools.product(*(range(e + 1) for e in m)):
@@ -582,11 +578,11 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
     spaces: list = [None] * (D + 1)
     for d in range(D, -1, -1):
         if 2 * d < D:  # densest rows first: they are the least often redundant
-            rank, feed = len(monos[D - d]) - spaces[D - d].rank, sorted(rows[d].values(), key=len, reverse=True)
+            rank, feed = spaces[D - d].ncols - spaces[D - d].rank, sorted(rows[d].values(), key=len, reverse=True)
         else:
             rank, feed = None, rows[d].values()
-        spaces[d] = kernel_space(ring.field, len(monos[d]), feed, rank)
-    return GradedAlgebra(ring, D, monos, spaces, dual_generator_poly=F)
+        spaces[d] = kernel_space(ring.field, len(idx[d]), feed, rank)
+    return GradedAlgebra(ring, spaces, dual_generator_poly=F)
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +707,8 @@ def socle_vectors(alg) -> list[tuple[int, tuple]]:
 
 
 def is_gorenstein(alg) -> bool:
-    return len(socle_vectors(alg)) == 1
+    # A_D lies in the socle, so h_D != 1 disproves it with no socle computed
+    return alg.dim(alg.socle_degree) == 1 and len(socle_vectors(alg)) == 1
 
 
 def is_level(alg) -> bool:

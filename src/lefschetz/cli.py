@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .checks import (
     GenericityConfig,
+    degree_one_coordinates,
     generic_report,
     hessian_det,
     h_vector,
@@ -256,9 +257,7 @@ def cmd_hessian(args) -> int:
 def cmd_nll(args) -> int:
     alg, digest = _load_algebra(args.file, cap=args.cap)
     conds = nll_conditions(alg, args.mode)
-    names = [
-        f"a{i + 1}" for i in range(len([w for w in alg.ring.weights if w == 1]))
-    ]
+    names = [f"a{i + 1}" for i in range(len(degree_one_coordinates(alg)))]
     texts = [format_poly(p, names) for p in conds]
     results = {"primary": "; ".join(texts), "conditions": texts, "coefficients": names}
     human = "non-" + args.mode + " Lefschetz locus: " + (

@@ -457,8 +457,7 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     against the convolution h_A * h_B.
     """
     ring, gens_a, gens_b = _joined_generators(A, B)
-    monos, spaces = tensor_pieces(A, B, ring)
-    out = GradedAlgebra(ring, len(spaces) - 1, monos, spaces, generators=tuple(gens_a + gens_b))
+    out = GradedAlgebra(ring, tensor_pieces(A, B, ring), generators=tuple(gens_a + gens_b))
     ha, hb = A.hilbert_function(), B.hilbert_function()
     conv = [
         sum(ha[i] * hb[k - i] for i in range(max(0, k - len(hb) + 1), min(k, len(ha) - 1) + 1))
@@ -742,9 +741,8 @@ def presentation_of(alg):
     images = _monomial_images(ring, D, alg.one(), [g.maps for g in gens], F.characteristic)
     kernels = [kernel_space(F, len(image), rows_of([v.items() for v in image.values()], alg.dim(m)))
                for m, image in enumerate(images)]
-    monos = [list(image) for image in images]
     generator_data = [(g.degree, g.vector) for g in gens]
-    return ring, GradedAlgebra(ring, D, monos, kernels).minimal_generators(), generator_data
+    return ring, GradedAlgebra(ring, kernels).minimal_generators(), generator_data
 
 
 def presented_algebra(alg) -> GradedAlgebra:

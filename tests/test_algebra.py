@@ -30,6 +30,15 @@ from lefschetz.algebra import (
 )
 
 
+from lefschetz.constructions import (
+    AlgebraMap,
+    connected_sum_over_field,
+    fiber_product,
+    presented_algebra,
+    tensor_product,
+)
+
+
 def ring(names="x,y,z", field=QQ, weights=None):
     return Ring(tuple(names.split(",")), field, tuple(weights) if weights else ())
 
@@ -360,3 +369,27 @@ def test_dual_generator_ideal_pieces_in_one_elimination(case):
             assert contract(Poly.make(r.nvars, r.field, {monos[c]: v for c, v in row.items()}), F).is_zero()
             for v in row.values():
                 assert (type(v) is int and 0 <= v < p) if p else type(v) is Fraction
+
+
+def test_algebras_on_one_ring_share_the_ring_s_column_tables():
+    r = ring("x,y")
+    before = {d: dict(r.monomial_index(d)) for d in range(5)}
+    for d, index in before.items():
+        assert list(index.items()) == [(m, c) for c, m in enumerate(r.monomials(d))]
+    a = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^3"))))
+    b = from_dual_generator(r.parse_dual("X^[2]*Y + Y^[3]"), r)
+    k = build("t", ["t"])
+    zero = Poly.zero(1, QQ)
+    fp = fiber_product(a, b, k, AlgebraMap(a, k, [zero] * 2), AlgebraMap(b, k, [zero] * 2))
+    built = [a, b, tensor_product(a, b), connected_sum_over_field(a, b), presented_algebra(fp)]
+    for d in range(a.socle_degree + 1):
+        assert a._index[d] is b._index[d] is r.monomial_index(d)
+    for alg in built:
+        assert alg.socle_degree == len(alg._spaces) - 1
+        alg.minimal_generators()
+        for d in range(alg.socle_degree + 2):
+            assert alg.monomial_basis(d) == alg.ring.monomials(d)
+        for d in range(alg.socle_degree + 1):
+            assert alg._index[d] is alg.ring.monomial_index(d)
+            assert list(alg._index[d].items()) == [(m, c) for c, m in enumerate(alg.ring.monomials(d))]
+    assert {d: r.monomial_index(d) for d in before} == before

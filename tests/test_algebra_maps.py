@@ -9,17 +9,29 @@ unit vector of T_d (``ref_lift_matrix``) and a substitution per reduced
 ideal row (``ref_check_well_defined``).  Every output must agree with them,
 over QQ, over GF(p) and on weighted rings.
 
-Two differential oracles run the rewritten map through whole constructions:
-the pair-model connected sum over the field k = k[t]/(t) against
-``connected_sum_over_field``, and the blowup of Ann(G) along
-Ann(t o G) against its extracted presentation.
+Differential oracles run the rewritten map through whole constructions: the
+pair-model connected sum over the field k = k[t]/(t) against
+``connected_sum_over_field``, the pair-model connected sum of monomial
+complete intersections over k[z]/(z^2) and the blowup of Ann(G) along
+Ann(t o G) against their extracted presentations.  Every Gorenstein
+construction must satisfy Poincare duality, and a fiber product over k must
+not.
 """
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal, hilbert_function, is_gorenstein
+from lefschetz.algebra import (
+    Ideal,
+    Ring,
+    default_orientation,
+    from_dual_generator,
+    from_ideal,
+    hilbert_function,
+    is_gorenstein,
+    pairing_matrix,
+)
 from lefschetz.checks import GenericityConfig, generic_report
 from lefschetz.constructions import (
     AlgebraMap,
@@ -29,8 +41,10 @@ from lefschetz.constructions import (
     connected_sum,
     connected_sum_over_field,
     exceptional_divisor,
+    fiber_product,
     identity_map,
     presented_algebra,
+    tensor_product,
 )
 from lefschetz.exactmath import GF, QQ, rank
 from lefschetz.polynomials import DualPoly, Poly, contract, monomials
@@ -156,6 +170,14 @@ def _dual_generator_algebra(draw, names: str, degree: int, nterms: int):
     return from_dual_generator(DualPoly.make(len(names), QQ, terms), Ring(tuple(names), QQ))
 
 
+def _over_the_field(A, B):
+    """k = k[t]/(t) with the zero maps from A and B."""
+    k_ring = Ring(("t",), QQ)
+    k = from_ideal(Ideal(k_ring, (k_ring.parse("t"),)))
+    zero = Poly.zero(1, QQ)
+    return k, AlgebraMap(A, k, [zero] * A.nvars), AlgebraMap(B, k, [zero] * B.nvars)
+
+
 @st.composite
 def gorenstein_pairs(draw):
     na, nb, degree, nterms = draw(st.sampled_from(PAIR_SHAPES))
@@ -167,10 +189,7 @@ def gorenstein_pairs(draw):
 @given(gorenstein_pairs())
 def test_pair_model_connected_sum_matches_the_presentation(pair):
     A, B = pair
-    k_ring = Ring(("t",), QQ)
-    k = from_ideal(Ideal(k_ring, (k_ring.parse("t"),)))
-    zero = Poly.zero(1, QQ)
-    cs = connected_sum(A, B, k, AlgebraMap(A, k, [zero] * A.nvars), AlgebraMap(B, k, [zero] * B.nvars))
+    cs = connected_sum(A, B, *_over_the_field(A, B))
     over = connected_sum_over_field(A, B)
     assert hilbert_function(cs) == over.hilbert_function()
     assert is_gorenstein(cs) and is_gorenstein(over)
@@ -212,3 +231,95 @@ def test_blowup_matches_its_presentation(case):
     verdict = generic_report(bug, "wlp", CERTIFIED)
     event(f"n = {n}, wlp {verdict.holds} ({verdict.certification})")
     assert generic_report(presented, "wlp", CERTIFIED).holds == verdict.holds
+
+
+# -- pair-model connected sums over k[z]/(z^2) against the presentation ---------------
+
+
+def _ci_exponents(draw, socle: int) -> list[int]:
+    """Exponents e_i >= 2 of a monomial complete intersection of the given
+    socle degree sum(e_i - 1), each e_i at most 4."""
+    out = []
+    while socle:
+        out.append(draw(st.integers(1, min(3, socle))) + 1)
+        socle -= out[-1] - 1
+    return out
+
+
+@st.composite
+def ci_pairs_onto_a_line(draw):
+    """Monomial complete intersections A and B of one socle degree, each
+    mapped onto T = k[z]/(z^2) by its first variable, the others to 0."""
+    socle = draw(st.integers(2, 4))
+    line = Ring(("z",), QQ)
+    T = from_ideal(Ideal(line, (line.parse("z^2"),)))
+    out = [T]
+    for name in "xy":
+        exps = _ci_exponents(draw, socle)
+        ring = Ring(tuple(f"{name}{i}" for i in range(len(exps))), QQ)
+        A = from_ideal(Ideal(ring, tuple(ring.variable(i) ** e for i, e in enumerate(exps))))
+        out += [A, AlgebraMap(A, T, [line.variable(0)] + [Poly.zero(1, QQ)] * (A.nvars - 1))]
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(ci_pairs_onto_a_line())
+def test_pair_model_connected_sum_over_a_line_matches_the_presentation(case):
+    T, A, pi_a, B, pi_b = case
+    try:
+        cs = connected_sum(A, B, T, pi_a, pi_b)
+    except ValueError:  # incompatible Thom classes
+        assume(False)
+    try:
+        presented = presented_algebra(cs)
+    except PresentationSizeError:
+        assume(False)
+    assert hilbert_function(cs) == presented.hilbert_function()
+    assert is_gorenstein(cs) and is_gorenstein(presented)
+    verdict = generic_report(presented, "wlp", CERTIFIED)
+    event(f"h = {hilbert_function(cs)}, wlp {verdict.holds}")
+    assert generic_report(cs, "wlp", CERTIFIED).holds == verdict.holds
+
+
+# -- Poincare duality on every Gorenstein construction ----------------------------
+
+
+def _poincare_duality(alg) -> bool:
+    """The pairing A_i x A_{D-i} -> k has rank dim A_i = dim A_{D-i} in every degree i."""
+    D, omega = alg.socle_degree, default_orientation(alg)
+    return all(alg.dim(i) == alg.dim(D - i) == rank(pairing_matrix(alg, omega, i)) for i in range(D + 1))
+
+
+@st.composite
+def gorenstein_constructions(draw, kind):
+    if kind == "tensor":
+        a = _dual_generator_algebra(draw, "xy", draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+        return tensor_product(a, _dual_generator_algebra(draw, "uv", draw(st.integers(1, 2)), 2))
+    if kind == "blowup":
+        A, T, n = draw(blowup_data())
+        pi = AlgebraMap(A, T, [A.ring.variable(j) for j in range(A.nvars)])
+        return blowup(A, T, pi, [Poly.zero(A.nvars, QQ)] * (n - 1), draw(st.sampled_from((1, -1, 2))))
+    A, B = draw(gorenstein_pairs())
+    if kind == "over-field":
+        return connected_sum_over_field(A, B)
+    return connected_sum(A, B, *_over_the_field(A, B))
+
+
+@pytest.mark.parametrize("kind", ["tensor", "over-field", "pair", "blowup"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_gorenstein_constructions_satisfy_poincare_duality(kind, data):
+    alg = data.draw(gorenstein_constructions(kind))
+    assert _poincare_duality(alg)
+    assert is_gorenstein(alg)
+
+
+@settings(max_examples=8, deadline=None)
+@given(gorenstein_pairs())
+def test_fiber_product_over_the_field_fails_poincare_duality(pair):
+    A, B = pair
+    fp = fiber_product(A, B, *_over_the_field(A, B))
+    D = fp.socle_degree
+    assert rank(pairing_matrix(fp, default_orientation(fp), 0)) < max(fp.dim(0), fp.dim(D))
+    assert not _poincare_duality(fp)
+    assert not is_gorenstein(fp)

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from lefschetz import constructions
+from lefschetz import algebra, constructions
 from lefschetz.descfiles import parse_algebra_text
 from lefschetz.exactmath import QQ, rank
 from lefschetz.polynomials import Poly
@@ -375,14 +375,42 @@ def test_connected_sum_with_truncation_pattern():
     assert cs.hilbert_function() == expect
 
 
-def test_fiber_product_over_field_presentation():
-    # Prop 7.1: all cross products die
+def _fiber_product_over_field():
     a = build("x,y", ["x^2", "y^4"])
     b = build("u,v", ["u^3", "v^3"])
     f = build("w", ["w"])
-    pa = algebra_map(a, f, ["0", "0"])
-    pb = algebra_map(b, f, ["0", "0"])
-    fp = fiber_product(a, b, f, pa, pb)
+    return a, fiber_product(a, b, f, algebra_map(a, f, ["0", "0"]), algebra_map(b, f, ["0", "0"]))
+
+
+def test_fiber_product_over_the_field_is_not_gorenstein_before_its_socle(monkeypatch):
+    # h_D = 2, and A_D lies in the socle: no socle computation is needed
+    a, fp = _fiber_product_over_field()
+    calls = []
+    monkeypatch.setattr(algebra, "socle_vectors", lambda alg: calls.append(alg) or socle_vectors(alg))
+    assert fp.dim(fp.socle_degree) == 2
+    assert not is_gorenstein(fp)
+    assert calls == []
+    assert is_gorenstein(a) and calls == [a]
+
+
+def test_is_gorenstein_is_a_one_dimensional_socle_on_every_model():
+    a, b, t, pa, pb = _example_71()
+    models = [
+        a,
+        build("x,y", ["x^2", "x*y", "y^3"]),  # h_D = 1, socle spanned by x and y^2
+        fiber_product(a, b, t, pa, pb),
+        _fiber_product_over_field()[1],
+        connected_sum(a, b, t, pa, pb),
+        _blowup_notgor_model(),
+    ]
+    answers = [is_gorenstein(m) for m in models]
+    assert answers == [len(socle_vectors(m)) == 1 for m in models]
+    assert answers == [True, False, False, False, True, True]
+
+
+def test_fiber_product_over_field_presentation():
+    # Prop 7.1: all cross products die
+    _, fp = _fiber_product_over_field()
     pres = build(
         "x,y,u,v",
         ["x^2", "y^4", "u^3", "v^3", "x*u", "x*v", "y*u", "y*v"],

@@ -479,6 +479,17 @@ def test_cli_nll_on_every_bundled_file(capsys, name, mode):
         assert json.loads(captured.out)["results"]["conditions"] == want
 
 
+@pytest.mark.parametrize("text, names", [
+    ("vars: t\nideal:\nt\n", []),  # D = 0: no degree-one coordinate
+    ("vars: x, y\nideal:\nx\ny^3\n", ["a1", "a2"]),  # x lies in the ideal, yet is a coordinate
+])
+def test_nll_names_the_coordinates_its_locus_lives_in(tmp_path, capsys, text, names):
+    path = tmp_path / "a.alg"
+    path.write_text(text)
+    assert cli.main(["nll", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["coefficients"] == names
+
+
 def test_tensor_check_failure_exits_2_with_one_error_line(monkeypatch, capsys):
     def broken(a, b):
         raise AssertionError("tensor product violates the convolution identity")

@@ -110,7 +110,7 @@ def ref_socle_vectors(alg) -> list[tuple[int, tuple]]:
 def ref_inverse_system(ideal: Ideal, d: int) -> list[DualPoly]:
     pieces = _IdealPieces(ideal.ring, ideal.generators)
     pieces.extend_to(d)
-    monos = pieces.monos[d]
+    monos = ideal.ring.monomials(d)
     out = []
     for v in ref_kernel_basis(pieces.spaces[d].dense_matrix()):
         out.append(DualPoly.make(ideal.ring.nvars, ideal.ring.field, dict(zip(monos, v))))
@@ -127,7 +127,7 @@ def ref_dual_generator(alg) -> DualPoly:
     if not is_gorenstein(alg):
         raise NotGorensteinError("socle is not one-dimensional")
     v = kern[0]
-    F = DualPoly.make(alg.nvars, alg.field, dict(zip(alg._monos[D], v)))
+    F = DualPoly.make(alg.nvars, alg.field, dict(zip(alg.monomial_basis(D), v)))
     c = F.coefficient(alg._std[D][0])
     return F.scale(alg.field.inv(c))
 

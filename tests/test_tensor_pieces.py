@@ -105,8 +105,8 @@ def test_tensor_pieces_match_the_from_ideal_route(pair):
     got, want = tensor_product(A, B), ref_tensor_product(A, B)
     assert got.ring == want.ring
     assert got.socle_degree == want.socle_degree == A.socle_degree + B.socle_degree
-    assert got._monos == want._monos
     for d in range(got.socle_degree + 1):
+        assert got.monomial_basis(d) == want.monomial_basis(d), d
         assert got.ideal_space(d).rref_rows() == want.ideal_space(d).rref_rows(), d
         assert got.ideal_space(d).pivots() == want.ideal_space(d).pivots(), d
     assert got.generators == want.generators
@@ -140,6 +140,6 @@ def test_tensor_pieces_of_dual_generator_factors_eliminate_nothing(monkeypatch):
     a = from_dual_generator(ring.parse_dual("X^[2]*Y + 2*Y^[2]"), ring)
     b = from_dual_generator(Ring(("x",), GF(5)).parse_dual("X^[3]"), Ring(("x",), GF(5)))
     joined, _ = a.ring.joined(b.ring)
-    calls, (monos, spaces) = _adds(monkeypatch, lambda: tensor_pieces(a, b, joined))
+    calls, spaces = _adds(monkeypatch, lambda: tensor_pieces(a, b, joined))
     assert calls == []
     assert len(spaces) == a.socle_degree + b.socle_degree + 1

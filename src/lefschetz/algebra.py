@@ -488,15 +488,15 @@ class GradedAlgebra:
         if self._dual_generator is not None:
             return self._dual_generator
         D = self.socle_degree
-        kern = list(self._spaces[D].kernel().values())
-        if len(kern) != 1:
+        if self.dim(D) != 1:  # the perp of I_D is A_D's dual
             raise NotGorensteinError(
-                f"top ideal piece has perp of dimension {len(kern)}, not 1"
+                f"top ideal piece has perp of dimension {self.dim(D)}, not 1"
             )
         if not is_gorenstein(self):
             raise NotGorensteinError("socle is not one-dimensional")
+        [kern] = self._spaces[D].kernel().values()
         monos = self.ring.monomials(D)
-        F = DualPoly.make(self.nvars, self.field, {monos[c]: x for c, x in kern[0].items()})
+        F = DualPoly.make(self.nvars, self.field, {monos[c]: x for c, x in kern.items()})
         # normalise so the pairing with the standard monomial of A_D is 1
         c = F.coefficient(self._std[D][0])
         F = F.scale(self.field.inv(c))
@@ -706,9 +706,34 @@ def socle_vectors(alg) -> list[tuple[int, tuple]]:
     return out
 
 
+_GORENSTEIN: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> bool
+
+
 def is_gorenstein(alg) -> bool:
-    # A_D lies in the socle, so h_D != 1 disproves it with no socle computed
-    return alg.dim(alg.socle_degree) == 1 and len(socle_vectors(alg)) == 1
+    """Whether the socle is one-dimensional, memoised per algebra, with the
+    cheapest proof tried first:
+
+    - h_D != 1 disproves it, since A_D lies in the socle;
+    - a known Macaulay dual generator proves it: A is the apolar quotient
+      R/Ann(F), and every such quotient is Gorenstein (Macaulay duality);
+    - a quotient by as many generators as variables proves it: an artinian
+      quotient of a polynomial ring in n variables by n homogeneous
+      generators is a complete intersection, hence Gorenstein (H. Bass, *On
+      the ubiquity of Gorenstein rings*, Math. Z. 82, 1963), for weighted
+      gradings too;
+    - otherwise ``socle_vectors`` decides.
+    """
+    got = _GORENSTEIN.get(alg)
+    if got is None:
+        if alg.dim(alg.socle_degree) != 1:
+            got = False
+        elif isinstance(alg, GradedAlgebra) and (
+                alg._dual_generator is not None or len(alg.generators or ()) == alg.nvars):
+            got = True
+        else:
+            got = len(socle_vectors(alg)) == 1
+        _GORENSTEIN[alg] = got
+    return got
 
 
 def is_level(alg) -> bool:

@@ -23,15 +23,21 @@ lcm of their denominators, a concrete L's coordinates are scaled by the lcm
 of theirs, and each power is a known nonzero integer multiple of the true one.
 
 Concrete ranks come from ``RankTable``, one chain per linear form, which does
-exact work only where no certificate applies.  If every narrow map
+exact work only where no certificate applies.  On a Gorenstein algebra
+(``algebra.is_gorenstein``, one memoised answer per algebra) L^d on A_i and
+L^d on A_{c-i-d} are adjoint under the perfect Poincare pairing, so a rank is
+keyed and computed at (d, min(i, c-i-d)); the symbolic escalation and the
+non-Lefschetz loci take one map of each adjoint pair too.  If every narrow map
 L^{c-2i} : A_i -> A_{c-i} is bijective, every power map L^d has full rank,
 since it is a right factor of an injective narrow map or a left factor of a
-surjective one.  Over QQ ``PowerChains.rank`` first ranks a power's integer
-columns modulo the word-size prime ``MODULAR_PRIME``: reduction ZZ -> F_p is
-a ring map, so a minor that is nonzero mod p is nonzero over ZZ, and a full
-rank mod p is the rank over QQ.  Only a power deficient mod p is ranked over
-ZZ.  Every rank is read off a chain's sparse columns by the fraction-free
-count ``exactmath.echelon_rank``, with no dense matrix and no ``Fraction``.
+surjective one.  On a Gorenstein algebra generated in degree one, a full
+middle map L : A_m -> A_{m+1}, m = floor((c-1)/2), makes every L : A_j ->
+A_{j+1} full.  Over QQ ``PowerChains.rank`` first ranks a power's integer
+columns modulo the word-size prime ``MODULAR_PRIME``: reduction ZZ -> F_p is a
+ring map, so a minor that is nonzero mod p is nonzero over ZZ, and a full rank
+mod p is the rank over QQ.  Only a power deficient mod p is ranked over ZZ.
+Every rank is read off a chain's sparse columns by the fraction-free count
+``exactmath.echelon_rank``, with no dense matrix and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import GradedAlgebra, algebra_generators, hilbert_function
+from .algebra import GradedAlgebra, algebra_generators, hilbert_function, is_gorenstein
 from .exactmath import Matrix, Scalar, det, echelon_rank, nonzero
 from .polynomials import (
     DualPoly,
@@ -296,6 +302,13 @@ class RankTable:
     mu * lambda_e times L's.  Each map is ranked by ``PowerChains.rank``,
     modulo ``MODULAR_PRIME`` first and over ZZ only if deficient there.
 
+    Dual key: on a Gorenstein algebra (``is_gorenstein``, read once) of
+    socle degree c the pairing A_j x A_{c-j} -> A_c is perfect and
+    <L^d a, b> = <a, L^d b>, so L^d on A_i and L^d on A_{c-i-d} are adjoint
+    and have equal rank, for every L over any field.  A rank is then keyed,
+    and ranked, at (d, min(i, c-i-d)): a chain is pushed at most to its
+    narrow map.
+
     Narrow-map certificate: when every narrow map L^{c-2i} : A_i -> A_{c-i}
     is bijective, every L^d has full rank, because each L^d is a factor of a
     narrow map on the left or the right.  If i + d <= c - i, the narrow map
@@ -305,14 +318,30 @@ class RankTable:
     min(h_i, h_{i+d}) when they are all bijective; WLP (d = 1) never pays for
     the check, but d = 1 uses it once it has been made.  If one narrow map
     is deficient, every map is ranked.
+
+    Middle-map certificate (d = 1): suppose A is Gorenstein and generated
+    in degree one (every ``algebra_generators`` entry has degree 1), and let
+    m = floor((c-1)/2).  If L : A_m -> A_{m+1} has full rank, every
+    L : A_j -> A_{j+1} has.  By duality L is injective on A_j exactly when
+    it is surjective on A_{c-1-j}, and surjectivity propagates upwards,
+    since A_{j+2} = A_1 A_{j+1} = A_1 L A_j lies in L A_{j+1}.  If h_m <=
+    h_{m+1}, L is injective on A_m, so surjective on A_{c-1-m} and above,
+    so injective on A_m and below: full on every A_j, and h is unimodal.
+    Otherwise c = 2m + 2 and L would be surjective on A_m, hence on
+    A_{m+1}, so h_{m+1} >= h_{m+2} = h_m: the middle map is not full.
+    (Unimodal h is thus implied, not assumed.)  A d = 1 rank therefore
+    first ranks the middle map, which WLP needs anyway, and returns
+    min(h_i, h_{i+1}) when it is full.
     """
 
     def __init__(self, alg, Lvec):
         self.alg = alg
         self._Lvec = Lvec
         self._dims = hilbert_function(alg)
+        self._gorenstein = is_gorenstein(alg)
         self._ranks: dict = {}
         self._narrow: Optional[bool] = None
+        self._middle: Optional[bool] = None
         maps, scales = integer_maps(alg)
         vectors = [g.vector for g in algebra_generators(alg) if g.degree == 1]
         mu = math.lcm(*(c.denominator for c in Lvec))
@@ -329,6 +358,8 @@ class RankTable:
             return self._dims[i]
         if (d >= 2 or self._narrow is not None) and self._narrow_bijective():
             return min(self._dims[i], self._dims[i + d])
+        if d == 1 and self._middle_full():
+            return min(self._dims[i], self._dims[i + 1])
         return self._exact_rank(d, i)
 
     def _narrow_bijective(self) -> bool:
@@ -339,7 +370,16 @@ class RankTable:
             )
         return self._narrow
 
+    def _middle_full(self) -> bool:
+        if self._middle is None:
+            h, m = self._dims, (self.alg.socle_degree - 1) // 2
+            self._middle = (self._gorenstein and all(g.degree == 1 for g in algebra_generators(self.alg))
+                            and self._exact_rank(1, m) == min(h[m], h[m + 1]))
+        return self._middle
+
     def _exact_rank(self, d: int, i: int) -> int:
+        if self._gorenstein:
+            i = min(i, self.alg.socle_degree - i - d)
         key = (d, i)
         if key not in self._ranks:
             self._ranks[key] = self.chains.rank(d, i)
@@ -478,9 +518,15 @@ def generic_report(alg, mode: str, cfg: GenericityConfig = GenericityConfig()) -
     if p == 0 and (cfg.certify or (len(coords) <= SYMBOLIC_AMBIENT_LIMIT and sum(h) <= SYMBOLIC_DIM_LIMIT)):
         deficient = [m for m in best.values() if not m.full]
         power = _generic_powers(alg, max((m.d for m in deficient), default=0))
+        # on a Gorenstein algebra the maps on A_i and A_{D-i-d} are adjoint,
+        # with equal ranks and, h being symmetric, equal expected ranks: one
+        # symbolic rank per adjoint pair
+        D, gorenstein, ranked = alg.socle_degree, is_gorenstein(alg), {}
         for m in deficient:
-            got = fraction_free_echelon(power(m.d, m.i), stop_at=m.expected)
-            best[m.d, m.i] = replace(m, achieved=got)
+            key = (m.d, min(m.i, D - m.i - m.d) if gorenstein else m.i)
+            if key not in ranked:
+                ranked[key] = fraction_free_echelon(power(*key), stop_at=m.expected)
+            best[m.d, m.i] = replace(m, achieved=ranked[key])
         if not all(m.full for m in best.values()):
             return verdict(False, "symbolic")
         # a common witness exists over the infinite base field; sample a few
@@ -584,9 +630,14 @@ def nll_conditions(alg, mode: str = "weak") -> list[Poly]:
         return []
     out: list[Poly] = []
     power = _generic_powers(alg, alg.socle_degree)
+    D, gorenstein = alg.socle_degree, is_gorenstein(alg)
     for d, i in _map_list(alg, modekey):
         r = _expected(alg, d, i)
-        if r == 0:
+        # on a Gorenstein algebra map i's adjoint D-d-i < i came first: with
+        # the constant invertible pairing matrices P, P', the matrix of map
+        # D-d-i is P^-1 M_i^T P', so both maps have the same ideal of r x r
+        # minors and the same monic gcd, already in ``out``
+        if r == 0 or (gorenstein and D - d - i < i):
             continue
         mat = power(d, i)
         nrows, ncols = alg.dim(i + d), alg.dim(i)

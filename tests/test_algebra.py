@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import algebra
 from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, kernel_basis, rank
 from lefschetz.polynomials import DualPoly, Poly, contract, monomials
 from lefschetz.algebra import (
@@ -28,8 +29,6 @@ from lefschetz.algebra import (
     same_degreewise_ideal,
     socle_vectors,
 )
-
-
 from lefschetz.constructions import (
     AlgebraMap,
     connected_sum_over_field,
@@ -37,6 +36,7 @@ from lefschetz.constructions import (
     presented_algebra,
     tensor_product,
 )
+from test_rank_table_reference import weighted_complete_intersections
 
 
 def ring(names="x,y,z", field=QQ, weights=None):
@@ -172,6 +172,27 @@ def test_non_gorenstein_non_level():
     assert {d for d, _ in soc} == {1, 4}
     assert not is_gorenstein(a)
     assert not is_level(a)
+
+
+def test_gorenstein_proofs_come_before_the_socle(monkeypatch):
+    calls, socle = [], algebra.socle_vectors
+    monkeypatch.setattr(algebra, "socle_vectors", lambda alg: calls.append(alg) or socle(alg))
+    ci = build("x,y,z", ["x^2 + y*z", "y^3", "z^2 - x*y"])
+    r = Ring(("x", "y", "z"), QQ)
+    dual = from_dual_generator(r.parse_dual("X^2*Y + Y*Z^2"), r)
+    assert is_gorenstein(ci) and is_gorenstein(dual)
+    assert calls == []
+    # three generators in two variables: only the socle decides
+    a = build("x,y", ["x^2", "x*y", "y^3"])
+    assert a.hilbert_function() == (1, 2, 1)
+    assert not is_gorenstein(a) and calls == [a]
+    assert not is_gorenstein(a) and calls == [a]  # memoised
+
+
+@given(weighted_complete_intersections())
+@settings(max_examples=40, deadline=None)
+def test_complete_intersection_proof_agrees_with_the_socle(alg):
+    assert is_gorenstein(alg) == (len(socle_vectors(alg)) == 1)
 
 
 def test_orientation_and_integral_222():

@@ -12,7 +12,7 @@ import lefschetz.checks as checks
 from lefschetz.exactmath import GF, QQ
 from lefschetz.descfiles import parse_algebra_text
 from lefschetz.polynomials import DualPoly, Poly, monomials, to_ordinary
-from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal
+from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal, is_gorenstein
 from lefschetz.symbolic import fraction_free_echelon
 from lefschetz.checks import (
     GenericityConfig,
@@ -253,11 +253,22 @@ def test_unimodal_symmetric_basic():
 # -- non-Lefschetz loci -------------------------------------------------------
 
 
-def test_nll_weak_222():
+def test_nll_weak_222(monkeypatch):
     a = build("x,y,z", ["x^2", "y^2", "z^2"])
+    gcds, gcd = [], checks.poly_gcd_list
+    monkeypatch.setattr(checks, "poly_gcd_list", lambda polys: gcds.append(1) or gcd(polys))
     conds = nll_conditions(a, "weak")
     abc = Poly.make(3, QQ, {(1, 1, 1): 1})
     assert conds == [abc]
+    # L on A_2 is the adjoint of L on A_0, whose minors have the same gcd
+    assert len(gcds) == 2
+
+
+def test_nll_takes_both_maps_of_a_pair_off_gorenstein():
+    # h = (1, 2, 1), but x is in the socle: L = a1 x + a2 y sends A_0 onto
+    # <L> and A_1 onto <a2 y^2>, so only the second map has a locus
+    a = build("x,y", ["x^2", "x*y", "y^3"])
+    assert nll_conditions(a, "weak") == [Poly.make(2, QQ, {(0, 1): 1})]
 
 
 def test_nll_strong_x2y2():
@@ -668,18 +679,24 @@ def test_exhaustive_negative_decides_one_point_per_line(monkeypatch):
 PERAZZO_D6 = "X*U^5*V + Y*U*V^5 + Z*U^2*V^4"
 
 
-# (algebra, deficient (d, i) maps, pushes): on the degree-6 form L^2 on A_2
-# is read off the chain that L^3 on A_2 needs, so 7 pushes where pushing
-# every map from its own L would take 8
+# (algebra, deficient (d, i) maps, pushes).  On the Gorenstein perazzo-d6
+# (D = 7) L^2 on A_3 is ranked as its adjoint L^2 on A_2, which is read off
+# the chain that L^3 on A_2 needs: 6 pushes, where pushing L^2 on A_3 too
+# would take 7 and pushing every map from its own L 8.  The last algebra is
+# not Gorenstein (its socle has degrees 3 and 4), so L^3 on A_1 is pushed
+# from A_1, not read off an adjoint on A_0
 @pytest.mark.parametrize("make, deficient, pushed", [
     (lambda: bundled("perazzo.alg"), [(1, 1)], 0),
     (lambda: from_dual_generator(ring("x,y,z,u,v").parse_dual(PERAZZO_D6), ring("x,y,z,u,v")),
-     [(1, 3), (2, 2), (2, 3), (3, 2), (5, 1)], 7),
-], ids=["perazzo", "perazzo-d6"])
+     [(1, 3), (2, 2), (2, 3), (3, 2), (5, 1)], 6),
+    (lambda: build("x,y,z", ["x^3", "y^3", "z^3", "x^2*y", "x*y^2*z"]), [(3, 1)], 2),
+], ids=["perazzo", "perazzo-d6", "not-gorenstein"])
 def test_generic_escalation_pushes_each_degree_once(make, deficient, pushed, monkeypatch):
-    # the escalation pushes each A_i once, to its largest deficient d; L on
-    # A_i is the step itself, so that chain takes d - 1 pushes.  Pushes made
-    # while deciding candidate elements are not counted.
+    # the escalation ranks one map of each adjoint pair of a Gorenstein
+    # algebra, (d, min(i, D - i - d)), and pushes each A_i once, to its
+    # largest d ranked; L on A_i is the step itself, so that chain takes
+    # d - 1 pushes.  Pushes made while deciding candidate elements are not
+    # counted.
     alg = make()
     pushes, deciding = [], []
     push, decide = checks._push, checks.report_for_element
@@ -701,8 +718,14 @@ def test_generic_escalation_pushes_each_degree_once(make, deficient, pushed, mon
     rep = slp_generic(alg, GenericityConfig(certify=True))
     assert (rep.holds, rep.certification) == (False, "symbolic")
     assert sorted((m.d, m.i) for m in rep.maps if not m.full) == deficient
-    top = {i: max(d for d, j in deficient if j == i) for _, i in deficient}
+    D = alg.socle_degree
+    ranked = {(d, min(i, D - i - d) if is_gorenstein(alg) else i) for d, i in deficient}
+    top = {i: max(d for d, j in ranked if j == i) for _, i in ranked}
     assert len(pushes) == sum(d - 1 for d in top.values()) == pushed
+    # every deficient map reports the symbolic rank of its own generic power
+    power = checks._generic_powers(alg, max(d for d, _ in deficient))
+    short = [m for m in rep.maps if not m.full]
+    assert [m.achieved for m in short] == [fraction_free_echelon(power(m.d, m.i), stop_at=m.expected) for m in short]
 
 
 def test_power_chains_build_only_the_steps_they_read():

@@ -388,12 +388,12 @@ def test_maps_without_degree_one(F):
     assert all(power_map_matrix(table, 1, i).is_zero() for i in range(alg.socle_degree))
 
 
-def test_map_denominator_divisible_by_the_prime_is_scaled_away(monkeypatch):
+def _scaled_away_moduli(monkeypatch, names: str, extra: list) -> list:
     # x^2 = -y^2 / P in the quotient, so X_x has a denominator P: the maps on
     # A_1 are scaled by P to integers, and the chain of x + y is still full
     # modulo P, so no rank is taken over ZZ
-    r = Ring(("x", "y"), QQ)
-    alg = from_ideal(Ideal(r, (r.parse(f"{MODULAR_PRIME}*x^2 + y^2"), r.parse("x*y"), r.parse("y^3"))))
+    r = Ring(tuple(names.split(",")), QQ)
+    alg = from_ideal(Ideal(r, tuple(r.parse(g) for g in [f"{MODULAR_PRIME}*x^2 + y^2", "x*y", *extra])))
     assert integer_maps(alg)[1] == [1, MODULAR_PRIME]
     Lvec = alg.vector(r.parse("x + y"), 1)
     assert_maps_match(alg, Lvec)
@@ -401,7 +401,18 @@ def test_map_denominator_divisible_by_the_prime_is_scaled_away(monkeypatch):
     moduli, echelon_rank = [], checks.echelon_rank
     monkeypatch.setattr(checks, "echelon_rank", lambda v, p, stop: moduli.append(p) or echelon_rank(v, p, stop))
     assert [table.rank(1, 0), table.rank(1, 1), table.rank(2, 0)] == [1, 1, 1]
-    assert moduli == [MODULAR_PRIME] * 3
+    return moduli
+
+
+def test_map_denominator_divisible_by_the_prime_is_scaled_away(monkeypatch):
+    # Gorenstein, h = (1, 2, 1): L on A_1 is the adjoint of L on A_0, so the
+    # middle map L on A_0 and the narrow map L^2 on A_0 are all that is ranked
+    assert _scaled_away_moduli(monkeypatch, "x,y", ["y^3"]) == [MODULAR_PRIME] * 2
+
+
+def test_map_denominator_divisible_by_the_prime_is_scaled_away_off_gorenstein(monkeypatch):
+    # h = (1, 3, 1) with z in the socle: every map is ranked
+    assert _scaled_away_moduli(monkeypatch, "x,y,z", ["x*z", "y*z", "z^2"]) == [MODULAR_PRIME] * 3
 
 
 def _example_71(F):

@@ -30,12 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import checks
-from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal
+from lefschetz.algebra import Ideal, Ring, from_dual_generator, from_ideal, is_gorenstein
 from lefschetz.checks import (
     MODULAR_PRIME,
     PowerChains,
     RankTable,
     degree_one_vector,
+    generic_report,
     power_map_matrix,
     report_for_element,
 )
@@ -44,6 +45,7 @@ from lefschetz.descfiles import parse_algebra_text, parse_map_text
 from lefschetz.exactmath import GF, QQ, Matrix, RowSpace, echelon_rank, rank, rows_of, rref
 from lefschetz.polynomials import DualPoly, Poly, monomials
 from reference_operators import ref_operator_matrix
+from test_rank_table_reference import SOCLE_XZ
 
 
 def ref_rank(m: Matrix) -> int:
@@ -401,15 +403,26 @@ def recorded_moduli(monkeypatch) -> list:
     return moduli
 
 
-def test_modular_deficiency_falls_back_to_qq(monkeypatch):
+def _fallback_moduli(monkeypatch, names: str, gens: list) -> list:
     # L = P x vanishes modulo the certificate's prime, but not over QQ
-    r = Ring(("x",), QQ)
-    alg = from_ideal(Ideal(r, (r.parse("x^3"),)))
-    table = RankTable(alg, degree_one_vector(alg, (MODULAR_PRIME,)))
+    r = Ring(tuple(names.split(",")), QQ)
+    alg = from_ideal(Ideal(r, tuple(r.parse(g) for g in gens)))
+    table = RankTable(alg, degree_one_vector(alg, (MODULAR_PRIME,) + (0,) * (r.nvars - 1)))
     moduli = recorded_moduli(monkeypatch)
     assert [table.rank(d, i) for d, i in [(1, 0), (1, 1), (2, 0)]] == [1, 1, 1]
-    assert moduli == [MODULAR_PRIME, 0] * 3
+    ranked = list(moduli)
     assert_powers_match(alg, table._Lvec)
+    return ranked
+
+
+def test_modular_deficiency_falls_back_to_qq(monkeypatch):
+    # Gorenstein: L on A_1 is the adjoint of the middle map L on A_0
+    assert _fallback_moduli(monkeypatch, "x", ["x^3"]) == [MODULAR_PRIME, 0] * 2
+
+
+def test_modular_deficiency_falls_back_to_qq_off_gorenstein(monkeypatch):
+    # h = (1, 2, 1) with y in the socle: every map is ranked
+    assert _fallback_moduli(monkeypatch, "x,y", ["x^3", "x*y", "y^2"]) == [MODULAR_PRIME, 0] * 3
 
 
 def test_denominator_divisible_by_the_prime_is_scaled_away(monkeypatch):
@@ -437,6 +450,30 @@ def test_maps_full_modulo_the_prime_make_no_exact_rank(monkeypatch):
     assert [power_map_matrix(table, 1, i) for i in range(D)] == want
 
 
+def test_middle_map_certifies_only_algebras_generated_in_degree_one():
+    # weights (1, 2): (x^2, y^3) is a Gorenstein complete intersection with
+    # h = (1, 1, 1, 1, 1, 1), unimodal, and x : A_2 -> A_3 (y -> xy) is full.
+    # But y is a generator of degree 2, and x kills A_1 and A_3
+    r = Ring(("x", "y"), QQ, (1, 2))
+    alg = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^3"))))
+    assert alg.hilbert_function() == (1,) * 6 and is_gorenstein(alg)
+    rep = report_for_element(alg, r.parse("x"), "wlp")
+    assert [m.achieved for m in rep.maps] == [1, 0, 1, 0, 1] and rep.holds is False
+    generic = generic_report(alg, "wlp")
+    assert (generic.holds, generic.certification) == (False, "symbolic")
+
+
+def test_full_middle_map_decides_the_weak_report(monkeypatch):
+    # x2y2z2.alg, h = (1, 3, 3, 1): L on A_1 is the middle map, and its full
+    # rank certifies L on A_0 and A_2 with no further rank
+    alg = parse_algebra_text(_bundled("x2y2z2.alg", QQ)).build()
+    L = alg.ring.parse("x + y + z")
+    report_for_element(alg, L, "wlp")  # builds the maps outside the count
+    moduli = recorded_moduli(monkeypatch)
+    assert report_for_element(alg, L, "wlp").holds
+    assert moduli == [MODULAR_PRIME]
+
+
 def test_injective_narrow_maps_do_not_certify_without_symmetry():
     # h = (1, 3, 2): L^2 = x^2 is injective on A_0, yet x A_1 = <x^2> does
     # not fill A_2; asking for d = 2 first must not certify d = 1
@@ -450,7 +487,7 @@ def test_injective_narrow_maps_do_not_certify_without_symmetry():
 
 @pytest.mark.parametrize(
     "name, form, mode",
-    [("x2y2z2.alg", "x + y + z", "slp"), ("x2y2z2.alg", "x", "slp"),
+    [("x2y2z2.alg", "x + y + z", "slp"), ("socle_xz", "x + y + z", "slp"), ("x2y2z2.alg", "x", "slp"),
      ("perazzo.alg", "x + y + z + u + v", "slp"), ("x2y2z2.alg", f"{MODULAR_PRIME}*x + y", "wlp")],
 )
 def test_rank_tables_stop_adding_at_full_rank(monkeypatch, name, form, mode):
@@ -459,7 +496,7 @@ def test_rank_tables_stop_adding_at_full_rank(monkeypatch, name, form, mode):
     # over the field of the draw, fed the same columns, counts the rows
     # stored.  The last form is deficient modulo MODULAR_PRIME, so its maps
     # are ranked over ZZ too
-    alg = parse_algebra_text(_bundled(name, QQ)).build()
+    alg = parse_algebra_text(SOCLE_XZ if name == "socle_xz" else _bundled(name, QQ)).build()
     L = alg.ring.parse(form)
     report_for_element(alg, L, mode)  # builds the maps outside the count
     draws, ranked = [], []
@@ -492,9 +529,14 @@ def test_rank_tables_stop_adding_at_full_rank(monkeypatch, name, form, mode):
     assert draws and all(before < top for before, top, _, _ in draws)
     fields = {p for *_, p in draws}
     if form == "x + y + z":
-        # h = (1, 3, 3, 1): L on A_0, A_1, A_2 and L^3 on A_0, one stored
-        # row per column drawn, all modulo the prime
-        assert [stored for _, _, stored, _ in draws] == [True] * 6
+        # h = (1, 3, 3, 1), all modulo the prime.  On the Gorenstein
+        # x2y2z2.alg the middle map L on A_1 is full, which certifies L on A_0
+        # and A_2, and the narrow maps are L^3 on A_0 and L on A_1: 3 + 1
+        # columns, each stored.  On SOCLE_XZ, not Gorenstein, L on A_0, A_1,
+        # A_2 and L^3 on A_0 are ranked: 1 + 3 + 3 + 1 columns, where L
+        # kills xz and yz
+        stored = [True] * 4 if name == "x2y2z2.alg" else [True] * 4 + [False, False, True, True]
+        assert [s for _, _, s, _ in draws] == stored
         assert fields == {MODULAR_PRIME}
     else:
         assert fields == {0, MODULAR_PRIME}

@@ -13,6 +13,14 @@ coefficients in {0, +-1, 2/3, P, 1/P}.  (That the rank modulo P of every
 power of the integer chain is at most the exact rank is checked with the
 dense references, in ``test_rank_certificates``.)  A deterministic guard pins
 that deciding a form builds one chain and pushes each of its steps once.
+
+``ref_RankTable`` ranks every map directly, so it is also the oracle for
+the dual key of ``RankTable``, which on a Gorenstein algebra ranks L^d on
+A_i as its adjoint on A_{D-i-d}: the hypothesis oracle covers weighted
+complete intersections, and a second one every construction that can be
+Gorenstein (tensor products, both connected sums, the blowup with a unit
+lambda).  A guard pins that a table off Gorenstein ranks both maps of
+every adjoint pair.
 """
 
 import functools
@@ -23,15 +31,26 @@ from importlib import resources
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lefschetz import checks
-from lefschetz.algebra import Ideal, Ring, algebra_generators, from_dual_generator, from_ideal, hilbert_function
+from lefschetz.algebra import (
+    Ideal,
+    NotArtinianError,
+    Ring,
+    algebra_generators,
+    from_dual_generator,
+    from_ideal,
+    hilbert_function,
+    is_gorenstein,
+)
 from lefschetz.checks import MODULAR_PRIME, RankTable, _jordan_type, _push, report_for_element
+from lefschetz.constructions import algebra_map, fiber_product
 from lefschetz.descfiles import parse_algebra_text
 from lefschetz.exactmath import GF, QQ, Matrix, echelon_rank, nonzero
 from lefschetz.polynomials import DualPoly, Poly, monomials
+from test_algebra_maps import gorenstein_constructions
 
 # -- the two-chain design, verbatim ---------------------------------------------
 
@@ -234,7 +253,29 @@ def linear_relation_algebras(draw):
     return from_ideal(Ideal(r, tuple(gens)))
 
 
-algebras = st.one_of(ideal_algebras(), dual_generator_algebras(), linear_relation_algebras())
+@st.composite
+def weighted_complete_intersections(draw):
+    """n forms in n variables of weights in {1, 2, 3}: x_j^e_j plus up to two
+    other monomials of its degree, kept when the quotient is artinian, so a
+    complete intersection."""
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = Ring(tuple("xyz"[:n]), F, tuple(draw(st.sampled_from([1, 2, 3])) for _ in range(n)))
+    gens = []
+    for j in range(n):
+        e = draw(st.integers(min_value=2, max_value=3))
+        power = tuple(e if k == j else 0 for k in range(n))
+        others = [m for m in monomials(n, e * r.weights[j], r.weights) if m != power]
+        support = draw(st.lists(st.sampled_from(others), max_size=2, unique=True)) if others else []
+        gens.append(Poly.make(n, F, {power: F.one(), **{m: draw(nonzero_coefficient(F)) for m in support}}))
+    try:
+        return from_ideal(Ideal(r, tuple(gens)))
+    except NotArtinianError:
+        assume(False)
+
+
+algebras = st.one_of(ideal_algebras(), dual_generator_algebras(), linear_relation_algebras(),
+                     weighted_complete_intersections())
 
 
 def assert_tables_agree(alg, Lvec):
@@ -255,6 +296,47 @@ def test_one_chain_matches_the_two_chain_table(alg, data):
     assert_tables_agree(alg, Lvec)
 
 
+@pytest.mark.parametrize("kind", ["tensor", "over-field", "pair", "blowup"])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_dual_ranks_match_direct_ranks_on_gorenstein_constructions(kind, data):
+    # every construction that can be Gorenstein, the blowup with a unit
+    # lambda: the table keys each rank by its adjoint pair, the reference
+    # ranks every map
+    alg = data.draw(gorenstein_constructions(kind))
+    assert is_gorenstein(alg)
+    n = alg.dim(1)
+    assert_tables_agree(alg, tuple(QQ.coerce(c) for c in data.draw(st.lists(form_coefficients, min_size=n, max_size=n))))
+
+
+def _fiber_product_over_the_field():
+    a, b, k = (from_ideal(Ideal(r, tuple(r.parse(g) for g in gens))) for r, gens in [
+        (Ring(("x", "y"), QQ), ["x^2", "y^4"]), (Ring(("u", "v"), QQ), ["u^3", "v^3"]), (Ring(("w",), QQ), ["w"])])
+    return fiber_product(a, b, k, algebra_map(a, k, ["0", "0"]), algebra_map(b, k, ["0", "0"]))
+
+
+@pytest.mark.parametrize("make", [
+    _fiber_product_over_the_field,  # h_D = 2
+    lambda: from_ideal(Ideal(Ring(("x", "y"), QQ), tuple(Ring(("x", "y"), QQ).parse(g) for g in ["x^2", "x*y", "y^3"]))),
+], ids=["fiber-product", "two-socle-vectors"])
+def test_a_table_off_gorenstein_reuses_no_dual_rank(monkeypatch, make):
+    # h_D = 1 on (x^2, xy, y^3), but x and y^2 span its socle.  Neither has
+    # a narrow certificate (the fiber product's h is not symmetric, and L^2
+    # on A_0 is the only narrow map of the other), so every map is ranked on
+    # the chain, each map of an adjoint pair (d, i), (d, D - i - d) too
+    alg = make()
+    assert not is_gorenstein(alg)
+    Lvec = (QQ.one(),) * alg.dim(1)
+    D, ref = alg.socle_degree, ref_RankTable(alg, Lvec)
+    pairs = [(d, i) for d in range(1, D + 1) for i in range(D - d + 1)]
+    want = [ref.rank(d, i) for d, i in pairs]
+    ranked, rank = [], checks.PowerChains.rank
+    monkeypatch.setattr(checks.PowerChains, "rank", lambda self, d, i: ranked.append((d, i)) or rank(self, d, i))
+    table = RankTable(alg, Lvec)
+    assert [table.rank(d, i) for d, i in pairs] == want
+    assert ranked == pairs
+
+
 @pytest.mark.parametrize("gens", [["x - y", "x^3", "y^3", "z^2"], ["x", "y^2", "z^2"], ["2*x - 3*y - z", "x^2", "y^2", "z^2"]])
 @pytest.mark.parametrize("F", FIELDS, ids=str)
 def test_generators_beyond_the_basis_of_degree_one(F, gens):
@@ -268,16 +350,26 @@ def test_generators_beyond_the_basis_of_degree_one(F, gens):
 # -- one chain, each step pushed once -------------------------------------------
 
 
+# h = (1, 3, 3, 1) like x2y2z2.alg, but xz and yz span the socle of degree 2,
+# so it is not Gorenstein
+SOCLE_XZ = "vars: x, y, z\nfield: QQ\nideal:\nx^2\nx*y\ny^2\nx*z^2\ny*z^2\nz^4\n"
+
+
 @pytest.mark.parametrize("name, form, mode, pushed", [
     ("x2y2z2.alg", f"{P}*x + y", "wlp", 0),
-    ("x2y2z2.alg", f"{P}*x + y", "slp", 3),
-    ("perazzo.alg", "x + y + z + u + v", "slp", 3),
+    # Gorenstein: L^2 on A_1 has the rank of its adjoint L^2 on A_0, so only
+    # the narrow chain L^3 on A_0 is pushed, twice
+    ("x2y2z2.alg", f"{P}*x + y", "slp", 2),
+    ("perazzo.alg", "x + y + z + u + v", "slp", 2),
+    # not Gorenstein: L^2 on A_1 is pushed too
+    ("socle_xz", f"{P}*x + y", "slp", 3),
 ])
 def test_a_form_is_decided_on_one_chain_pushed_once_per_step(monkeypatch, name, form, mode, pushed):
     # deciding a form builds one chain, whose steps are each built once and
     # whose powers are each pushed once; the first form is deficient modulo
     # the prime on A_1, where the two-chain table built the step twice
-    alg = parse_algebra_text((resources.files("lefschetz") / "data" / name).read_text()).build()
+    text = SOCLE_XZ if name == "socle_xz" else (resources.files("lefschetz") / "data" / name).read_text()
+    alg = parse_algebra_text(text).build()
     L = alg.ring.parse(form)
     report_for_element(alg, L, mode)  # builds the maps outside the count
     made, pushes, built = [], [], []

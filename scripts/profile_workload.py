@@ -7,7 +7,10 @@ more unprofiled with each job timed, then once more under cProfile.  It
 prints the slowest jobs of the timed pass with their wall times, which shows
 the jobs that set the benchmark's ``job_tail_ms``, then the functions
 with the most self time, then the toolkit's functions (those under
-``lefschetz/``) with the most cumulative time, callees included.
+``lefschetz/``) with the most cumulative time, callees included.  Two
+summaries of the profile follow: self time summed by module, and the time
+spent in the ``fractions`` module, callees included, by the toolkit function
+that called into it.
 
     python3 scripts/profile_workload.py --workload ci-ladder --seed 5 --top 25
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import collections
 import functools
 import importlib
 import importlib.util
@@ -49,6 +53,8 @@ WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 # job_tail_ms is the latency of the slowest job but this many (perfbench/harness.py)
 TAIL_BEYOND = 10
 WRAP_PASSES = 3
+# the caller of fractions time that is no toolkit function
+OUTSIDE = "(outside the toolkit)"
 
 
 def _load(name):
@@ -70,6 +76,51 @@ def run_pass(jobs, job_list) -> tuple[list, list]:
         if out.status != "ok":
             failed.append((job.id, out.detail))
     return failed, walls
+
+
+def module_of(path: str) -> str:
+    """The module of a profiled function's file: ``lefschetz.NAME`` for the
+    toolkit's, the file's stem for any other, ``(built-in)`` for C functions."""
+    if path == "~":
+        return "(built-in)"
+    file = Path(path)
+    return f"lefschetz.{file.stem}" if file.parent.name == "lefschetz" else file.stem
+
+
+def self_time_by_module(stats: pstats.Stats) -> dict[str, float]:
+    """Profiled self time summed by module, largest first."""
+    out: collections.Counter = collections.Counter()
+    for (path, _, _), (_, _, self_s, _, _) in stats.stats.items():
+        out[module_of(path)] += self_s
+    return dict(out.most_common())
+
+
+def fraction_time_by_caller(stats: pstats.Stats) -> dict[str, float]:
+    """Time in the ``fractions`` module, callees included, by the function
+    that called into it (``lefschetz.MODULE.FUNCTION:LINE``), largest first;
+    callers that are no toolkit function are summed as ``OUTSIDE``.  Calls
+    within the module are part of the call that entered it."""
+    out: collections.Counter = collections.Counter()
+    for (path, _, _), (*_, callers) in stats.stats.items():
+        if module_of(path) != "fractions":
+            continue
+        for (caller_path, line, name), (_, _, _, cum_s) in callers.items():
+            caller = module_of(caller_path)
+            if caller != "fractions":
+                out[f"{caller}.{name}:{line}" if caller.startswith("lefschetz.") else OUTSIDE] += cum_s
+    return dict(out.most_common())
+
+
+def print_summaries(stats: pstats.Stats, top: int) -> None:
+    by_module = self_time_by_module(stats)
+    total = sum(by_module.values())
+    print("profiled self time by module:")
+    for module, seconds in by_module.items():
+        print(f"  {seconds:8.3f} s  {100 * seconds / total:5.1f} %  {module}")
+    by_caller = fraction_time_by_caller(stats)
+    print(f"fractions time, callees included, by direct caller ({sum(by_caller.values()):.3f} s in all):")
+    for caller, seconds in list(by_caller.items())[:top]:
+        print(f"  {seconds:8.3f} s  {caller}")
 
 
 def outermost_timer(fn, record: list):
@@ -161,6 +212,7 @@ def main(argv=None) -> int:
     stats.sort_stats("tottime").print_stats(args.top)
     # cumulative time includes callees; the toolkit's own functions only
     stats.sort_stats("cumulative").print_stats("lefschetz/", args.top)
+    print_summaries(stats, args.top)
     if args.wrap:
         print(f"wrapped functions, best of {WRAP_PASSES} unprofiled passes (outermost calls, per pass):")
         for target, (calls, seconds) in wrapped_passes(jobs, built.jobs, args.wrap).items():

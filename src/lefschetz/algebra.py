@@ -175,7 +175,7 @@ def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece, rows: Sequence[
               for j, w in enumerate(ring.weights) if e >= w]
     units = {min(row) for row in rows if len(row) == 1}
     for shift, lower in lowers:
-        for pc, row in lower.pivot_rows():
+        for pc, row in lower.span_rows():
             if len(row) == 1:
                 units.add(shift[pc])
     space.store_units(sorted(units))
@@ -186,7 +186,7 @@ def add_shifted_rows(space: RowSpace, ring: Ring, e: int, piece, rows: Sequence[
         if len(row) > 1 and add(row) and space.rank == n:
             return
     for shift, lower in lowers:
-        for _, row in lower.pivot_rows():
+        for _, row in lower.span_rows():
             if len(row) > 1 and add({shift[c]: v for c, v in row.items()}) and space.rank == n:
                 return
 
@@ -706,7 +706,8 @@ def socle_vectors(alg) -> list[tuple[int, tuple]]:
     return out
 
 
-_GORENSTEIN: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> bool
+# algebra -> bool, or a construction's proof, run when the answer is first asked
+_GORENSTEIN: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def is_gorenstein(alg) -> bool:
@@ -722,9 +723,15 @@ def is_gorenstein(alg) -> bool:
       the ubiquity of Gorenstein rings*, Math. Z. 82, 1963), for weighted
       gradings too;
     - otherwise ``socle_vectors`` decides.
+
+    A construction that knows its output's answer records it in the memo
+    first, or records a proof that returns it: the connected sum over the
+    field and the tensor product (``constructions``).
     """
     got = _GORENSTEIN.get(alg)
-    if got is None:
+    if callable(got):
+        got = _GORENSTEIN[alg] = got()
+    elif got is None:
         if alg.dim(alg.socle_degree) != 1:
             got = False
         elif isinstance(alg, GradedAlgebra) and (

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import (
+    _GORENSTEIN,
     GradedAlgebra,
     Ideal,
     NotGorensteinError,
@@ -53,11 +54,12 @@ class AlgebraMap:
 
     Each source monomial of degree at most D_T is mapped once, as x_j times
     the image of mono / x_j (``_monomial_images``).  The map is well defined
-    when every reduced row of the source ideal maps to zero; ``columns(d)``
-    holds the images of the standard monomials of A_d.  ``section(d)``
-    reduces the rows (pi row r | e_r) to (R | E), E pi = R in reduced echelon
-    form: the pivot row at column c holds, at e_t, coordinate c of the rref
-    solution of pi(a) = e_t, and pi is onto T_d when no pivot is an e column.
+    when every stored row of the source ideal (``RowSpace.span_rows``) maps
+    to zero; ``columns(d)`` holds the images of the standard monomials of
+    A_d.  ``section(d)`` reduces the rows (pi row r | e_r) to (R | E),
+    E pi = R in reduced echelon form: the pivot row at column c holds, at
+    e_t, coordinate c of the rref solution of pi(a) = e_t, and pi is onto
+    T_d when no pivot is an e column.
     """
 
     def __init__(self, source: GradedAlgebra, target: GradedAlgebra, images: Sequence[Poly]):
@@ -77,7 +79,7 @@ class AlgebraMap:
         self._columns, self._sections = [], []  # per degree 0..D_T
         for d, image in enumerate(_monomial_images(source.ring, D, target.one(), maps, p)):
             cols = [image[m].items() for m in source.monomial_basis(d)]
-            if any(apply_columns(cols, row.items(), p) for _, row in source.ideal_space(d).pivot_rows()):
+            if any(apply_columns(cols, row.items(), p) for _, row in source.ideal_space(d).span_rows()):
                 raise ValueError("map is not well defined: an ideal element has nonzero image")
             self._columns.append([tuple(image[m].items()) for m in source.basis(d)])
             self._sections.append(self._section(d))
@@ -422,7 +424,13 @@ def connected_sum_over_field(
     omega_a: Optional[Orientation] = None,
     omega_b: Optional[Orientation] = None,
 ) -> GradedAlgebra:
-    """Presentation form over the base field: kill cross products, glue socles."""
+    """Presentation form over the base field: kill cross products, glue socles.
+
+    A connected sum over the field of Gorenstein summands of socle degree
+    d >= 1 is Gorenstein (Ananthnarayan, Avramov, Moore, *Connected sums of
+    Gorenstein local rings*, J. reine angew. Math. 667, 2012), and that is
+    recorded for ``is_gorenstein``; for d = 0 the socle decides.
+    """
     _require_gorenstein(A, B)
     omega_a = omega_a or default_orientation(A)
     omega_b = omega_b or default_orientation(B)
@@ -439,7 +447,10 @@ def connected_sum_over_field(
     tau_a = A.poly(d, (Fld.inv(omega_a.coeffs[0]),))
     tau_b = B.poly(d, (Fld.inv(omega_b.coeffs[0]),))
     gens.append(tau_a.embedded(n) + tau_b.embedded(n, na))
-    return from_ideal(Ideal(ring, tuple(gens)), max_degree=d + max(ring.weights))
+    out = from_ideal(Ideal(ring, tuple(gens)), max_degree=d + max(ring.weights))
+    if d >= 1:
+        _GORENSTEIN[out] = True
+    return out
 
 
 def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
@@ -454,7 +465,10 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     The standard monomials are therefore the products s_A * s_B, the socle
     degree is D_A + D_B, and nf(x^a * y^b) = nf_A(x^a) * nf_B(y^b), which is
     what ``tensor_pieces`` writes down.  The Hilbert function is checked
-    against the convolution h_A * h_B.
+    against the convolution h_A * h_B.  The socle of A (x) B is
+    socle(A) (x) socle(B), so the product is Gorenstein exactly when both
+    factors are: that is recorded for ``is_gorenstein`` as the proof to run
+    when the answer is asked, so no factor's socle is computed before then.
     """
     ring, gens_a, gens_b = _joined_generators(A, B)
     out = GradedAlgebra(ring, tensor_pieces(A, B, ring), generators=tuple(gens_a + gens_b))
@@ -465,6 +479,7 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     ]
     if list(out.hilbert_function()) != conv:
         raise AssertionError("tensor product violates the convolution identity")
+    _GORENSTEIN[out] = lambda: is_gorenstein(A) and is_gorenstein(B)
     return out
 
 

@@ -10,24 +10,27 @@ polynomials stay lightweight.
 ``kernel_space`` on sparse rows, are views of it: they feed the rows into a
 fresh ``RowSpace`` and read the answer off its reduced rows and pivots.
 Rows enter it by ``add``, ``store_reduced`` or ``store_units``, and every
-kernel is read by one method, ``RowSpace.kernel``.
+kernel vector read as field elements comes from one method,
+``RowSpace.kernel``; ``kernel_space`` writes its kernel's rows itself.
 
-The one other elimination, ``echelon_rank``, only counts.  It ranks the
-chains of powers of a linear form (``checks.PowerChains``), over ZZ or
-GF(p), and keeps no reduced rows: it eliminates forward only, never divides
-over ZZ, and stops at a rank known in advance.  The chains over QQ are
-scaled to integers for it, so their ranks make no ``Fraction`` arithmetic,
-while a ``RowSpace`` over QQ stores ``Fraction`` rows, because its callers
-read them.
+Over QQ a ``RowSpace`` stores primitive integer rows and eliminates
+fraction-free, and ``Fraction``s are made only where its callers read
+values.  The one other elimination, ``echelon_rank``, only counts.  It
+ranks the chains of powers of a linear form (``checks.PowerChains``), over
+ZZ or GF(p), and keeps no reduced rows: it eliminates forward only, never
+divides over ZZ, and stops at a rank known in advance.  The chains over QQ
+are scaled to integers for it, so their ranks make no ``Fraction``
+arithmetic either.
 
 The hot kernels (``RowSpace.reduce``/``RowSpace.add`` and ``echelon_rank``)
 rely on that representation instead of calling ``FieldSpec`` per scalar:
 over GF(p) they compute with plain ``int`` and take one ``% p`` per updated
-entry, which brings every result back into ``[0, p)``; over QQ they add and
-multiply ``Fraction`` objects directly, except ``echelon_rank``, which takes
-integers.  Entries handed to them must therefore be field elements as
-``FieldSpec.coerce`` returns them.  Polynomial coefficients follow the same
-rule; it is written down in the ``polynomials`` module docstring.
+entry, which brings every result back into ``[0, p)``; over QQ they compute
+with integers, a ``RowSpace`` taking its entries apart with
+``as_integer_ratio``.  Entries handed to them must therefore be field
+elements as ``FieldSpec.coerce`` returns them, or over QQ also integers (as
+``RowSpace.span_rows`` gives them).  Polynomial coefficients follow the
+same rule; it is written down in the ``polynomials`` module docstring.
 """
 
 from __future__ import annotations
@@ -379,18 +382,36 @@ def kernel_space(field: FieldSpec, ncols: int, rows: Iterable[dict[int, Scalar]]
     With the columns eliminated in reverse order, the kernel vector of a free
     column is 1 there and otherwise nonzero only at pivot columns after it,
     and every other kernel vector is 0 there: the vectors of ``kernel`` are
-    already the kernel's reduced rows, and they are stored as they are.  A
-    caller that knows the rank of the matrix passes it: once the rows read
-    reach it they span the whole row space, and the rest are not read.
+    already the kernel's reduced rows, and they are stored with no
+    elimination.  Over QQ each is written in integers from the reversed
+    space's integer rows R: the vector of free column f, scaled by the lcm
+    L of the leads R[pivot] of the rows it meets, is L at f and
+    -R[f] L / R[pivot] at each of their pivots, and it is then divided by the
+    gcd of its entries.  A caller that knows the rank of the matrix passes
+    it: once the rows read reach it they span the whole row space, and the
+    rest are not read.
     """
     rev = RowSpace(field, ncols)
     for row in rows:
         if rev.rank == rank:
             break
         rev.add({ncols - 1 - c: v for c, v in row.items()})
+    p, last = field.characteristic, ncols - 1
+    meets: dict[int, list] = {f: [] for f in range(ncols) if f not in rev._rows}
+    for pc, row in rev.span_rows():
+        lead = row[pc]
+        for c, x in row.items():
+            if c != pc:
+                meets[c].append((last - pc, lead, x))
     out = RowSpace(field, ncols)
-    for f, v in rev.kernel().items():
-        out.store_reduced(ncols - 1 - f, {ncols - 1 - c: x for c, x in v.items()})
+    for f, met in meets.items():
+        scale = math.lcm(*[lead for _, lead, _ in met])  # 1 over GF(p)
+        v = {last - f: scale}
+        for c, lead, x in met:
+            v[c] = -x % p if p else -x * (scale // lead)
+        if scale != 1 and (g := math.gcd(*v.values())) != 1:
+            v = {c: x // g for c, x in v.items()}
+        out._rows[last - f] = v
     return out
 
 
@@ -464,16 +485,29 @@ class RowSpace:
     the dense functions above all reduce through it.  Ranks of the chains
     of powers, which need none of these, are counted by ``echelon_rank``.
     Rows are dicts {column index: scalar}.  The space is kept in reduced
-    row echelon form: each stored row has leading coefficient 1 at its
-    pivot column (the smallest occupied column) and every other stored row
-    is zero at that column.  Column 0 is
-    the grevlex-largest monomial, so pivots are leading monomials and the
-    non-pivot columns are the standard monomials.
+    row echelon form: each stored row is nonzero at its pivot column (the
+    smallest occupied column) and every other stored row is zero at that
+    column.  Column 0 is the grevlex-largest monomial, so pivots are
+    leading monomials and the non-pivot columns are the standard monomials.
+
+    Over GF(p) a stored row is the reduced row itself, 1 at its pivot.  Over
+    QQ it is the primitive integer row R on the same line: integers with gcd
+    1 and R[pivot] > 0, whose reduced row is R / R[pivot].  The reduced row
+    echelon form is unique, so this changes no value read.  Over QQ rows are
+    eliminated fraction-free, as ``echelon_rank`` does: a row r is reduced
+    at a pivot where R has a and r has b by r <- (a/g) r - (b/g) R with
+    g = gcd(a, b), ``reduce`` carrying one common denominator, and a stored
+    row is divided by the gcd of its entries when it is made or updated.
+    ``Fraction``s are made only where values are read: the results of
+    ``reduce``, ``pivot_rows``, ``kernel``, ``rref_rows`` and
+    ``dense_matrix``.  ``span_rows`` gives the stored rows as they are, for
+    callers that need only their span.
 
     Rows enter through ``add``, which eliminates, ``store_reduced``, for a
     row already known to be the reduced row at its pivot, or
-    ``store_units``, for unit rows at columns no stored row has; nothing
-    else writes the stored rows.
+    ``store_units``, for unit rows at columns no stored row has; besides
+    these only ``kernel_space`` writes the stored rows, those of the kernel
+    it builds.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
@@ -488,57 +522,104 @@ class RowSpace:
     def pivots(self) -> list[int]:
         return sorted(self._rows)
 
-    def pivot_rows(self):
-        """(pivot column, row) pairs of the stored rows, in insertion order.
+    def span_rows(self):
+        """(pivot column, row) pairs of the stored rows, in insertion order:
+        over QQ the primitive integer rows, over GF(p) the reduced rows.
 
         The rows are the space's own, not copies: read them, do not modify
         them.
         """
         return self._rows.items()
 
+    def pivot_rows(self) -> list[tuple[int, dict[int, Scalar]]]:
+        """(pivot column, reduced row) pairs, in insertion order."""
+        return [(pc, self._reduced(pc, row)) for pc, row in self._rows.items()]
+
+    def _reduced(self, pc: int, row: dict[int, Scalar]) -> dict[int, Scalar]:
+        """A copy of the reduced row of the stored row at pivot pc."""
+        return _fractions(row, row[pc]) if not self.field.characteristic else dict(row)
+
+    def _eliminate(self, row: dict[int, Scalar]) -> tuple[dict[int, int], int]:
+        """(r, den) with r / den the normal form of row against the stored
+        rows: over GF(p) residues and den = 1, over QQ nonzero integers."""
+        p, rows = self.field.characteristic, self._rows
+        if p:
+            out = {c: v % p for c, v in row.items() if v % p}
+            # The stored rows vanish at each other's pivots, so eliminating
+            # at one pivot column never reaches another: one pass suffices.
+            for c in [c for c in out if c in rows]:
+                _sub_multiple(out, out[c], rows[c], p)
+            return out, 1
+        out, den = _integral(row)
+        for c in [c for c in out if c in rows]:  # one pass, as above
+            src = rows[c]
+            a, b = src[c], out[c]
+            if a != 1:
+                g = math.gcd(a, b)
+                if g != a:
+                    a //= g
+                    den *= a
+                    out = {k: a * v for k, v in out.items()}
+                b //= g
+            _sub_multiple(out, b, src, 0)
+        return out, den
+
     def reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
         """Normal form of a sparse row against the stored rows."""
-        p = self.field.characteristic
-        out = {c: v % p for c, v in row.items() if v % p} if p else {c: v for c, v in row.items() if v}
-        # The stored rows vanish at each other's pivots, so eliminating at
-        # one pivot column never reaches another: one pass suffices.
-        for c in [c for c in out if c in self._rows]:
-            _sub_multiple(out, out[c], self._rows[c], p)
-        return out
+        out, den = self._eliminate(row)
+        return _fractions(out, den) if not self.field.characteristic else out
 
     def add(self, row: dict[int, Scalar]) -> bool:
         """Insert a row; returns True when it enlarged the space.  The new
         pivot column is cleared from every stored row that has it."""
-        rem = self.reduce(row)
+        rem, _ = self._eliminate(row)
         if not rem:
             return False
-        p = self.field.characteristic
+        p, rows = self.field.characteristic, self._rows
         pc = min(rem)
         lead = rem[pc]
-        if lead == 1:
-            norm = rem
-        elif p:
-            inv = pow(lead, -1, p)
-            norm = {c: inv * v % p for c, v in rem.items()}
+        if p:
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                rem = {c: inv * v % p for c, v in rem.items()}
+            for other in rows.values():
+                if pc in other:
+                    _sub_multiple(other, other[pc], rem, p)
         else:
-            inv = Fraction(1) / lead
-            norm = {c: inv * v for c, v in rem.items()}
-        for other in self._rows.values():
-            if pc in other:
-                _sub_multiple(other, other[pc], norm, p)
-        self._rows[pc] = norm
+            g = math.gcd(*rem.values())
+            if lead < 0:
+                g = -g
+            if g != 1:
+                rem = {c: v // g for c, v in rem.items()}
+                lead //= g
+            for q, other in rows.items():
+                b = other.get(pc)
+                if b is None:
+                    continue
+                g = math.gcd(lead, b)
+                if (a := lead // g) != 1:
+                    other = rows[q] = {k: a * v for k, v in other.items()}
+                _sub_multiple(other, b // g, rem, 0)
+                # the gcd of other's entries divides its lead, which stays > 0
+                if other[q] != 1 and (g := math.gcd(*other.values())) != 1:
+                    rows[q] = {k: v // g for k, v in other.items()}
+        rows[pc] = rem
         return True
 
     def store_reduced(self, pivot: int, row: dict[int, Scalar]) -> None:
-        """Store a row that is already reduced against the space, as it is.
+        """Store a row that is already reduced against the space.
 
         The caller vouches that row is 1 at its pivot, zero at every stored
         pivot, and that every stored row is zero at this pivot, so nothing is
-        eliminated.  Checked here is only what is cheap: the pivot is the
-        row's smallest column, the row is 1 there, and no stored row has it.
+        eliminated; over QQ the row is stored scaled to integers.  Checked
+        here is only what is cheap: the pivot is the row's smallest column,
+        the row is 1 there, and no stored row has it.
         """
         if row.get(pivot) != 1 or min(row) != pivot or pivot in self._rows:
             raise ValueError(f"row is not reduced at pivot {pivot}")
+        if not self.field.characteristic:
+            # scaled by the lcm of its denominators, a row with an entry 1 is primitive
+            row = _integral(row)[0]
         self._rows[pivot] = row
 
     def store_units(self, columns: Sequence[int]) -> None:
@@ -548,34 +629,63 @@ class RowSpace:
         checked here is only that none of them is already a pivot."""
         if not self._rows.keys().isdisjoint(columns):
             raise ValueError("a unit row's column is already a pivot")
-        one = self.field.one()
-        self._rows.update((c, {c: one}) for c in columns)
+        self._rows.update((c, {c: 1}) for c in columns)
 
     def kernel(self) -> dict[int, dict[int, Scalar]]:
         """The right kernel: for each free column f, in increasing f, the
         vector that is 1 at f, -row[f] at each stored row's pivot and 0
-        elsewhere, every other free column included.  A stored row is zero at
-        the other pivots, so its entries off its pivot are at free columns."""
+        elsewhere (row the reduced row), every other free column included.  A
+        stored row is zero at the other pivots, so its entries off its pivot
+        are at free columns."""
         p, one = self.field.characteristic, self.field.one()
         out = {f: {f: one} for f in range(self.ncols) if f not in self._rows}
         for pc, row in self._rows.items():
+            lead = row[pc]
             for c, x in row.items():
                 if c != pc:
-                    out[c][pc] = -x % p if p else -x
+                    out[c][pc] = -x % p if p else Fraction(-x, lead)
         return out
 
     def contains(self, row: dict[int, Scalar]) -> bool:
-        return not self.reduce(row)
+        return not self._eliminate(row)[0]
 
     def rref_rows(self) -> list[dict[int, Scalar]]:
-        return [dict(self._rows[c]) for c in sorted(self._rows)]
+        return [self._reduced(c, self._rows[c]) for c in sorted(self._rows)]
 
     def dense_matrix(self) -> Matrix:
         z = self.field.zero()
         rows = tuple(
-            tuple(self._rows[p].get(c, z) for c in range(self.ncols)) for p in sorted(self._rows)
+            tuple(row.get(c, z) for c in range(self.ncols))
+            for row in (self._reduced(p, self._rows[p]) for p in sorted(self._rows))
         )
         return Matrix(self.field, self.ncols, rows)
+
+
+def _integral(row: dict[int, Scalar]) -> tuple[dict[int, int], int]:
+    """(r, den) for a sparse row of rationals (Fractions or ints): den the
+    lcm of their denominators and r = den * row, its zeros dropped."""
+    out: dict[int, int] = {}
+    den = 1
+    for c, v in row.items():
+        n, d = v.as_integer_ratio()
+        if n:
+            if d != 1:
+                if den % d:
+                    scale = d // math.gcd(den, d)
+                    out = {k: scale * x for k, x in out.items()}
+                    den *= scale
+                n *= den // d
+            elif den != 1:
+                n *= den
+            out[c] = n
+    return out, den
+
+
+def _fractions(row: dict[int, int], den: int) -> dict[int, Fraction]:
+    """The integer row divided by den > 0, as Fractions."""
+    if den == 1:
+        return {c: Fraction(v) for c, v in row.items()}
+    return {c: Fraction(v, den) for c, v in row.items()}
 
 
 def _sub_multiple(row: dict[int, Scalar], f: Scalar, src: dict[int, Scalar], p: int) -> None:

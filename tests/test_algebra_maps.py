@@ -15,7 +15,8 @@ pair-model connected sum over the field k = k[t]/(t) against
 complete intersections over k[z]/(z^2) and the blowup of Ann(G) along
 Ann(t o G) against their extracted presentations.  Every Gorenstein
 construction must satisfy Poincare duality, and a fiber product over k must
-not.
+not.  The Gorenstein answers that the tensor product and the connected sum
+over k record for their outputs must be the socle's.
 """
 
 import pytest
@@ -31,6 +32,7 @@ from lefschetz.algebra import (
     hilbert_function,
     is_gorenstein,
     pairing_matrix,
+    socle_vectors,
 )
 from lefschetz.checks import GenericityConfig, generic_report
 from lefschetz.constructions import (
@@ -323,3 +325,34 @@ def test_fiber_product_over_the_field_fails_poincare_duality(pair):
     assert rank(pairing_matrix(fp, default_orientation(fp), 0)) < max(fp.dim(0), fp.dim(D))
     assert not _poincare_duality(fp)
     assert not is_gorenstein(fp)
+
+
+# -- the Gorenstein answers the constructions record --------------------------------
+
+
+@st.composite
+def tensor_factors(draw, names: str):
+    """A dual-generator algebra, Gorenstein, or the quotient by x^a, y^b and up
+    to two more monomials, Gorenstein or not."""
+    if draw(st.booleans()):
+        return _dual_generator_algebra(draw, names, draw(st.integers(1, 3)), 2)
+    ring = Ring(tuple(names), QQ)
+    powers = [(draw(st.integers(1, 4)), 0), (0, draw(st.integers(1, 4)))]
+    extra = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any), max_size=2))
+    gens = tuple(Poly.make(2, QQ, {m: QQ.one()}) for m in powers + extra)
+    return from_ideal(Ideal(ring, gens))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tensor_factors("xy"), tensor_factors("uv"))
+def test_tensor_product_records_the_socle_s_gorenstein_answer(a, b):
+    out = tensor_product(a, b)
+    event(f"gorenstein {is_gorenstein(out)}")
+    assert is_gorenstein(out) == (len(socle_vectors(out)) == 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(gorenstein_pairs())
+def test_connected_sum_over_the_field_records_the_socle_s_gorenstein_answer(pair):
+    out = connected_sum_over_field(*pair)
+    assert is_gorenstein(out) == (len(socle_vectors(out)) == 1)

@@ -397,6 +397,23 @@ def test_fiber_product_over_the_field_is_not_gorenstein_before_its_socle(monkeyp
     assert not is_gorenstein(c) and calls == [c]
 
 
+def test_tensor_and_connected_sum_record_their_gorenstein_answer(monkeypatch):
+    # socle(A (x) B) = socle(A) (x) socle(B), and a connected sum over k of
+    # Gorenstein summands of socle degree >= 1 is Gorenstein: no socle of
+    # an output is computed
+    r = ring("x,y")
+    a = from_dual_generator(r.parse_dual("X^2*Y + 2*Y^3"), r)
+    b = from_dual_generator(r.parse_dual("X^3 - X*Y^2"), r)
+    c = build("x,y", ["x^2", "x*y", "y^3"])  # not Gorenstein, h_D = 1
+    calls = []
+    monkeypatch.setattr(algebra, "socle_vectors", lambda alg: calls.append(alg) or socle_vectors(alg))
+    outs = [tensor_product(a, b), connected_sum_over_field(a, b)]
+    assert [is_gorenstein(m) for m in outs] == [True, True] and calls == []
+    assert not is_gorenstein(tensor_product(c, a)) and calls == [c]
+    assert not is_gorenstein(tensor_product(a, c)) and calls == [c]
+    assert [len(socle_vectors(m)) for m in outs] == [1, 1]
+
+
 def test_is_gorenstein_is_a_one_dimensional_socle_on_every_model():
     a, b, t, pa, pb = _example_71()
     models = [

@@ -65,12 +65,15 @@ def ref_kernel_space(m: Matrix) -> RowSpace:
     rev = RowSpace(F, n)
     for row in m.entries:
         rev.add({n - 1 - c: v for c, v in enumerate(row)})
-    out = RowSpace(F, n)
-    out._rows = {n - 1 - c: {n - 1 - c: F.one()} for c in range(n) if c not in rev._rows}
-    for pc, row in rev._rows.items():
+    reduced = dict(rev.pivot_rows())
+    kern = {n - 1 - c: {n - 1 - c: F.one()} for c in range(n) if c not in reduced}
+    for pc, row in reduced.items():
         for c, v in row.items():
             if c != pc:
-                out._rows[n - 1 - c][n - 1 - pc] = F.neg(v)
+                kern[n - 1 - c][n - 1 - pc] = F.neg(v)
+    out = RowSpace(F, n)
+    for pc, row in kern.items():
+        out.store_reduced(pc, row)
     return out
 
 

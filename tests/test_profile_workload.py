@@ -1,17 +1,23 @@
-"""``scripts/profile_workload.py --wrap``: calls and wall time of wrapped
-functions per pass, on a reduced job list.
+"""``scripts/profile_workload.py``: calls and wall time of wrapped functions
+per pass (``--wrap``), and the summaries of the profile, on a reduced job
+list.
 
 The script is loaded by path, the way ``test_bench_pairs`` loads its script.
 """
 
+import cProfile
 import importlib.util
 import json
+import pstats
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lefschetz
 from lefschetz import algebra, exactmath
+from lefschetz.exactmath import QQ
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "profile_workload.py"
 
@@ -67,3 +73,41 @@ def test_workload_choices_are_the_benchmark_workloads():
     spec = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
     (action,) = (a for a in profile_workload.build_parser()._actions if a.dest == "workload")
     assert list(action.choices) == [w["name"] for w in spec["workloads"]]
+
+
+def _profiled(fn) -> pstats.Stats:
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        fn()
+    finally:
+        prof.disable()
+    return pstats.Stats(prof)
+
+
+def test_summaries_sum_self_time_by_module_and_fractions_time_by_caller(capsys):
+    corpus, jobs = profile_workload._load("corpus"), profile_workload._load("jobs")
+    job_list = corpus.build("ci-ladder", 0).jobs[:2]  # slp-333 over QQ and GF(32003)
+    stats = _profiled(lambda: profile_workload.run_pass(jobs, job_list))
+    by_module = profile_workload.self_time_by_module(stats)
+    assert sum(by_module.values()) == pytest.approx(stats.total_tt)
+    assert list(by_module.values()) == sorted(by_module.values(), reverse=True)
+    assert {"lefschetz.exactmath", "lefschetz.algebra", "fractions"} <= set(by_module)
+    by_caller = profile_workload.fraction_time_by_caller(stats)
+    assert by_caller and list(by_caller.values()) == sorted(by_caller.values(), reverse=True)
+    outside = profile_workload.OUTSIDE
+    assert all(k == outside or re.fullmatch(r"lefschetz\.\w+\.\S+:\d+", k) for k in by_caller), by_caller
+    profile_workload.print_summaries(stats, 5)
+    out = capsys.readouterr().out
+    assert "profiled self time by module:" in out and "lefschetz.exactmath" in out
+    assert "fractions time, callees included, by direct caller" in out
+
+
+def test_fractions_time_goes_to_the_toolkit_function_that_entered_the_module():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    stats = _profiled(lambda: [QQ.mul(half, third) for _ in range(200)])
+    line = exactmath.FieldSpec.mul.__code__.co_firstlineno
+    # Fraction.__mul__ calls on into fractions.py; that time is mul's
+    assert list(profile_workload.fraction_time_by_caller(stats)) == [f"lefschetz.exactmath.mul:{line}"]
+    assert profile_workload.module_of(exactmath.__file__) == "lefschetz.exactmath"
+    assert profile_workload.module_of("~") == "(built-in)"

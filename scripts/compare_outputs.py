@@ -15,9 +15,10 @@ Each checkout runs the whole set in one subprocess, with its own ``src`` on
 ``PYTHONPATH`` and its root as the working directory, calling
 ``lefschetz.cli.main`` in-process and recording each command's stdout,
 stderr and exit code.  Every command whose stdout, stderr or exit code
-differs between the two is printed with the first differing line.  The exit
-status is 1 if any command differs, 0 otherwise.  Nothing is written to
-either checkout.
+differs between the two is printed with the first differing line, then
+the line counts of the ``.py`` files under ``src/`` of both checkouts, then
+the number of commands and of differing ones.  The exit status is 1 if any
+command differs, 0 otherwise.  Nothing is written to either checkout.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def run_side(checkout: Path, commands: list[list[str]]) -> list[list]:
     return json.loads(proc.stdout)
 
 
+def src_lines(checkout: Path) -> int:
+    """The number of lines of the ``.py`` files under ``checkout/src``."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
+
+
 def first_difference(a: str, b: str) -> str:
     for k, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
         if x != y:
@@ -113,6 +119,7 @@ def main(argv=None) -> int:
                 differ += 1
                 print(f"lefschetz {' '.join(cmd)}: {label} differs, {first_difference(x, y)}")
                 break
+    print(f"src .py lines: {src_lines(args.parent)} -> {src_lines(args.change)}")
     print(f"{len(commands)} commands, {differ} differ")
     return 1 if differ else 0
 

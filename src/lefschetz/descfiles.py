@@ -44,6 +44,8 @@ def _parse_field(text: str, line: int) -> FieldSpec:
         return QQ
     m = re.fullmatch(r"Fp\((\d+)\)", text)
     if m:
+        if int(m.group(1)) == 0:
+            raise DescriptionError(f"{text} is not a prime field; for characteristic 0 use QQ", line)
         try:
             return GF(int(m.group(1)))
         except ValueError as exc:

@@ -13,14 +13,19 @@ Rows enter it by ``add``, ``store_reduced`` or ``store_units``, and every
 kernel vector read as field elements comes from one method,
 ``RowSpace.kernel``; ``kernel_space`` writes its kernel's rows itself.
 
-Over QQ a ``RowSpace`` stores primitive integer rows and eliminates
-fraction-free, and ``Fraction``s are made only where its callers read
-values.  The one other elimination, ``echelon_rank``, only counts.  It
-ranks the chains of powers of a linear form (``checks.PowerChains``), over
-ZZ or GF(p), and keeps no reduced rows: it eliminates forward only, never
-divides over ZZ, and stops at a rank known in advance.  The chains over QQ
-are scaled to integers for it, so their ranks make no ``Fraction``
-arithmetic either.
+Both eliminations share one row arithmetic for both fields.  A nonzero row
+is stored in one form (``_primitive``): over GF(p) scaled to 1 at its
+pivot, its smallest column; over QQ the primitive integer row on its line,
+with gcd 1 and positive at the pivot.  A row r is reduced at a column c by
+a stored row R in one fraction-free step in the manner of Bareiss
+(``_cross_reduce``): r <- (a/g) r - (b/g) R with a = R[c], b = r[c] and
+g = gcd(a, b), which over GF(p), where a = 1, is r <- r - b R.  A
+``RowSpace`` also back-substitutes, so its rows stay reduced, and over QQ
+makes ``Fraction``s only where its callers read values.  The other
+elimination, ``echelon_rank``, only counts: it ranks the chains of powers
+of a linear form (``checks.PowerChains``), over ZZ or GF(p), and differs
+only in doing no back-substitution and keeping no reduced rows; it stops at
+a rank known in advance.  The chains over QQ are scaled to integers for it.
 
 The hot kernels (``RowSpace.reduce``/``RowSpace.add`` and ``echelon_rank``)
 rely on that representation instead of calling ``FieldSpec`` per scalar:
@@ -334,36 +339,23 @@ def echelon_rank(vectors: Iterable[dict[int, int]], p: int, stop: int) -> int:
     (p = 0) or residues in [0, p) modulo a prime p, drawing no further
     vector once the rank reaches stop.
 
-    Forward elimination only: a vector is reduced at its smallest index by
-    the stored row leading there until it leads at a new index or vanishes,
-    and it is then stored; nothing is back-substituted, so the stored rows
-    form an echelon form, not the reduced one of ``RowSpace``.  Modulo p a
-    stored row is scaled to lead with 1, one inverse per row.  Over ZZ
-    nothing is divided while reducing: the vector is cross-multiplied,
-    v <- (a/g) v - (b/g) row for the leads b of v and a of the row with
-    g = gcd(a, b), and a stored row is divided by the gcd of its entries,
-    one gcd per row.  A rank over QQ is the rank of the vectors scaled to
-    integers.
+    A copy of each vector is reduced at its smallest index, by the shared
+    step, against the stored row leading there until it leads at a new
+    index or vanishes, and its stored form is then kept.  Unlike
+    ``RowSpace`` nothing is back-substituted, so the stored rows form an
+    echelon form, not the reduced one.  The vectors are only read.  A rank
+    over QQ is the rank of the vectors scaled to integers.
     """
     rows: dict[int, dict[int, int]] = {}  # leading index -> stored row
     for v in vectors if stop > 0 else ():
-        while v and (lead := min(v)) in rows:
-            row, a, b = rows[lead], 1, v[lead]
-            if not p:
-                g = math.gcd(row[lead], b)
-                a, b = row[lead] // g, b // g
-            acc = {c: a * x for c, x in v.items()} if a != 1 else dict(v)
-            get = acc.get
-            for c, x in row.items():
-                acc[c] = get(c, 0) - b * x
-            v = nonzero(acc, p)
+        if v and (lead := min(v)) in rows:
+            v = dict(v)  # the step updates in place; the caller's vector stays as it is
+            while True:
+                v = _cross_reduce(v, lead, rows[lead], p)[0]
+                if not v or (lead := min(v)) not in rows:
+                    break
         if v:
-            if p:
-                inv = pow(v[lead], -1, p)
-                rows[lead] = {c: x * inv % p for c, x in v.items()}
-            else:
-                g = math.gcd(*v.values())
-                rows[lead] = {c: x // g for c, x in v.items()}
+            rows[lead] = _primitive(v, lead, p)
             if len(rows) == stop:
                 break
     return len(rows)
@@ -386,8 +378,8 @@ def kernel_space(field: FieldSpec, ncols: int, rows: Iterable[dict[int, Scalar]]
     elimination.  Over QQ each is written in integers from the reversed
     space's integer rows R: the vector of free column f, scaled by the lcm
     L of the leads R[pivot] of the rows it meets, is L at f and
-    -R[f] L / R[pivot] at each of their pivots, and it is then divided by the
-    gcd of its entries.  A caller that knows the rank of the matrix passes
+    -R[f] L / R[pivot] at each of their pivots, and it is stored in its
+    primitive form.  A caller that knows the rank of the matrix passes
     it: once the rows read reach it they span the whole row space, and the
     rest are not read.
     """
@@ -409,9 +401,7 @@ def kernel_space(field: FieldSpec, ncols: int, rows: Iterable[dict[int, Scalar]]
         v = {last - f: scale}
         for c, lead, x in met:
             v[c] = -x % p if p else -x * (scale // lead)
-        if scale != 1 and (g := math.gcd(*v.values())) != 1:
-            v = {c: x // g for c, x in v.items()}
-        out._rows[last - f] = v
+        out._rows[last - f] = _primitive(v, last - f, p)
     return out
 
 
@@ -490,16 +480,14 @@ class RowSpace:
     column.  Column 0 is the grevlex-largest monomial, so pivots are
     leading monomials and the non-pivot columns are the standard monomials.
 
-    Over GF(p) a stored row is the reduced row itself, 1 at its pivot.  Over
-    QQ it is the primitive integer row R on the same line: integers with gcd
-    1 and R[pivot] > 0, whose reduced row is R / R[pivot].  The reduced row
-    echelon form is unique, so this changes no value read.  Over QQ rows are
-    eliminated fraction-free, as ``echelon_rank`` does: a row r is reduced
-    at a pivot where R has a and r has b by r <- (a/g) r - (b/g) R with
-    g = gcd(a, b), ``reduce`` carrying one common denominator, and a stored
-    row is divided by the gcd of its entries when it is made or updated.
-    ``Fraction``s are made only where values are read: the results of
-    ``reduce``, ``pivot_rows``, ``kernel``, ``rref_rows`` and
+    Rows are stored in the form and eliminated by the step of the module
+    docstring: over GF(p) a stored row is the reduced row itself, over QQ
+    the primitive integer row R whose reduced row is R / R[pivot].  The
+    reduced row echelon form is unique, so this changes no value read.
+    ``reduce`` carries one common denominator over QQ; ``add`` also clears
+    the new pivot from the stored rows, putting each updated row back in
+    stored form.  ``Fraction``s are made only where values are read: the
+    results of ``reduce``, ``pivot_rows``, ``kernel``, ``rref_rows`` and
     ``dense_matrix``.  ``span_rows`` gives the stored rows as they are, for
     callers that need only their span.
 
@@ -543,25 +531,12 @@ class RowSpace:
         """(r, den) with r / den the normal form of row against the stored
         rows: over GF(p) residues and den = 1, over QQ nonzero integers."""
         p, rows = self.field.characteristic, self._rows
-        if p:
-            out = {c: v % p for c, v in row.items() if v % p}
-            # The stored rows vanish at each other's pivots, so eliminating
-            # at one pivot column never reaches another: one pass suffices.
-            for c in [c for c in out if c in rows]:
-                _sub_multiple(out, out[c], rows[c], p)
-            return out, 1
-        out, den = _integral(row)
-        for c in [c for c in out if c in rows]:  # one pass, as above
-            src = rows[c]
-            a, b = src[c], out[c]
-            if a != 1:
-                g = math.gcd(a, b)
-                if g != a:
-                    a //= g
-                    den *= a
-                    out = {k: a * v for k, v in out.items()}
-                b //= g
-            _sub_multiple(out, b, src, 0)
+        out, den = (nonzero(row, p), 1) if p else _integral(row)
+        # The stored rows vanish at each other's pivots, so eliminating at
+        # one pivot column never reaches another: one pass suffices.
+        for c in [c for c in out if c in rows]:
+            out, a = _cross_reduce(out, c, rows[c], p)
+            den *= a
         return out, den
 
     def reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
@@ -577,32 +552,12 @@ class RowSpace:
             return False
         p, rows = self.field.characteristic, self._rows
         pc = min(rem)
-        lead = rem[pc]
-        if p:
-            if lead != 1:
-                inv = pow(lead, -1, p)
-                rem = {c: inv * v % p for c, v in rem.items()}
-            for other in rows.values():
-                if pc in other:
-                    _sub_multiple(other, other[pc], rem, p)
-        else:
-            g = math.gcd(*rem.values())
-            if lead < 0:
-                g = -g
-            if g != 1:
-                rem = {c: v // g for c, v in rem.items()}
-                lead //= g
-            for q, other in rows.items():
-                b = other.get(pc)
-                if b is None:
-                    continue
-                g = math.gcd(lead, b)
-                if (a := lead // g) != 1:
-                    other = rows[q] = {k: a * v for k, v in other.items()}
-                _sub_multiple(other, b // g, rem, 0)
-                # the gcd of other's entries divides its lead, which stays > 0
-                if other[q] != 1 and (g := math.gcd(*other.values())) != 1:
-                    rows[q] = {k: v // g for k, v in other.items()}
+        rem = _primitive(rem, pc, p)
+        for q, other in rows.items():
+            if pc in other:
+                other, _ = _cross_reduce(other, pc, rem, p)
+                # rem is zero at q: other's lead is only scaled, by a > 0 (a = 1 over GF(p))
+                rows[q] = other if other[q] == 1 else _primitive(other, q, p)
         rows[pc] = rem
         return True
 
@@ -617,10 +572,9 @@ class RowSpace:
         """
         if row.get(pivot) != 1 or min(row) != pivot or pivot in self._rows:
             raise ValueError(f"row is not reduced at pivot {pivot}")
-        if not self.field.characteristic:
-            # scaled by the lcm of its denominators, a row with an entry 1 is primitive
-            row = _integral(row)[0]
-        self._rows[pivot] = row
+        # a copy, as ``add`` updates stored rows in place; over QQ, scaled by
+        # the lcm of its denominators, a row with an entry 1 is primitive
+        self._rows[pivot] = dict(row) if self.field.characteristic else _integral(row)[0]
 
     def store_units(self, columns: Sequence[int]) -> None:
         """Store the unit row e_c at each column c, in the given order, as
@@ -688,18 +642,47 @@ def _fractions(row: dict[int, int], den: int) -> dict[int, Fraction]:
     return {c: Fraction(v, den) for c, v in row.items()}
 
 
-def _sub_multiple(row: dict[int, Scalar], f: Scalar, src: dict[int, Scalar], p: int) -> None:
-    """row -= f * src in place (modulo p when p > 0), dropping zeros.
+def _primitive(row: dict[int, int], lead: int, p: int) -> dict[int, int]:
+    """The stored form of a nonzero row whose smallest column is lead: over
+    GF(p) the row scaled to 1 at lead, over QQ (integer entries) the row
+    divided by the gcd of its entries, signed so that lead is positive.  A
+    row that is already in that form, 1 at lead in particular, is returned
+    as it is, not copied."""
+    a = row[lead]
+    if a == 1:
+        return row
+    if p:
+        inv = pow(a, -1, p)
+        return {c: v * inv % p for c, v in row.items()}
+    g = math.gcd(*row.values())
+    if a < 0:
+        g = -g
+    return {c: v // g for c, v in row.items()} if g != 1 else row
 
-    f and the entries of src are nonzero, so an entry can only become zero
-    where row already had one.
+
+def _cross_reduce(row: dict[int, int], c: int, src: dict[int, int], p: int) -> tuple[dict[int, int], int]:
+    """(a*row - b*src, a), zero at column c, where a = src[c]/g, b = row[c]/g
+    and g = gcd(src[c], row[c]); entries modulo p when p > 0, zeros dropped.
+
+    This is the one reduction step.  A stored row over GF(p) is 1 at its
+    pivot, so there a = 1 and the step is row - row[c]*src.  When a = 1 the
+    row is updated in place and returned, otherwise a new row is; src is
+    only read.  row[c] and the entries of src are nonzero, so an entry can
+    only vanish where row has one.
     """
+    a, b = src[c], row[c]
+    if a != 1:
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            row = {k: a * v % p for k, v in row.items()} if p else {k: a * v for k, v in row.items()}
     get = row.get
-    for c, v in src.items():
-        nv = get(c, 0) - f * v
+    for k, v in src.items():
+        nv = get(k, 0) - b * v
         if p:
             nv %= p
         if nv:
-            row[c] = nv
+            row[k] = nv
         else:
-            del row[c]
+            del row[k]
+    return row, a

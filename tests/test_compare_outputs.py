@@ -44,4 +44,5 @@ def test_one_differing_line_fails_the_comparison(monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     cmd = " ".join(compare_outputs.command_set(SUBSET)[3])
     assert lines == [f"lefschetz {cmd}: stdout differs, line 1: 'same' != 'other'",
+                     "src .py lines: 0 -> 0",
                      f"{len(compare_outputs.command_set(SUBSET))} commands, 1 differ"]

@@ -87,6 +87,8 @@ def test_parse_errors_carry_line():
         parse_algebra_text("ideal:\nx^2\n")
     with pytest.raises(DescriptionError):
         parse_algebra_text("vars: x\nfield: GF(4)\nideal:\nx^2\n")
+    with pytest.raises(DescriptionError, match=r"^Fp\(0\) is not a prime field; for characteristic 0 use QQ \(line 2\)$"):
+        parse_algebra_text(WRITTEN["<char-zero>"])
 
 
 def test_map_missing_variable():
@@ -113,6 +115,7 @@ WRITTEN = {
     "<half-in-f2>": "vars: x, y\nfield: Fp(2)\nideal:\nx^2\n1/2*y^2\n",
     # (10^9 + 7)(10^9 + 9): trial division would run for minutes
     "<large-composite-char>": "vars: x\nfield: Fp(1000000016000000063)\nideal:\nx^2\n",
+    "<char-zero>": "vars: x\nfield: Fp(0)\nideal:\nx^2\n",
     "<not-artinian>": "vars: x, y\nideal:\nx^2\n",
     "<not-gorenstein>": "vars: x, y\nideal:\nx^2\nx*y\ny^2\n",
     # h = (1, 2, 1), yet the socle is spanned by x and y^2
@@ -142,6 +145,8 @@ INPUT_ERRORS = [
     ["hilbert", "<half-in-f2>"],
     # a characteristic that is composite
     ["hilbert", "<large-composite-char>"],
+    # characteristic 0 is QQ, not Fp(0)
+    ["hilbert", "<char-zero>"],
     ["jordan", "--element", "1/2*x+y+z", data_path("x2y2z2_f2.alg")],
     ["blowup", data_path("notgor_a.alg"), data_path("notgor_t.alg"),
      "--map", data_path("notgor_map.map"), "--coeffs", "x;0", "--lam", "1/0"],

@@ -12,7 +12,9 @@ from lefschetz.exactmath import (
     Matrix,
     RowSpace,
     _MR_LIMIT,
+    _cross_reduce,
     _is_prime,
+    _primitive,
     _strong_probable_prime,
     det,
     invert,
@@ -319,6 +321,67 @@ def test_rowspace_normal_form_idempotent():
     row = {0: Fraction(3), 2: Fraction(1), 3: Fraction(5)}
     r1 = rs.reduce(row)
     assert rs.reduce(r1) == r1
+
+
+# -- the shared row arithmetic: one stored form, one reduction step ---------------
+
+# ZZ (p = 0) and GF(p) from the smallest prime to 2^31 - 1
+row_moduli = st.sampled_from([0, 2, 32003, 2**31 - 1])
+
+
+def row_entries(p):
+    """Nonzero entries: integers over ZZ, negative and above 2^64 among them,
+    or their residues mod p."""
+    wide = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-2**80, max_value=2**80))
+    return wide.map(lambda x: x % p if p else x).filter(bool)
+
+
+def sparse_rows(p, min_size=1):
+    return st.dictionaries(st.integers(min_value=0, max_value=5), row_entries(p), min_size=min_size, max_size=6)
+
+
+@given(row_moduli, st.data())
+@settings(max_examples=300)
+def test_primitive_is_the_stored_form_on_the_line_of_its_input(p, data):
+    row = data.draw(sparse_rows(p))
+    lead = min(row)
+    if data.draw(st.booleans()):
+        row[lead] = 1
+    before = dict(row)
+    out = _primitive(row, lead, p)
+    assert row == before and out.keys() == row.keys()
+    for c in row:
+        for d in row:
+            cross = out[c] * row[d] - out[d] * row[c]
+            assert (cross % p if p else cross) == 0, (c, d)
+    if p:
+        assert out[lead] == 1 and all(0 < x < p for x in out.values())
+    else:
+        assert out[lead] > 0 and math.gcd(*out.values()) == 1
+    if row[lead] == 1:
+        assert out is row
+
+
+@given(row_moduli, st.data())
+@settings(max_examples=300)
+def test_cross_reduce_is_one_fraction_free_step(p, data):
+    src = data.draw(sparse_rows(p))
+    c = data.draw(st.sampled_from(sorted(src)))
+    if data.draw(st.booleans()):
+        src[c] = 1  # a stored row over GF(p) is 1 at its pivot
+    row = data.draw(sparse_rows(p, min_size=0))
+    row[c] = data.draw(row_entries(p))
+    src_before, row_before = dict(src), dict(row)
+    out, a = _cross_reduce(row, c, src, p)
+    assert src == src_before
+    g = math.gcd(src[c], row_before[c])
+    b = row_before[c] // g
+    assert a == src[c] // g
+    want = {k: a * row_before.get(k, 0) - b * src.get(k, 0) for k in row_before.keys() | src.keys()}
+    assert out == {k: x % p if p else x for k, x in want.items() if (x % p if p else x)}
+    assert c not in out
+    if a == 1:
+        assert out is row  # updated in place
 
 
 # -- primality of the characteristic ---------------------------------------------

@@ -11,7 +11,8 @@ reduced row echelon form is unique, so every value read must be the same:
 pivots, their insertion order, reduced rows, normal forms, kernels,
 membership and whether an ``add`` grew the space, on random sequences of
 ``add``, ``store_reduced``, ``store_units`` and ``reduce`` with non-integer
-entries and large denominators.
+entries and large denominators.  The space must also neither modify nor keep
+the rows its callers hand it.
 """
 
 import cProfile
@@ -358,14 +359,15 @@ def test_every_read_matches_the_fraction_reference(F, data):
     space, ref = RowSpace(F, n), ref_RowSpace(F, n)
     for _ in range(data.draw(st.integers(min_value=0, max_value=10))):
         op = data.draw(st.sampled_from(["add", "add", "combination", "store_reduced", "store_units", "reduce"]))
-        free = free_columns(ref)
+        free, row = free_columns(ref), None
         if op == "store_reduced" and free:
             pc = data.draw(st.sampled_from(free))
             later = [c for c in range(pc + 1, n) if c not in ref.pivots()]
             row = {c: x for c, x in zip(later, data.draw(st.lists(entries(F), min_size=len(later),
                                                                    max_size=len(later)))) if x}
             row[pc] = F.one()
-            space.store_reduced(pc, dict(row))
+            before = dict(row)
+            space.store_reduced(pc, row)
             ref.store_reduced(pc, dict(row))
         elif op == "store_units":
             columns = data.draw(st.lists(st.sampled_from(free), unique=True) if free else st.just([]))
@@ -373,10 +375,18 @@ def test_every_read_matches_the_fraction_reference(F, data):
             ref.store_units(columns)
         elif op == "reduce":
             row = data.draw(rows(F, n))
+            before = dict(row)
             assert space.reduce(row) == ref.reduce(row)
+            assert space.contains(row) == ref.contains(row)
         else:
             row = data.draw(rows(F, n) if op == "add" else combinations(ref))
-            assert space.add(dict(row)) == ref.add(dict(row))
+            before = dict(row)
+            assert space.add(row) == ref.add(dict(row))
+        if row is not None:
+            # the space neither modified the caller's row nor kept it: the
+            # reads below must not see it changed
+            assert row == before
+            row.update((c, F.add(row.get(c, F.zero()), F.one())) for c in range(n))
         assert_same_reads(space, ref, data.draw(rows(F, n)))
 
 

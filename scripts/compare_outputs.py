@@ -7,9 +7,10 @@ PARENT and CHANGE are checkout directories.  The command set is, on every
 bundled ``src/lefschetz/data/*.alg`` file (as listed in PARENT), each with
 ``--json``: ``hilbert``, ``socle``, ``dualgen``, ``ann``, ``check --mode M``
 for M in wlp, slp and slpn (plain, ``--certify`` and ``--generic --seed 7``),
-``nll --mode weak``, ``nll --mode strong`` and ``hessian``; then the five
-construction commands of the README, plain and with ``--json``; then
-``paper-suite --json``.
+``nll --mode weak``, ``nll --mode strong``, ``hessian`` and ``sl2 --element``
+the sum of the file's variables (a refusal, exit 2, is compared as any other
+output); then the five construction commands of the README, plain and with
+``--json``; then ``paper-suite --json``.
 
 Each checkout runs the whole set in one subprocess, with its own ``src`` on
 ``PYTHONPATH`` and its root as the working directory, calling
@@ -70,7 +71,14 @@ def construction_commands() -> list[list[str]]:
     return five + [cmd + ["--json"] for cmd in five]
 
 
-def command_set(files: list[str]) -> list[list[str]]:
+def variable_sum(checkout: Path, path: str) -> str:
+    """The sum of the variables on the ``vars:`` line of a description file."""
+    line = next(line for line in (checkout / path).read_text().splitlines() if line.startswith("vars:"))
+    return "+".join(v.strip() for v in line[len("vars:"):].split(","))
+
+
+def command_set(checkout: Path, files: list[str]) -> list[list[str]]:
+    """The commands on the files, each relative to ``checkout``."""
     out = []
     for f in files:
         out += [[name, f, "--json"] for name in ("hilbert", "socle", "dualgen", "ann")]
@@ -79,6 +87,7 @@ def command_set(files: list[str]) -> list[list[str]]:
                 out.append(["check", "--mode", mode, *extra, f, "--json"])
         out += [["nll", f, "--mode", mode, "--json"] for mode in ("weak", "strong")]
         out.append(["hessian", f, "--json"])
+        out.append(["sl2", f, "--element", variable_sum(checkout, f), "--json"])
     return out + construction_commands() + [["paper-suite", "--json"]]
 
 
@@ -110,7 +119,7 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
     args = ap.parse_args(argv)
-    commands = command_set(bundled_files(args.parent))
+    commands = command_set(args.parent, bundled_files(args.parent))
     parent, change = run_side(args.parent, commands), run_side(args.change, commands)
     differ = 0
     for cmd, p, c in zip(commands, parent, change):

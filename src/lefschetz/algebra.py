@@ -18,6 +18,7 @@ import functools
 import itertools
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactmath import FieldSpec, Matrix, RowSpace, Scalar, apply_columns, dense, kernel_space, rows_of
@@ -250,11 +251,12 @@ def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> list[RowSpa
     the standard monomials are the products s_A * s_B and the reduced row of
     any other monomial x^a * y^b is x^a * y^b - nf_A(x^a) * nf_B(y^b): 1 at
     its lead and otherwise supported on standard monomials, which come after
-    it.  Each row is written from the factors' product tables and stored as
-    it is; nothing is eliminated.
+    it.  Each row is written from the factors' integer normal forms r / den
+    (``_normal_forms``) as den_A * den_B * x^a * y^b - r_A * r_B, a positive
+    multiple of the reduced row, and stored as it is; nothing is eliminated.
     """
     F, D = ring.field, A.socle_degree + B.socle_degree
-    p, one = F.characteristic, F.one()
+    p = F.characteristic
     (std_a, other_a), (std_b, other_b) = _normal_forms(A, D), _normal_forms(B, D)
     spaces = []
     for d in range(D + 1):
@@ -268,9 +270,9 @@ def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> list[RowSpa
                 itertools.product(other_a[da], std_b[db] + other_b[db]),
                 itertools.product(std_a[da], other_b[db]),
             )
-            for (x, nx), (y, ny) in pairs:
+            for (x, nx, dx), (y, ny, dy) in pairs:
                 pc = idx[x + y]
-                row = {pc: one}
+                row = {pc: dx * dy}
                 for s, a in nx:
                     for t, b in ny:
                         row[idx[s + t]] = -a * b % p if p else -a * b
@@ -280,24 +282,23 @@ def tensor_pieces(A: GradedAlgebra, B: GradedAlgebra, ring: Ring) -> list[RowSpa
 
 
 def _normal_forms(alg: GradedAlgebra, top: int) -> tuple[list, list]:
-    """Per degree e <= top, the standard monomials s of alg, each paired with
-    its normal form ((s, 1),), and the other monomials, each paired with its
-    normal form as (standard monomial, value) pairs read from the product
-    table (none beyond the socle degree)."""
-    one = alg.field.one()
+    """Per degree e <= top, the standard monomials of alg and the other
+    monomials, each as (monomial, r, den) with r / den its normal form and r
+    as (standard monomial, integer) pairs (residues over GF(p), den = 1),
+    read off the ideal piece (``RowSpace.unit_normal_form``); beyond the
+    socle degree every monomial is other, with normal form 0."""
     std: list[list] = []
     other: list[list] = []
     for e in range(top + 1):
+        monos = alg.ring.monomials(e)
         if e > alg.socle_degree:
             std.append([])
-            other.append([(m, ()) for m in alg.ring.monomials(e)])
+            other.append([(m, (), 1) for m in monos])
             continue
-        basis, pos = alg._std[e], alg._std_col[e]
-        std.append([(s, ((s, one),)) for s in basis])
-        other.append([
-            (m, tuple((basis[k], v) for k, v in alg._basis_product(e, c)))
-            for c, m in enumerate(alg.ring.monomials(e)) if c not in pos
-        ])
+        space, pos = alg.ideal_space(e), alg._std_col[e]
+        std.append([(s, ((s, 1),), 1) for s in alg.basis(e)])
+        forms = ((m, space.unit_normal_form(c)) for c, m in enumerate(monos) if c not in pos)
+        other.append([(m, tuple((monos[k], v) for k, v in row.items()), den) for m, (row, den) in forms])
     return std, other
 
 
@@ -323,7 +324,6 @@ class GradedAlgebra:
             self._std.append([monos[c] for c in free])
             self._std_col.append({c: k for k, c in enumerate(free)})
         self._mult_cache: dict = {}  # the product table, see ``_basis_product``
-        self._one = ring.field.one()
 
     # -- basic data ----------------------------------------------------------
 
@@ -413,14 +413,17 @@ class GradedAlgebra:
 
     def _basis_product(self, e: int, col: int) -> tuple:
         """The product table's entry for the degree-e monomial in column col:
-        its normal form as (standard index, value) pairs, from one reduction
-        and memoised, so the table is bounded by the monomials of degree at
-        most D rather than by pairs of basis vectors."""
+        its normal form as (standard index, value) pairs, read off the ideal
+        piece's stored rows (``RowSpace.unit_normal_form``) and memoised, so
+        the table is bounded by the monomials of degree at most D rather than
+        by pairs of basis vectors."""
         got = self._mult_cache.get((e, col))
         if got is None:
             pos = self._std_col[e]
-            rem = self._spaces[e].reduce({col: self._one})
-            got = self._mult_cache[(e, col)] = tuple((pos[k], v) for k, v in rem.items())
+            row, den = self._spaces[e].unit_normal_form(col)
+            if not self.field.characteristic:
+                row = {k: Fraction(v, den) for k, v in row.items()}
+            got = self._mult_cache[(e, col)] = tuple((pos[k], v) for k, v in row.items())
         return got
 
     def _variable_generators(self) -> list[Generator]:

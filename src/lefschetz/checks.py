@@ -148,14 +148,17 @@ def degree_one_coordinates(alg) -> list[tuple[str, tuple]]:
 
 
 def combine_coordinates(alg, coords, coeffs) -> tuple:
+    """sum c * vec over the (label, vec) coordinates and their coefficients
+    c, in plain arithmetic, skipping zeros, with one reduction mod p."""
     F = alg.field
-    n = alg.dim(1)
-    out = [F.zero()] * n
-    for (label, vec), c in zip(coords, coeffs):
+    p = F.characteristic
+    out = [F.zero()] * alg.dim(1)
+    for (_, vec), c in zip(coords, coeffs):
         c = F.coerce(c)
-        for k, v in enumerate(vec):
-            out[k] = F.add(out[k], F.mul(c, v))
-    return tuple(out)
+        for k, v in enumerate(vec) if c else ():
+            if v:
+                out[k] += c * v
+    return tuple(x % p for x in out) if p else tuple(out)
 
 
 def degree_one_vector(alg, L) -> tuple:
@@ -241,7 +244,7 @@ class PowerChains:
         return echelon_rank(cols, self._p, full)
 
 
-_INTEGER_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> (maps, scales)
+_INTEGER_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra -> (maps, scales, slots)
 
 
 def integer_maps(alg) -> tuple[list, list]:
@@ -251,17 +254,30 @@ def integer_maps(alg) -> tuple[list, list]:
     lambda_e, the lcm of the denominators of the maps' values there, and
     ``scales[e]`` is lambda_e.  Over GF(p) the maps themselves, with every
     scale 1.  They are the one map source of every chain of a linear form."""
+    return _chain_source(alg)[:2]
+
+
+def _chain_source(alg) -> tuple[list, list, list]:
+    """``integer_maps`` with the slots of the degree-one generators,
+    memoised together per algebra: ``slots[j]`` is k when g_j is the first
+    degree-one generator whose vector is e_k, so coordinate k of a linear
+    form goes on X_{g_j}, and None for every other generator."""
     got = _INTEGER_MAPS.get(alg)
     if got is None:
         gens = [g for g in algebra_generators(alg) if g.degree == 1]
         maps = [[g.maps[e] for g in gens] for e in range(alg.socle_degree)]
-        if alg.field.characteristic:
-            got = maps, [1] * len(maps)
-        else:
+        scales = [1] * len(maps)
+        if not alg.field.characteristic:
             scales = [math.lcm(*(v.denominator for X in per_e for col in X for _, v in col)) for per_e in maps]
-            got = [[[tuple((r, v.numerator * (s // v.denominator)) for r, v in col) for col in X]
-                    for X in per_e] for per_e, s in zip(maps, scales)], scales
-        _INTEGER_MAPS[alg] = got
+            maps = [[[tuple((r, v.numerator * (s // v.denominator)) for r, v in col) for col in X]
+                     for X in per_e] for per_e, s in zip(maps, scales)]
+        slots: list = []
+        for g in gens:
+            k = g.vector.index(1) if sum(map(bool, g.vector)) == 1 and 1 in g.vector else None
+            slots.append(None if k in slots else k)
+        if len(set(slots) - {None}) != alg.dim(1):
+            raise AssertionError("a coordinate of A_1 is the vector of no degree-one generator")
+        got = _INTEGER_MAPS[alg] = maps, scales, slots
     return got
 
 
@@ -295,12 +311,13 @@ class RankTable:
     """Ranks of L^d : A_i -> A_{i+d}, memoised, off one chain of L.
 
     ``chains`` pushes L through the degree-one generator maps of
-    ``integer_maps``: coordinate k of L goes on the first degree-one
-    generator whose vector is e_k (on a quotient, the k-th standard variable
-    or an earlier variable equal to it in A), and over QQ the coordinates
-    are scaled by mu, the lcm of their denominators, so the step on A_e is
-    mu * lambda_e times L's.  Each map is ranked by ``PowerChains.rank``,
-    modulo ``MODULAR_PRIME`` first and over ZZ only if deficient there.
+    ``integer_maps``: coordinate k of L goes on its slot, the first
+    degree-one generator whose vector is e_k (on a quotient, the k-th
+    standard variable or an earlier variable equal to it in A), found once
+    per algebra beside the maps, and over QQ the coordinates are scaled by
+    mu, the lcm of their denominators, so the step on A_e is mu * lambda_e
+    times L's.  Each map is ranked by ``PowerChains.rank``, modulo
+    ``MODULAR_PRIME`` first and over ZZ only if deficient there.
 
     Dual key: on a Gorenstein algebra (``is_gorenstein``, read once) of
     socle degree c the pairing A_j x A_{c-j} -> A_c is perfect and
@@ -342,12 +359,9 @@ class RankTable:
         self._ranks: dict = {}
         self._narrow: Optional[bool] = None
         self._middle: Optional[bool] = None
-        maps, scales = integer_maps(alg)
-        vectors = [g.vector for g in algebra_generators(alg) if g.degree == 1]
+        maps, scales, slots = _chain_source(alg)
         mu = math.lcm(*(c.denominator for c in Lvec))
-        terms = [(0, 0)] * len(vectors)
-        for e, c in zip(Matrix.identity(alg.field, len(Lvec)).entries, Lvec):
-            terms[vectors.index(e)] = (0, c.numerator * (mu // c.denominator))
+        terms = [(0, 0 if k is None else Lvec[k].numerator * (mu // Lvec[k].denominator)) for k in slots]
         self.chains = PowerChains(alg.field, self._dims, maps, terms, [mu * s for s in scales])
 
     def rank(self, d: int, i: int) -> int:

@@ -174,6 +174,9 @@ QQ = FieldSpec(0)
 
 
 def GF(p: int) -> FieldSpec:
+    """The prime field GF(p); characteristic 0 is ``QQ``, not GF(0)."""
+    if p == 0:
+        raise ValueError("GF(0) is not a prime field; for characteristic 0 use QQ")
     return FieldSpec(p)
 
 
@@ -489,13 +492,15 @@ class RowSpace:
     stored form.  ``Fraction``s are made only where values are read: the
     results of ``reduce``, ``pivot_rows``, ``kernel``, ``rref_rows`` and
     ``dense_matrix``.  ``span_rows`` gives the stored rows as they are, for
-    callers that need only their span.
+    callers that need only their span, and ``unit_normal_form`` the
+    normal form of a unit row as integers over one denominator, with no
+    elimination (the product table makes its ``Fraction``s from it).
 
     Rows enter through ``add``, which eliminates, ``store_reduced``, for a
-    row already known to be the reduced row at its pivot, or
-    ``store_units``, for unit rows at columns no stored row has; besides
-    these only ``kernel_space`` writes the stored rows, those of the kernel
-    it builds.
+    row already known to be the reduced row at its pivot (over QQ also a
+    positive multiple of it), or ``store_units``, for unit rows at columns
+    no stored row has; besides these only ``kernel_space`` writes the stored
+    rows, those of the kernel it builds.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
@@ -544,6 +549,19 @@ class RowSpace:
         out, den = self._eliminate(row)
         return _fractions(out, den) if not self.field.characteristic else out
 
+    def unit_normal_form(self, col: int) -> tuple[dict[int, int], int]:
+        """(r, den) with r / den the normal form of the unit row e_col, read
+        off the stored rows with no elimination: ({col: 1}, 1) at a column
+        that is no pivot, and at the pivot of a stored row R the row
+        -R[k] at every other column k of R over den = R[col] (over GF(p)
+        -R[k] mod p over 1).  These are the values of ``reduce({col: 1})``,
+        in its item order, before they are made field elements."""
+        row = self._rows.get(col)
+        if row is None:
+            return {col: 1}, 1
+        p = self.field.characteristic
+        return {k: -v % p if p else -v for k, v in row.items() if k != col}, row[col]
+
     def add(self, row: dict[int, Scalar]) -> bool:
         """Insert a row; returns True when it enlarged the space.  The new
         pivot column is cleared from every stored row that has it."""
@@ -564,17 +582,19 @@ class RowSpace:
     def store_reduced(self, pivot: int, row: dict[int, Scalar]) -> None:
         """Store a row that is already reduced against the space.
 
-        The caller vouches that row is 1 at its pivot, zero at every stored
-        pivot, and that every stored row is zero at this pivot, so nothing is
-        eliminated; over QQ the row is stored scaled to integers.  Checked
-        here is only what is cheap: the pivot is the row's smallest column,
-        the row is 1 there, and no stored row has it.
+        The caller vouches that row is the reduced row at its pivot (over QQ
+        also a positive multiple of it, integer or rational), zero at every
+        stored pivot, and that every stored row is zero at this pivot, so
+        nothing is eliminated; over QQ the row is stored in its primitive
+        integer form.  Checked here is only what is cheap: the pivot is the
+        row's smallest column, the row is 1 there (positive over QQ), and no
+        stored row has it.
         """
-        if row.get(pivot) != 1 or min(row) != pivot or pivot in self._rows:
+        p, lead = self.field.characteristic, row.get(pivot, 0)
+        if (lead != 1 if p else lead <= 0) or min(row) != pivot or pivot in self._rows:
             raise ValueError(f"row is not reduced at pivot {pivot}")
-        # a copy, as ``add`` updates stored rows in place; over QQ, scaled by
-        # the lcm of its denominators, a row with an entry 1 is primitive
-        self._rows[pivot] = dict(row) if self.field.characteristic else _integral(row)[0]
+        # a copy, as ``add`` updates stored rows in place
+        self._rows[pivot] = dict(row) if p else _primitive(_integral(row)[0], pivot, 0)
 
     def store_units(self, columns: Sequence[int]) -> None:
         """Store the unit row e_c at each column c, in the given order, as

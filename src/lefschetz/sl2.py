@@ -3,20 +3,25 @@
 Characteristic zero throughout.  A narrow-sense Lefschetz element makes the
 whole algebra an sl2 representation with E the multiplication operator and
 H acting on A_i by 2i - c.  The triple is built one degree at a time in the
-graded basis, on the sparse columns of the chains of L: only the lowering
-operator F has to be solved for, off one row space per degree, with the
-normalisations of the standard irreducible model.  Only the returned triple
-is dense.  ``weight_decomposition`` (integer eigenvalue search) and
-``verify_triple`` remain as dense checks for arbitrary matrices.
+graded basis, on the sparse integer columns of the chains of L: only the
+lowering operator F has to be solved for, off one row space per degree, with
+the normalisations of the standard irreducible model.  As in the chains, each
+operator is a known integer multiple of the true one until the returned
+triple, which alone is dense and holds ``Fraction``s.
+``weight_decomposition`` (integer eigenvalue search) and ``verify_triple``
+remain as dense checks for arbitrary matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .checks import RankTable, _jordan_type, degree_one_vector
-from .exactmath import FieldSpec, Matrix, QQ, RowSpace, apply_columns, dense, kernel_basis, nonzero, rows_of
+from .exactmath import (FieldSpec, Matrix, QQ, RowSpace, apply_columns, dense, kernel_basis, kernel_space, nonzero,
+                        rows_of)
 
 
 @dataclass(frozen=True)
@@ -99,16 +104,27 @@ def _scalar(F: FieldSpec, n: int, value: int) -> Matrix:
 def triple_from_lefschetz(alg, L) -> Sl2Triple:
     """sl2 triple with E multiplication by a narrow-sense witness.
 
-    Built degree by degree in the graded basis, on the sparse columns of the
-    rank table's chain of L.  E_k : A_k -> A_{k+1} is the step of L and H
-    acts on A_k by 2k - c.  The chain vectors of A_k are the primitive
-    vectors v of the centred strands and their pushes L^j v, and F sends
-    L^j v to j(d - j + 1) L^{j-1} v on a strand of length d + 1: the rows
-    (u | F u) of A_k's chain vectors reduce to (e_i | F e_i) exactly when
-    they are a basis.  Refuses linear forms that are not narrow-sense
+    Built degree by degree in the graded basis, on the sparse integer
+    columns of the rank table's chain of L.  E_k : A_k -> A_{k+1} is the
+    step of L and H acts on A_k by 2k - c.  The chain vectors of A_k are
+    the primitive vectors v of the centred strands and their pushes L^j v,
+    and F sends L^j v to j(d - j + 1) L^{j-1} v on a strand of length
+    d + 1: the rows (u | F u) of A_k's chain vectors reduce to
+    (e_i | F e_i) exactly when they are a basis.
+
+    Up to the dense triple all is integral.  The step is E'_k = sigma_k E_k
+    (sigma = ``chains.scales``), the primitive vectors u'_0 are the integer
+    kernel rows of the chain's L^{d+1} on A_s, and u'_j = E' u'_{j-1}, so
+    the strand rows (u'_j | j(d - j + 1) sigma_{s+j-1} u'_{j-1}) are
+    multiples of the true ones, with the same span.  The reduced rows are stored as
+    lead * (e_i | F e_i), so F'_k = lambda_k F_k with lambda_k the lcm of
+    their leads.  [E, F] = H is checked on every basis vector as
+    lambda_{k+1} sigma_k E'F' e_i - sigma_{k-1} lambda_k F'E' e_i =
+    (2k - c) sigma_{k-1} lambda_k lambda_{k+1} sigma_k e_i ([H, E] = 2E and
+    [H, F] = -2F hold by degree); ``Fraction``s are made only for the
+    dense triple.  Refuses linear forms that are not narrow-sense
     Lefschetz elements: the strands are certified centred and the chain
-    vectors a basis of every A_k, and [E, F] = H is checked on every basis
-    vector ([H, E] = 2E and [H, F] = -2F hold by degree).
+    vectors a basis of every A_k.
     """
     F = alg.field
     if F.characteristic != 0:
@@ -123,24 +139,22 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
                 f"strand at degree {start} of length {length} is not centered"
             )
     chains = table.chains
-    dims = chains.dims
-    E = [[tuple(col.items()) for col in chains.exact(1, k)] for k in range(c)]
+    dims, sigma = chains.dims, chains.scales
+    E = [[tuple(col.items()) for col in chains.power(1, k)] for k in range(c)]  # sigma_k E_k
     # per degree k: the rows (u | F u) of its chain vectors, F u past A_k
     graph: list[list[dict]] = [[] for _ in range(c + 1)]
     for s in range(c // 2 + 1):
         d = c - 2 * s  # strands starting in A_s end in A_{c-s}
         # primitive vectors: the kernel of L^{d+1} : A_s -> A_{c-s+1}
-        space = RowSpace(F, dims[s])
-        for row in rows_of([col.items() for col in chains.exact(d + 1, s)], dims[c - s + 1]) if s else ():
-            space.add(row)
-        vs = list(space.kernel().values())
+        power = rows_of([col.items() for col in chains.power(d + 1, s)], dims[c - s + 1]) if s else ()
+        vs = [v for _, v in kernel_space(F, dims[s], power).span_rows()]
         prev: list[dict] = [{} for _ in vs]
         for j in range(d + 1):
-            graph[s + j] += [{**v, **{dims[s + j] + r: j * (d - j + 1) * x for r, x in u.items()}}
-                             for v, u in zip(vs, prev)]
+            w = j and j * (d - j + 1) * sigma[s + j - 1]
+            graph[s + j] += [{**v, **{dims[s + j] + r: w * x for r, x in u.items()}} for v, u in zip(vs, prev)]
             if j < d:
                 prev, vs = vs, [apply_columns(E[s + j], v.items(), 0) for v in vs]
-    f_cols = []
+    f_cols, lam = [], []  # lambda_k F_k, lambda_k
     for k, rows in enumerate(graph):
         n = dims[k]
         space = RowSpace(F, n + (dims[k - 1] if k else 0))
@@ -148,19 +162,25 @@ def triple_from_lefschetz(alg, L) -> Sl2Triple:
             space.add(row)
         if len(rows) != n or space.pivots() != list(range(n)):
             raise ValueError("element is not a narrow-sense Lefschetz witness")
-        f_cols.append([tuple((col - n, x) for col, x in row.items() if col >= n) for row in space.rref_rows()])
+        red = dict(space.span_rows())  # pivot i -> lead * (e_i | F e_i)
+        lam.append(math.lcm(*(red[i][i] for i in range(n))))
+        f_cols.append([tuple((col - n, lam[k] // red[i][i] * x) for col, x in red[i].items() if col >= n)
+                       for i in range(n)])
     for k in range(c + 1):
+        a = lam[k + 1] * sigma[k] if k < c else 1
+        b = sigma[k - 1] * lam[k] if k else 1
         for i in range(dims[k]):
-            ef = apply_columns(E[k - 1], f_cols[k][i], 0) if k else {}
-            fe = apply_columns(f_cols[k + 1], E[k][i], 0) if k < c else {}
-            fe[i] = fe.get(i, 0) + 2 * k - c
+            ef = apply_columns(E[k - 1], ((r, a * x) for r, x in f_cols[k][i]), 0) if k else {}
+            fe = apply_columns(f_cols[k + 1], ((r, b * x) for r, x in E[k][i]), 0) if k < c else {}
+            fe[i] = fe.get(i, 0) + (2 * k - c) * a * b
             if ef != nonzero(fe, 0):
                 raise AssertionError("constructed operators fail the bracket relations")
-    blk = lambda cols, n: Matrix.from_cols(F, [dense(F, n, dict(col)) for col in cols], nrows=n)
+    blk = lambda cols, n, scale: Matrix.from_cols(
+        F, [dense(F, n, {r: Fraction(x, scale) for r, x in col}) for col in cols], nrows=n)
     return Sl2Triple(
-        Matrix.blocks(F, dims, dims, {(k + 1, k): blk(E[k], dims[k + 1]) for k in range(c)}),
+        Matrix.blocks(F, dims, dims, {(k + 1, k): blk(E[k], dims[k + 1], sigma[k]) for k in range(c)}),
         Matrix.blocks(F, dims, dims, {(k, k): _scalar(F, dims[k], 2 * k - c) for k in range(c + 1)}),
-        Matrix.blocks(F, dims, dims, {(k - 1, k): blk(f_cols[k], dims[k - 1]) for k in range(1, c + 1)}),
+        Matrix.blocks(F, dims, dims, {(k - 1, k): blk(f_cols[k], dims[k - 1], lam[k]) for k in range(1, c + 1)}),
     )
 
 

@@ -25,13 +25,16 @@ compare_outputs = _load()
 def test_a_checkout_matches_itself(monkeypatch, capsys):
     monkeypatch.setattr(compare_outputs, "bundled_files", lambda checkout: SUBSET)
     assert compare_outputs.main([str(ROOT), str(ROOT)]) == 0
-    commands = compare_outputs.command_set(SUBSET)
+    commands = compare_outputs.command_set(ROOT, SUBSET)
     assert capsys.readouterr().out.splitlines()[-1] == f"{len(commands)} commands, 0 differ"
 
 
 def test_one_differing_line_fails_the_comparison(monkeypatch, tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     monkeypatch.setattr(compare_outputs, "bundled_files", lambda checkout: SUBSET)
+    # the checkouts are empty: the sl2 elements are read from this one
+    variable_sum = compare_outputs.variable_sum
+    monkeypatch.setattr(compare_outputs, "variable_sum", lambda checkout, path: variable_sum(ROOT, path))
 
     def runner(checkout, commands):
         out = [["same\n", "", 0] for _ in commands]
@@ -42,7 +45,7 @@ def test_one_differing_line_fails_the_comparison(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(compare_outputs, "run_side", runner)
     assert compare_outputs.main([str(parent), str(change)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    cmd = " ".join(compare_outputs.command_set(SUBSET)[3])
+    cmd = " ".join(compare_outputs.command_set(ROOT, SUBSET)[3])
     assert lines == [f"lefschetz {cmd}: stdout differs, line 1: 'same' != 'other'",
                      "src .py lines: 0 -> 0",
-                     f"{len(compare_outputs.command_set(SUBSET))} commands, 1 differ"]
+                     f"{len(compare_outputs.command_set(ROOT, SUBSET))} commands, 1 differ"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lefschetz.exactmath import (
     GF,
     QQ,
+    FieldSpec,
     Matrix,
     RowSpace,
     _MR_LIMIT,
@@ -410,3 +411,11 @@ def test_large_characteristics():
         GF(1000000007 * 1000000009)
     with pytest.raises(ValueError, match="too large"):
         GF(_MR_LIMIT + 2)
+
+
+def test_gf_of_zero_is_refused_and_points_to_qq():
+    # FieldSpec(0) is QQ, but GF(p) names a prime field: GF(0) must not
+    # quietly return QQ
+    with pytest.raises(ValueError, match="^GF\\(0\\) is not a prime field; for characteristic 0 use QQ$"):
+        GF(0)
+    assert FieldSpec(0) == QQ

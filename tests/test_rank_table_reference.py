@@ -347,6 +347,23 @@ def test_generators_beyond_the_basis_of_degree_one(F, gens):
         assert_tables_agree(alg, tuple(F.coerce(c) for c in coeffs))
 
 
+@pytest.mark.parametrize("gens, slots", [
+    # y is in the ideal: its vector is 0, and no coordinate goes on it
+    (["y", "x^2", "z^3"], [0, None, 1]),
+    # x = z in A_1: z's coordinate goes on x, the first generator with its vector
+    (["z - x", "x^3", "y^2", "z^2"], [1, 0, None]),
+    # y = 2z in A_1 (y in the ideal over GF(2)): y's vector is no unit vector
+    (["y - 2*z", "x^2", "y^3", "z^3"], [0, None, 1]),
+])
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_each_coordinate_goes_on_its_first_generator(F, gens, slots):
+    r = Ring(("x", "y", "z"), F)
+    alg = from_ideal(Ideal(r, tuple(r.parse(g) for g in gens)))
+    assert checks._chain_source(alg)[2] == slots
+    for coeffs in [(1, 1), (P, Fraction(2, 3)), (Fraction(1, P), -1), (0, Fraction(5, 7))]:
+        assert_tables_agree(alg, tuple(F.coerce(c) for c in coeffs))
+
+
 # -- one chain, each step pushed once -------------------------------------------
 
 

@@ -12,7 +12,8 @@ pivots, their insertion order, reduced rows, normal forms, kernels,
 membership and whether an ``add`` grew the space, on random sequences of
 ``add``, ``store_reduced``, ``store_units`` and ``reduce`` with non-integer
 entries and large denominators.  The space must also neither modify nor keep
-the rows its callers hand it.
+the rows its callers hand it.  ``unit_normal_form``, which reads a unit row's
+normal form off the stored rows, must give the values of ``reduce``.
 """
 
 import cProfile
@@ -21,6 +22,7 @@ import pstats
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -473,3 +475,47 @@ def test_elimination_over_qq_makes_fractions_only_where_values_are_read():
     assert fractions_made(space.reduce, {4: Fraction(1, 2)}) == 0  # in the span
     assert fractions_made(space.reduce, probe) == len(space.reduce(probe)) == 1
     assert fractions_made(space.add, probe) == 0 and space.rank == 5
+
+
+# -- the normal form of a unit row, read off the stored rows ---------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIELDS, st.data())
+def test_unit_normal_form_reads_the_normal_form_of_each_unit_row(F, data):
+    # on spaces built by add, store_reduced (over QQ with the reduced row
+    # scaled by a positive integer) and store_units, the read divided by its
+    # denominator is reduce({c: 1}) at every column c, item for item
+    n = data.draw(st.integers(min_value=1, max_value=7), label="ncols")
+    space = RowSpace(F, n)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=10))):
+        used = {c for _, row in space.span_rows() for c in row}
+        free = [c for c in range(n) if c not in used]
+        op = data.draw(st.sampled_from(["add", "add", "store_reduced", "store_units"]))
+        if op == "store_reduced" and free:
+            pc = data.draw(st.sampled_from(free))
+            later = [c for c in range(pc + 1, n) if c not in space.pivots()]
+            row = {c: x for c, x in zip(later, data.draw(st.lists(entries(F), min_size=len(later),
+                                                                   max_size=len(later)))) if x}
+            row[pc] = F.one()
+            scale = 1 if F.characteristic else data.draw(st.integers(min_value=1, max_value=10**6))
+            space.store_reduced(pc, {c: scale * x for c, x in row.items()})
+            twin = RowSpace(F, n)
+            twin.store_reduced(pc, row)
+            assert dict(space.span_rows())[pc] == dict(twin.span_rows())[pc]
+        elif op == "store_units":
+            space.store_units(data.draw(st.lists(st.sampled_from(free), unique=True) if free else st.just([])))
+        else:
+            space.add(data.draw(rows(F, n)))
+        for c in range(n):
+            row, den = space.unit_normal_form(c)
+            assert type(den) is int and den >= 1 and (den == 1 or not F.characteristic)
+            assert all(type(x) is int and x for x in row.values())
+            values = [(k, Fraction(x, den) if not F.characteristic else x) for k, x in row.items()]
+            assert values == list(space.reduce({c: F.one()}).items())
+
+
+@pytest.mark.parametrize("F, lead", [(QQ, Fraction(0)), (QQ, Fraction(-2)), (QQ, -1), (GF(7), 2)])
+def test_store_reduced_refuses_a_row_that_is_not_positive_at_its_pivot(F, lead):
+    with pytest.raises(ValueError, match="^row is not reduced at pivot 0$"):
+        RowSpace(F, 3).store_reduced(0, {0: lead, 2: F.one()})

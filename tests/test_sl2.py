@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -466,7 +467,9 @@ def ref_triple_from_lefschetz(alg, L) -> Sl2Triple:
 @st.composite
 def triple_cases(draw):
     """A monomial complete intersection or the algebra of a dual generator,
-    over QQ, with a linear form whose coefficients may vanish."""
+    over QQ, with a linear form whose coefficients may vanish or be
+    fractions, so that the chain's scales (mu and the maps' lcms) are often
+    not 1."""
     n = draw(st.integers(min_value=1, max_value=3))
     r = Ring(("x", "y", "z")[:n], QQ)
     if draw(st.booleans()):
@@ -476,7 +479,8 @@ def triple_cases(draw):
         support = monomials(n, draw(st.integers(min_value=1, max_value=4)))
         terms = draw(st.lists(st.sampled_from(support), min_size=1, max_size=3, unique=True))
         a = from_dual_generator(DualPoly.make(n, QQ, {m: draw(st.integers(-3, 3).filter(bool)) for m in terms}), r)
-    return a, Poly.linear_form(n, QQ, draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)))
+    coefficients = st.builds(Fraction, st.integers(-2, 3), st.sampled_from([1, 1, 2, 3, 7]))
+    return a, Poly.linear_form(n, QQ, draw(st.lists(coefficients, min_size=n, max_size=n)))
 
 
 @given(triple_cases())

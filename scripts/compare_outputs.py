@@ -9,8 +9,9 @@ bundled ``src/lefschetz/data/*.alg`` file (as listed in PARENT), each with
 for M in wlp, slp and slpn (plain, ``--certify`` and ``--generic --seed 7``),
 ``nll --mode weak``, ``nll --mode strong``, ``hessian`` and ``sl2 --element``
 the sum of the file's variables (a refusal, exit 2, is compared as any other
-output); then the five construction commands of the README, plain and with
-``--json``; then ``paper-suite --json``.
+output); then the five construction commands of the README and two with
+non-default orientations (``connect-sum`` over T) and a non-default lambda
+(``blowup``), each plain and with ``--json``; then ``paper-suite --json``.
 
 Each checkout runs the whole set in one subprocess, with its own ``src`` on
 ``PYTHONPATH`` and its root as the working directory, calling
@@ -56,19 +57,23 @@ def bundled_files(checkout: Path) -> list[str]:
 
 
 def construction_commands() -> list[list[str]]:
-    """The five construction commands of the README, plain and with ``--json``."""
+    """The five construction commands of the README, then ``connect-sum`` over T
+    with three orientations and ``blowup`` with lambda and the orientation of
+    T given, each plain and with ``--json``."""
     d = str(DATA)
     ex71 = [f"{d}/ex71_a.alg", f"{d}/ex71_b.alg", f"{d}/ex71_t.alg",
             "--map-a", f"{d}/ex71_map_a.map", "--map-b", f"{d}/ex71_map_b.map"]
-    five = [
+    notgor = [f"{d}/notgor_a.alg", f"{d}/notgor_t.alg", "--map", f"{d}/notgor_map.map", "--coeffs", "x;0"]
+    seven = [
         ["tensor", f"{d}/x2y2.alg", f"{d}/x2y2.alg"],
         ["fiber-product", *ex71],
         ["connect-sum", *ex71],
         ["connect-sum", f"{d}/x2y2.alg", f"{d}/x2y2.alg"],
-        ["blowup", f"{d}/notgor_a.alg", f"{d}/notgor_t.alg", "--map", f"{d}/notgor_map.map",
-         "--coeffs", "x;0", "--lam", "1"],
+        ["blowup", *notgor, "--lam", "1"],
+        ["connect-sum", *ex71, "--orient-a", "2*x*y^3", "--orient-b", "-u^2*v^2", "--orient-t", "3*z"],
+        ["blowup", *notgor, "--lam", "-1/3", "--orient-t", "2*x"],
     ]
-    return five + [cmd + ["--json"] for cmd in five]
+    return seven + [cmd + ["--json"] for cmd in seven]
 
 
 def variable_sum(checkout: Path, path: str) -> str:

@@ -12,7 +12,11 @@ columns of multiplication by v in degree w from degree i, read off the parts'
 columns (``operator_matrix``).  ``multiply`` applies them to a vector.  An
 algebra map pi is held in the same format, one column per standard monomial,
 with a section from one elimination per degree; fiber products, Thom classes
-and blowups read both.
+and blowups read both.  One recursion (``_monomial_images``) evaluates a map
+on monomials, as x_j times the image of mono / x_j, in two arithmetics: T's
+sparse columns to compute, T's polynomial ring for the Thom class's
+dual-generator cross-check.  The Thom identity is checked against the
+right-hand side that its solve read.
 """
 
 from __future__ import annotations
@@ -76,8 +80,10 @@ class AlgebraMap:
         p, D = target.field.characteristic, target.socle_degree
         maps = [[operator_matrix(target, w, target.vector(img, w), i) for i in range(D - w + 1)]
                 for img, w in zip(self.images, source.ring.weights)]
+        images = _monomial_images(source.ring, D, nonzero(dict(enumerate(target.one())), p),
+                                  lambda j, i, image: apply_columns(maps[j][i], image.items(), p))
         self._columns, self._sections = [], []  # per degree 0..D_T
-        for d, image in enumerate(_monomial_images(source.ring, D, target.one(), maps, p)):
+        for d, image in enumerate(images):
             cols = [image[m].items() for m in source.monomial_basis(d)]
             if any(apply_columns(cols, row.items(), p) for _, row in source.ideal_space(d).span_rows()):
                 raise ValueError("map is not well defined: an ideal element has nonzero image")
@@ -95,9 +101,6 @@ class AlgebraMap:
             return None
         rows = sorted(space.pivot_rows())
         return [tuple((pc, row[na + t]) for pc, row in rows if na + t in row) for t in range(nt)]
-
-    def apply_poly(self, p: Poly) -> Poly:
-        return self.target.nf_poly(p.substitute(self.images))
 
     def columns(self, d: int) -> list:
         """The map on degree-d pieces as sparse columns (empty beyond D_T)."""
@@ -117,18 +120,19 @@ class AlgebraMap:
         return dense(F, self.target.dim(d), apply_columns(cols, enumerate(vec), F.characteristic))
 
 
-def _monomial_images(ring: Ring, top: int, one: tuple, maps: Sequence[Sequence[list]], p: int) -> list[dict]:
-    """{monomial: sparse image} per degree 0..top, in the order of
-    ``ring.monomials``, of the algebra map from ring sending 1 to one: x_j
-    times the image of mono / x_j, x_j the monomial's last variable, through
-    maps[j][i], multiplication by the image of x_j from degree i."""
-    images = [dict.fromkeys(ring.monomials(0), nonzero(dict(enumerate(one)), p))]
+def _monomial_images(ring: Ring, top: int, one, step) -> list[dict]:
+    """{monomial: image} per degree 0..top, in the order of ``ring.monomials``,
+    of the algebra map from ring sending 1 to one: x_j times the image of
+    mono / x_j, x_j the monomial's last variable, as step(j, i, image) with
+    image that of a monomial of degree i.  The step fixes the arithmetic:
+    sparse target columns, or polynomials in the target's ring."""
+    images = [dict.fromkeys(ring.monomials(0), one)]
     for m in range(1, top + 1):
         images.append({})
         for mono in ring.monomials(m):
             j = max(k for k, e in enumerate(mono) if e)
             w, rest = ring.weights[j], mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
-            images[m][mono] = apply_columns(maps[j][m - w], images[m - w][rest].items(), p)
+            images[m][mono] = step(j, m - w, images[m - w][rest])
     return images
 
 
@@ -171,22 +175,20 @@ def thom_class(pi: AlgebraMap, omega_a: Orientation, omega_t: Orientation) -> Th
     if sol is None:
         raise ValueError("orientations and map admit no Thom class (inconsistent system)")
     tau = ThomClass(n, sol)
-    _check_thom_identity(pi, omega_a, omega_t, tau)
+    _check_thom_identity(pi, omega_a, tau, rhs)
     _check_thom_dual_characterisation(pi, omega_a, omega_t, tau)
     return tau
 
 
-def _check_thom_identity(pi, omega_a, omega_t, tau: ThomClass) -> None:
-    """integral(tau * e) = integral(pi(e)) on each basis vector e of A_k,
-    k = D_T, with the products tau * e read off the operator of tau and the
-    images pi(e) off the map's columns.  Both sides are 0 in every other
-    degree, as integral is 0 off the top degree."""
-    A, T = pi.source, pi.target
-    k = T.socle_degree
-    for col, image in zip(operator_matrix(A, tau.degree, tau.coords, k), pi.columns(k)):
-        tau_e = dense(A.field, A.dim(tau.degree + k), dict(col))
-        pi_e = dense(T.field, T.dim(k), dict(image))
-        if integral(A, omega_a, tau.degree + k, tau_e) != integral(T, omega_t, k, pi_e):
+def _check_thom_identity(pi, omega_a, tau: ThomClass, rhs: Sequence[Scalar]) -> None:
+    """integral(tau * e) = rhs[e], the integral of pi(e) that ``thom_class``
+    solved against, on each basis vector e of A_k, k = D_T, with tau * e read
+    off the operator of tau.  Both sides are 0 in every other degree, as
+    integral is 0 off the top degree."""
+    A, k = pi.source, pi.target.socle_degree
+    top = tau.degree + k
+    for col, want in zip(operator_matrix(A, tau.degree, tau.coords, k), rhs):
+        if integral(A, omega_a, top, dense(A.field, A.dim(top), dict(col))) != want:
             raise AssertionError("Thom class fails its defining identity")
 
 
@@ -200,21 +202,19 @@ def _orientation_dual_generator(alg: GradedAlgebra, omega: Orientation) -> DualP
 
 
 def _check_thom_dual_characterisation(pi, omega_a, omega_t, tau: ThomClass) -> None:
-    """tau . F_A equals the pullback of F_T along the variable images."""
+    """tau . F_A equals the pullback of F_T along the variable images.  The
+    image of each monomial of degree D_T is built in T's polynomial ring, as
+    pi(x_j) times the image of mono / x_j (``_monomial_images``), with no
+    normal form and no column of the map, and paired with F_T."""
     A, T = pi.source, pi.target
     try:
         FA = _orientation_dual_generator(A, omega_a)
         FT = _orientation_dual_generator(T, omega_t)
     except NotGorensteinError:
         return
-    k = T.socle_degree
-    lhs = contract(tau.poly(A), FA)
-    coeffs = {}
-    for m in A.monomial_basis(k):
-        p = Poly.make(A.nvars, A.field, {m: A.field.one()})
-        coeffs[m] = dual_pairing(p.substitute(pi.images), FT)
-    rhs = DualPoly.make(A.nvars, A.field, coeffs)
-    if lhs != rhs:
+    images = _monomial_images(A.ring, T.socle_degree, T.ring.one(), lambda j, i, image: pi.images[j] * image)
+    rhs = DualPoly.make(A.nvars, A.field, {m: dual_pairing(image, FT) for m, image in images[-1].items()})
+    if contract(tau.poly(A), FA) != rhs:
         raise AssertionError("Thom class fails the dual-generator characterisation")
 
 
@@ -278,14 +278,19 @@ class PairAlgebra:
         return dense(self.field, self.dim(0), dict(self.coords(0, {0: self.field.one(), 1: self.field.one()})))
 
 
+def _require_maps(T, *pairs) -> None:
+    """Raise unless each (source, map) pair's map starts at source and lands in T."""
+    if any(pi.source is not S for S, pi in pairs):
+        raise ValueError("maps must start at the given factors")
+    if any(pi.target is not T for _, pi in pairs):
+        raise ValueError("maps must land in the common quotient")
+
+
 def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
     """Pairs with equal images in T; Hilbert function H_A + H_B - H_T."""
     if not (pi_a.surjective and pi_b.surjective):
         raise ValueError("fiber products need surjective projections")
-    if pi_a.source is not A or pi_b.source is not B:
-        raise ValueError("maps must start at the given factors")
-    if pi_a.target is not T or pi_b.target is not T:
-        raise ValueError("maps must land in the common quotient")
+    _require_maps(T, (A, pi_a), (B, pi_b))
     F = A.field
     D = max(A.socle_degree, B.socle_degree)
     bases: list[list[tuple]] = []
@@ -351,11 +356,9 @@ class QuotientAlgebra:
 
 
 def _require_gorenstein(A: GradedAlgebra, B: GradedAlgebra) -> None:
-    """Raise unless both summands have a Macaulay dual generator (memoised)."""
-    try:
-        A.dual_generator(), B.dual_generator()
-    except NotGorensteinError:
-        raise NotGorensteinError("summands must be Gorenstein") from None
+    """Raise unless both summands are Gorenstein (``is_gorenstein``, memoised)."""
+    if not (is_gorenstein(A) and is_gorenstein(B)):
+        raise NotGorensteinError("summands must be Gorenstein")
 
 
 def connected_sum(
@@ -369,6 +372,7 @@ def connected_sum(
     omega_t: Optional[Orientation] = None,
 ) -> QuotientAlgebra:
     """Quotient of the fiber product by the pair of Thom classes."""
+    _require_maps(T, (A, pi_a), (B, pi_b))
     _require_gorenstein(A, B)
     omega_a = omega_a or default_orientation(A)
     omega_b = omega_b or default_orientation(B)
@@ -618,6 +622,7 @@ def blowup(
     (homogeneous of degrees 1..n-1 in A); the constant term is lam * tau
     with tau the Thom class, and lam must be a unit.
     """
+    _require_maps(T, (A, pi))
     omega_a = omega_a or default_orientation(A)
     omega_t = omega_t or default_orientation(T)
     d, k = A.socle_degree, T.socle_degree
@@ -631,15 +636,11 @@ def blowup(
         raise ValueError("blowup needs a surjective projection")
     if len(coefficients) != max(0, n - 1):
         raise ValueError(f"need {n - 1} middle coefficients a_1..a_{n - 1}")
-    coeffs = []
     for i, a_i in enumerate(coefficients, start=1):
-        if a_i.is_zero():
-            coeffs.append((i, None))
-            continue
-        if not A.ring.is_homogeneous(a_i) or A.ring.degree(a_i) != i:
+        if not a_i.is_zero() and (not A.ring.is_homogeneous(a_i) or A.ring.degree(a_i) != i):
             raise ValueError(f"coefficient a_{i} must be homogeneous of degree {i}")
-        img = pi.apply_poly(a_i)
-        coeffs.append((i, T.vector(img, i) if T.dim(i) else None))
+    coeffs = [(i, pi.apply(i, A.vector(a_i, i)) if T.dim(i) and not a_i.is_zero() else None)
+              for i, a_i in enumerate(coefficients, start=1)]
     tau = thom_class(pi, omega_a, omega_t)
     bug = BlowupAlgebra(A, T, pi, coeffs, lam, tau)
     if not is_gorenstein(bug):
@@ -661,18 +662,14 @@ def exceptional_divisor(
     ring = T.ring.extended(XI_NAME)
     nv = ring.nvars
     F = ring.field
-
-    def lift_t(m: int, vec) -> Poly:
-        return T.poly(m, vec).embedded(nv)
-
     xi = ring.variable(nv - 1)
     f_t = xi**n
     for i, tvec in coefficients:
         if tvec is None:
             continue
-        f_t = f_t + lift_t(i, tvec) * xi ** (n - i)
+        f_t = f_t + T.poly(i, tvec).embedded(nv) * xi ** (n - i)
     if T.dim(n) and any(not F.is_zero(x) for x in tau_t):
-        f_t = f_t + lift_t(n, tau_t).scale(lam)
+        f_t = f_t + T.poly(n, tau_t).embedded(nv).scale(lam)
     gens = [g.embedded(nv) for g in T.presentation_generators()]
     gens.append(f_t)
     cap = T.socle_degree + n + max(ring.weights)
@@ -683,27 +680,23 @@ def blowup_square_commutes(bug: BlowupAlgebra, t_tilde: GradedAlgebra) -> bool:
     """Check pi-hat(beta(x)) = beta_0(pi(x)) on the variables of A."""
     A, T = bug.A, bug.T
     nv = t_tilde.nvars
-
-    def t_poly_in_tilde(m: int, vec) -> Poly:
-        return T.poly(m, vec).embedded(nv)
-
     xi = t_tilde.ring.variable(nv - 1)
 
     def pihat(d: int, vec) -> Poly:
         a_part, slots = bug.split(d, vec)
         out = Poly.zero(nv, T.field)
         if T.dim(d):
-            out = out + t_poly_in_tilde(d, bug.pi.apply(d, a_part))
+            out = out + T.poly(d, bug.pi.apply(d, a_part)).embedded(nv)
         for j in range(1, bug.n):
             if T.dim(d - j) and slots[j - 1]:
-                out = out + t_poly_in_tilde(d - j, slots[j - 1]) * xi**j
+                out = out + T.poly(d - j, slots[j - 1]).embedded(nv) * xi**j
         return out
 
     weights = A.ring.weights
     betas = [bug.embed_a(w, A.vector(A.ring.variable(j), w)) for j, w in enumerate(weights)]
+    # I_T lies in the ideal of T~, so the unreduced pi(x_j) has the same normal form
     for j, w in enumerate(weights):
-        img = bug.pi.apply_poly(A.ring.variable(j))
-        if t_tilde.nf_poly(pihat(w, betas[j])) != t_tilde.nf_poly(img.embedded(nv)):
+        if t_tilde.nf_poly(pihat(w, betas[j])) != t_tilde.nf_poly(bug.pi.images[j].embedded(nv)):
             return False
     # multiplicativity spot check: products of variable images agree, with
     # one operator of the first factor per weight of the second
@@ -753,7 +746,9 @@ def presentation_of(alg):
         tuple(g.degree for g in gens),
     )
     # the kernel of the monomials' images in each degree is the ideal of relations
-    images = _monomial_images(ring, D, alg.one(), [g.maps for g in gens], F.characteristic)
+    p = F.characteristic
+    images = _monomial_images(ring, D, nonzero(dict(enumerate(alg.one())), p),
+                              lambda j, i, image: apply_columns(gens[j].maps[i], image.items(), p))
     kernels = [kernel_space(F, len(image), rows_of([v.items() for v in image.values()], alg.dim(m)))
                for m, image in enumerate(images)]
     generator_data = [(g.degree, g.vector) for g in gens]

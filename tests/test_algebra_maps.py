@@ -7,7 +7,9 @@ and reads its section off one elimination per degree.  The references in
 substitution per standard monomial (``ref_map_matrix``), one ``solve`` per
 unit vector of T_d (``ref_lift_matrix``) and a substitution per reduced
 ideal row (``ref_check_well_defined``).  Every output must agree with them,
-over QQ, over GF(p) and on weighted rings.
+over QQ, over GF(p) and on weighted rings.  The monomial-image recursion in
+T's polynomial ring, which the Thom class's dual check runs, must agree with
+``Poly.substitute`` on every monomial of degree at most D_T.
 
 Differential oracles run the rewritten map through whole constructions: the
 pair-model connected sum over the field k = k[t]/(t) against
@@ -38,6 +40,7 @@ from lefschetz.checks import GenericityConfig, generic_report
 from lefschetz.constructions import (
     AlgebraMap,
     PresentationSizeError,
+    _monomial_images,
     blowup,
     blowup_square_commutes,
     connected_sum,
@@ -147,6 +150,21 @@ def test_pinned_maps_match_the_dense_reference(field):
              (T3, ["x", "0"], "not well defined"))
     for target, images, kind in cases:
         assert _check_against_references(A, target, [ring.parse(i) for i in images]) == kind
+
+
+@pytest.mark.parametrize("field, weights", [(QQ, (1, 1, 1)), (GF(5), (1, 1, 1)), (QQ, (1, 2)), (GF(7), (1, 1, 2))])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_polynomial_monomial_images_match_substitution(field, weights, data):
+    # the recursion in T's polynomial ring, as the Thom class's dual check
+    # runs it, against one substitution per monomial of degree <= D_T
+    A, T, images = data.draw(maps(field, weights))
+    got = _monomial_images(A.ring, T.socle_degree, T.ring.one(), lambda j, i, image: images[j] * image)
+    assert len(got) == T.socle_degree + 1
+    for d, per_degree in enumerate(got):
+        assert list(per_degree) == A.ring.monomials(d)
+        for m, image in per_degree.items():
+            assert image == Poly.make(A.nvars, field, {m: field.one()}).substitute(images)
 
 
 def test_apply_refuses_a_vector_of_the_wrong_length():

@@ -29,6 +29,15 @@ def test_a_checkout_matches_itself(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"{len(commands)} commands, 0 differ"
 
 
+def test_the_command_set_on_the_bundled_files():
+    # 13 bundled files of 17 commands each, seven construction commands plain
+    # and with --json, and paper-suite
+    files = compare_outputs.bundled_files(ROOT)
+    assert len(files) == 13
+    assert len(compare_outputs.construction_commands()) == 14
+    assert len(compare_outputs.command_set(ROOT, files)) == 236
+
+
 def test_one_differing_line_fails_the_comparison(monkeypatch, tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     monkeypatch.setattr(compare_outputs, "bundled_files", lambda checkout: SUBSET)

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from lefschetz import algebra, constructions
-from lefschetz.descfiles import parse_algebra_text
+from lefschetz.descfiles import parse_algebra_text, parse_map_text
 from lefschetz.exactmath import QQ, rank
 from lefschetz.polynomials import Poly
 from lefschetz.algebra import (
@@ -178,12 +178,11 @@ def test_thom_class_example_71_b():
     assert tau.poly(b) == b.ring.parse("u*v^2")
 
 
-def test_thom_class_that_fails_its_identity_is_refused(monkeypatch):
-    # the identity is checked in degree D_T alone, where the pairing is
-    # perfect: tau + e_0 pairs differently with some basis vector there
+def _solve_off_by_e0(monkeypatch):
+    """Make the Thom class's solve return tau + e_0 for the map x -> z, y -> 0
+    of k[x,y]/(x^2, y^4) onto k[z]/(z^2), and return that map."""
     a = build("x,y", ["x^2", "y^4"])
     t = build("z", ["z^2"])
-    pi = algebra_map(a, t, ["z", "0"])
     solve = constructions.solve
 
     def off_by_e0(m, b):
@@ -191,8 +190,25 @@ def test_thom_class_that_fails_its_identity_is_refused(monkeypatch):
         return (sol[0] + 1,) + sol[1:]
 
     monkeypatch.setattr(constructions, "solve", off_by_e0)
+    return algebra_map(a, t, ["z", "0"])
+
+
+def test_thom_class_that_fails_its_identity_is_refused(monkeypatch):
+    # the identity is checked in degree D_T alone, where the pairing is
+    # perfect: tau + e_0 pairs differently with some basis vector there
+    pi = _solve_off_by_e0(monkeypatch)
     with pytest.raises(AssertionError, match="Thom class fails its defining identity"):
-        thom_class(pi, default_orientation(a), default_orientation(t))
+        thom_class(pi, default_orientation(pi.source), default_orientation(pi.target))
+
+
+def test_thom_class_that_fails_its_dual_characterisation_is_refused(monkeypatch):
+    # with the identity check off, the dual-generator route alone refuses
+    # tau + e_0: its images are built in T's polynomial ring, not read off
+    # the map's columns that the solve's right-hand side came from
+    pi = _solve_off_by_e0(monkeypatch)
+    monkeypatch.setattr(constructions, "_check_thom_identity", lambda *args: None)
+    with pytest.raises(AssertionError, match="fails the dual-generator characterisation"):
+        thom_class(pi, default_orientation(pi.source), default_orientation(pi.target))
 
 
 def test_thom_class_to_base_field_is_socle():
@@ -549,6 +565,36 @@ def test_blowup_square_reads_one_operator_per_first_factor_and_weight(monkeypatc
     assert blowup_square_commutes(bug, tt)
     # one per variable of A (the first factor) and weight of the second
     assert 0 < len(calls) <= a.nvars * len(set(a.ring.weights))
+
+
+def _bundled_notgor_map():
+    a, t = _data_algebra("notgor_a.alg"), _data_algebra("notgor_t.alg")
+    text = (resources.files("lefschetz") / "data" / "notgor_map.map").read_text()
+    return algebra_map(a, t, parse_map_text(text, a.ring, t.ring))
+
+
+@pytest.mark.parametrize("source, target, message", [
+    ("ex71_a.alg", "notgor_t.alg", "maps must start at the given factors"),
+    ("notgor_a.alg", "ex71_t.alg", "maps must land in the common quotient"),
+    # the same Hilbert function as notgor_a: only the map's source tells them apart
+    ("ex71_b.alg", "notgor_t.alg", "maps must start at the given factors"),
+])
+def test_blowup_refuses_a_map_that_does_not_join_its_algebras(source, target, message):
+    pi = _bundled_notgor_map()
+    a = pi.source if source == "notgor_a.alg" else _data_algebra(source)
+    t = pi.target if target == "notgor_t.alg" else _data_algebra(target)
+    coeffs = [a.ring.variable(0), Poly.zero(a.nvars, a.field)]
+    with pytest.raises(ValueError, match=message):
+        blowup(a, t, pi, coeffs, 1)
+
+
+def test_connected_sum_checks_its_maps_before_any_thom_class(monkeypatch):
+    a, b, t, pa, pb = _example_71()
+    calls = []
+    monkeypatch.setattr(constructions, "thom_class", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="maps must start at the given factors"):
+        connected_sum(a, b, t, pb, pa)
+    assert calls == []
 
 
 def test_blowup_lambda_zero_rejected():

@@ -45,8 +45,8 @@ def case_not_gorenstein_base():
     t = build("x,y", ["x^2", "y"])
     pi = algebra_map(a, t, ["x", "0"])
     tau = thom_class(pi, default_orientation(a), default_orientation(t))
-    bug = blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
-    tt = exceptional_divisor(t, bug.t_coeffs, bug.lam, bug.tau_t)
+    bug = blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    tt = exceptional_divisor(bug)
     report("monomial CI along a line", a, t, bug, a.ring.format(tau.poly(a)))
     print(f"  exceptional divisor H = {tt.hilbert_function()}\n")
 
@@ -60,7 +60,7 @@ def case_perazzo():
     omega_t = default_orientation(t)
     tau = thom_class(pi, omega_a, omega_t)
     lam = QQ.div(QQ.coerce(1), tau.poly(a).leading_coefficient())
-    bug = blowup(a, t, pi, [r.parse("x").scale(-1)], lam, omega_a=omega_a, omega_t=omega_t)
+    bug = blowup(pi, [r.parse("x").scale(-1)], lam, omega_a=omega_a, omega_t=omega_t)
     report("Perazzo threefold", a, t, bug, a.ring.format(tau.poly(a)))
 
 
@@ -72,7 +72,7 @@ def case_wlp_loss():
     pi = algebra_map(a, t, ["x", "y", "z", "u", "v"])
     tau = thom_class(pi, default_orientation(a), default_orientation(t))
     lam = QQ.div(QQ.coerce(-1), tau.poly(a).leading_coefficient())
-    bug = blowup(a, t, pi, [r.parse("0"), r.parse("0")], lam)
+    bug = blowup(pi, [r.parse("0"), r.parse("0")], lam)
     report("degree-3 Thom class: WLP is lost", a, t, bug, a.ring.format(tau.poly(a)))
 
 

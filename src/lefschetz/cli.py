@@ -378,7 +378,7 @@ def cmd_fiber_product(args) -> int:
     t, dt = _load_algebra(args.t)
     pa, dma = _load_map(args.map_a, a, t)
     pb, dmb = _load_map(args.map_b, b, t)
-    fp = fiber_product(a, b, t, pa, pb)
+    fp = fiber_product(pa, pb)
     identity = [
         a.dim(d) + b.dim(d) - t.dim(d) for d in range(fp.socle_degree + 1)
     ]
@@ -399,6 +399,8 @@ def cmd_connect_sum(args) -> int:
     omega_b = _orientation_option(b, args.orient_b)
     if args.t is not None and (args.map_a is None or args.map_b is None):
         raise InputError("connect-sum over T needs both --map-a and --map-b")
+    if args.t is None and (args.map_a, args.map_b, args.orient_t) != (None, None, None):
+        raise InputError("connect-sum over the field takes no --map-a, --map-b or --orient-t")
     if args.t is None:
         cs = connected_sum_over_field(a, b, omega_a, omega_b)
         extra = {}
@@ -408,7 +410,7 @@ def cmd_connect_sum(args) -> int:
         pb, dmb = _load_map(args.map_b, b, t)
         inputs += [dt, dma, dmb]
         omega_t = _orientation_option(t, args.orient_t)
-        cs = connected_sum(a, b, t, pa, pb, omega_a, omega_b, omega_t)
+        cs = connected_sum(pa, pb, omega_a, omega_b, omega_t)
         extra = {
             "hilbert_identity": [
                 a.dim(i)
@@ -432,8 +434,8 @@ def cmd_blowup(args) -> int:
     if coeff_texts == [""]:
         coeff_texts = []
     coeffs = [a.ring.parse(c) for c in coeff_texts]
-    bug = blowup(a, t, pi, coeffs, args.lam, omega_a=omega_a, omega_t=omega_t)
-    tt = exceptional_divisor(t, bug.t_coeffs, bug.lam, bug.tau_t)
+    bug = blowup(pi, coeffs, args.lam, omega_a=omega_a, omega_t=omega_t)
+    tt = exceptional_divisor(bug)
     square = blowup_square_commutes(bug, tt)
     extra = {
         "thom_class": a.ring.format(bug.tau.poly(a)),

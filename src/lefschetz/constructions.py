@@ -5,7 +5,10 @@ Fiber products and general connected sums live in an intrinsic pair model
 (degreewise bases of a subalgebra of A + B) rather than by presentation;
 the over-the-base-field presentations exist separately and are cross-checked
 degreewise.  Blowup elements are stored as an A component plus one T
-component per positive power of the exceptional class.
+component per positive power of the exceptional class.  Every construction
+over T takes only its maps pi : A -> T and reads A and T off them, so the
+algebras cannot disagree with the maps; the two maps of a fiber product or
+connected sum must share their target.
 
 Every model multiplies through one method, ``operator(w, v, i)``: the sparse
 columns of multiplication by v in degree w from degree i, read off the parts'
@@ -278,19 +281,14 @@ class PairAlgebra:
         return dense(self.field, self.dim(0), dict(self.coords(0, {0: self.field.one(), 1: self.field.one()})))
 
 
-def _require_maps(T, *pairs) -> None:
-    """Raise unless each (source, map) pair's map starts at source and lands in T."""
-    if any(pi.source is not S for S, pi in pairs):
-        raise ValueError("maps must start at the given factors")
-    if any(pi.target is not T for _, pi in pairs):
+def fiber_product(pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
+    """Pairs with equal images in T, for pi_a : A -> T and pi_b : B -> T;
+    Hilbert function H_A + H_B - H_T."""
+    if pi_a.target is not pi_b.target:
         raise ValueError("maps must land in the common quotient")
-
-
-def fiber_product(A, B, T, pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
-    """Pairs with equal images in T; Hilbert function H_A + H_B - H_T."""
     if not (pi_a.surjective and pi_b.surjective):
         raise ValueError("fiber products need surjective projections")
-    _require_maps(T, (A, pi_a), (B, pi_b))
+    A, B, T = pi_a.source, pi_b.source, pi_a.target
     F = A.field
     D = max(A.socle_degree, B.socle_degree)
     bases: list[list[tuple]] = []
@@ -355,31 +353,31 @@ class QuotientAlgebra:
         return tuple(red.get(c, self.field.zero()) for c in self._free[0])
 
 
-def _require_gorenstein(A: GradedAlgebra, B: GradedAlgebra) -> None:
-    """Raise unless both summands are Gorenstein (``is_gorenstein``, memoised)."""
+def _summands(A, B, omega_a: Optional[Orientation], omega_b: Optional[Orientation]) -> tuple:
+    """The summands' orientations, defaults filled in, and their socle degree
+    d; raises unless both are Gorenstein (``is_gorenstein``, memoised) and of
+    one socle degree."""
     if not (is_gorenstein(A) and is_gorenstein(B)):
         raise NotGorensteinError("summands must be Gorenstein")
+    if B.socle_degree != A.socle_degree:
+        raise ValueError("connected sums need equal socle degrees")
+    return omega_a or default_orientation(A), omega_b or default_orientation(B), A.socle_degree
 
 
 def connected_sum(
-    A,
-    B,
-    T,
     pi_a: AlgebraMap,
     pi_b: AlgebraMap,
     omega_a: Optional[Orientation] = None,
     omega_b: Optional[Orientation] = None,
     omega_t: Optional[Orientation] = None,
 ) -> QuotientAlgebra:
-    """Quotient of the fiber product by the pair of Thom classes."""
-    _require_maps(T, (A, pi_a), (B, pi_b))
-    _require_gorenstein(A, B)
-    omega_a = omega_a or default_orientation(A)
-    omega_b = omega_b or default_orientation(B)
+    """Quotient of the fiber product of pi_a : A -> T and pi_b : B -> T by
+    the pair of Thom classes."""
+    if pi_a.target is not pi_b.target:
+        raise ValueError("maps must land in the common quotient")
+    A, B, T = pi_a.source, pi_b.source, pi_a.target
+    omega_a, omega_b, d = _summands(A, B, omega_a, omega_b)
     omega_t = omega_t or default_orientation(T)
-    d = A.socle_degree
-    if B.socle_degree != d:
-        raise ValueError("connected sums need equal socle degrees")
     k = T.socle_degree
     n = d - k
     if n < 1:
@@ -388,7 +386,7 @@ def connected_sum(
     tau_b = thom_class(pi_b, omega_b, omega_t)
     if pi_a.apply(n, tau_a.coords) != pi_b.apply(n, tau_b.coords):
         raise ValueError("Thom classes are incompatible: their images in T differ")
-    fp = fiber_product(A, B, T, pi_a, pi_b)
+    fp = fiber_product(pi_a, pi_b)
     F = A.field
     pair = {c: x for c, x in enumerate(tuple(tau_a.coords) + tuple(tau_b.coords)) if x}
     t_pair = dense(F, fp.dim(n), dict(fp.coords(n, pair)))
@@ -435,12 +433,7 @@ def connected_sum_over_field(
     Gorenstein local rings*, J. reine angew. Math. 667, 2012), and that is
     recorded for ``is_gorenstein``; for d = 0 the socle decides.
     """
-    _require_gorenstein(A, B)
-    omega_a = omega_a or default_orientation(A)
-    omega_b = omega_b or default_orientation(B)
-    d = A.socle_degree
-    if B.socle_degree != d:
-        raise ValueError("connected sums need equal socle degrees")
+    omega_a, omega_b, d = _summands(A, B, omega_a, omega_b)
     ring, gens_a, gens_b = _joined_generators(A, B)
     n, na = ring.nvars, A.nvars
     gens = gens_a + gens_b
@@ -509,15 +502,8 @@ class BlowupAlgebra:
     sparse columns.  For n = 1 the operator is op_A(a).
     """
 
-    def __init__(
-        self,
-        A: GradedAlgebra,
-        T: GradedAlgebra,
-        pi: AlgebraMap,
-        coefficients,  # list of (degree, T coords) for a_1..a_{n-1} images
-        lam: Scalar,
-        tau: ThomClass,
-    ):
+    def __init__(self, pi: AlgebraMap, coefficients, lam: Scalar, tau: ThomClass):
+        A, T = pi.source, pi.target
         self.A = A
         self.T = T
         self.pi = pi
@@ -608,21 +594,19 @@ class BlowupAlgebra:
 
 
 def blowup(
-    A: GradedAlgebra,
-    T: GradedAlgebra,
     pi: AlgebraMap,
     coefficients: Sequence[Poly],
     lam,
     omega_a: Optional[Orientation] = None,
     omega_t: Optional[Orientation] = None,
 ) -> BlowupAlgebra:
-    """Cohomological blowup of A along a surjection onto T.
+    """Cohomological blowup of A along a surjection pi : A -> T.
 
     coefficients are the middle terms a_1..a_{n-1} of the monic relation
     (homogeneous of degrees 1..n-1 in A); the constant term is lam * tau
     with tau the Thom class, and lam must be a unit.
     """
-    _require_maps(T, (A, pi))
+    A, T = pi.source, pi.target
     omega_a = omega_a or default_orientation(A)
     omega_t = omega_t or default_orientation(T)
     d, k = A.socle_degree, T.socle_degree
@@ -642,7 +626,7 @@ def blowup(
     coeffs = [(i, pi.apply(i, A.vector(a_i, i)) if T.dim(i) and not a_i.is_zero() else None)
               for i, a_i in enumerate(coefficients, start=1)]
     tau = thom_class(pi, omega_a, omega_t)
-    bug = BlowupAlgebra(A, T, pi, coeffs, lam, tau)
+    bug = BlowupAlgebra(pi, coeffs, lam, tau)
     if not is_gorenstein(bug):
         raise AssertionError("blowup is not Gorenstein despite a unit lambda")
     return bug
@@ -651,25 +635,22 @@ def blowup(
 XI_NAME = "xi"  # the new degree-one variable of ``exceptional_divisor``
 
 
-def exceptional_divisor(
-    T: GradedAlgebra,
-    coefficients,  # list of (degree, T coords or None), as stored on the blowup
-    lam,
-    tau_t: Sequence[Scalar],
-) -> GradedAlgebra:
-    """The boundary algebra T[xi]/(f_T) as an honest presentation."""
-    n = len(coefficients) + 1
+def exceptional_divisor(bug: BlowupAlgebra) -> GradedAlgebra:
+    """The boundary algebra T[xi]/(f_T) of a blowup along pi : A -> T, as an
+    honest presentation: f_T is the blowup's relation with pi applied to its
+    coefficients."""
+    T, n = bug.T, bug.n
     ring = T.ring.extended(XI_NAME)
     nv = ring.nvars
     F = ring.field
     xi = ring.variable(nv - 1)
     f_t = xi**n
-    for i, tvec in coefficients:
+    for i, tvec in bug.t_coeffs:
         if tvec is None:
             continue
         f_t = f_t + T.poly(i, tvec).embedded(nv) * xi ** (n - i)
-    if T.dim(n) and any(not F.is_zero(x) for x in tau_t):
-        f_t = f_t + T.poly(n, tau_t).embedded(nv).scale(lam)
+    if T.dim(n) and any(not F.is_zero(x) for x in bug.tau_t):
+        f_t = f_t + T.poly(n, bug.tau_t).embedded(nv).scale(bug.lam)
     gens = [g.embedded(nv) for g in T.presentation_generators()]
     gens.append(f_t)
     cap = T.socle_degree + n + max(ring.weights)

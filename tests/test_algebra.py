@@ -401,7 +401,7 @@ def test_algebras_on_one_ring_share_the_ring_s_column_tables():
     b = from_dual_generator(r.parse_dual("X^[2]*Y + Y^[3]"), r)
     k = build("t", ["t"])
     zero = Poly.zero(1, QQ)
-    fp = fiber_product(a, b, k, AlgebraMap(a, k, [zero] * 2), AlgebraMap(b, k, [zero] * 2))
+    fp = fiber_product(AlgebraMap(a, k, [zero] * 2), AlgebraMap(b, k, [zero] * 2))
     built = [a, b, tensor_product(a, b), connected_sum_over_field(a, b), presented_algebra(fp)]
     for d in range(a.socle_degree + 1):
         assert a._index[d] is b._index[d] is r.monomial_index(d)

@@ -229,12 +229,11 @@ def _example_71():
     t = build("z", ["z^2"])
     pa = algebra_map(a, t, ["z", "0"])
     pb = algebra_map(b, t, ["z", "0"])
-    return a, b, t, pa, pb
+    return pa, pb
 
 
 def test_fiber_product_example_71():
-    a, b, t, pa, pb = _example_71()
-    fp = fiber_product(a, b, t, pa, pb)
+    fp = fiber_product(*_example_71())
     assert hilbert_function(fp) == (1, 3, 5, 4, 2)
 
 
@@ -245,20 +244,18 @@ def test_fiber_product_requires_surjective():
     b = build("u,v", ["u^3", "v^3"])
     pb = algebra_map(b, t, ["z", "0"])
     with pytest.raises(ValueError):
-        fiber_product(a, b, t, pa, pb)
+        fiber_product(pa, pb)
 
 
 def test_connected_sum_example_71():
-    a, b, t, pa, pb = _example_71()
-    cs = connected_sum(a, b, t, pa, pb)
+    cs = connected_sum(*_example_71())
     assert hilbert_function(cs) == (1, 3, 5, 3, 1)
     assert is_gorenstein(cs)
 
 
 def test_fiber_product_presentation_matches_paper():
     # F[z1,z2,z3]/(z1^4, z2^3, z3^3, z1 z3, z1 z2^2)
-    a, b, t, pa, pb = _example_71()
-    fp = fiber_product(a, b, t, pa, pb)
+    fp = fiber_product(*_example_71())
     pres = presented_algebra(fp)
     paper = build("z1,z2,z3", ["z1^4", "z2^3", "z3^3", "z1*z3", "z1*z2^2"], cap=8)
     assert hilbert_function(pres) == hilbert_function(paper) == (1, 3, 5, 4, 2)
@@ -268,23 +265,22 @@ def _example_73():
     a = build("x", ["x^4"])
     b = build("u,v", ["u^3", "v^2"])
     t = build("z", ["z^2"])
-    return a, b, t, algebra_map(a, t, ["z"]), algebra_map(b, t, ["z", "0"])
+    return algebra_map(a, t, ["z"]), algebra_map(b, t, ["z", "0"])
 
 
 def test_nonstandard_example_73():
-    a, b, t, pa, pb = _example_73()
-    fp = fiber_product(a, b, t, pa, pb)
+    fp = fiber_product(*_example_73())
     assert hilbert_function(fp) == (1, 2, 3, 2)
     _, _, gens = presentation_of(fp)
     assert sorted(gd for gd, _ in gens) == [1, 1, 2]
-    cs = connected_sum(a, b, t, pa, pb)
+    cs = connected_sum(*_example_73())
     assert hilbert_function(cs) == (1, 2, 2, 1)
     assert is_gorenstein(cs)
 
 
 def _blowup_notgor_model():
-    a, t, pi = _blowup_notgor()
-    return blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    a, _, pi = _blowup_notgor()
+    return blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
 
 
 def _presentation_text(alg):
@@ -343,7 +339,7 @@ def test_connected_sum_socle_degree_mismatch():
     pa = algebra_map(a, t, ["z"])
     pb = algebra_map(b, t, ["z"])
     with pytest.raises(ValueError):
-        connected_sum(a, b, t, pa, pb)
+        connected_sum(pa, pb)
 
 
 def test_connected_sums_refuse_a_summand_that_is_not_gorenstein():
@@ -356,7 +352,7 @@ def test_connected_sums_refuse_a_summand_that_is_not_gorenstein():
             connected_sum_over_field(first, second)
         maps = algebra_map(first, f, ["0", "0"]), algebra_map(second, f, ["0", "0"])
         with pytest.raises(NotGorensteinError, match="^summands must be Gorenstein$"):
-            connected_sum(first, second, f, *maps)
+            connected_sum(*maps)
 
 
 def test_connected_sum_over_field_two_chains():
@@ -369,7 +365,7 @@ def test_connected_sum_over_field_two_chains():
     f = build("w", ["w"])
     pa = algebra_map(a, f, ["0"])
     pb = algebra_map(b, f, ["0"])
-    csp = connected_sum(a, b, f, pa, pb)
+    csp = connected_sum(pa, pb)
     assert hilbert_function(csp) == cs.hilbert_function()
     omega_pair = default_orientation(csp)
     omega_pres = default_orientation(cs)
@@ -395,7 +391,7 @@ def _fiber_product_over_field():
     a = build("x,y", ["x^2", "y^4"])
     b = build("u,v", ["u^3", "v^3"])
     f = build("w", ["w"])
-    return a, fiber_product(a, b, f, algebra_map(a, f, ["0", "0"]), algebra_map(b, f, ["0", "0"]))
+    return a, fiber_product(algebra_map(a, f, ["0", "0"]), algebra_map(b, f, ["0", "0"]))
 
 
 def test_fiber_product_over_the_field_is_not_gorenstein_before_its_socle(monkeypatch):
@@ -431,13 +427,13 @@ def test_tensor_and_connected_sum_record_their_gorenstein_answer(monkeypatch):
 
 
 def test_is_gorenstein_is_a_one_dimensional_socle_on_every_model():
-    a, b, t, pa, pb = _example_71()
+    pa, pb = _example_71()
     models = [
-        a,
+        pa.source,
         build("x,y", ["x^2", "x*y", "y^3"]),  # h_D = 1, socle spanned by x and y^2
-        fiber_product(a, b, t, pa, pb),
+        fiber_product(pa, pb),
         _fiber_product_over_field()[1],
-        connected_sum(a, b, t, pa, pb),
+        connected_sum(pa, pb),
         _blowup_notgor_model(),
     ]
     answers = [is_gorenstein(m) for m in models]
@@ -463,7 +459,7 @@ def test_example_72_first_connected_sum():
     tq = build("x,y", ["x^2", "y^2"])
     pa = algebra_map(a, tq, ["x", "y", "0"])
     pb = algebra_map(b, tq, ["x", "y", "0"])
-    cs = connected_sum(a, b, tq, pa, pb)
+    cs = connected_sum(pa, pb)
     assert hilbert_function(cs) == (1, 4, 6, 4, 1)
     assert is_gorenstein(cs)
     rep = wlp_generic(cs, CFG)
@@ -535,7 +531,7 @@ def test_blowup_example_notgor():
     a, t, pi = _blowup_notgor()
     tau = thom_class(pi, default_orientation(a), default_orientation(t))
     assert tau.poly(a) == a.ring.parse("x*y^2")
-    bug = blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    bug = blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
     assert bug.hilbert_function() == (1, 3, 5, 3, 1)
     soc = socle_vectors(bug)
     assert len(soc) == 1
@@ -547,18 +543,18 @@ def test_blowup_example_notgor():
 
 
 def test_blowup_exceptional_divisor_and_square():
-    a, t, pi = _blowup_notgor()
-    bug = blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
-    tt = exceptional_divisor(t, bug.t_coeffs, bug.lam, bug.tau_t)
+    a, _, pi = _blowup_notgor()
+    bug = blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    tt = exceptional_divisor(bug)
     assert tt.hilbert_function() == (1, 2, 2, 1)
     assert is_gorenstein(tt)
     assert blowup_square_commutes(bug, tt)
 
 
 def test_blowup_square_reads_one_operator_per_first_factor_and_weight(monkeypatch):
-    a, t, pi = _blowup_notgor()
-    bug = blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
-    tt = exceptional_divisor(t, bug.t_coeffs, bug.lam, bug.tau_t)
+    a, _, pi = _blowup_notgor()
+    bug = blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    tt = exceptional_divisor(bug)
     calls = []
     original = BlowupAlgebra.operator
     monkeypatch.setattr(BlowupAlgebra, "operator", lambda self, *args: calls.append(args) or original(self, *args))
@@ -567,47 +563,42 @@ def test_blowup_square_reads_one_operator_per_first_factor_and_weight(monkeypatc
     assert 0 < len(calls) <= a.nvars * len(set(a.ring.weights))
 
 
-def _bundled_notgor_map():
-    a, t = _data_algebra("notgor_a.alg"), _data_algebra("notgor_t.alg")
-    text = (resources.files("lefschetz") / "data" / "notgor_map.map").read_text()
-    return algebra_map(a, t, parse_map_text(text, a.ring, t.ring))
-
-
-@pytest.mark.parametrize("source, target, message", [
-    ("ex71_a.alg", "notgor_t.alg", "maps must start at the given factors"),
-    ("notgor_a.alg", "ex71_t.alg", "maps must land in the common quotient"),
-    # the same Hilbert function as notgor_a: only the map's source tells them apart
-    ("ex71_b.alg", "notgor_t.alg", "maps must start at the given factors"),
-])
-def test_blowup_refuses_a_map_that_does_not_join_its_algebras(source, target, message):
-    pi = _bundled_notgor_map()
-    a = pi.source if source == "notgor_a.alg" else _data_algebra(source)
-    t = pi.target if target == "notgor_t.alg" else _data_algebra(target)
-    coeffs = [a.ring.variable(0), Poly.zero(a.nvars, a.field)]
-    with pytest.raises(ValueError, match=message):
-        blowup(a, t, pi, coeffs, 1)
+def _maps_into_two_copies_of_t():
+    """The ex71 maps, each into its own parse of ex71_t.alg: equal algebras,
+    but not one common quotient."""
+    maps = []
+    for k in "ab":
+        a, t = _data_algebra(f"ex71_{k}.alg"), _data_algebra("ex71_t.alg")
+        text = (resources.files("lefschetz") / "data" / f"ex71_map_{k}.map").read_text()
+        maps.append(algebra_map(a, t, parse_map_text(text, a.ring, t.ring)))
+    return maps
 
 
 def test_connected_sum_checks_its_maps_before_any_thom_class(monkeypatch):
-    a, b, t, pa, pb = _example_71()
+    pa, pb = _maps_into_two_copies_of_t()
     calls = []
     monkeypatch.setattr(constructions, "thom_class", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match="maps must start at the given factors"):
-        connected_sum(a, b, t, pb, pa)
+    with pytest.raises(ValueError, match="maps must land in the common quotient"):
+        connected_sum(pa, pb)
     assert calls == []
 
 
+def test_fiber_product_refuses_maps_into_two_quotients():
+    with pytest.raises(ValueError, match="maps must land in the common quotient"):
+        fiber_product(*_maps_into_two_copies_of_t())
+
+
 def test_blowup_lambda_zero_rejected():
-    a, t, pi = _blowup_notgor()
+    a, _, pi = _blowup_notgor()
     with pytest.raises(ValueError):
-        blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 0)
+        blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 0)
 
 
 def test_blowup_n1_is_isomorphic_to_base():
     a = build("x,y", ["x^2", "y^2"])
     t = build("x,y", ["x^2", "y"])
     pi = algebra_map(a, t, ["x", "0"])
-    bug = blowup(a, t, pi, [], 1)
+    bug = blowup(pi, [], 1)
     assert bug.hilbert_function() == a.hilbert_function()
     assert is_gorenstein(bug)
     assert jordan_type(bug, (1, 1)).parts == jordan_type(a, a.ring.parse("x + y")).parts
@@ -616,7 +607,7 @@ def test_blowup_n1_is_isomorphic_to_base():
 def test_blowup_alternate_lifts_well_defined():
     # the lambda*tau*lift contribution must not depend on the chosen section
     a, t, pi = _blowup_notgor()
-    bug = blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    bug = blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
     import random
 
     rng = random.Random(0)
@@ -650,8 +641,6 @@ def _perazzo_blowup(lam=1):
     assert tau.poly(a).monic() == a.ring.parse("u^2")
     lam_scaled = QQ.div(QQ.coerce(lam), tau.poly(a).leading_coefficient())
     bug = blowup(
-        a,
-        t,
         pi,
         [a.ring.parse("x").scale(-lam)],
         lam_scaled,
@@ -714,7 +703,7 @@ def test_perazzo_blowup_has_slp_base_fails_wlp():
 
 def test_preservation_blowup_slp():
     a, t, pi = _blowup_notgor()
-    bug = blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    bug = blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
     rep = lefschetz_preservation_report(
         "blowup-slp", {"A": a, "T": t}, bug, CFG
     )
@@ -728,7 +717,7 @@ def test_preservation_fp_cs_wlp_small_quotient():
     tq = build("x,y", ["x^2", "y^2"])
     pa = algebra_map(a, tq, ["x", "y", "0"])
     pb = algebra_map(b, tq, ["x", "y", "0"])
-    cs = connected_sum(a, b, tq, pa, pb)
+    cs = connected_sum(pa, pb)
     rep = lefschetz_preservation_report(
         "fp-cs-wlp-small-quotient", {"A": a, "B": b, "T": tq}, cs, CFG
     )

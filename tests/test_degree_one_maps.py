@@ -421,7 +421,7 @@ def _example_71(F):
         return from_ideal(Ideal(r, tuple(r.parse(g) for g in gens)))
 
     a, b, t = build("x,y", ["x^2", "y^4"]), build("u,v", ["u^3", "v^3"]), build("z", ["z^2"])
-    return a, b, t, algebra_map(a, t, ["z", "0"]), algebra_map(b, t, ["z", "0"])
+    return algebra_map(a, t, ["z", "0"]), algebra_map(b, t, ["z", "0"])
 
 
 def _notgor_blowup(F):
@@ -431,7 +431,7 @@ def _notgor_blowup(F):
     a = parse_algebra_text(read("notgor_a.alg")).build()
     t = parse_algebra_text(read("notgor_t.alg")).build()
     pi = algebra_map(a, t, parse_map_text(read("notgor_map.map"), a.ring, t.ring))
-    return blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    return blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
 
 
 def _perazzo_blowup(F):
@@ -443,7 +443,7 @@ def _perazzo_blowup(F):
     omega_t = default_orientation(t)
     tau = thom_class(pi, omega_a, omega_t)
     lam = F.inv(tau.poly(a).leading_coefficient())
-    return blowup(a, t, pi, [r.parse("x").scale(-1)], lam, omega_a=omega_a, omega_t=omega_t)
+    return blowup(pi, [r.parse("x").scale(-1)], lam, omega_a=omega_a, omega_t=omega_t)
 
 
 MODELS = {
@@ -563,7 +563,7 @@ def _n1_blowup():
     r = Ring(("x", "y"), F)
     a = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
     t = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y"))))
-    return blowup(a, t, algebra_map(a, t, ["x", "0"]), [], 1)
+    return blowup(algebra_map(a, t, ["x", "0"]), [], 1)
 
 
 def _exercise_87_blowup(middle):
@@ -574,7 +574,7 @@ def _exercise_87_blowup(middle):
     pi = algebra_map(a, t, ["x", "y", "z", "u", "v"])
     tau = thom_class(pi, default_orientation(a), default_orientation(t))
     lam = QQ.div(QQ.coerce(-1), tau.poly(a).leading_coefficient())
-    return blowup(a, t, pi, [r.parse(c) for c in middle.split(";")], lam)
+    return blowup(pi, [r.parse(c) for c in middle.split(";")], lam)
 
 
 def product_table_digest(alg):

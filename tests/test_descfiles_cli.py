@@ -153,6 +153,12 @@ INPUT_ERRORS = [
     # a connected sum over T needs both maps
     ["connect-sum", data_path("ex71_a.alg"), data_path("ex71_b.alg"), data_path("ex71_t.alg"),
      "--map-a", data_path("ex71_map_a.map")],
+    # a connected sum over the field takes no map and no orientation of T
+    ["connect-sum", data_path("x2y2.alg"), data_path("x2y2.alg"), "--map-a", data_path("ex71_map_a.map"),
+     "--map-b", data_path("ex71_map_b.map"), "--orient-t", "z"],
+    ["connect-sum", data_path("x2y2.alg"), data_path("x2y2.alg"), "--map-a", "/nonexistent/path.map"],
+    ["connect-sum", data_path("x2y2.alg"), data_path("x2y2.alg"), "--map-b", data_path("ex71_map_b.map")],
+    ["connect-sum", data_path("x2y2.alg"), data_path("x2y2.alg"), "--orient-t", "z"],
     # an --out path that cannot be written
     ["tensor", data_path("x2y2.alg"), data_path("x2y2.alg"), "--out", "/nonexistent/dir/x.alg"],
     ["connect-sum", data_path("x2y2.alg"), data_path("x2y2.alg"),

@@ -98,9 +98,9 @@ def test_connected_sum_incompatible_thom_classes():
     pa = algebra_map(a, t, ["z"])
     pb = algebra_map(b, t, ["z", "0"])
     with pytest.raises(ValueError, match="incompatible"):
-        connected_sum(a, b, t, pa, pb)
+        connected_sum(pa, pb)
     # the fiber product itself is fine
-    fp = fiber_product(a, b, t, pa, pb)
+    fp = fiber_product(pa, pb)
     assert fp.dim(1) == 2
 
 

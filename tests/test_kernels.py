@@ -135,8 +135,9 @@ def ref_dual_generator(alg) -> DualPoly:
     return F.scale(alg.field.inv(c))
 
 
-def ref_fiber_bases(A, B, T, pi_a, pi_b) -> tuple[list, list]:
+def ref_fiber_bases(pi_a, pi_b) -> tuple[list, list]:
     """The bases and free columns the former ``fiber_product`` built."""
+    A, B, T = pi_a.source, pi_b.source, pi_a.target
     F = A.field
     D = max(A.socle_degree, B.socle_degree)
     bases: list[list[tuple]] = []
@@ -273,9 +274,10 @@ def test_quotient_socle_and_duality_match(ideal):
     assert_duality_matches(ideal, alg.socle_degree)
 
 
-def assert_fiber_product_matches(A, B, T, pa, pb):
-    fp = fiber_product(A, B, T, pa, pb)
-    bases, free_cols = ref_fiber_bases(A, B, T, pa, pb)
+def assert_fiber_product_matches(pa, pb):
+    A, B = pa.source, pb.source
+    fp = fiber_product(pa, pb)
+    bases, free_cols = ref_fiber_bases(pa, pb)
     assert fp._free == free_cols
     for d, basis in enumerate(bases):
         assert [dense(A.field, A.dim(d) + B.dim(d), u) for u in fp._basis[d]] == basis, d
@@ -288,7 +290,7 @@ def test_fiber_product_of_example_71_matches():
         return from_ideal(Ideal(ring, tuple(ring.parse(g) for g in gens)))
 
     a, b, t = build("x,y", ["x^2", "y^4"]), build("u,v", ["u^3", "v^3"]), build("z", ["z^2"])
-    assert_fiber_product_matches(a, b, t, algebra_map(a, t, ["z", "0"]), algebra_map(b, t, ["z", "0"]))
+    assert_fiber_product_matches(algebra_map(a, t, ["z", "0"]), algebra_map(b, t, ["z", "0"]))
 
 
 @given(fields, st.lists(st.integers(2, 4), min_size=4, max_size=4), st.integers(1, 3), st.booleans())
@@ -303,7 +305,7 @@ def test_fiber_products_match(F, exps, s, weighted):
     # variables as both projections
     A, B = from_ideal(Ideal(ring, gens_a)), from_ideal(Ideal(ring, gens_b))
     T = from_ideal(Ideal(ring, gens_a + gens_b + extra))
-    assert_fiber_product_matches(A, B, T, algebra_map(A, T, ["x", "y"]), algebra_map(B, T, ["x", "y"]))
+    assert_fiber_product_matches(algebra_map(A, T, ["x", "y"]), algebra_map(B, T, ["x", "y"]))
 
 
 def test_same_degreewise_ideal_compares_rows_not_only_pivots():

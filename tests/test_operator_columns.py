@@ -90,7 +90,7 @@ def fiber_products(draw, F):
     A, B = from_ideal(Ideal(r, tuple(gens_a))), from_ideal(Ideal(r, tuple(gens_b)))
     T = from_ideal(Ideal(r, tuple(gens_a + gens_b + ([extra] if extra else []))))
     names = list(r.varnames)
-    return fiber_product(A, B, T, algebra_map(A, T, names), algebra_map(B, T, names))
+    return fiber_product(algebra_map(A, T, names), algebra_map(B, T, names))
 
 
 @st.composite
@@ -125,7 +125,7 @@ def blowups(draw, F):
     T = from_dual_generator(contract(Poly.make(n, F, {g: F.one()}), G), r)
     middle = [random_form(draw, F, n, i) for i in (1, 2)]
     lam = F.coerce(draw(units(F)))
-    return blowup(A, T, algebra_map(A, T, list(r.varnames)), middle, lam)
+    return blowup(algebra_map(A, T, list(r.varnames)), middle, lam)
 
 
 def element(draw, alg, d):
@@ -197,7 +197,7 @@ def test_pair_coordinates_reject_a_non_member(F):
     a = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y^2"))))
     t = from_ideal(Ideal(r, (r.parse("x^2"), r.parse("y"))))
     pi = algebra_map(a, t, ["x", "0"])
-    fp = fiber_product(a, a, t, pi, pi)
+    fp = fiber_product(pi, pi)
     x = a.basis(1).index((1, 0))
     # (x, 0) maps to (x, 0) in T + T, not onto the diagonal
     with pytest.raises(ValueError, match="not in the pair subalgebra"):

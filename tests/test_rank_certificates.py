@@ -351,13 +351,13 @@ def _example_71(F):
     a, b, t = (parse_algebra_text(_bundled(f"ex71_{k}.alg", F)).build() for k in "abt")
     pa = algebra_map(a, t, parse_map_text(_bundled("ex71_map_a.map", F), a.ring, t.ring))
     pb = algebra_map(b, t, parse_map_text(_bundled("ex71_map_b.map", F), b.ring, t.ring))
-    return a, b, t, pa, pb
+    return pa, pb
 
 
 def _notgor_blowup(F):
     a, t = (parse_algebra_text(_bundled(f"notgor_{k}.alg", F)).build() for k in "at")
     pi = algebra_map(a, t, parse_map_text(_bundled("notgor_map.map", F), a.ring, t.ring))
-    return blowup(a, t, pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
+    return blowup(pi, [a.ring.parse("x"), a.ring.parse("0")], 1)
 
 
 CONSTRUCTIONS = {

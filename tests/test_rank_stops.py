@@ -92,7 +92,7 @@ def _ex71():
     a, b, t = (_build(f"ex71_{k}.alg") for k in "abt")
     pa = algebra_map(a, t, parse_map_text(_read("ex71_map_a.map"), a.ring, t.ring))
     pb = algebra_map(b, t, parse_map_text(_read("ex71_map_b.map"), b.ring, t.ring))
-    return a, b, t, pa, pb
+    return pa, pb
 
 
 def _connected_sum():

@@ -312,7 +312,7 @@ def test_dual_ranks_match_direct_ranks_on_gorenstein_constructions(kind, data):
 def _fiber_product_over_the_field():
     a, b, k = (from_ideal(Ideal(r, tuple(r.parse(g) for g in gens))) for r, gens in [
         (Ring(("x", "y"), QQ), ["x^2", "y^4"]), (Ring(("u", "v"), QQ), ["u^3", "v^3"]), (Ring(("w",), QQ), ["w"])])
-    return fiber_product(a, b, k, algebra_map(a, k, ["0", "0"]), algebra_map(b, k, ["0", "0"]))
+    return fiber_product(algebra_map(a, k, ["0", "0"]), algebra_map(b, k, ["0", "0"]))
 
 
 @pytest.mark.parametrize("make", [

@@ -94,9 +94,9 @@ def test_tracer_spans_the_construction_models():
     try:
         pa = algebra_map(a, t, parse_map_text(_read("ex71_map_a.map"), a.ring, t.ring))
         pb = algebra_map(b, t, parse_map_text(_read("ex71_map_b.map"), b.ring, t.ring))
-        cs = connected_sum(a, b, t, pa, pb)
+        cs = connected_sum(pa, pb)
         pi = algebra_map(na, nt, parse_map_text(_read("notgor_map.map"), na.ring, nt.ring))
-        bug = blowup(na, nt, pi, [na.ring.parse("x"), na.ring.parse("0")], 1)
+        bug = blowup(pi, [na.ring.parse("x"), na.ring.parse("0")], 1)
         e = Matrix.identity(cs.field, cs.dim(1)).entries
         cs.multiply(1, e[0], 1, e[-1])
         x = bug.embed_a(1, na.vector(na.ring.parse("x"), 1))

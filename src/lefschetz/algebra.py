@@ -8,7 +8,9 @@ the reduced row space of I_d and the standard monomials (non-pivot columns).
 Its products are read from one product table: the normal forms of the
 monomials of degree at most D, each reduced once, when first needed.  The
 pieces of a tensor product are not reduced at all: ``tensor_pieces`` writes
-them from the factors' tables.
+them from the factors' tables.  GradedAlgebra and the models of
+``constructions`` share one base, ``AlgebraModel``, which holds their
+dimensions, unit and generator hook.
 """
 
 from __future__ import annotations
@@ -302,16 +304,54 @@ def _normal_forms(alg: GradedAlgebra, top: int) -> tuple[list, list]:
     return std, other
 
 
-class GradedAlgebra:
+class AlgebraModel:
+    """What every algebra model shares: the field and ``dims``, the Hilbert
+    function up to the socle degree, its trailing zero degrees dropped here,
+    once.  A_0 is the field on every model, so the unit is (1,).
+
+    A model adds its own multiplication, ``operator(w, v, i)`` and
+    ``multiply``; its generators come from the ``_generators`` hook, which
+    ``algebra_generators`` memoises.  Here they are the spanning generators;
+    a quotient overrides the hook with its variables.
+    """
+
+    def __init__(self, field: FieldSpec, dims: Sequence[int]):
+        dims = list(dims)
+        while len(dims) > 1 and not dims[-1]:
+            dims.pop()
+        self.field = field
+        self.dims = tuple(dims)
+        self.socle_degree = len(dims) - 1
+
+    def dim(self, d: int) -> int:
+        return self.dims[d] if 0 <= d <= self.socle_degree else 0
+
+    def hilbert_function(self) -> tuple:
+        return self.dims
+
+    def total_dim(self) -> int:
+        return sum(self.dims)
+
+    def one(self) -> tuple:
+        return (self.field.one(),)
+
+    def _generators(self) -> list[Generator]:
+        return _spanning_generators(self)
+
+
+class GradedAlgebra(AlgebraModel):
     """An artinian graded quotient built from its ring and its ideal pieces:
     spaces[d] is the reduced row space of I_d on the columns of the ring's
     shared ``monomial_index(d)`` (held in ``_index``) for d up to the socle
-    degree len(spaces) - 1; the standard monomials are the non-pivot columns."""
+    degree len(spaces) - 1; the standard monomials are the non-pivot columns.
+
+    A dual generator, or as many generators as variables, proves the quotient
+    Gorenstein (``is_gorenstein``); that is recorded here.
+    """
 
     def __init__(self, ring: Ring, spaces: list[RowSpace], generators: Optional[tuple] = None,
                  dual_generator_poly: Optional[DualPoly] = None):
         self.ring = ring
-        self.socle_degree = len(spaces) - 1
         self._index = [ring.monomial_index(d) for d in range(len(spaces))]
         self._spaces = spaces
         self.generators = generators
@@ -324,27 +364,15 @@ class GradedAlgebra:
             self._std.append([monos[c] for c in free])
             self._std_col.append({c: k for k, c in enumerate(free)})
         self._mult_cache: dict = {}  # the product table, see ``_basis_product``
+        super().__init__(ring.field, [len(std) for std in self._std])
+        if dual_generator_poly is not None or len(generators or ()) == ring.nvars:
+            _GORENSTEIN[self] = True
 
     # -- basic data ----------------------------------------------------------
 
     @property
-    def field(self) -> FieldSpec:
-        return self.ring.field
-
-    @property
     def nvars(self) -> int:
         return self.ring.nvars
-
-    def dim(self, d: int) -> int:
-        if d < 0 or d > self.socle_degree:
-            return 0
-        return len(self._std[d])
-
-    def total_dim(self) -> int:
-        return sum(self.dim(d) for d in range(self.socle_degree + 1))
-
-    def hilbert_function(self) -> tuple:
-        return tuple(self.dim(d) for d in range(self.socle_degree + 1))
 
     def basis(self, d: int) -> list[Monomial]:
         if d < 0 or d > self.socle_degree:
@@ -386,9 +414,6 @@ class GradedAlgebra:
     def poly(self, d: int, vec: Sequence[Scalar]) -> Poly:
         return Poly.make(self.nvars, self.field, dict(zip(self._std[d], vec)))
 
-    def one(self) -> tuple:
-        return self.vector(self.ring.one(), 0)
-
     # -- multiplication --------------------------------------------------------
     #
     # One product table serves every product in the quotient: the normal
@@ -426,7 +451,7 @@ class GradedAlgebra:
             got = self._mult_cache[(e, col)] = tuple((pos[k], v) for k, v in row.items())
         return got
 
-    def _variable_generators(self) -> list[Generator]:
+    def _generators(self) -> list[Generator]:
         """``algebra_generators`` of a quotient: the variables x_j of weight
         w_j <= D, where column k of X_j from A_i is the product-table entry of
         x_j * m_k itself, not a copy."""
@@ -590,19 +615,21 @@ def from_dual_generator(F: DualPoly, ring: Ring) -> GradedAlgebra:
 
 # ---------------------------------------------------------------------------
 # Generators, socle, orientations, Poincare pairing.  These functions serve
-# every algebra model: they read dim/socle_degree/field, the generator maps of
-# ``algebra_generators`` and the model's one multiplication path,
-# ``operator(w, v, i)``, multiplication by v in A_w from A_i (through
-# ``operator_matrix``): on a quotient a sum of product-table entries, on the
-# other models read off their parts' operators.  A multiplication map is a
-# list of sparse columns, one per basis vector of A_i, each a tuple of (row,
-# value) pairs with nonzero values (reduced mod p over GF(p)); ``product``,
-# every model's ``multiply``, applies one to a vector.
+# every algebra model alike, with no branch on the model: they read what the
+# base ``AlgebraModel`` holds (field, dims, socle degree, unit), the generator
+# maps of ``algebra_generators`` (the model's ``_generators`` hook) and the
+# model's one multiplication path, ``operator(w, v, i)``, multiplication by v
+# in A_w from A_i (through ``operator_matrix``): on a quotient a sum of
+# product-table entries, on the other models read off their parts'
+# operators.  A multiplication map is a list of sparse columns, one per basis
+# vector of A_i, each a tuple of (row, value) pairs with nonzero values
+# (reduced mod p over GF(p)); ``product``, every model's ``multiply``,
+# applies one to a vector.
 # ---------------------------------------------------------------------------
 
 
 def hilbert_function(alg) -> tuple:
-    return tuple(alg.dim(d) for d in range(alg.socle_degree + 1))
+    return alg.hilbert_function()
 
 
 def hilbert_series_text(alg) -> str:
@@ -649,22 +676,19 @@ _GENERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # algebra 
 
 
 def algebra_generators(alg) -> list[Generator]:
-    """Generators of the maximal ideal with their maps, memoised per algebra.
+    """Generators of the maximal ideal with their maps: the model's
+    ``_generators()``, memoised per algebra.
 
     A quotient ``GradedAlgebra`` is generated by its variables of weight at
     most D, labelled by name; a variable in the ideal keeps its zero vector.
     Every other model takes, degree by degree, the basis vectors not spanned
     by products of earlier generators (labelled e{j} in degree one and
     e{j}_{d} in degree d), with maps from ``operator_matrix`` as they are
-    found.
+    found (``_spanning_generators``).
     """
     gens = _GENERATORS.get(alg)
     if gens is None:
-        if isinstance(alg, GradedAlgebra):
-            gens = alg._variable_generators()
-        else:
-            gens = _spanning_generators(alg)
-        _GENERATORS[alg] = gens
+        gens = _GENERATORS[alg] = alg._generators()
     return gens
 
 
@@ -683,10 +707,10 @@ def _spanning_generators(alg) -> list[Generator]:
                 if span.rank == nd:
                     break
                 span.add(dict(col))
-        for j, unit in enumerate(Matrix.identity(F, nd).entries):
+        for j in range(nd):
             if span.rank < nd and span.add({j: F.one()}):
                 label = f"e{j}" if d == 1 else f"e{j}_{d}"
-                gens.append(Generator(label, d, unit, [[((j, F.one()),)]]))
+                gens.append(Generator(label, d, dense(F, nd, {j: F.one()}), [[((j, F.one()),)]]))
     return gens
 
 
@@ -717,32 +741,24 @@ def is_gorenstein(alg) -> bool:
     """Whether the socle is one-dimensional, memoised per algebra, with the
     cheapest proof tried first:
 
+    - a proof recorded when the algebra was built.  A quotient records one
+      (``GradedAlgebra``) when it has a Macaulay dual generator: A is the
+      apolar quotient R/Ann(F), and every such quotient is Gorenstein
+      (Macaulay duality); and when it has as many generators as variables:
+      an artinian quotient of a polynomial ring in n variables by n
+      homogeneous generators is a complete intersection, hence Gorenstein
+      (H. Bass, *On the ubiquity of Gorenstein rings*, Math. Z. 82, 1963),
+      for weighted gradings too.  The connected sum over the field records
+      its answer, and the tensor product a proof that returns it, run when
+      the answer is first asked (``constructions``);
     - h_D != 1 disproves it, since A_D lies in the socle;
-    - a known Macaulay dual generator proves it: A is the apolar quotient
-      R/Ann(F), and every such quotient is Gorenstein (Macaulay duality);
-    - a quotient by as many generators as variables proves it: an artinian
-      quotient of a polynomial ring in n variables by n homogeneous
-      generators is a complete intersection, hence Gorenstein (H. Bass, *On
-      the ubiquity of Gorenstein rings*, Math. Z. 82, 1963), for weighted
-      gradings too;
     - otherwise ``socle_vectors`` decides.
-
-    A construction that knows its output's answer records it in the memo
-    first, or records a proof that returns it: the connected sum over the
-    field and the tensor product (``constructions``).
     """
     got = _GORENSTEIN.get(alg)
     if callable(got):
         got = _GORENSTEIN[alg] = got()
     elif got is None:
-        if alg.dim(alg.socle_degree) != 1:
-            got = False
-        elif isinstance(alg, GradedAlgebra) and (
-                alg._dual_generator is not None or len(alg.generators or ()) == alg.nvars):
-            got = True
-        else:
-            got = len(socle_vectors(alg)) == 1
-        _GORENSTEIN[alg] = got
+        got = _GORENSTEIN[alg] = alg.dim(alg.socle_degree) == 1 and len(socle_vectors(alg)) == 1
     return got
 
 
@@ -797,8 +813,8 @@ def pairing_matrix(alg, omega: Orientation, i: int) -> Matrix:
     omega applied to the columns of multiplication by e_a."""
     F, D = alg.field, alg.socle_degree
     rows = []
-    for ea in Matrix.identity(F, alg.dim(i)).entries:
-        X = operator_matrix(alg, i, ea, D - i)
+    for a in range(alg.dim(i)):
+        X = operator_matrix(alg, i, dense(F, alg.dim(i), {a: F.one()}), D - i)
         rows.append(tuple(F.coerce(sum(omega.coeffs[r] * v for r, v in col)) for col in X))
     return Matrix(F, alg.dim(D - i), tuple(rows))
 

@@ -49,7 +49,6 @@ from .constructions import (
     connected_sum_over_field,
     exceptional_divisor,
     fiber_product,
-    hilbert_function,
     presented_algebra,
     tensor_product,
 )
@@ -328,7 +327,7 @@ def _orientation_option(alg, text):
 
 
 def _emit_constructed(args, command, inputs, alg_like, extra: dict) -> int:
-    h = tuple(hilbert_function(alg_like))
+    h = alg_like.hilbert_function()
     gor = is_gorenstein(alg_like)
     results = {
         "primary": " ".join(str(x) for x in h),
@@ -429,7 +428,6 @@ def cmd_blowup(args) -> int:
     pi, dm = _load_map(args.map, a, t)
     omega_a = _orientation_option(a, args.orient_a)
     omega_t = _orientation_option(t, args.orient_t)
-    n = a.socle_degree - t.socle_degree
     coeff_texts = [c.strip() for c in args.coeffs.split(";")] if args.coeffs else []
     if coeff_texts == [""]:
         coeff_texts = []

@@ -10,9 +10,12 @@ over T takes only its maps pi : A -> T and reads A and T off them, so the
 algebras cannot disagree with the maps; the two maps of a fiber product or
 connected sum must share their target.
 
-Every model multiplies through one method, ``operator(w, v, i)``: the sparse
-columns of multiplication by v in degree w from degree i, read off the parts'
-columns (``operator_matrix``).  ``multiply`` applies them to a vector.  An
+The pair, quotient-of-pair and blowup models are ``algebra.AlgebraModel``s:
+each hands its Hilbert function to the base, which keeps the dimensions,
+the unit and the generator hook.  Every model multiplies through one method,
+``operator(w, v, i)``: the sparse columns of multiplication by v in degree w
+from degree i, read off the parts' columns (``operator_matrix``).
+``multiply`` applies them to a vector.  An
 algebra map pi is held in the same format, one column per standard monomial,
 with a section from one elimination per degree; fiber products, Thom classes
 and blowups read both.  One recursion (``_monomial_images``) evaluates a map
@@ -30,6 +33,7 @@ from typing import Optional, Sequence
 
 from .algebra import (
     _GORENSTEIN,
+    AlgebraModel,
     GradedAlgebra,
     Ideal,
     NotGorensteinError,
@@ -38,7 +42,6 @@ from .algebra import (
     algebra_generators,
     default_orientation,
     from_ideal,
-    hilbert_function,
     integral,
     is_gorenstein,
     operator_matrix,
@@ -226,7 +229,7 @@ def _check_thom_dual_characterisation(pi, omega_a, omega_t, tau: ThomClass) -> N
 # ---------------------------------------------------------------------------
 
 
-class PairAlgebra:
+class PairAlgebra(AlgebraModel):
     """Subalgebra of A + B with explicit degreewise bases.
 
     Basis vectors are the sparse ``RowSpace.kernel`` vectors in A_d + B_d
@@ -237,20 +240,11 @@ class PairAlgebra:
     """
 
     def __init__(self, A, B, bases: list[list[dict]], free_cols: list[list[int]]):
+        super().__init__(A.field, [len(basis) for basis in bases])
         self.A = A
         self.B = B
-        self.field = A.field
         self._basis = bases
         self._free = free_cols
-        D = len(bases) - 1
-        while D > 0 and not bases[D]:
-            D -= 1
-        self.socle_degree = D
-
-    def dim(self, d: int) -> int:
-        if d < 0 or d > self.socle_degree:
-            return 0
-        return len(self._basis[d])
 
     def ambient(self, d: int, vec) -> dict:
         """The sparse ambient vector with these (basis index, coordinate) pairs."""
@@ -275,10 +269,6 @@ class PairAlgebra:
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
         return product(self, d1, v1, d2, v2)
-
-    def one(self) -> tuple:
-        # A_0 and B_0 are the field: ambient columns 0 and 1
-        return dense(self.field, self.dim(0), dict(self.coords(0, {0: self.field.one(), 1: self.field.one()})))
 
 
 def fiber_product(pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
@@ -312,7 +302,7 @@ def fiber_product(pi_a: AlgebraMap, pi_b: AlgebraMap) -> PairAlgebra:
     return fp
 
 
-class QuotientAlgebra:
+class QuotientAlgebra(AlgebraModel):
     """Quotient of an algebra model by degreewise relation row spaces.
 
     The free (non-pivot) columns of each degree are the basis; multiplication
@@ -323,21 +313,12 @@ class QuotientAlgebra:
 
     def __init__(self, base, relations: list[RowSpace]):
         self.base = base
-        self.field = base.field
         self._rel = relations
         self._free: list[list[int]] = []
         for d in range(base.socle_degree + 1):
             pivots = set(relations[d].pivots())
             self._free.append([c for c in range(base.dim(d)) if c not in pivots])
-        D = base.socle_degree
-        while D > 0 and not self._free[D]:
-            D -= 1
-        self.socle_degree = D
-
-    def dim(self, d: int) -> int:
-        if d < 0 or d > self.socle_degree:
-            return 0
-        return len(self._free[d])
+        super().__init__(base.field, [len(free) for free in self._free])
 
     def operator(self, w: int, v: tuple, i: int) -> list:
         X = operator_matrix(self.base, w, dense(self.field, self.base.dim(w), dict(zip(self._free[w], v))), i)
@@ -347,10 +328,6 @@ class QuotientAlgebra:
 
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
         return product(self, d1, v1, d2, v2)
-
-    def one(self) -> tuple:
-        red = self._rel[0].reduce(dict(enumerate(self.base.one())))
-        return tuple(red.get(c, self.field.zero()) for c in self._free[0])
 
 
 def _summands(A, B, omega_a: Optional[Orientation], omega_b: Optional[Orientation]) -> tuple:
@@ -485,7 +462,7 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
 # ---------------------------------------------------------------------------
 
 
-class BlowupAlgebra:
+class BlowupAlgebra(AlgebraModel):
     """The cohomological blowup A~ = A[xi]/(xi * ker pi, f_A(xi)) of A along
     pi : A -> T, with f_A(xi) = xi^n + a_1 xi^(n-1) + ... + a_(n-1) xi + lambda tau
     and tau the Thom class.
@@ -507,14 +484,13 @@ class BlowupAlgebra:
         self.A = A
         self.T = T
         self.pi = pi
-        self.field = A.field
-        self.socle_degree = A.socle_degree
         self.n = A.socle_degree - T.socle_degree
         self.lam = lam
         self.tau = tau
         self.t_coeffs = coefficients  # index i-1 -> coords of pi(a_i) in T_i
         self.tau_t = pi.apply(self.n, tau.coords)
         self._xis: dict[int, list] = {}
+        super().__init__(A.field, [sum(self._sizes(d)) for d in range(A.socle_degree + 1)])
 
     def _sizes(self, d: int) -> list[int]:
         """Block sizes of the layout [A_d | T_(d-1) | ... | T_(d-n+1)]."""
@@ -523,11 +499,6 @@ class BlowupAlgebra:
     def _offsets(self, d: int) -> list[int]:
         """The first row of each slot of the layout in degree d."""
         return list(itertools.accumulate(self._sizes(d)[:-1], initial=0))
-
-    def dim(self, d: int) -> int:
-        if d < 0 or d > self.socle_degree:
-            return 0
-        return sum(self._sizes(d))
 
     def split(self, d: int, vec: Sequence[Scalar]) -> tuple[tuple, list[tuple]]:
         off = self._offsets(d) + [len(vec)]
@@ -583,14 +554,8 @@ class BlowupAlgebra:
     def multiply(self, d1: int, v1: Sequence[Scalar], d2: int, v2: Sequence[Scalar]) -> tuple:
         return product(self, d1, v1, d2, v2)
 
-    def one(self) -> tuple:
-        return self.embed_a(0, self.A.one())
-
     def embed_a(self, d: int, vec: Sequence[Scalar]) -> tuple:
         return tuple(vec) + (self.field.zero(),) * (self.dim(d) - self.A.dim(d))
-
-    def hilbert_function(self) -> tuple:
-        return tuple(self.dim(d) for d in range(self.socle_degree + 1))
 
 
 def blowup(

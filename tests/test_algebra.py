@@ -187,6 +187,18 @@ def test_gorenstein_proofs_come_before_the_socle(monkeypatch):
     assert a.hilbert_function() == (1, 2, 1)
     assert not is_gorenstein(a) and calls == [a]
     assert not is_gorenstein(a) and calls == [a]  # memoised
+    # Gorenstein, but five generators in three variables: the socle decides
+    g = build("x,y,z", ["x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"])
+    assert g.hilbert_function() == (1, 3, 1)
+    assert is_gorenstein(g) and calls == [a, g]
+
+    def no_socle(alg):
+        raise AssertionError("the constructor's proof should answer")
+
+    # the dual generator handed to the constructor is recorded as the proof
+    monkeypatch.setattr(algebra, "socle_vectors", no_socle)
+    spaces = [dual.ideal_space(d) for d in range(dual.socle_degree + 1)]
+    assert is_gorenstein(GradedAlgebra(r, spaces, dual_generator_poly=dual.dual_generator()))
 
 
 @given(weighted_complete_intersections())

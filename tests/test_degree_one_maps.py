@@ -55,6 +55,7 @@ from lefschetz.constructions import (
     connected_sum,
     connected_sum_over_field,
     fiber_product,
+    tensor_product,
     thom_class,
 )
 from lefschetz.descfiles import parse_algebra_text, parse_map_text
@@ -479,6 +480,37 @@ def test_socle_of_pair_and_blowup_models(model, F):
 # -- algebra axioms -------------------------------------------------------------
 
 
+def _quotient(F, names, gens):
+    r = Ring(tuple(names.split(",")), F)
+    return from_ideal(Ideal(r, tuple(r.parse(g) for g in gens)), max_degree=6)
+
+
+def _apolar(F):
+    r = Ring(tuple("xyz"), F)
+    return from_dual_generator(r.parse_dual("X^2*Y + Y*Z^2"), r)
+
+
+# every model: quotients by an ideal, by the annihilator of a dual generator
+# and of a tensor product, beside the pair, quotient-of-pair and blowup models
+ALL_MODELS = {
+    **MODELS,
+    "from_ideal": lambda F: _quotient(F, "x,y", ["x^2", "x*y", "y^3"]),
+    "from_dual_generator": _apolar,
+    "tensor_product": lambda F: tensor_product(_quotient(F, "x,y", ["x^2", "y^3"]), _apolar(F)),
+}
+
+
+def assert_model_protocol(alg):
+    """The dimensions, Hilbert function and unit that every model shares."""
+    F, D = alg.field, alg.socle_degree
+    assert alg.hilbert_function() == tuple(alg.dim(d) for d in range(D + 1))
+    assert alg.dim(D) > 0
+    assert alg.dim(-1) == alg.dim(D + 1) == 0
+    assert alg.total_dim() == sum(alg.hilbert_function())
+    assert alg.one() == (F.one(),)
+    assert_canonical_values(F, alg.one())
+
+
 def assert_algebra_axioms(alg, draw):
     """Products of sampled homogeneous elements are commutative, associative
     and unital."""
@@ -526,16 +558,19 @@ def connected_sums_over_the_field(draw):
 
 
 @pytest.mark.parametrize("F", [QQ, GF(5)], ids=str)
-@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("model", sorted(ALL_MODELS))
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_models_satisfy_the_algebra_axioms(model, F, data):
-    assert_algebra_axioms(MODELS[model](F), data.draw)
+    alg = ALL_MODELS[model](F)
+    assert_model_protocol(alg)
+    assert_algebra_axioms(alg, data.draw)
 
 
 @given(alg=connected_sums_over_the_field(), data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_sampled_connected_sums_satisfy_the_algebra_axioms(alg, data):
+    assert_model_protocol(alg)
     assert_algebra_axioms(alg, data.draw)
 
 
